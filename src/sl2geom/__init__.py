@@ -53,7 +53,6 @@ from .gaussmap import (
 )
 from .metric import (
     CoordinateVector,
-    MetricParam,
     SasakiData,
     SasakiResiduals,
     TangentVector,

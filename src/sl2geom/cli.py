@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lightcone(profile=umbilic,A=1,u0=0), complex_circle(t=0.5)",
     )
     parser.add_argument("--grid", default=None, help="sampling grid NxM (default: 16x16)")
-    parser.add_argument("--tol", type=float, default=None, help="override every per-check tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="tighten every per-check tolerance to at most this")
     parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json)")
     parser.add_argument("--seed", type=int, default=None, help="random seed (default: 0)")
     parser.add_argument("--samples", type=int, default=None, help="random sample count (default: 100)")
@@ -135,8 +135,12 @@ def main(argv=None) -> int:
         return 2
 
     if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"verify: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

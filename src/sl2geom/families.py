@@ -1,5 +1,12 @@
 """Surface families on (SL(2,R), g[nu]) and their closed-form data.
 
+Each surface family is an ``Immersion`` holding one chart 2-jet
+``jet2(u, v)`` (the point and its first and second coordinate derivatives)
+and, where a continuous normal needs it, an ``orient`` that reads the
+evaluated ``SurfaceJet``.  Each base curve is a ``HyperbolicCurve`` holding
+one ``jet(v)`` (point, velocity, acceleration), so a surface point
+evaluates its family, and its base curve, exactly once.
+
 Families built here, with (u, v) the parameters and the chart written as
 N(x) A(y) K(theta):
 
@@ -26,6 +33,7 @@ cylinders over constant-curvature curves have mean curvature kappa / 2.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -42,7 +50,7 @@ from .core import (
     nilpotent_factor,
     rotation_factor,
 )
-from .surface import Domain, Immersion, immersion_from_chart_jet
+from .surface import Domain, Immersion, SurfaceJet
 
 UNIT_SPEED_TOL = 1e-6
 PROFILE_FLOOR = 1e-6  # domain trim: keep y >= PROFILE_FLOOR * max(y)
@@ -58,25 +66,33 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class HyperbolicCurve:
     """A curve v -> (x(v), y(v)) in the upper half plane with the metric
-    (dx^2 + dy^2)/(4 y^2), with derivative access.
+    (dx^2 + dy^2)/(4 y^2), given by its 2-jet.
 
-    ``unit_speed`` certifies (x'^2 + y'^2)/(4 y^2) = 1; the surface
-    constructors require it.  ``kappa`` records the (constant) geodesic
-    curvature when the factory knows it.
+    ``jet(v)`` returns ((x, y), (x', y'), (x'', y'')) and is the only
+    evaluation of the curve; ``point``, ``velocity``, ``acceleration`` and
+    ``speed`` read it.  ``unit_speed`` certifies (x'^2 + y'^2)/(4 y^2) = 1;
+    the surface constructors require it.  ``kappa`` records the (constant)
+    geodesic curvature when the factory knows it.
     """
 
-    point: Callable[[float], tuple[float, float]]
-    velocity: Callable[[float], tuple[float, float]]
-    acceleration: Callable[[float], tuple[float, float]]
+    jet: Callable[[float], tuple[tuple[float, float], tuple[float, float], tuple[float, float]]]
     v0: float
     v1: float
     unit_speed: bool = False
     periodic: bool = False
     kappa: Optional[float] = None
 
+    def point(self, v: float) -> tuple[float, float]:
+        return self.jet(v)[0]
+
+    def velocity(self, v: float) -> tuple[float, float]:
+        return self.jet(v)[1]
+
+    def acceleration(self, v: float) -> tuple[float, float]:
+        return self.jet(v)[2]
+
     def speed(self, v: float) -> float:
-        x, y = self.point(v)
-        xp, yp = self.velocity(v)
+        (x, y), (xp, yp), _ = self.jet(v)
         return math.hypot(xp, yp) / (2.0 * y)
 
 
@@ -100,9 +116,7 @@ def geodesic_curvature(c: HyperbolicCurve, v: float) -> float:
     res = curve_speed_residual(c, v)
     if res > UNIT_SPEED_TOL:
         raise ValueError(f"curve is not unit speed at v={v}: residual {res!r}")
-    x, y = c.point(v)
-    xp, yp = c.velocity(v)
-    xpp, ypp = c.acceleration(v)
+    (x, y), (xp, yp), (xpp, ypp) = c.jet(v)
     ax = xpp - 2.0 * xp * yp / y
     ay = ypp + (xp * xp - yp * yp) / y
     return (ax * (-yp) + ay * xp) / (4.0 * y * y)
@@ -110,10 +124,13 @@ def geodesic_curvature(c: HyperbolicCurve, v: float) -> float:
 
 def geodesic(x0: float = 0.0) -> HyperbolicCurve:
     """The vertical geodesic v -> (x0, exp(2v)), unit speed, kappa = 0."""
+
+    def jet(v: float):
+        y = math.exp(2.0 * v)
+        return (x0, y), (0.0, 2.0 * y), (0.0, 4.0 * y)
+
     return HyperbolicCurve(
-        point=lambda v: (x0, math.exp(2.0 * v)),
-        velocity=lambda v: (0.0, 2.0 * math.exp(2.0 * v)),
-        acceleration=lambda v: (0.0, 4.0 * math.exp(2.0 * v)),
+        jet=jet,
         v0=-1.0,
         v1=1.0,
         unit_speed=True,
@@ -126,9 +143,7 @@ def horocycle(y0: float = 1.0, x0: float = 0.0) -> HyperbolicCurve:
     if not y0 > 0.0:
         raise ValueError("horocycle height must be positive")
     return HyperbolicCurve(
-        point=lambda v: (x0 + 2.0 * y0 * v, y0),
-        velocity=lambda v: (2.0 * y0, 0.0),
-        acceleration=lambda v: (0.0, 0.0),
+        jet=lambda v: ((x0 + 2.0 * y0 * v, y0), (2.0 * y0, 0.0), (0.0, 0.0)),
         v0=-1.0,
         v1=1.0,
         unit_speed=True,
@@ -145,16 +160,17 @@ def hypercycle(kappa: float) -> HyperbolicCurve:
     sz = kappa / 2.0
     cz = math.sqrt(1.0 - sz * sz)
     rate = 2.0 * cz
+
+    def jet(v: float):
+        r = math.exp(rate * v)
+        return (
+            (r * sz, r * cz),
+            (rate * r * sz, rate * r * cz),
+            (rate * rate * r * sz, rate * rate * r * cz),
+        )
+
     return HyperbolicCurve(
-        point=lambda v: (math.exp(rate * v) * sz, math.exp(rate * v) * cz),
-        velocity=lambda v: (
-            rate * math.exp(rate * v) * sz,
-            rate * math.exp(rate * v) * cz,
-        ),
-        acceleration=lambda v: (
-            rate * rate * math.exp(rate * v) * sz,
-            rate * rate * math.exp(rate * v) * cz,
-        ),
+        jet=jet,
         v0=-1.0,
         v1=1.0,
         unit_speed=True,
@@ -241,9 +257,9 @@ def from_parametrization(
     """Reparametrize an arbitrary regular curve by hyperbolic arclength.
 
     The cumulative arclength is accumulated by panelled Gauss-Legendre
-    quadrature and inverted with a safeguarded Newton iteration; the
-    derivatives of the reparametrized curve follow by the chain rule, so no
-    accuracy is lost on first or second derivatives.
+    quadrature and inverted with a safeguarded Newton iteration, once per
+    jet evaluation; the derivatives of the reparametrized curve follow by
+    the chain rule, so no accuracy is lost on first or second derivatives.
     """
 
     def speed(t: float) -> float:
@@ -251,46 +267,26 @@ def from_parametrization(
         xp, yp = velocity(t)
         return math.hypot(xp, yp) / (2.0 * y)
 
-    def speed_rate(t: float) -> float:
-        # d(speed)/dt from the quotient rule.
+    table = _ArclengthTable(speed, t0, t1)
+    length = table.total
+
+    def jet(v: float):
+        t = table.t_of_s(v % length if periodic else v)
         x, y = point(t)
         xp, yp = velocity(t)
         xpp, ypp = acceleration(t)
         norm = math.hypot(xp, yp)
-        return (xp * xpp + yp * ypp) / (2.0 * y * norm) - norm * yp / (2.0 * y * y)
-
-    table = _ArclengthTable(speed, t0, t1)
-    length = table.total
-
-    def _t(v: float) -> float:
-        if periodic:
-            v = v % length
-        return table.t_of_s(v)
-
-    def new_point(v: float) -> tuple[float, float]:
-        return point(_t(v))
-
-    def new_velocity(v: float) -> tuple[float, float]:
-        t = _t(v)
-        s = speed(t)
-        xp, yp = velocity(t)
-        return (xp / s, yp / s)
-
-    def new_acceleration(v: float) -> tuple[float, float]:
-        t = _t(v)
-        s = speed(t)
-        sr = speed_rate(t)
-        xp, yp = velocity(t)
-        xpp, ypp = acceleration(t)
+        s = norm / (2.0 * y)
+        # d(speed)/dt from the quotient rule.
+        sr = (xp * xpp + yp * ypp) / (2.0 * y * norm) - norm * yp / (2.0 * y * y)
         return (
-            xpp / (s * s) - xp * sr / (s * s * s),
-            ypp / (s * s) - yp * sr / (s * s * s),
+            (x, y),
+            (xp / s, yp / s),
+            (xpp / (s * s) - xp * sr / (s * s * s), ypp / (s * s) - yp * sr / (s * s * s)),
         )
 
     return HyperbolicCurve(
-        point=new_point,
-        velocity=new_velocity,
-        acceleration=new_acceleration,
+        jet=jet,
         v0=0.0,
         v1=length,
         unit_speed=True,
@@ -413,17 +409,6 @@ def trig_profile(c0: float, coeffs: list[tuple[float, float]]) -> ProfileFunctio
     return ProfileFunction(y=y, yp=yp, ypp=ypp, u_lo=-math.pi, u_hi=math.pi)
 
 
-def profile_from_callable(y: Callable[[float], float], u_lo: float, u_hi: float, h: float = 1e-5) -> ProfileFunction:
-    """Wrap a bare positive function with finite-difference derivatives."""
-    return ProfileFunction(
-        y=y,
-        yp=lambda u: (y(u + h) - y(u - h)) / (2.0 * h),
-        ypp=lambda u: (y(u + h) - 2.0 * y(u) + y(u - h)) / (h * h),
-        u_lo=u_lo,
-        u_hi=u_hi,
-    )
-
-
 def umbilic_ode_residual(y: float, yp: float, ypp: float) -> float:
     """Residual of y'' - y'^2/(2y) + 2y."""
     if not y > 0.0:
@@ -492,9 +477,7 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
         raise ValueError("cylinder construction needs a unit-speed curve; reparametrize first")
 
     def jet2(u: float, v: float):
-        x, y = c.point(v)
-        xp, yp = c.velocity(v)
-        xpp, ypp = c.acceleration(v)
+        (x, y), (xp, yp), (xpp, ypp) = c.jet(v)
         return (
             (x, y, u),
             (0.0, 0.0, 1.0),
@@ -504,14 +487,12 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
             (xpp, ypp, 0.0),
         )
 
-    def orient(u: float, v: float) -> np.ndarray:
-        x, y = c.point(v)
-        xp, yp = c.velocity(v)
-        h = 1.0 / (2.0 * y)
-        return np.array([-yp * h, xp * h, 0.0])
+    def orient(j: SurfaceJet) -> np.ndarray:
+        # F phi_v: the lift of the rotated curve velocity.
+        return np.array([-j.phi_v[1], j.phi_v[0], 0.0])
 
     kappa = c.kappa if c.kappa is not None else float("nan")
-    return immersion_from_chart_jet(
+    return Immersion(
         Domain(0.0, TWO_PI, c.v0, c.v1, periodic_u=True, periodic_v=c.periodic),
         jet2,
         orient=orient,
@@ -549,7 +530,7 @@ def conoid(
             (0.0, 0.0, 0.0),
         )
 
-    return immersion_from_chart_jet(
+    return Immersion(
         Domain(u_range[0], u_range[1], v_range[0], v_range[1]),
         jet2,
         kind="conoid",
@@ -565,15 +546,7 @@ def affine_conoid(mu: float, a: float = 0.0, **kwargs) -> Immersion:
         xpp=lambda u: 0.0,
         **kwargs,
     )
-    return Immersion(
-        domain=imm.domain,
-        chart=imm.chart,
-        frame_partials=imm.frame_partials,
-        frame_partial_grads=imm.frame_partial_grads,
-        orient=imm.orient,
-        kind="conoid",
-        params=(("mu", mu), ("a", a)),
-    )
+    return dataclasses.replace(imm, params=(("mu", mu), ("a", a)))
 
 
 def helicoidal_motion(mu: float, t: float, g: GroupElement) -> GroupElement:
@@ -603,10 +576,10 @@ def lightcone_surface(profile: ProfileFunction, v_range: tuple[float, float] = (
             (0.0, 0.0, 0.0),
         )
 
-    return immersion_from_chart_jet(
+    return Immersion(
         Domain(profile.u_lo, profile.u_hi, v_range[0], v_range[1]),
         jet2,
-        orient=lambda u, v: np.array([0.0, 1.0, 0.0]),
+        orient=lambda j: np.array([0.0, 1.0, 0.0]),
         kind="lightcone",
     )
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LieVector, left_translate_to_identity
-from .metric import curvature_table, frame_to_coordinate, g_frame
+from .metric import curvature, frame_to_coordinate, g_frame
 from .surface import FundamentalForm, Immersion, SurfacePointData, surface_shape
 
 NU = 1.0
@@ -128,9 +128,7 @@ def principal_angle_from_shape(h: float) -> float:
 
 
 def _riemann_component(x, y, z, w) -> float:
-    r = curvature_table(NU)
-    vec = np.einsum("i,j,k,ijkl->l", x, y, z, r)
-    return g_frame(vec, w, NU)
+    return g_frame(curvature(x, y, z, NU), w, NU)
 
 
 def frame_curvature_components(s: Immersion, u: float, v: float) -> FrameCurvatureComponents:
@@ -275,10 +273,7 @@ def cylinder_curvature_values(phi: float) -> tuple[np.ndarray, np.ndarray]:
     R(u2,u1)u2 = -sin(phi) e1 + cos(phi) e2.
     """
     u1, u2, _ = cylinder_frame(phi)
-    r = curvature_table(NU)
-    first = np.einsum("i,j,k,ijkl->l", u1, u2, u1, r)
-    second = np.einsum("i,j,k,ijkl->l", u2, u1, u2, r)
-    return first, second
+    return curvature(u1, u2, u1, NU), curvature(u2, u1, u2, NU)
 
 
 def cylinder_principal_components(mu: float) -> tuple[float, float]:

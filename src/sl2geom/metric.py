@@ -64,26 +64,10 @@ DEFAULT_FD_STEP = 1e-5
 PLANE_TOL = 1e-8
 
 
-class MetricParam(NamedTuple):
-    """The family parameter nu; any nonzero real (documented values: +-1)."""
-
-    nu: float
-
-    def validate(self) -> "MetricParam":
-        _require_nu(self.nu)
-        return self
-
-
 def _require_nu(nu: float) -> float:
     if nu == 0.0:
         raise ValueError("metric parameter nu must be nonzero")
     return float(nu)
-
-
-def _require_positive_y(p: ChartPoint) -> ChartPoint:
-    if not p.y > 0.0:
-        raise ValueError(f"chart point needs y > 0, got {p.y!r}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -133,7 +117,6 @@ def g_frame(u, v, nu: float) -> float:
 
 def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
     """Coordinate matrix of g[nu] in the (dx, dy, dtheta) basis."""
-    _require_positive_y(p)
     nu = _require_nu(nu)
     y = p.y
     return np.array(
@@ -147,7 +130,6 @@ def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
 
 def frame_at(p: ChartPoint) -> tuple[CoordinateVector, CoordinateVector, CoordinateVector]:
     """The frame (e1, e2, e3) as coordinate vectors at p."""
-    _require_positive_y(p)
     y = p.y
     return (
         CoordinateVector(p, 2.0 * y, 0.0, -1.0),
@@ -158,7 +140,6 @@ def frame_at(p: ChartPoint) -> tuple[CoordinateVector, CoordinateVector, Coordin
 
 def coframe_at(p: ChartPoint) -> np.ndarray:
     """Rows are the coordinate components of the coframe (w1, w2, w3)."""
-    _require_positive_y(p)
     y = p.y
     h = 1.0 / (2.0 * y)
     return np.array([[h, 0.0, 0.0], [0.0, h, 0.0], [h, 0.0, 1.0]])
@@ -359,7 +340,6 @@ def covariant_derivative(
     table.
     """
     nu = _require_nu(nu)
-    _require_positive_y(p)
     h = step if step is not None else fd_step(p)
     if method == "table":
         uf = _field_frame(u, p)
@@ -427,7 +407,6 @@ class SasakiData:
 
 
 def sasaki_data(p: ChartPoint) -> SasakiData:
-    _require_positive_y(p)
     return SasakiData(p, ETA_FRAME.copy(), XI.copy(), F_MATRIX.copy())
 
 

@@ -72,7 +72,7 @@ class SuiteConfig:
     nu: float = 1.0
     family: Optional[str] = None
     grid: tuple[int, int] = (16, 16)
-    tol: Optional[float] = None  # overrides every per-check tolerance when set
+    tol: Optional[float] = None  # tightens every per-check tolerance when set
     fmt: str = "json"
     seed: int = 0
     samples: int = 100
@@ -84,6 +84,8 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.nu == 0.0:
             raise ValueError("nu must be nonzero")
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid resolution must be >= 2 per axis")
         if self.tol is not None and not self.tol > 0.0:
@@ -96,12 +98,16 @@ class SuiteConfig:
 
 
 class RowCollector:
+    """Collects report rows; ``tol_override`` can only tighten a check's own
+    tolerance, never loosen it."""
+
     def __init__(self, tol_override: Optional[float] = None):
         self.rows: list[ReportRow] = []
         self.tol_override = tol_override
 
     def add(self, check_id: str, location: str, expected: float, computed: float, tol: float):
-        tol = self.tol_override if self.tol_override is not None else tol
+        if self.tol_override is not None:
+            tol = min(tol, self.tol_override)
         residual = abs(float(computed) - float(expected))
         self.rows.append(
             ReportRow(check_id, location, float(expected), float(computed), residual, bool(residual <= tol))
@@ -319,8 +325,7 @@ def build_family(spec: FamilySpec):
 
 
 def _hopf_expected_metric(c: HyperbolicCurve, v: float, nu: float) -> np.ndarray:
-    x, y = c.point(v)
-    xp, _ = c.velocity(v)
+    (x, y), (xp, _), _ = c.jet(v)
     beta = xp / (2.0 * y)
     return np.array([[nu, nu * beta], [nu * beta, nu * beta * beta + 1.0]])
 
@@ -474,10 +479,8 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
         if abs(n[2]) > 1e-9:
             nc = gaussmap.NormalComponents(n[0], n[1], n[2])
             v1, v2 = gaussmap.oblique_frame(nc)
-            j = pt.jet
-            r = metric.curvature_table(1.0)
-            rv1 = np.einsum("i,j,k,ijkl->l", v1, v2, v1, r)
-            rv2 = np.einsum("i,j,k,ijkl->l", v1, v2, v2, r)
+            rv1 = curvature(v1, v2, v1, 1.0)
+            rv2 = curvature(v1, v2, v2, 1.0)
             c1, c2 = gaussmap.oblique_vertical_closed_forms(nc)
             rows.add("gauss.oblique_form_1", loc_k, c1, g_frame(rv1, n, 1.0), 1e-8)
             rows.add("gauss.oblique_form_2", loc_k, c2, g_frame(rv2, n, 1.0), 1e-8)

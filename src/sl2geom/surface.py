@@ -2,7 +2,11 @@
 fundamental forms, unit normal, mean curvature, shape invariants, and an
 intrinsic curvature probe.
 
-Conventions.  For an immersion (u, v) -> chart point, tangent vectors are
+Conventions.  An immersion is described by one callable, its chart 2-jet
+``jet2(u, v)``; ``jet`` evaluates it once per point and converts the
+coordinate derivatives to frame components through the coframe
+(``metric.coordinate_to_frame``), and everything downstream, the
+orientation hint included, reads that ``SurfaceJet``.  Tangent vectors are
 kept in frame components; covariant derivatives of the tangents use the
 Leibniz rule over the constant connection table.  The second fundamental
 form is defined so that the decomposition
@@ -29,6 +33,7 @@ from .core import ChartPoint
 from .metric import (
     _connection_coeffs,
     _require_nu,
+    coordinate_to_frame,
     g_frame,
 )
 
@@ -61,34 +66,30 @@ class Domain:
         return ok_u and ok_v
 
 
-ChartFunc = Callable[[float, float], ChartPoint]
-PartialsFunc = Callable[[float, float], tuple[np.ndarray, np.ndarray]]
-PartialGradsFunc = Callable[[float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
-OrientFunc = Callable[[float, float], np.ndarray]
-
-
 @dataclass(frozen=True)
 class Immersion:
-    """A parametrized surface (u, v) -> SL(2,R) given in the chart.
+    """A parametrized surface (u, v) -> SL(2,R) given by its chart 2-jet.
 
-    ``chart`` is mandatory.  ``frame_partials`` optionally returns the frame
-    components of (phi_u, phi_v); ``frame_partial_grads`` optionally returns
-    their parameter derivatives (d_u phi_u, d_u phi_v, d_v phi_v).  When the
-    analytic data is absent, central finite differences of ``chart`` are
-    used.  ``orient`` returns a frame vector whose inner product fixes the
-    sign of the unit normal along the surface.
+    ``jet2(u, v)`` returns six coordinate triples
+
+        (x, y, th), (x_u, y_u, th_u), (x_v, y_v, th_v),
+        (x_uu, y_uu, th_uu), (x_uv, y_uv, th_uv), (x_vv, y_vv, th_vv),
+
+    and is the only evaluation of the family: ``jet`` calls it once per
+    point.  ``orient`` takes the evaluated ``SurfaceJet`` and returns a frame
+    vector whose inner product fixes the sign of the unit normal along the
+    surface.
     """
 
     domain: Domain
-    chart: ChartFunc
-    frame_partials: Optional[PartialsFunc] = None
-    frame_partial_grads: Optional[PartialGradsFunc] = None
-    orient: Optional[OrientFunc] = None
+    jet2: Callable[[float, float], tuple]
+    orient: Optional[Callable[["SurfaceJet"], np.ndarray]] = None
     kind: str = "custom"
     params: tuple = field(default_factory=tuple)
 
-    def point(self, u: float, v: float) -> ChartPoint:
-        return self.chart(u, v)
+    def chart(self, u: float, v: float) -> ChartPoint:
+        (x, y, th), *_ = self.jet2(u, v)
+        return ChartPoint(x, y, th)
 
 
 @dataclass(frozen=True)
@@ -141,56 +142,27 @@ class ShapeData:
     umbilic_defect: float
 
 
-def _chart_coords(s: Immersion, u: float, v: float) -> np.ndarray:
-    p = s.chart(u, v)
-    return np.array([p.x, p.y, p.theta])
+def jet(s: Immersion, u: float, v: float, nu: float) -> SurfaceJet:
+    """Assemble the second-order jet at (u, v) from one ``jet2`` call.
 
-
-def _fd_partials(s: Immersion, u: float, v: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    cu = (_chart_coords(s, u + h, v) - _chart_coords(s, u - h, v)) / (2.0 * h)
-    cv = (_chart_coords(s, u, v + h) - _chart_coords(s, u, v - h)) / (2.0 * h)
-    y = s.chart(u, v).y
-    return _coord_to_frame_partial(cu, y), _coord_to_frame_partial(cv, y)
-
-
-def _coord_to_frame_partial(coord: np.ndarray, y: float) -> np.ndarray:
-    h = 1.0 / (2.0 * y)
-    return np.array([coord[0] * h, coord[1] * h, coord[2] + coord[0] * h])
-
-
-def immersion_partials(s: Immersion, u: float, v: float, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Frame components of (phi_u, phi_v): analytic when available, else by
-    central differences of the chart."""
-    if s.frame_partials is not None:
-        fu, fv = s.frame_partials(u, v)
-        return np.asarray(fu, dtype=float), np.asarray(fv, dtype=float)
-    return _fd_partials(s, u, v, h)
-
-
-def jet(s: Immersion, u: float, v: float, nu: float, fd_step: float = 1e-5) -> SurfaceJet:
-    """Assemble the second-order jet at (u, v).
-
-    Covariant second derivatives follow the Leibniz rule
+    The coordinate derivatives go to frame components through the coframe;
+    covariant second derivatives follow the Leibniz rule
     D_a phi_b = (d_a f_b)^k e_k + f_a^j f_b^k D_{e_j} e_k over the constant
     connection table.  Raises on rank-deficient tangents (Euclidean Gram
-    determinant of the frame components below RANK_TOL).
+    determinant of the frame components below RANK_TOL) and on chart heights
+    so small that the chain rule's 2y^2 underflows to zero.
     """
     nu = _require_nu(nu)
-    p = s.chart(u, v)
-    fu, fv = immersion_partials(s, u, v, fd_step)
+    (x, y, th), du, dv, duu, duv, dvv = s.jet2(u, v)
+    p = ChartPoint(x, y, th)
+    fu = coordinate_to_frame(p, du)
+    fv = coordinate_to_frame(p, dv)
 
     gram = (fu @ fu) * (fv @ fv) - (fu @ fv) ** 2
     if gram < RANK_TOL:
         raise ValueError(f"immersion is rank-deficient at ({u}, {v}): gram {gram!r}")
-
-    if s.frame_partial_grads is not None:
-        duu, duv, dvv = (np.asarray(w, dtype=float) for w in s.frame_partial_grads(u, v))
-    else:
-        h = fd_step
-        pu = lambda uu, vv: immersion_partials(s, uu, vv, fd_step)
-        duu = (pu(u + h, v)[0] - pu(u - h, v)[0]) / (2.0 * h)
-        duv = (pu(u + h, v)[1] - pu(u - h, v)[1]) / (2.0 * h)
-        dvv = (pu(u, v + h)[1] - pu(u, v - h)[1]) / (2.0 * h)
+    if not 2.0 * y * y > 0.0:
+        raise ValueError(f"chart height y = {y!r} is too small: 2y^2 underflows")
 
     gam = _connection_coeffs(nu)
     corr = lambda a, b: np.einsum("j,k,jkl->l", a, b, gam)
@@ -198,11 +170,22 @@ def jet(s: Immersion, u: float, v: float, nu: float, fd_step: float = 1e-5) -> S
         point=p,
         phi_u=fu,
         phi_v=fv,
-        d_uu=duu + corr(fu, fu),
-        d_uv=duv + corr(fu, fv),
-        d_vv=dvv + corr(fv, fv),
+        d_uu=_frame_partial_grad(du, duu, du[1], y) + corr(fu, fu),
+        d_uv=_frame_partial_grad(dv, duv, du[1], y) + corr(fu, fv),
+        d_vv=_frame_partial_grad(dv, dvv, dv[1], y) + corr(fv, fv),
         nu=nu,
     )
+
+
+def _frame_partial_grad(da, dab, yb: float, y: float) -> np.ndarray:
+    # d_b of (x_a/(2y), y_a/(2y), th_a + x_a/(2y)) for y = y(u, v).
+    xa, ya, ta = da
+    xab, yab, tab = dab
+    h = 1.0 / (2.0 * y)
+    h2 = 1.0 / (2.0 * y * y)
+    g1 = xab * h - xa * yb * h2
+    g2 = yab * h - ya * yb * h2
+    return np.array([g1, g2, tab + g1])
 
 
 def first_form(j: SurfaceJet, nu: float | None = None) -> FundamentalForm:
@@ -312,7 +295,7 @@ def surface_shape(s: Immersion, u: float, v: float, nu: float) -> SurfacePointDa
     rejected here so that downstream sign conventions stay meaningful.
     """
     j = jet(s, u, v, nu)
-    hint = s.orient(u, v) if s.orient is not None else None
+    hint = s.orient(j) if s.orient is not None else None
     n = unit_normal(j, nu, orient_hint=hint)
     if g_frame(n, n, nu) < 0.0:
         raise ValueError("surface has a timelike unit normal; out of scope")
@@ -408,72 +391,22 @@ def intrinsic_gauss_curvature(
     return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i))
 
 
-def immersion_from_chart_jet(
-    domain: Domain,
-    jet2: Callable[[float, float], tuple],
-    orient: Optional[OrientFunc] = None,
-    kind: str = "custom",
-    params: tuple = (),
-) -> Immersion:
-    """Build an Immersion from a closed-form chart 2-jet.
-
-    ``jet2(u, v)`` must return six coordinate triples
-
-        (x, y, th), (x_u, y_u, th_u), (x_v, y_v, th_v),
-        (x_uu, y_uu, th_uu), (x_uv, y_uv, th_uv), (x_vv, y_vv, th_vv),
-
-    from which frame components of the tangents and their parameter
-    derivatives follow by the chain rule through the coframe.
-    """
-
-    def chart(u: float, v: float) -> ChartPoint:
-        (x, y, th), *_ = jet2(u, v)
-        return ChartPoint(x, y, th)
-
-    def frame_partials(u: float, v: float):
-        (x, y, th), du, dv, *_ = jet2(u, v)
-        return _frame_partial(du, y), _frame_partial(dv, y)
-
-    def frame_partial_grads(u: float, v: float):
-        (x, y, th), du, dv, duu, duv, dvv = jet2(u, v)
-        d_uu = _frame_partial_grad(du, duu, du[1], y)
-        d_uv = _frame_partial_grad(dv, duv, du[1], y)
-        d_vv = _frame_partial_grad(dv, dvv, dv[1], y)
-        return d_uu, d_uv, d_vv
-
-    return Immersion(
-        domain=domain,
-        chart=chart,
-        frame_partials=frame_partials,
-        frame_partial_grads=frame_partial_grads,
-        orient=orient,
-        kind=kind,
-        params=params,
-    )
-
-
-def _frame_partial(da, y: float) -> np.ndarray:
-    xa, ya, ta = da
-    h = 1.0 / (2.0 * y)
-    return np.array([xa * h, ya * h, ta + xa * h])
-
-
-def _frame_partial_grad(da, dab, yb: float, y: float) -> np.ndarray:
-    # d_b of (x_a/(2y), y_a/(2y), th_a + x_a/(2y)) for y = y(u, v).
-    xa, ya, ta = da
-    xab, yab, tab = dab
-    h = 1.0 / (2.0 * y)
-    h2 = 1.0 / (2.0 * y * y)
-    g1 = xab * h - xa * yb * h2
-    g2 = yab * h - ya * yb * h2
-    return np.array([g1, g2, tab + g1])
-
-
 def check_analytic_partials(s: Immersion, u: float, v: float, h: float = 1e-5) -> float:
-    """Max-norm disagreement between analytic and finite-difference frame
-    partials at a point (the dual-path consistency check)."""
-    if s.frame_partials is None:
-        return 0.0
-    fu_a, fv_a = s.frame_partials(u, v)
-    fu_n, fv_n = _fd_partials(s, u, v, h)
-    return float(max(np.abs(fu_a - fu_n).max(), np.abs(fv_a - fv_n).max()))
+    """Max-norm disagreement, in frame components, between the tangents of
+    ``jet2`` and central differences of ``Immersion.chart`` at a point (the
+    dual-path consistency check)."""
+    (x, y, th), du, dv, *_ = s.jet2(u, v)
+    p = ChartPoint(x, y, th)
+
+    def coords(uu: float, vv: float) -> np.ndarray:
+        q = s.chart(uu, vv)
+        return np.array([q.x, q.y, q.theta])
+
+    cu = (coords(u + h, v) - coords(u - h, v)) / (2.0 * h)
+    cv = (coords(u, v + h) - coords(u, v - h)) / (2.0 * h)
+    return float(
+        max(
+            np.abs(coordinate_to_frame(p, np.subtract(du, cu))).max(),
+            np.abs(coordinate_to_frame(p, np.subtract(dv, cv))).max(),
+        )
+    )

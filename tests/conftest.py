@@ -1,9 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import sl2geom
 from sl2geom.core import ChartPoint
+
+
+def pytest_configure(config):
+    # Child interpreters started by the command-line tests import the same
+    # sl2geom as this process, whether or not the package is installed.
+    src = os.path.dirname(os.path.dirname(sl2geom.__file__))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

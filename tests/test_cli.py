@@ -6,6 +6,7 @@ import pytest
 
 from sl2geom.cli import main, read_config_file
 from sl2geom.suites import (
+    RowCollector,
     SuiteConfig,
     parse_family_spec,
     render_rows,
@@ -22,6 +23,14 @@ def run_cli(args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+def assert_usage_error(res):
+    """Exit 2 with exactly one ``verify: ...`` line on stderr and no report."""
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verify: ")
 
 
 class TestFamilySpecParsing:
@@ -60,6 +69,15 @@ class TestSuiteConfig:
         for r in rows:
             assert r.passed == (r.residual <= 1e-6)
             assert r.residual == abs(r.computed - r.expected)
+
+    def test_tol_override_only_tightens(self):
+        rows = RowCollector(tol_override=1e300)
+        rows.add("check", "p0", 0.0, 1e-3, 1e-6)
+        rows.add("check", "p1", 0.0, 1e-9, 1e-6)
+        assert [r.passed for r in rows.rows] == [False, True]
+        rows = RowCollector(tol_override=1e-12)
+        rows.add("check", "p0", 0.0, 1e-9, 1e-6)
+        assert not rows.rows[0].passed
 
     def test_exit_is_conjunction_of_rows(self):
         rows = run_suite(SuiteConfig(suite="connection", nu=1.0, samples=3, seed=1, tol=1e-30))
@@ -133,6 +151,20 @@ class TestCommandLine:
         assert run_cli(["--suite", "family", "--family", "bogus(x=1)"]).returncode == 2
         assert run_cli(["--nu", "0"]).returncode == 2
         assert run_cli(["--grid", "banana"]).returncode == 2
+
+    def test_non_finite_nu_is_a_usage_error(self):
+        for value in ("nan", "inf"):
+            assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--nu", value]))
+
+    def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "rows.json"
+        assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--out", str(out)]))
+
+    def test_underflowing_chart_height_is_a_usage_error(self):
+        res = run_cli(
+            ["--suite", "family", "--family", "hopf_cylinder(curve=horocycle,y0=1e-300)", "--grid", "4x4"]
+        )
+        assert_usage_error(res)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -102,9 +102,11 @@ class TestCurves:
 
     def test_non_unit_speed_rejected(self):
         doubled = HyperbolicCurve(
-            point=lambda v: (0.0, math.exp(4.0 * v)),
-            velocity=lambda v: (0.0, 4.0 * math.exp(4.0 * v)),
-            acceleration=lambda v: (0.0, 16.0 * math.exp(4.0 * v)),
+            jet=lambda v: (
+                (0.0, math.exp(4.0 * v)),
+                (0.0, 4.0 * math.exp(4.0 * v)),
+                (0.0, 16.0 * math.exp(4.0 * v)),
+            ),
             v0=-1.0,
             v1=1.0,
             unit_speed=True,  # lying about it
@@ -141,9 +143,7 @@ class TestHopfCylinder:
 
     def test_requires_unit_speed(self):
         bad = HyperbolicCurve(
-            point=lambda v: (v, 1.0),
-            velocity=lambda v: (1.0, 0.0),
-            acceleration=lambda v: (0.0, 0.0),
+            jet=lambda v: ((v, 1.0), (1.0, 0.0), (0.0, 0.0)),
             v0=-1.0,
             v1=1.0,
             unit_speed=False,

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +17,7 @@ from sl2geom.families import (
     trig_profile,
     umbilic_profile,
 )
-from sl2geom.metric import g_frame
+from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame
 from sl2geom.surface import (
     Domain,
     FundamentalForm,
@@ -97,25 +99,73 @@ class TestJet:
                 assert check_analytic_partials(s, u, v) < 1e-5
 
     def test_rank_deficiency_rejected(self):
+        # chart (u, 1, u): phi_v vanishes identically
+        zero = (0.0, 0.0, 0.0)
         collapsed = Immersion(
             domain=Domain(0.0, 1.0, 0.0, 1.0),
-            chart=lambda u, v: ChartPoint(u, 1.0, u),
+            jet2=lambda u, v: ((u, 1.0, u), (1.0, 0.0, 1.0), zero, zero, zero, zero),
         )
         with pytest.raises(ValueError):
             jet(collapsed, 0.5, 0.5, 1.0)
 
     def test_chart_only_immersion_agrees_with_analytic_jet(self):
-        # Same surface once with and once without analytic derivative data;
-        # the finite-difference fallback loses accuracy but stays close.
-        full = hopf_cylinder(horocycle())
-        bare = Immersion(domain=full.domain, chart=full.chart)
+        # Oracle that sees only the chart: tangents by central differences
+        # of the chart coordinates, covariant second derivatives by central
+        # differences of those tangents plus the connection term.  It loses
+        # accuracy against the analytic jet but stays close.
+        s = hopf_cylinder(horocycle())
+        h = 1e-5
+
+        def coords(u, v):
+            p = s.chart(u, v)
+            return np.array([p.x, p.y, p.theta])
+
+        def fd_tangents(u, v):
+            p = s.chart(u, v)
+            cu = (coords(u + h, v) - coords(u - h, v)) / (2.0 * h)
+            cv = (coords(u, v + h) - coords(u, v - h)) / (2.0 * h)
+            return coordinate_to_frame(p, cu), coordinate_to_frame(p, cv)
+
         for (u, v) in ((0.5, 0.2), (2.0, -0.3)):
-            ja = jet(full, u, v, 1.0)
-            jn = jet(bare, u, v, 1.0)
-            assert np.abs(ja.phi_u - jn.phi_u).max() < 1e-8
-            assert np.abs(ja.phi_v - jn.phi_v).max() < 1e-8
-            for a, b in ((ja.d_uu, jn.d_uu), (ja.d_uv, jn.d_uv), (ja.d_vv, jn.d_vv)):
-                assert np.abs(a - b).max() < 1e-4
+            ja = jet(s, u, v, 1.0)
+            fu, fv = fd_tangents(u, v)
+            assert np.abs(ja.phi_u - fu).max() < 1e-8
+            assert np.abs(ja.phi_v - fv).max() < 1e-8
+            duu = (fd_tangents(u + h, v)[0] - fd_tangents(u - h, v)[0]) / (2.0 * h)
+            duv = (fd_tangents(u + h, v)[1] - fd_tangents(u - h, v)[1]) / (2.0 * h)
+            dvv = (fd_tangents(u, v + h)[1] - fd_tangents(u, v - h)[1]) / (2.0 * h)
+            for analytic, fd, a, b in (
+                (ja.d_uu, duu, fu, fu),
+                (ja.d_uv, duv, fu, fv),
+                (ja.d_vv, dvv, fv, fv),
+            ):
+                assert np.abs(analytic - (fd + connect_constant(a, b, 1.0))).max() < 1e-4
+
+    def test_family_and_base_curve_are_evaluated_once_per_point(self):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        circle = hyperbolic_circle(3.0)
+        base = hopf_cylinder(dataclasses.replace(circle, jet=counted("curve.jet", circle.jet)))
+        s = dataclasses.replace(
+            base, jet2=counted("jet2", base.jet2), orient=counted("orient", base.orient)
+        )
+        u, v = 0.7, 0.4 * circle.v1
+
+        jet(s, u, v, 1.0)
+        assert calls == {"jet2": 1, "curve.jet": 1}
+        calls.clear()
+        surface_shape(s, u, v, 1.0)
+        assert calls == {"jet2": 1, "orient": 1, "curve.jet": 1}
+        calls.clear()
+        intrinsic_gauss_curvature(s, u, v, 1.0)
+        assert calls == {"jet2": 9, "curve.jet": 9}
 
 
 class TestFirstForm:
@@ -278,10 +328,8 @@ class TestShapeData:
         shift = 0.37
         shifted = Immersion(
             domain=base.domain,
-            chart=lambda u, v: base.chart(u, v + shift),
-            frame_partials=lambda u, v: base.frame_partials(u, v + shift),
-            frame_partial_grads=lambda u, v: base.frame_partial_grads(u, v + shift),
-            orient=lambda u, v: base.orient(u, v + shift),
+            jet2=lambda u, v: base.jet2(u, v + shift),
+            orient=base.orient,
             kind=base.kind,
         )
         for (u, v) in interior_points(base, n=3, margin=0.3):
@@ -293,10 +341,8 @@ class TestShapeData:
         base = hopf_cylinder(hyperbolic_circle(3.0))
         flipped = Immersion(
             domain=base.domain,
-            chart=base.chart,
-            frame_partials=base.frame_partials,
-            frame_partial_grads=base.frame_partial_grads,
-            orient=lambda u, v: -base.orient(u, v),
+            jet2=base.jet2,
+            orient=lambda j: -base.orient(j),
             kind=base.kind,
         )
         for (u, v) in interior_points(base, n=3):
