@@ -7,15 +7,18 @@
     verify --suite family --family "conoid(mu=0.3)" --report --format csv
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-configuration error.  A config file of ``key = value`` lines ('#' comments)
-can seed every option; command-line flags override it.  Reports are
-byte-identical for identical configuration and seed.
+configuration error, including a numerical blow-up on the given input.  A
+config file of ``key = value`` lines ('#' comments) can seed every option;
+command-line flags override it.  Reports are byte-identical for identical
+configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .suites import (
     SUITES,
@@ -123,15 +126,20 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if cfg.report:
-            text = render_report(surface_report(cfg), cfg)
-            ok = True
-        else:
-            rows = run_suite(cfg)
-            text = render_rows(rows, cfg)
-            ok = rows_passed(rows)
+        # Overflow, division by zero and NaN raise: a blow-up is bad input, not a failed check.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if cfg.report:
+                text = render_report(surface_report(cfg), cfg)
+                ok = True
+            else:
+                rows = run_suite(cfg)
+                text = render_rows(rows, cfg)
+                ok = rows_passed(rows)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"verify: numerical blow-up: {exc}", file=sys.stderr)
         return 2
 
     if cfg.out is not None:

@@ -33,7 +33,6 @@ cylinders over constant-curvature curves have mean curvature kappa / 2.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -491,34 +490,24 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
         # F phi_v: the lift of the rotated curve velocity.
         return np.array([-j.phi_v[1], j.phi_v[0], 0.0])
 
-    kappa = c.kappa if c.kappa is not None else float("nan")
     return Immersion(
         Domain(0.0, TWO_PI, c.v0, c.v1, periodic_u=True, periodic_v=c.periodic),
         jet2,
         orient=orient,
-        kind="hopf_cylinder",
-        params=(("kappa", kappa),),
     )
 
 
 def conoid(
     x: Callable[[float], float],
-    xp: Callable[[float], float] | None = None,
-    xpp: Callable[[float], float] | None = None,
+    xp: Callable[[float], float],
+    xpp: Callable[[float], float],
     u_range: tuple[float, float] = (-math.pi, math.pi),
     v_range: tuple[float, float] = (0.25, 4.0),
 ) -> Immersion:
-    """Conoid: chart (x(u), v, u) on v > 0.
-
-    Derivatives of x default to central differences when not supplied.
-    """
+    """Conoid: chart (x(u), v, u) on v > 0, given x and its first two
+    derivatives."""
     if not v_range[0] > 0.0:
         raise ValueError(f"conoid needs v > 0, got range {v_range!r}")
-    h = 1e-5
-    if xp is None:
-        xp = lambda u: (x(u + h) - x(u - h)) / (2.0 * h)
-    if xpp is None:
-        xpp = lambda u: (x(u + h) - 2.0 * x(u) + x(u - h)) / (h * h)
 
     def jet2(u: float, v: float):
         return (
@@ -533,20 +522,18 @@ def conoid(
     return Immersion(
         Domain(u_range[0], u_range[1], v_range[0], v_range[1]),
         jet2,
-        kind="conoid",
     )
 
 
 def affine_conoid(mu: float, a: float = 0.0, **kwargs) -> Immersion:
     """Conoid with x(u) = mu u + a: the orbit surface of the pitch-mu
     helicoidal motions, and the complete minimal conoid in g[1]."""
-    imm = conoid(
+    return conoid(
         x=lambda u: mu * u + a,
         xp=lambda u: mu,
         xpp=lambda u: 0.0,
         **kwargs,
     )
-    return dataclasses.replace(imm, params=(("mu", mu), ("a", a)))
 
 
 def helicoidal_motion(mu: float, t: float, g: GroupElement) -> GroupElement:
@@ -580,7 +567,6 @@ def lightcone_surface(profile: ProfileFunction, v_range: tuple[float, float] = (
         Domain(profile.u_lo, profile.u_hi, v_range[0], v_range[1]),
         jet2,
         orient=lambda j: np.array([0.0, 1.0, 0.0]),
-        kind="lightcone",
     )
 
 

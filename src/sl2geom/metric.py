@@ -61,7 +61,7 @@ from .core import ChartPoint
 FieldFunc = Callable[[float, float, float], Sequence[float]]
 
 DEFAULT_FD_STEP = 1e-5
-PLANE_TOL = 1e-8
+SECTION_PLANE_TOL = 1e-8  # sectional curvature of a plane with |Gram det| below this is refused
 
 
 def _require_nu(nu: float) -> float:
@@ -262,11 +262,11 @@ def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:
     return base - (1.0 + nu) * braces
 
 
-def sectional_curvature(x, y, nu: float, tol: float = PLANE_TOL) -> float:
+def sectional_curvature(x, y, nu: float) -> float:
     """K(X, Y) = g(R(X,Y)Y, X) / (g(X,X) g(Y,Y) - g(X,Y)^2)."""
     X, Y = _comps(x), _comps(y)
     den = g_frame(X, X, nu) * g_frame(Y, Y, nu) - g_frame(X, Y, nu) ** 2
-    if abs(den) < tol:
+    if abs(den) < SECTION_PLANE_TOL:
         raise ValueError(f"plane is degenerate: denominator {den!r}")
     num = g_frame(curvature(X, Y, Y, nu), X, nu)
     return num / den

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,19 +24,10 @@ from . import families, gaussmap, metric
 from .core import ChartPoint, chart_to_group, rotation_factor, nilpotent_factor
 from .families import (
     HyperbolicCurve,
-    ProfileFunction,
-    affine_conoid,
-    complex_circle,
-    constant_curvature_curve,
     helicoidal_motion,
-    hopf_cylinder,
     lightcone_mean_curvature,
-    lightcone_surface,
     minimal_complex_circle_exponential,
-    minimal_profile,
     riccati_residual,
-    trig_profile,
-    umbilic_profile,
 )
 from .gaussmap import classify_gauss_map, frame_curvature_components_at, grid_samples
 from .metric import (
@@ -49,7 +40,7 @@ from .metric import (
     sasaki_residuals,
     sectional_curvature,
 )
-from .surface import Immersion, first_form, intrinsic_gauss_curvature, jet, surface_shape
+from .surface import Immersion, intrinsic_gauss_curvature, surface_shape
 
 SUITES = ("connection", "curvature", "sasaki", "family", "gauss", "all")
 
@@ -240,7 +231,7 @@ def run_sasaki(nu: float, samples: int, rng: np.random.Generator, rows: RowColle
 
 
 # ---------------------------------------------------------------------------
-# family construction from CLI-style parameters
+# the family registry: each family spec is checked and built once
 # ---------------------------------------------------------------------------
 
 
@@ -267,6 +258,8 @@ def parse_family_spec(text: str) -> FamilySpec:
                 if "=" not in piece:
                     raise ValueError(f"malformed family parameter {piece!r}")
                 key, value = (s.strip() for s in piece.split("=", 1))
+                if key in params:
+                    raise ValueError(f"repeated family parameter {key!r}")
                 try:
                     params[key] = float(value)
                 except ValueError:
@@ -275,53 +268,65 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(text, {})
 
 
-def _curve_from_params(params: dict) -> HyperbolicCurve:
-    curve = params.get("curve", "geodesic")
-    if curve == "geodesic":
-        return families.geodesic(x0=params.get("x0", 0.0))
-    if curve == "horocycle":
-        return families.horocycle(y0=params.get("y0", 1.0), x0=params.get("x0", 0.0))
-    if curve == "circle":
-        return families.hyperbolic_circle(params.get("kappa", 3.0))
-    if curve == "hypercycle":
-        return families.hypercycle(params.get("kappa", 1.0))
-    if curve == "constant":
-        return constant_curvature_curve(params.get("kappa", 0.0))
-    raise ValueError(f"unknown base curve {curve!r}")
+@dataclass(frozen=True)
+class Family:
+    """What a family spec builds.  ``surface`` is None for the complex
+    circles, which live in the quadric.  ``rows(u, v, nu, loc, out)`` emits
+    the family's rows at one sample point; ``symmetry(u, v, t)`` is the
+    residual of its one-parameter symmetry group, measured entrywise on
+    group elements; ``gauss`` is the expected (conformal, vertically
+    harmonic, harmonic) classification of its Gauss map, or None."""
+
+    surface: Optional[Immersion]
+    rows: Callable[[float, float, float, str, RowCollector], None]
+    symmetry: Optional[Callable[[float, float, float], float]] = None
+    gauss: Optional[tuple[bool, bool, bool]] = None
 
 
-def _profile_from_params(params: dict) -> ProfileFunction:
-    profile = params.get("profile", "minimal")
-    if profile == "minimal":
-        return minimal_profile(params.get("A", 1.0), params.get("B", 0.0))
-    if profile == "umbilic":
-        return umbilic_profile(params.get("A", 1.0), params.get("u0", 0.0))
-    if profile == "trig":
-        return trig_profile(
-            params.get("c0", 2.0),
-            [(params.get("a1", 0.2), params.get("b1", 0.1)), (params.get("a2", 0.1), params.get("b2", 0.0))],
-        )
-    raise ValueError(f"unknown profile kind {profile!r}")
+def _params(spec: FamilySpec, defaults: dict) -> dict:
+    """The spec's parameters over ``defaults``; an unknown key, or a
+    non-numeric or non-finite value for a numeric key, is an error."""
+    unknown = sorted(set(spec.params) - set(defaults))
+    if unknown:
+        raise ValueError(f"{spec.describe()}: unknown parameter(s) {unknown}; allowed: {sorted(defaults)}")
+    for key, value in spec.params.items():
+        if isinstance(defaults[key], float) and not (isinstance(value, float) and math.isfinite(value)):
+            raise ValueError(f"{spec.describe()}: {key} must be a finite number, got {value!r}")
+    return {**defaults, **spec.params}
 
 
-def build_family(spec: FamilySpec):
-    """Construct the object named by a family spec: an Immersion for the
-    surface families, or the quadric mapping for complex circles."""
-    if spec.name == "hopf_cylinder":
-        return hopf_cylinder(_curve_from_params(spec.params))
-    if spec.name == "conoid":
-        return affine_conoid(mu=spec.params.get("mu", 1.0), a=spec.params.get("a", 0.0))
-    if spec.name == "lightcone":
-        return lightcone_surface(_profile_from_params(spec.params))
-    if spec.name == "complex_circle":
-        t = spec.params.get("t", 0.5)
-        return ("complex_circle", float(t))
-    raise ValueError(f"unknown family {spec.name!r}")
+# Each ``curve=`` / ``profile=`` choice: its parameter defaults and its
+# constructor, called through the ``families`` module at build time.
+_CURVES = {
+    "geodesic": ({"x0": 0.0}, lambda p: families.geodesic(x0=p["x0"])),
+    "horocycle": ({"y0": 1.0, "x0": 0.0}, lambda p: families.horocycle(y0=p["y0"], x0=p["x0"])),
+    "circle": ({"kappa": 3.0}, lambda p: families.hyperbolic_circle(p["kappa"])),
+    "hypercycle": ({"kappa": 1.0}, lambda p: families.hypercycle(p["kappa"])),
+    "constant": ({"kappa": 0.0}, lambda p: families.constant_curvature_curve(p["kappa"])),
+}
+_PROFILES = {
+    "minimal": ({"A": 1.0, "B": 0.0}, lambda p: families.minimal_profile(p["A"], p["B"])),
+    "umbilic": ({"A": 1.0, "u0": 0.0}, lambda p: families.umbilic_profile(p["A"], p["u0"])),
+    "trig": (
+        {"c0": 2.0, "a1": 0.2, "b1": 0.1, "a2": 0.1, "b2": 0.0},
+        lambda p: families.trig_profile(p["c0"], [(p["a1"], p["b1"]), (p["a2"], p["b2"])]),
+    ),
+}
 
 
-# ---------------------------------------------------------------------------
-# family suite
-# ---------------------------------------------------------------------------
+def _variant(spec: FamilySpec, key: str, table: dict, default: str):
+    """Check the spec against the schema of its ``key=`` choice and build
+    that choice; returns (parameters, built object)."""
+    choice = spec.params.get(key, default)
+    if choice not in table:
+        raise ValueError(f"{spec.describe()}: unknown {key} {choice!r}; choose from {sorted(table)}")
+    defaults, make = table[choice]
+    p = _params(spec, {key: choice, **defaults})
+    return p, make(p)
+
+
+def _group_residual(lhs, rhs) -> float:
+    return float(np.abs(lhs.matrix - rhs.matrix).max())
 
 
 def _hopf_expected_metric(c: HyperbolicCurve, v: float, nu: float) -> np.ndarray:
@@ -330,135 +335,130 @@ def _hopf_expected_metric(c: HyperbolicCurve, v: float, nu: float) -> np.ndarray
     return np.array([[nu, nu * beta], [nu * beta, nu * beta * beta + 1.0]])
 
 
-def _family_symmetry_residual(s: Immersion, u: float, v: float, t: float) -> float:
-    """Invariance of the family under its one-parameter symmetry group,
-    measured entrywise on group elements."""
-    if s.kind == "hopf_cylinder":
-        lhs = chart_to_group(s.chart(u + t, v)).matrix
-        rhs = (chart_to_group(s.chart(u, v)) @ rotation_factor(t)).matrix
-    elif s.kind == "conoid":
-        params = dict(s.params)
-        mu = params["mu"]
-        lhs = chart_to_group(s.chart(u + t, v)).matrix
-        rhs = helicoidal_motion(mu, t, chart_to_group(s.chart(u, v))).matrix
-    elif s.kind == "lightcone":
-        lhs = chart_to_group(s.chart(u, v + t)).matrix
-        rhs = (nilpotent_factor(t) @ chart_to_group(s.chart(u, v))).matrix
-    else:
-        return 0.0
-    return float(np.abs(lhs - rhs).max())
+def hopf_cylinder(spec: FamilySpec) -> Family:
+    """Cylinder over a base curve: induced metric, flatness, and mean
+    curvature kappa / 2; invariant under right rotations."""
+    _, curve = _variant(spec, "curve", _CURVES, "geodesic")
+    s = families.hopf_cylinder(curve)
+
+    def rows(u, v, nu, loc, out):
+        pt = surface_shape(s, u, v, nu)
+        metric_gap = float(np.abs(pt.first.matrix - _hopf_expected_metric(curve, v, nu)).max())
+        out.add("family.hopf_induced_metric", loc, 0.0, metric_gap, 1e-8)
+        out.add("family.hopf_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
+        out.add("family.hopf_mean_curvature", loc, curve.kappa / 2.0, pt.shape.mean_curvature, 1e-6)
+
+    def symmetry(u, v, t):
+        g = chart_to_group(s.chart(u, v))
+        return _group_residual(chart_to_group(s.chart(u + t, v)), g @ rotation_factor(t))
+
+    minimal = curve.kappa == 0.0
+    return Family(s, rows, symmetry, (minimal, True, minimal))
+
+
+def conoid(spec: FamilySpec) -> Family:
+    """Affine conoid x(u) = mu u + a: minimal in g[1], invariant under the
+    pitch-mu helicoidal motions."""
+    p = _params(spec, {"mu": 1.0, "a": 0.0})
+    s = families.affine_conoid(mu=p["mu"], a=p["a"])
+
+    def rows(u, v, nu, loc, out):
+        out.add("family.conoid_minimal", loc, 0.0, surface_shape(s, u, v, nu).shape.mean_curvature, 1e-6)
+
+    def symmetry(u, v, t):
+        g = chart_to_group(s.chart(u, v))
+        return _group_residual(chart_to_group(s.chart(u + t, v)), helicoidal_motion(p["mu"], t, g))
+
+    return Family(s, rows, symmetry, (True, True, True) if p["mu"] == 0.0 else (True, False, False))
+
+
+def lightcone(spec: FamilySpec) -> Family:
+    """Null-orbit surface over a profile: the closed-form mean curvature,
+    and at nu = -1 constant H = 1, flatness and the umbilicity claims;
+    invariant under the left nilpotent action."""
+    p, profile = _variant(spec, "profile", _PROFILES, "minimal")
+    s = families.lightcone_surface(profile)
+
+    def rows(u, v, nu, loc, out):
+        pt = surface_shape(s, u, v, nu)
+        closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
+        out.add("family.lightcone_closed_vs_pipeline_H", loc, closed, pt.shape.mean_curvature, 1e-6)
+        if nu == -1.0:
+            out.add("family.lightcone_H_one", loc, 1.0, pt.shape.mean_curvature, 1e-6)
+            out.add("family.lightcone_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
+            out.add("family.lightcone_repeated_curvatures", loc, 0.0, pt.shape.discriminant, 1e-6)
+            if p["profile"] == "umbilic":
+                out.add("family.lightcone_umbilic_defect", loc, 0.0, pt.shape.umbilic_defect, 1e-6)
+                out.add("family.lightcone_riccati", loc, 0.0, riccati_residual(profile, u), 1e-7)
+        if nu == 1.0 and p["profile"] == "minimal":
+            out.add("family.lightcone_minimal", loc, 0.0, pt.shape.mean_curvature, 1e-6)
+
+    def symmetry(u, v, t):
+        g = chart_to_group(s.chart(u, v))
+        return _group_residual(chart_to_group(s.chart(u, v + t)), nilpotent_factor(t) @ g)
+
+    return Family(s, rows, symmetry)
+
+
+def complex_circle(spec: FamilySpec) -> Family:
+    """Complex circle with a = sinh t, b = cosh t: quadric residuals, and
+    the minimal variant against its subgroup-exponential factorization."""
+    t = _params(spec, {"t": 0.5})["t"]
+    a, b = math.sinh(t), math.cosh(t)
+    phi = families.complex_circle(a, b)
+    phi_min = families.complex_circle(a, b, minimal=True)
+
+    def rows(u, v, nu, loc, out):
+        out.add("family.complex_circle_quadric", loc, 0.0, phi(u, v).quadric_residual(), 1e-9)
+        diff = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
+        out.add("family.complex_circle_exponential", loc, 0.0, float(np.abs(diff).max()), 1e-8)
+
+    return Family(None, rows)
+
+
+FAMILIES = {
+    "hopf_cylinder": hopf_cylinder,
+    "conoid": conoid,
+    "lightcone": lightcone,
+    "complex_circle": complex_circle,
+}
+
+
+def build_family(spec: FamilySpec) -> Family:
+    """Check a family spec against its schema and build it, once."""
+    if spec.name not in FAMILIES:
+        raise ValueError(f"unknown family {spec.name!r}; choose from {sorted(FAMILIES)}")
+    return FAMILIES[spec.name](spec)
+
+
+# ---------------------------------------------------------------------------
+# family and gauss suites
+# ---------------------------------------------------------------------------
 
 
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
-    built = build_family(spec)
-    if isinstance(built, tuple) and built[0] == "complex_circle":
-        _run_complex_circle(built[1], grid, rows)
-        return
-    s: Immersion = built
-    points = grid_samples(s, grid[0], grid[1])
-    if s.kind == "hopf_cylinder":
-        _run_hopf_rows(s, spec, nu, points, rows)
-    elif s.kind == "conoid":
-        _run_conoid_rows(s, nu, points, rows)
-    elif s.kind == "lightcone":
-        _run_lightcone_rows(s, spec, nu, points, rows)
-    for k, (u, v) in enumerate(points[:: max(1, len(points) // 8)]):
-        rows.add(
-            "family.symmetry_invariance",
-            f"g{k:03d}",
-            0.0,
-            _family_symmetry_residual(s, u, v, 0.37),
-            1e-9,
-        )
-
-
-def _run_hopf_rows(s: Immersion, spec: FamilySpec, nu: float, points, rows: RowCollector):
-    curve = _curve_from_params(spec.params)
-    kappa = curve.kappa
+    fam = build_family(spec)
+    if fam.surface is None:  # quadric samples: u around the circle, v across [-1, 1]
+        us = np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False)
+        vs = np.linspace(-1.0, 1.0, grid[1])
+        points = [(u, v) for u in us for v in vs]
+    else:
+        points = grid_samples(fam.surface, grid[0], grid[1])
     for (u, v) in points:
-        loc = f"({u:.3f},{v:.3f})"
-        I = first_form(jet(s, u, v, nu))
-        expected = _hopf_expected_metric(curve, v, nu)
-        rows.add(
-            "family.hopf_induced_metric",
-            loc,
-            0.0,
-            float(np.abs(I.matrix - expected).max()),
-            1e-8,
-        )
-        rows.add("family.hopf_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
-        if kappa is not None:
-            pt = surface_shape(s, u, v, nu)
-            rows.add("family.hopf_mean_curvature", loc, kappa / 2.0, pt.shape.mean_curvature, 1e-6)
-
-
-def _run_conoid_rows(s: Immersion, nu: float, points, rows: RowCollector):
-    for (u, v) in points:
-        pt = surface_shape(s, u, v, nu)
-        rows.add("family.conoid_minimal", f"({u:.3f},{v:.3f})", 0.0, pt.shape.mean_curvature, 1e-6)
-
-
-def _run_lightcone_rows(s: Immersion, spec: FamilySpec, nu: float, points, rows: RowCollector):
-    profile = _profile_from_params(spec.params)
-    umbilic = spec.params.get("profile") == "umbilic"
-    minimal = spec.params.get("profile", "minimal") == "minimal"
-    for (u, v) in points:
-        loc = f"({u:.3f},{v:.3f})"
-        pt = surface_shape(s, u, v, nu)
-        closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
-        rows.add("family.lightcone_closed_vs_pipeline_H", loc, closed, pt.shape.mean_curvature, 1e-6)
-        if nu == -1.0:
-            rows.add("family.lightcone_H_one", loc, 1.0, pt.shape.mean_curvature, 1e-6)
-            rows.add("family.lightcone_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
-            rows.add("family.lightcone_repeated_curvatures", loc, 0.0, pt.shape.discriminant, 1e-6)
-            if umbilic:
-                rows.add("family.lightcone_umbilic_defect", loc, 0.0, pt.shape.umbilic_defect, 1e-6)
-                rows.add("family.lightcone_riccati", loc, 0.0, riccati_residual(profile, u), 1e-7)
-        if nu == 1.0 and minimal:
-            rows.add("family.lightcone_minimal", loc, 0.0, pt.shape.mean_curvature, 1e-6)
-
-
-def _run_complex_circle(t: float, grid: tuple[int, int], rows: RowCollector):
-    a, b = math.sinh(t), math.cosh(t)
-    phi = complex_circle(a, b)
-    phi_min = complex_circle(a, b, minimal=True)
-    us = np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False)
-    vs = np.linspace(-1.0, 1.0, grid[1])
-    for u in us:
-        for v in vs:
-            loc = f"({u:.3f},{v:.3f})"
-            rows.add("family.complex_circle_quadric", loc, 0.0, phi(u, v).quadric_residual(), 1e-9)
-            diff = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
-            rows.add("family.complex_circle_exponential", loc, 0.0, float(np.abs(diff).max()), 1e-8)
-
-
-# ---------------------------------------------------------------------------
-# gauss suite
-# ---------------------------------------------------------------------------
-
-
-def _gauss_expectations(spec: FamilySpec) -> tuple[bool, bool, bool]:
-    """(conformal, vertically harmonic, harmonic) expected for a family."""
-    if spec.name == "hopf_cylinder":
-        curve = _curve_from_params(spec.params)
-        kappa = curve.kappa if curve.kappa is not None else float("nan")
-        minimal = kappa == 0.0
-        return (minimal, True, minimal)
-    if spec.name == "conoid":
-        mu = spec.params.get("mu", 1.0)
-        if mu == 0.0:
-            return (True, True, True)
-        return (True, False, False)
-    raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
+        fam.rows(u, v, nu, f"({u:.3f},{v:.3f})", rows)
+    if fam.symmetry is not None:
+        for k, (u, v) in enumerate(points[:: max(1, len(points) // 8)]):
+            rows.add("family.symmetry_invariance", f"g{k:03d}", 0.0, fam.symmetry(u, v, 0.37), 1e-9)
 
 
 def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
     if nu != 1.0:
         raise ValueError("the gauss suite is defined for nu = 1")
-    s = build_family(spec)
-    if not isinstance(s, Immersion):
-        raise ValueError(f"gauss suite needs a surface family, got {spec.name!r}")
-    expect_conf, expect_vh, expect_harm = _gauss_expectations(spec)
+    fam = build_family(spec)
+    if fam.gauss is None:
+        raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
+    s = fam.surface
+    expect_conf, expect_vh, expect_harm = fam.gauss
     cls = classify_gauss_map(s, grid=grid)
     loc = spec.describe()
     rows.add("gauss.h_constant", loc, 0.0, cls.evidence["h_spread"], 1e-5)
@@ -560,8 +560,8 @@ def surface_report(cfg: SuiteConfig) -> list[dict]:
     cfg.validate()
     if cfg.family is None:
         raise ValueError("a report needs --family")
-    built = build_family(parse_family_spec(cfg.family))
-    if not isinstance(built, Immersion):
+    built = build_family(parse_family_spec(cfg.family)).surface
+    if built is None:
         raise ValueError("reports are defined for surface families")
     out = []
     for (u, v) in grid_samples(built, cfg.grid[0], cfg.grid[1]):

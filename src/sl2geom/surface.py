@@ -24,7 +24,7 @@ choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .metric import (
 )
 
 RANK_TOL = 1e-10
-PLANE_TOL = 1e-10
+TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this: degenerate plane or null normal
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ class Immersion:
     domain: Domain
     jet2: Callable[[float, float], tuple]
     orient: Optional[Callable[["SurfaceJet"], np.ndarray]] = None
-    kind: str = "custom"
-    params: tuple = field(default_factory=tuple)
 
     def chart(self, u: float, v: float) -> ChartPoint:
         (x, y, th), *_ = self.jet2(u, v)
@@ -210,18 +208,18 @@ def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.
     |g(n, n)| = 1.
 
     Raises when the tangent plane is degenerate (g-Gram determinant below
-    PLANE_TOL; a null plane in the Lorentzian case).  The sign convention
-    prefers a positive e2 component, then e1, then e3, unless an orientation
-    hint vector is supplied, in which case g(n, hint) > 0.
+    TANGENT_PLANE_TOL; a null plane in the Lorentzian case).  The sign
+    convention prefers a positive e2 component, then e1, then e3, unless an
+    orientation hint vector is supplied, in which case g(n, hint) > 0.
     """
     nu = j.nu if nu is None else _require_nu(nu)
     I = first_form(j, nu)
-    if abs(I.det) < PLANE_TOL:
+    if abs(I.det) < TANGENT_PLANE_TOL:
         raise ValueError(f"tangent plane is degenerate: gram {I.det!r}")
     c = np.cross(j.phi_u, j.phi_v)
     n = np.array([c[0], c[1], c[2] / nu])
     q = g_frame(n, n, nu)
-    if abs(q) < PLANE_TOL:
+    if abs(q) < TANGENT_PLANE_TOL:
         raise ValueError(f"normal direction is null: g(n,n) {q!r}")
     n = n / math.sqrt(abs(q))
     if orient_hint is not None:

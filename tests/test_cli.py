@@ -4,13 +4,19 @@ import sys
 
 import pytest
 
+from sl2geom import families
 from sl2geom.cli import main, read_config_file
 from sl2geom.suites import (
+    ALL_ROSTER_FAMILIES,
+    ALL_ROSTER_GAUSS,
+    Family,
     RowCollector,
     SuiteConfig,
+    build_family,
     parse_family_spec,
     render_rows,
     rows_passed,
+    run_family,
     run_suite,
     surface_report,
 )
@@ -48,9 +54,29 @@ class TestFamilySpecParsing:
         assert parse_family_spec(parse_family_spec(text).describe()) == parse_family_spec(text)
 
     def test_malformed_specs(self):
-        for bad in ("conoid(mu=1", "conoid(mu)", "lightcone(profile umbilic)"):
+        for bad in ("conoid(mu=1", "conoid(mu)", "lightcone(profile umbilic)", "conoid(mu=1,mu=2)"):
             with pytest.raises(ValueError):
                 parse_family_spec(bad)
+
+
+class TestFamilyRegistry:
+    def test_every_roster_spec_builds(self):
+        for text in [spec for spec, _ in ALL_ROSTER_FAMILIES] + ALL_ROSTER_GAUSS:
+            assert isinstance(build_family(parse_family_spec(text)), Family)
+        for text in ALL_ROSTER_GAUSS:
+            assert build_family(parse_family_spec(text)).gauss is not None
+
+    def test_base_curve_is_built_once_per_spec(self, monkeypatch):
+        calls = []
+        original = families.hyperbolic_circle
+
+        def counting(kappa):
+            calls.append(kappa)
+            return original(kappa)
+
+        monkeypatch.setattr(families, "hyperbolic_circle", counting)
+        run_family(parse_family_spec("hopf_cylinder(curve=circle,kappa=3)"), 1.0, (3, 3), RowCollector())
+        assert calls == [3.0]
 
 
 class TestSuiteConfig:
@@ -165,6 +191,25 @@ class TestCommandLine:
             ["--suite", "family", "--family", "hopf_cylinder(curve=horocycle,y0=1e-300)", "--grid", "4x4"]
         )
         assert_usage_error(res)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "conoid(muu=3)",
+            "conoid(mu=abc)",
+            "lightcone(profile=umbilic,A=inf)",
+            "hopf_cylinder(curve=geodesic,kappa=5)",
+            "hopf_cylinder(curve=circle,kappa=3,x0=1)",
+            "lightcone(profile=minimal,u0=3)",
+            "hopf_cylinder(curve=spiral)",
+            "complex_circle(t=1000)",
+            "hopf_cylinder(curve=circle,kappa=1e200)",
+            "conoid(mu=1e308)",
+            "hopf_cylinder(curve=horocycle,y0=1e308)",
+        ],
+    )
+    def test_rejected_family_spec_is_a_usage_error(self, spec):
+        assert_usage_error(run_cli(["--suite", "family", "--family", spec, "--grid", "4x4"]))
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

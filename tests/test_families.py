@@ -201,7 +201,7 @@ class TestConoid:
 
     def test_positive_v_required(self):
         with pytest.raises(ValueError):
-            conoid(lambda u: u, v_range=(-1.0, 1.0))
+            conoid(lambda u: u, lambda u: 1.0, lambda u: 0.0, v_range=(-1.0, 1.0))
 
 
 class TestHelicoidalMotion:

@@ -330,7 +330,6 @@ class TestShapeData:
             domain=base.domain,
             jet2=lambda u, v: base.jet2(u, v + shift),
             orient=base.orient,
-            kind=base.kind,
         )
         for (u, v) in interior_points(base, n=3, margin=0.3):
             h0 = surface_shape(base, u, v + shift, 1.0).shape.mean_curvature
@@ -343,7 +342,6 @@ class TestShapeData:
             domain=base.domain,
             jet2=base.jet2,
             orient=lambda j: -base.orient(j),
-            kind=base.kind,
         )
         for (u, v) in interior_points(base, n=3):
             h0 = surface_shape(base, u, v, 1.0).shape.mean_curvature
