@@ -55,7 +55,6 @@ from .metric import (
     CoordinateVector,
     SasakiData,
     SasakiResiduals,
-    TangentVector,
     connection_table,
     covariant_derivative,
     curvature,

@@ -7,7 +7,8 @@
     verify --suite family --family "conoid(mu=0.3)" --report --format csv
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-configuration error, including a numerical blow-up on the given input.  A
+configuration error, including an option the chosen run does not read, a
+grid over ``suites.MAX_GRID_POINTS`` and a numerical blow-up.  A
 config file of ``key = value`` lines ('#' comments) can seed every option;
 command-line flags override it.  Reports are byte-identical for identical
 configuration and seed.
@@ -21,6 +22,7 @@ import sys
 import numpy as np
 
 from .suites import (
+    READS,
     SUITES,
     SuiteConfig,
     render_report,
@@ -87,6 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> SuiteConfig:
+    """The run's config from flags over the config file; an option, given
+    either way, that the chosen run does not read is an error."""
     file_values: dict = {}
     if args.config is not None:
         file_values = read_config_file(args.config)
@@ -94,8 +98,11 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
+    given = set(file_values)
+
     def pick(flag, key, cast, default):
         if flag is not None:
+            given.add(key)
             return flag
         if key in file_values:
             return cast(file_values[key])
@@ -113,7 +120,14 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
         out=pick(args.out, "out", str, None),
         report=bool(pick(args.report, "report", lambda s: s.lower() in ("1", "true", "yes"), False)),
     )
-    return cfg.validate()
+    cfg.validate()
+    if cfg.report and cfg.suite != "family":
+        raise ValueError(f"--report needs --suite family, got --suite {cfg.suite}")
+    unread = sorted(given - {"suite", "format", "out", "report"} - READS["report" if cfg.report else cfg.suite])
+    if unread:
+        run = "--report" if cfg.report else f"--suite {cfg.suite}"
+        raise ValueError(f"{run} does not read {', '.join('--' + key for key in unread)}")
+    return cfg
 
 
 def main(argv=None) -> int:

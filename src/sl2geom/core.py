@@ -86,14 +86,15 @@ class GroupElement:
 @dataclass(frozen=True)
 class ChartPoint:
     """Iwasawa coordinates (x, y, theta), y > 0; theta is kept unreduced
-    (it is only meaningful modulo 2*pi)."""
+    (it is only meaningful modulo 2*pi).  The coordinates may also be
+    equal-shape arrays, one chart point per element."""
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self):
-        if not self.y > 0.0:
+        if not (self.y > 0.0 if isinstance(self.y, float) else np.all(self.y > 0.0)):
             raise ValueError(f"chart coordinate y must be positive, got {self.y!r}")
 
 
@@ -197,13 +198,6 @@ class AdSPoint:
 
 def nilpotent_factor(x: float) -> GroupElement:
     return GroupElement(1.0, x, 0.0, 1.0)
-
-
-def abelian_factor(y: float) -> GroupElement:
-    if not y > 0.0:
-        raise ValueError(f"abelian factor needs y > 0, got {y!r}")
-    s = math.sqrt(y)
-    return GroupElement(s, 0.0, 0.0, 1.0 / s)
 
 
 def rotation_factor(theta: float) -> GroupElement:

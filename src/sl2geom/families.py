@@ -5,7 +5,9 @@ Each surface family is an ``Immersion`` holding one chart 2-jet
 and, where a continuous normal needs it, an ``orient`` that reads the
 evaluated ``SurfaceJet``.  Each base curve is a ``HyperbolicCurve`` holding
 one ``jet(v)`` (point, velocity, acceleration), so a surface point
-evaluates its family, and its base curve, exactly once.
+evaluates its family, and its base curve, exactly once.  Both take arrays
+of parameters (numpy functions throughout) and return components that
+broadcast against them, so a whole sample grid is one evaluation.
 
 Families built here, with (u, v) the parameters and the chart written as
 N(x) A(y) K(theta):
@@ -41,7 +43,6 @@ import numpy as np
 
 from .core import (
     AdSPoint,
-    ChartPoint,
     GroupElement,
     LieVector,
     embed_ads,
@@ -49,7 +50,7 @@ from .core import (
     nilpotent_factor,
     rotation_factor,
 )
-from .surface import Domain, Immersion, SurfaceJet
+from .surface import Domain, Immersion, SurfaceJet, _require
 
 UNIT_SPEED_TOL = 1e-6
 PROFILE_FLOOR = 1e-6  # domain trim: keep y >= PROFILE_FLOOR * max(y)
@@ -67,14 +68,15 @@ class HyperbolicCurve:
     """A curve v -> (x(v), y(v)) in the upper half plane with the metric
     (dx^2 + dy^2)/(4 y^2), given by its 2-jet.
 
-    ``jet(v)`` returns ((x, y), (x', y'), (x'', y'')) and is the only
-    evaluation of the curve; ``point``, ``velocity``, ``acceleration`` and
-    ``speed`` read it.  ``unit_speed`` certifies (x'^2 + y'^2)/(4 y^2) = 1;
+    ``jet(v)`` returns ((x, y), (x', y'), (x'', y'')) for a scalar or an
+    array v, with components that broadcast against v, and is the only
+    evaluation of the curve; ``point``, ``velocity`` and ``speed`` read
+    it.  ``unit_speed`` certifies (x'^2 + y'^2)/(4 y^2) = 1;
     the surface constructors require it.  ``kappa`` records the (constant)
     geodesic curvature when the factory knows it.
     """
 
-    jet: Callable[[float], tuple[tuple[float, float], tuple[float, float], tuple[float, float]]]
+    jet: Callable[[np.ndarray], tuple]
     v0: float
     v1: float
     unit_speed: bool = False
@@ -87,12 +89,9 @@ class HyperbolicCurve:
     def velocity(self, v: float) -> tuple[float, float]:
         return self.jet(v)[1]
 
-    def acceleration(self, v: float) -> tuple[float, float]:
-        return self.jet(v)[2]
-
     def speed(self, v: float) -> float:
         (x, y), (xp, yp), _ = self.jet(v)
-        return math.hypot(xp, yp) / (2.0 * y)
+        return np.hypot(xp, yp) / (2.0 * y)
 
 
 def curve_speed_residual(c: HyperbolicCurve, v: float) -> float:
@@ -124,8 +123,8 @@ def geodesic_curvature(c: HyperbolicCurve, v: float) -> float:
 def geodesic(x0: float = 0.0) -> HyperbolicCurve:
     """The vertical geodesic v -> (x0, exp(2v)), unit speed, kappa = 0."""
 
-    def jet(v: float):
-        y = math.exp(2.0 * v)
+    def jet(v):
+        y = np.exp(2.0 * v)
         return (x0, y), (0.0, 2.0 * y), (0.0, 4.0 * y)
 
     return HyperbolicCurve(
@@ -160,8 +159,8 @@ def hypercycle(kappa: float) -> HyperbolicCurve:
     cz = math.sqrt(1.0 - sz * sz)
     rate = 2.0 * cz
 
-    def jet(v: float):
-        r = math.exp(rate * v)
+    def jet(v):
+        r = np.exp(rate * v)
         return (
             (r * sz, r * cz),
             (rate * r * sz, rate * r * cz),
@@ -257,8 +256,9 @@ def from_parametrization(
 
     The cumulative arclength is accumulated by panelled Gauss-Legendre
     quadrature and inverted with a safeguarded Newton iteration, once per
-    jet evaluation; the derivatives of the reparametrized curve follow by
-    the chain rule, so no accuracy is lost on first or second derivatives.
+    evaluated point (``jet`` applies the scalar inversion to each element
+    of v); the derivatives of the reparametrized curve follow by the chain
+    rule, so no accuracy is lost on first or second derivatives.
     """
 
     def speed(t: float) -> float:
@@ -269,7 +269,7 @@ def from_parametrization(
     table = _ArclengthTable(speed, t0, t1)
     length = table.total
 
-    def jet(v: float):
+    def point_jet(v: float):
         t = table.t_of_s(v % length if periodic else v)
         x, y = point(t)
         xp, yp = velocity(t)
@@ -278,11 +278,14 @@ def from_parametrization(
         s = norm / (2.0 * y)
         # d(speed)/dt from the quotient rule.
         sr = (xp * xpp + yp * ypp) / (2.0 * y * norm) - norm * yp / (2.0 * y * y)
-        return (
-            (x, y),
-            (xp / s, yp / s),
-            (xpp / (s * s) - xp * sr / (s * s * s), ypp / (s * s) - yp * sr / (s * s * s)),
-        )
+        s2, s3 = s * s, s * s * s
+        return x, y, xp / s, yp / s, xpp / s2 - xp * sr / s3, ypp / s2 - yp * sr / s3
+
+    elementwise = np.vectorize(point_jet, otypes=[float] * 6)
+
+    def jet(v):
+        x, y, xp, yp, xpp, ypp = elementwise(v)
+        return (x, y), (xp, yp), (xpp, ypp)
 
     return HyperbolicCurve(
         jet=jet,
@@ -332,16 +335,14 @@ def constant_curvature_curve(kappa: float) -> HyperbolicCurve:
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """A positive profile u -> y(u) with derivative access on (u_lo, u_hi)."""
+    """A positive profile u -> y(u) with derivative access on (u_lo, u_hi);
+    y, yp and ypp take scalars or arrays."""
 
     y: Callable[[float], float]
     yp: Callable[[float], float]
     ypp: Callable[[float], float]
     u_lo: float
     u_hi: float
-
-    def __call__(self, u: float) -> float:
-        return self.y(u)
 
 
 def minimal_profile(A: float, B: float) -> ProfileFunction:
@@ -357,9 +358,9 @@ def minimal_profile(A: float, B: float) -> ProfileFunction:
     u_lo = (delta - 0.5 * math.pi + margin) / w
     u_hi = (delta + 0.5 * math.pi - margin) / w
     return ProfileFunction(
-        y=lambda u: A * math.cos(w * u) + B * math.sin(w * u),
-        yp=lambda u: w * (-A * math.sin(w * u) + B * math.cos(w * u)),
-        ypp=lambda u: -2.0 * (A * math.cos(w * u) + B * math.sin(w * u)),
+        y=lambda u: A * np.cos(w * u) + B * np.sin(w * u),
+        yp=lambda u: w * (-A * np.sin(w * u) + B * np.cos(w * u)),
+        ypp=lambda u: -2.0 * (A * np.cos(w * u) + B * np.sin(w * u)),
         u_lo=u_lo,
         u_hi=u_hi,
     )
@@ -375,9 +376,9 @@ def umbilic_profile(A: float, u0: float) -> ProfileFunction:
         raise ValueError(f"profile amplitude must be positive, got {A!r}")
     margin = math.asin(math.sqrt(PROFILE_FLOOR))
     return ProfileFunction(
-        y=lambda u: A * math.cos(u + u0) ** 2,
-        yp=lambda u: -A * math.sin(2.0 * (u + u0)),
-        ypp=lambda u: -2.0 * A * math.cos(2.0 * (u + u0)),
+        y=lambda u: A * np.cos(u + u0) ** 2,
+        yp=lambda u: -A * np.sin(2.0 * (u + u0)),
+        ypp=lambda u: -2.0 * A * np.cos(2.0 * (u + u0)),
         u_lo=-u0 - 0.5 * math.pi + margin,
         u_hi=-u0 + 0.5 * math.pi - margin,
     )
@@ -387,21 +388,21 @@ def trig_profile(c0: float, coeffs: list[tuple[float, float]]) -> ProfileFunctio
     """Trigonometric polynomial profile c0 + sum a_k cos(k u) + b_k sin(k u)
     on [-pi, pi], with exact derivatives; the caller keeps it positive."""
 
-    def y(u: float) -> float:
+    def y(u):
         return c0 + sum(
-            a * math.cos((k + 1) * u) + b * math.sin((k + 1) * u)
+            a * np.cos((k + 1) * u) + b * np.sin((k + 1) * u)
             for k, (a, b) in enumerate(coeffs)
         )
 
-    def yp(u: float) -> float:
+    def yp(u):
         return sum(
-            (k + 1) * (-a * math.sin((k + 1) * u) + b * math.cos((k + 1) * u))
+            (k + 1) * (-a * np.sin((k + 1) * u) + b * np.cos((k + 1) * u))
             for k, (a, b) in enumerate(coeffs)
         )
 
-    def ypp(u: float) -> float:
+    def ypp(u):
         return sum(
-            (k + 1) ** 2 * (-a * math.cos((k + 1) * u) - b * math.sin((k + 1) * u))
+            (k + 1) ** 2 * (-a * np.cos((k + 1) * u) - b * np.sin((k + 1) * u))
             for k, (a, b) in enumerate(coeffs)
         )
 
@@ -475,7 +476,7 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
     if not c.unit_speed:
         raise ValueError("cylinder construction needs a unit-speed curve; reparametrize first")
 
-    def jet2(u: float, v: float):
+    def jet2(u, v):
         (x, y), (xp, yp), (xpp, ypp) = c.jet(v)
         return (
             (x, y, u),
@@ -488,7 +489,8 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
 
     def orient(j: SurfaceJet) -> np.ndarray:
         # F phi_v: the lift of the rotated curve velocity.
-        return np.array([-j.phi_v[1], j.phi_v[0], 0.0])
+        w1, w2, _ = j.phi_v.T
+        return np.stack([-w2, w1, np.zeros_like(w1)], axis=-1)
 
     return Immersion(
         Domain(0.0, TWO_PI, c.v0, c.v1, periodic_u=True, periodic_v=c.periodic),
@@ -509,7 +511,7 @@ def conoid(
     if not v_range[0] > 0.0:
         raise ValueError(f"conoid needs v > 0, got range {v_range!r}")
 
-    def jet2(u: float, v: float):
+    def jet2(u, v):
         return (
             (x(u), v, u),
             (xp(u), 0.0, 1.0),
@@ -550,10 +552,9 @@ def lightcone_surface(profile: ProfileFunction, v_range: tuple[float, float] = (
         n = (y'/(2y) e1 + e2 - nu y'/(2y) e3) / sqrt(1 + (1+nu)(y'/(2y))^2).
     """
 
-    def jet2(u: float, v: float):
+    def jet2(u, v):
         y = profile.y(u)
-        if not y > 0.0:
-            raise ValueError(f"profile must stay positive, got y({u}) = {y!r}")
+        _require(y > 0.0, "profile must stay positive", (u, v), y)
         return (
             (v, y, u),
             (0.0, profile.yp(u), 1.0),
@@ -608,27 +609,19 @@ def complex_circle(a: float, b: float, minimal: bool = False) -> Callable[[float
     if abs(a * a - b * b + 1.0) > 1e-10:
         raise ValueError(f"complex circle needs a^2 - b^2 = -1, got {a * a - b * b!r}")
 
-    def non_minimal(u: float, v: float) -> AdSPoint:
+    sign = -1.0 if minimal else 1.0
+
+    def phi(u: float, v: float) -> AdSPoint:
         cu, su = math.cos(u), math.sin(u)
         cv, sv = math.cosh(v), math.sinh(v)
         return AdSPoint(
             b * cv * cu - a * sv * su,
             a * sv * cu + b * cv * su,
-            a * cv * cu + b * sv * su,
-            a * cv * su - b * sv * cu,
+            a * cv * cu + sign * b * sv * su,
+            a * cv * su - sign * b * sv * cu,
         )
 
-    def minimal_variant(u: float, v: float) -> AdSPoint:
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cosh(v), math.sinh(v)
-        return AdSPoint(
-            b * cv * cu - a * sv * su,
-            a * sv * cu + b * cv * su,
-            a * cv * cu - b * sv * su,
-            a * cv * su + b * sv * cu,
-        )
-
-    return minimal_variant if minimal else non_minimal
+    return phi
 
 
 def minimal_complex_circle_exponential(t: float, u: float, v: float) -> AdSPoint:

@@ -25,6 +25,9 @@ For a unit normal with frame components (a, b, c):
 The normal Gauss map left-translates the unit normal to the Lie algebra,
 landing on the unit sphere of the Euclidean scalar product.
 
+The grid functions work on arrays as ``surface`` does; the (s, u, v)
+helpers are one-point views.
+
 Everything in this module assumes nu = 1.
 """
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .core import LieVector, left_translate_to_identity
 from .metric import curvature, frame_to_coordinate, g_frame
-from .surface import FundamentalForm, Immersion, SurfacePointData, surface_shape
+from .surface import FundamentalForm, Immersion, SurfacePointData, _require, surface_shape
 
 NU = 1.0
 CLASSIFY_TOL = 1e-7
@@ -68,7 +71,7 @@ class FrameCurvatureComponents:
 
     @property
     def vertical(self) -> float:
-        return max(abs(self.r1213), abs(self.r2123))
+        return np.maximum(np.abs(self.r1213), np.abs(self.r2123))
 
     @property
     def horizontal_gap(self) -> float:
@@ -89,36 +92,32 @@ class GaussClassification:
 
 def normal_components(s: Immersion, u: float, v: float) -> NormalComponents:
     """Frame components of the oriented unit normal at (u, v), nu = 1."""
-    pt = surface_shape(s, u, v, NU)
-    n = pt.normal
-    return NormalComponents(float(n[0]), float(n[1]), float(n[2]))
+    return NormalComponents(*(float(c) for c in surface_shape(s, u, v, NU).normal))
 
 
 def principal_frame(
     I: FundamentalForm, II: FundamentalForm, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """I-orthonormal tangent directions (as (du, dv) coefficient pairs)
-    diagonalizing II, plus the rotation angle from the orthonormalized
-    coordinate frame.  Requires det I > 0.  At umbilic points the angle is
-    set to zero, which aligns e1 with d/du."""
-    if not I.det > 0.0:
-        raise ValueError(f"principal frame needs a Riemannian induced metric, det {I.det!r}")
-    if not I.E > 0.0:
-        raise ValueError(f"induced metric is not positive definite, E = {I.E!r}")
-    f1 = np.array([1.0 / math.sqrt(I.E), 0.0])
+    """I-orthonormal tangent directions (as (du, dv) coefficient pairs, shape
+    (..., 2)) diagonalizing II, plus the rotation angle from the
+    orthonormalized coordinate frame.  Requires det I > 0.  At umbilic
+    points the angle is set to zero, which aligns e1 with d/du."""
+    _require(I.det > 0.0, "principal frame needs a Riemannian induced metric, det", value=I.det)
+    _require(I.E > 0.0, "induced metric is not positive definite, E", value=I.E)
+    f1 = np.stack([1.0 / np.sqrt(I.E), np.zeros_like(I.E)], axis=-1)
     w_norm_sq = I.G - I.F * I.F / I.E
-    f2 = np.array([-I.F / (I.E * math.sqrt(w_norm_sq)), 1.0 / math.sqrt(w_norm_sq)])
-    b11 = II.apply(f1, f1)
-    b12 = II.apply(f1, f2)
-    b22 = II.apply(f2, f2)
-    scale = max(abs(b11), abs(b12), abs(b22), 1.0)
-    if math.hypot(2.0 * b12, b11 - b22) < tol * scale:
-        mu = 0.0
-    else:
-        mu = 0.5 * math.atan2(2.0 * b12, b11 - b22)
-    e1 = math.cos(mu) * f1 + math.sin(mu) * f2
-    e2 = -math.sin(mu) * f1 + math.cos(mu) * f2
-    return e1, e2, mu
+    f2 = np.stack([-I.F / (I.E * np.sqrt(w_norm_sq)), 1.0 / np.sqrt(w_norm_sq)], axis=-1)
+    b11, b12, b22 = II.apply(f1, f1), II.apply(f1, f2), II.apply(f2, f2)
+    scale = np.maximum(np.maximum(np.abs(b11), np.abs(b12)), np.maximum(np.abs(b22), 1.0))
+    umbilic = np.hypot(2.0 * b12, b11 - b22) < tol * scale
+    mu = np.where(umbilic, 0.0, 0.5 * _atan2(2.0 * b12, b11 - b22))
+    c, s = np.cos(mu)[..., None], np.sin(mu)[..., None]
+    return c * f1 + s * f2, -s * f1 + c * f2, mu
+
+
+# libm's atan2, element by element: numpy's vectorized arctan2 can differ
+# from it in the last bit, and the principal angle feeds the report.
+_atan2 = np.vectorize(math.atan2, otypes=[float])
 
 
 def principal_angle_from_shape(h: float) -> float:
@@ -133,15 +132,16 @@ def _riemann_component(x, y, z, w) -> float:
 
 def frame_curvature_components(s: Immersion, u: float, v: float) -> FrameCurvatureComponents:
     """R_1213, R_2123, R_3113, R_3223 in a principal frame at (u, v)."""
-    pt = surface_shape(s, u, v, NU)
-    return frame_curvature_components_at(pt)
+    return frame_curvature_components_at(surface_shape(s, u, v, NU))
 
 
 def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureComponents:
+    """R_1213, R_2123, R_3113, R_3223 in a principal frame at every point of
+    ``pt``."""
     e1c, e2c, _ = principal_frame(pt.first, pt.second)
     j = pt.jet
-    E1 = e1c[0] * j.phi_u + e1c[1] * j.phi_v
-    E2 = e2c[0] * j.phi_u + e2c[1] * j.phi_v
+    E1 = e1c[..., :1] * j.phi_u + e1c[..., 1:] * j.phi_v
+    E2 = e2c[..., :1] * j.phi_u + e2c[..., 1:] * j.phi_v
     n = pt.normal
     return FrameCurvatureComponents(
         r1213=_riemann_component(E1, E2, E1, n),
@@ -151,24 +151,20 @@ def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureCompone
     )
 
 
-def grid_samples(s: Immersion, n_u: int, n_v: int, margin: float = 0.02):
-    """Deterministic row-major sample grid over the immersion's domain;
-    periodic axes are sampled endpoint-exclusive, others shrink by the
-    relative margin."""
+def grid_samples(s: Immersion, n_u: int, n_v: int, margin: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic row-major sample grid over the immersion's domain, as
+    two flat arrays (u, v) of n_u * n_v points; periodic axes are sampled
+    endpoint-exclusive, others shrink by the relative margin."""
     dom = s.domain
     if n_u < 2 or n_v < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
-    if dom.periodic_u:
-        us = np.linspace(dom.u0, dom.u1, n_u, endpoint=False)
-    else:
-        m = margin * dom.span_u
-        us = np.linspace(dom.u0 + m, dom.u1 - m, n_u)
-    if dom.periodic_v:
-        vs = np.linspace(dom.v0, dom.v1, n_v, endpoint=False)
-    else:
-        m = margin * dom.span_v
-        vs = np.linspace(dom.v0 + m, dom.v1 - m, n_v)
-    return [(float(u), float(v)) for u in us for v in vs]
+
+    def axis(lo: float, hi: float, n: int, periodic: bool) -> np.ndarray:
+        m = 0.0 if periodic else margin * (hi - lo)
+        return np.linspace(lo + m, hi - m, n, endpoint=not periodic)
+
+    us, vs = axis(dom.u0, dom.u1, n_u, dom.periodic_u), axis(dom.v0, dom.v1, n_v, dom.periodic_v)
+    return np.repeat(us, n_v), np.tile(vs, n_u)
 
 
 def classify_gauss_map(
@@ -184,25 +180,16 @@ def classify_gauss_map(
     reported false; for minimal ones it additionally requires the principal
     curvature components R_3113 and R_3223 to agree.
     """
-    points = grid_samples(s, grid[0], grid[1])
-    h_vals = []
-    max_defect = 0.0
-    max_vertical = 0.0
-    max_gap = 0.0
-    for (u, v) in points:
-        pt = surface_shape(s, u, v, NU)
-        h_vals.append(pt.shape.mean_curvature)
-        max_defect = max(max_defect, pt.shape.umbilic_defect)
-        comps = frame_curvature_components_at(pt)
-        max_vertical = max(max_vertical, comps.vertical)
-        max_gap = max(max_gap, comps.horizontal_gap)
-    h_arr = np.array(h_vals)
+    pt = surface_shape(s, *grid_samples(s, grid[0], grid[1]), NU)
+    comps = frame_curvature_components_at(pt)
+    h_arr = pt.shape.mean_curvature
+    max_defect = float(pt.shape.umbilic_defect.max())
+    max_vertical = float(comps.vertical.max())
+    max_gap = float(comps.horizontal_gap.max())
     h_mean = float(h_arr.mean())
     h_spread = float(np.abs(h_arr - h_mean).max())
     if h_spread > H_CONSTANCY_TOL:
-        raise ValueError(
-            f"mean curvature is not constant over the grid: spread {h_spread!r}"
-        )
+        raise ValueError(f"mean curvature is not constant over the grid: spread {h_spread!r}")
     max_abs_h = float(np.abs(h_arr).max())
     minimal = max_abs_h < tol
     conformal = (max_defect < tol) or minimal

@@ -49,7 +49,6 @@ components appear only at conversion boundaries.  All functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -71,20 +70,6 @@ def _require_nu(nu: float) -> float:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at a chart point, components in the frame (e1, e2, e3)."""
-
-    base: ChartPoint
-    v1: float
-    v2: float
-    v3: float
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.v1, self.v2, self.v3])
-
-
-@dataclass(frozen=True)
 class CoordinateVector:
     """Tangent vector at a chart point, components in (d/dx, d/dy, d/dtheta)."""
 
@@ -99,20 +84,14 @@ class CoordinateVector:
 
 
 def _comps(v) -> np.ndarray:
-    if isinstance(v, TangentVector):
-        return v.components
     return np.asarray(v, dtype=float)
 
 
-def frame_metric(nu: float) -> np.ndarray:
-    """g in frame components: diag(1, 1, nu)."""
-    return np.diag([1.0, 1.0, _require_nu(nu)])
-
-
 def g_frame(u, v, nu: float) -> float:
-    """Inner product of two frame-component vectors."""
-    a, b = _comps(u), _comps(v)
-    return float(a[0] * b[0] + a[1] * b[1] + _require_nu(nu) * a[2] * b[2])
+    """Inner product of two frame-component vectors, each of shape (3,) or
+    (N, 3); elementwise over a batch."""
+    a, b = _comps(u).T, _comps(v).T
+    return a[0] * b[0] + a[1] * b[1] + _require_nu(nu) * a[2] * b[2]
 
 
 def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
@@ -138,18 +117,12 @@ def frame_at(p: ChartPoint) -> tuple[CoordinateVector, CoordinateVector, Coordin
     )
 
 
-def coframe_at(p: ChartPoint) -> np.ndarray:
-    """Rows are the coordinate components of the coframe (w1, w2, w3)."""
-    y = p.y
-    h = 1.0 / (2.0 * y)
-    return np.array([[h, 0.0, 0.0], [0.0, h, 0.0], [h, 0.0, 1.0]])
-
-
 def coordinate_to_frame(p: ChartPoint, coord) -> np.ndarray:
-    """(dx, dy, dtheta) components -> frame components (= coframe values)."""
-    c = _comps(coord)
+    """(dx, dy, dtheta) components -> frame components (= coframe values);
+    ``coord`` has shape (3,), or (N, 3) for a batch of N chart points."""
+    c = _comps(coord).T
     h = 1.0 / (2.0 * p.y)
-    return np.array([c[0] * h, c[1] * h, c[2] + c[0] * h])
+    return np.ascontiguousarray(np.array([c[0] * h, c[1] * h, c[2] + c[0] * h]).T)
 
 
 def frame_to_coordinate(p: ChartPoint, frame) -> np.ndarray:
@@ -189,12 +162,12 @@ def connection_table(i: int, j: int, nu: float) -> np.ndarray:
 def connect_constant(direction, w, nu: float) -> np.ndarray:
     """D_X W for constant-frame-component W along the frame vector X.
 
-    Both arguments are frame-component triples; the result uses only the
-    connection table (no derivative term).
+    Both arguments are frame-component triples, (3,) or (N, 3); the result
+    uses only the connection table (no derivative term).
     """
     gam = _connection_coeffs(_require_nu(nu))
     d, w = _comps(direction), _comps(w)
-    return np.einsum("j,k,jkl->l", d, w, gam)
+    return np.einsum("...j,...k,jkl->...l", d, w, gam)
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +199,11 @@ def _as_frame_vector(x, p: ChartPoint | None) -> np.ndarray:
 
 
 def curvature(x, y, z, nu: float, p: ChartPoint | None = None) -> np.ndarray:
-    """R(X, Y) Z in frame components; arguments are frame-component vectors,
-    TangentVectors, or 1-based frame indices."""
+    """R(X, Y) Z in frame components; arguments are frame-component vectors
+    ((3,) or (N, 3)) or 1-based frame indices."""
     r = curvature_table(_require_nu(nu))
     a, b, c = (_as_frame_vector(w, p) for w in (x, y, z))
-    return np.einsum("i,j,k,ijkl->l", a, b, c, r)
+    return np.einsum("...i,...j,...k,ijkl->...l", a, b, c, r)
 
 
 def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:

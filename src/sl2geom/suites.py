@@ -44,6 +44,16 @@ from .surface import Immersion, intrinsic_gauss_curvature, surface_shape
 
 SUITES = ("connection", "curvature", "sasaki", "family", "gauss", "all")
 
+# The options each suite, and a --report run of the family suite, reads
+# besides suite, format and out (and report, which picks between them).
+READS = dict.fromkeys(("connection", "curvature", "sasaki"), {"nu", "samples", "seed", "tol"})
+READS.update(family={"nu", "family", "grid", "tol"}, gauss={"nu", "family", "grid", "tol"})
+READS.update(all={"samples", "seed", "grid", "tol"}, report={"nu", "family", "grid"})
+
+# Largest n_u * n_v sample grid: the surface pipeline holds O(n_u * n_v)
+# arrays, so the bound is checked before anything is allocated.
+MAX_GRID_POINTS = 256 * 256
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -79,12 +89,16 @@ class SuiteConfig:
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid resolution must be >= 2 per axis")
+        if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
+            raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} has more than {MAX_GRID_POINTS} points")
         if self.tol is not None and not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.family is None and (self.report or self.suite in ("family", "gauss")):
+            raise ValueError(f"the {'report' if self.report else self.suite + ' suite'} needs --family")
         return self
 
 
@@ -271,14 +285,16 @@ def parse_family_spec(text: str) -> FamilySpec:
 @dataclass(frozen=True)
 class Family:
     """What a family spec builds.  ``surface`` is None for the complex
-    circles, which live in the quadric.  ``rows(u, v, nu, loc, out)`` emits
-    the family's rows at one sample point; ``symmetry(u, v, t)`` is the
-    residual of its one-parameter symmetry group, measured entrywise on
-    group elements; ``gauss`` is the expected (conformal, vertically
-    harmonic, harmonic) classification of its Gauss map, or None."""
+    circles, which live in the quadric.  ``rows(u, v, nu)`` evaluates the
+    family once over the sample arrays u, v and returns its checks as
+    columns (check_id, expected, computed, tolerance), each value one per
+    point or a constant; ``symmetry(u, v, t)`` is the residual of its
+    one-parameter symmetry group, measured entrywise on group elements;
+    ``gauss`` is the expected (conformal, vertically harmonic, harmonic)
+    classification of its Gauss map, or None."""
 
     surface: Optional[Immersion]
-    rows: Callable[[float, float, float, str, RowCollector], None]
+    rows: Callable[[np.ndarray, np.ndarray, float], list[tuple]]
     symmetry: Optional[Callable[[float, float, float], float]] = None
     gauss: Optional[tuple[bool, bool, bool]] = None
 
@@ -329,10 +345,13 @@ def _group_residual(lhs, rhs) -> float:
     return float(np.abs(lhs.matrix - rhs.matrix).max())
 
 
-def _hopf_expected_metric(c: HyperbolicCurve, v: float, nu: float) -> np.ndarray:
+def _hopf_metric_gap(I, c: HyperbolicCurve, v, nu: float):
+    """Max-norm gap between I and the display nu (du + beta dv)^2 + dv^2,
+    beta = x'/(2y)."""
     (x, y), (xp, _), _ = c.jet(v)
     beta = xp / (2.0 * y)
-    return np.array([[nu, nu * beta], [nu * beta, nu * beta * beta + 1.0]])
+    gaps = (I.E - nu, I.F - nu * beta, I.G - (nu * beta * beta + 1.0))
+    return np.maximum.reduce([np.abs(g) for g in gaps])
 
 
 def hopf_cylinder(spec: FamilySpec) -> Family:
@@ -341,12 +360,13 @@ def hopf_cylinder(spec: FamilySpec) -> Family:
     _, curve = _variant(spec, "curve", _CURVES, "geodesic")
     s = families.hopf_cylinder(curve)
 
-    def rows(u, v, nu, loc, out):
+    def rows(u, v, nu):
         pt = surface_shape(s, u, v, nu)
-        metric_gap = float(np.abs(pt.first.matrix - _hopf_expected_metric(curve, v, nu)).max())
-        out.add("family.hopf_induced_metric", loc, 0.0, metric_gap, 1e-8)
-        out.add("family.hopf_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
-        out.add("family.hopf_mean_curvature", loc, curve.kappa / 2.0, pt.shape.mean_curvature, 1e-6)
+        return [
+            ("family.hopf_induced_metric", 0.0, _hopf_metric_gap(pt.first, curve, v, nu), 1e-8),
+            ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first), 1e-4),
+            ("family.hopf_mean_curvature", curve.kappa / 2.0, pt.shape.mean_curvature, 1e-6),
+        ]
 
     def symmetry(u, v, t):
         g = chart_to_group(s.chart(u, v))
@@ -362,8 +382,8 @@ def conoid(spec: FamilySpec) -> Family:
     p = _params(spec, {"mu": 1.0, "a": 0.0})
     s = families.affine_conoid(mu=p["mu"], a=p["a"])
 
-    def rows(u, v, nu, loc, out):
-        out.add("family.conoid_minimal", loc, 0.0, surface_shape(s, u, v, nu).shape.mean_curvature, 1e-6)
+    def rows(u, v, nu):
+        return [("family.conoid_minimal", 0.0, surface_shape(s, u, v, nu).shape.mean_curvature, 1e-6)]
 
     def symmetry(u, v, t):
         g = chart_to_group(s.chart(u, v))
@@ -379,19 +399,26 @@ def lightcone(spec: FamilySpec) -> Family:
     p, profile = _variant(spec, "profile", _PROFILES, "minimal")
     s = families.lightcone_surface(profile)
 
-    def rows(u, v, nu, loc, out):
+    def rows(u, v, nu):
         pt = surface_shape(s, u, v, nu)
-        closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
-        out.add("family.lightcone_closed_vs_pipeline_H", loc, closed, pt.shape.mean_curvature, 1e-6)
+        h = pt.shape.mean_curvature
+        profile_jet = zip(*_lists((profile.y(u), profile.yp(u), profile.ypp(u))))
+        closed = [lightcone_mean_curvature(y, yp, ypp, nu) for y, yp, ypp in profile_jet]
+        checks = [("family.lightcone_closed_vs_pipeline_H", closed, h, 1e-6)]
         if nu == -1.0:
-            out.add("family.lightcone_H_one", loc, 1.0, pt.shape.mean_curvature, 1e-6)
-            out.add("family.lightcone_flat", loc, 0.0, intrinsic_gauss_curvature(s, u, v, nu), 1e-4)
-            out.add("family.lightcone_repeated_curvatures", loc, 0.0, pt.shape.discriminant, 1e-6)
+            checks += [
+                ("family.lightcone_H_one", 1.0, h, 1e-6),
+                ("family.lightcone_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first), 1e-4),
+                ("family.lightcone_repeated_curvatures", 0.0, pt.shape.discriminant, 1e-6),
+            ]
             if p["profile"] == "umbilic":
-                out.add("family.lightcone_umbilic_defect", loc, 0.0, pt.shape.umbilic_defect, 1e-6)
-                out.add("family.lightcone_riccati", loc, 0.0, riccati_residual(profile, u), 1e-7)
+                checks += [
+                    ("family.lightcone_umbilic_defect", 0.0, pt.shape.umbilic_defect, 1e-6),
+                    ("family.lightcone_riccati", 0.0, [riccati_residual(profile, a) for a in u.tolist()], 1e-7),
+                ]
         if nu == 1.0 and p["profile"] == "minimal":
-            out.add("family.lightcone_minimal", loc, 0.0, pt.shape.mean_curvature, 1e-6)
+            checks.append(("family.lightcone_minimal", 0.0, h, 1e-6))
+        return checks
 
     def symmetry(u, v, t):
         g = chart_to_group(s.chart(u, v))
@@ -408,10 +435,13 @@ def complex_circle(spec: FamilySpec) -> Family:
     phi = families.complex_circle(a, b)
     phi_min = families.complex_circle(a, b, minimal=True)
 
-    def rows(u, v, nu, loc, out):
-        out.add("family.complex_circle_quadric", loc, 0.0, phi(u, v).quadric_residual(), 1e-9)
-        diff = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
-        out.add("family.complex_circle_exponential", loc, 0.0, float(np.abs(diff).max()), 1e-8)
+    def rows(us, vs, nu):
+        points = list(zip(us.tolist(), vs.tolist()))
+        gaps = [phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords for u, v in points]
+        return [
+            ("family.complex_circle_quadric", 0.0, [phi(u, v).quadric_residual() for u, v in points], 1e-9),
+            ("family.complex_circle_exponential", 0.0, [float(np.abs(d).max()) for d in gaps], 1e-8),
+        ]
 
     return Family(None, rows)
 
@@ -436,19 +466,31 @@ def build_family(spec: FamilySpec) -> Family:
 # ---------------------------------------------------------------------------
 
 
+def _lists(columns) -> list:
+    """Per-point columns as Python lists, for emitting rows point by point."""
+    return [np.asarray(c).tolist() for c in columns]
+
+
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
     fam = build_family(spec)
-    if fam.surface is None:  # quadric samples: u around the circle, v across [-1, 1]
-        us = np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False)
-        vs = np.linspace(-1.0, 1.0, grid[1])
-        points = [(u, v) for u in us for v in vs]
+    if fam.surface is None:  # quadric samples: u around the circle, v across [-1, 1], u-major
+        u = np.repeat(np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False), grid[1])
+        v = np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0])
     else:
-        points = grid_samples(fam.surface, grid[0], grid[1])
-    for (u, v) in points:
-        fam.rows(u, v, nu, f"({u:.3f},{v:.3f})", rows)
+        u, v = grid_samples(fam.surface, grid[0], grid[1])
+    # Each point's rows in check order, the points in grid order.
+    checks = [
+        (check_id, *_lists(np.broadcast_to(x, u.shape) for x in (expected, computed)), tol)
+        for check_id, expected, computed, tol in fam.rows(u, v, nu)
+    ]
+    for k, (a, b) in enumerate(zip(*_lists((u, v)))):
+        loc = f"({a:.3f},{b:.3f})"
+        for check_id, expected, computed, tol in checks:
+            rows.add(check_id, loc, expected[k], computed[k], tol)
     if fam.symmetry is not None:
-        for k, (u, v) in enumerate(points[:: max(1, len(points) // 8)]):
-            rows.add("family.symmetry_invariance", f"g{k:03d}", 0.0, fam.symmetry(u, v, 0.37), 1e-9)
+        step = max(1, u.size // 8)
+        for k, (a, b) in enumerate(zip(*_lists((u[::step], v[::step])))):
+            rows.add("family.symmetry_invariance", f"g{k:03d}", 0.0, fam.symmetry(a, b, 0.37), 1e-9)
 
 
 def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
@@ -471,8 +513,7 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
         rows.add("gauss.horizontal_gap", loc, 0.0, cls.evidence["max_horizontal_gap"], 1e-7)
 
     # Closed forms from the classification argument, at a few grid points.
-    points = grid_samples(s, 4, 4)
-    for k, (u, v) in enumerate(points):
+    for u, v in zip(*_lists(grid_samples(s, 4, 4))):
         pt = surface_shape(s, u, v, 1.0)
         n = pt.normal
         loc_k = f"({u:.3f},{v:.3f})"
@@ -532,12 +573,8 @@ def run_suite(cfg: SuiteConfig) -> list[ReportRow]:
     elif cfg.suite == "sasaki":
         run_sasaki(cfg.nu, cfg.samples, rng, rows)
     elif cfg.suite == "family":
-        if cfg.family is None:
-            raise ValueError("the family suite needs --family")
         run_family(parse_family_spec(cfg.family), cfg.nu, cfg.grid, rows)
     elif cfg.suite == "gauss":
-        if cfg.family is None:
-            raise ValueError("the gauss suite needs --family")
         run_gauss(parse_family_spec(cfg.family), cfg.nu, cfg.grid, rows)
     elif cfg.suite == "all":
         small = max(10, cfg.samples // 4)
@@ -558,35 +595,31 @@ def surface_report(cfg: SuiteConfig) -> list[dict]:
     curvature, normal components, and (for nu = 1) the principal-frame
     curvature components."""
     cfg.validate()
-    if cfg.family is None:
-        raise ValueError("a report needs --family")
     built = build_family(parse_family_spec(cfg.family)).surface
     if built is None:
         raise ValueError("reports are defined for surface families")
-    out = []
-    for (u, v) in grid_samples(built, cfg.grid[0], cfg.grid[1]):
-        pt = surface_shape(built, u, v, cfg.nu)
-        row = {
-            "u": u,
-            "v": v,
-            "H": pt.shape.mean_curvature,
-            "detS": pt.shape.det_shape,
-            "discriminant": pt.shape.discriminant,
-            "K": intrinsic_gauss_curvature(built, u, v, cfg.nu),
-            "umbilic_defect": pt.shape.umbilic_defect,
-            "a": float(pt.normal[0]),
-            "b": float(pt.normal[1]),
-            "c": float(pt.normal[2]),
-        }
-        if cfg.nu == 1.0:
-            comps = frame_curvature_components_at(pt)
-            row.update(
-                r1213=comps.r1213, r2123=comps.r2123, r3113=comps.r3113, r3223=comps.r3223
-            )
-        else:
-            row.update(r1213=None, r2123=None, r3113=None, r3223=None)
-        out.append(row)
-    return out
+    u, v = grid_samples(built, cfg.grid[0], cfg.grid[1])
+    pt = surface_shape(built, u, v, cfg.nu)
+    sd = pt.shape
+    columns = {
+        "u": u,
+        "v": v,
+        "H": sd.mean_curvature,
+        "detS": sd.det_shape,
+        "discriminant": sd.discriminant,
+        "K": intrinsic_gauss_curvature(built, u, v, cfg.nu, first=pt.first),
+        "umbilic_defect": sd.umbilic_defect,
+        "a": pt.normal[:, 0],
+        "b": pt.normal[:, 1],
+        "c": pt.normal[:, 2],
+    }
+    names = ("r1213", "r2123", "r3113", "r3223")
+    if cfg.nu == 1.0:
+        comps = frame_curvature_components_at(pt)
+        columns.update((name, getattr(comps, name)) for name in names)
+    else:
+        columns.update((name, np.full(u.size, None)) for name in names)
+    return [dict(zip(columns, values)) for values in zip(*_lists(columns.values()))]
 
 
 def rows_passed(rows: list[ReportRow]) -> bool:

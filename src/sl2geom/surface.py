@@ -2,14 +2,17 @@
 fundamental forms, unit normal, mean curvature, shape invariants, and an
 intrinsic curvature probe.
 
-Conventions.  An immersion is described by one callable, its chart 2-jet
-``jet2(u, v)``; ``jet`` evaluates it once per point and converts the
-coordinate derivatives to frame components through the coframe
-(``metric.coordinate_to_frame``), and everything downstream, the
-orientation hint included, reads that ``SurfaceJet``.  Tangent vectors are
-kept in frame components; covariant derivatives of the tangents use the
-Leibniz rule over the constant connection table.  The second fundamental
-form is defined so that the decomposition
+Conventions.  Every function here works on arrays: the parameters u, v
+may be scalars or 1-D arrays of N sample points, frame vectors then have
+shape (N, 3), and scalars per point shape (N,); a call with scalar u, v
+is the one-point view of the same code.  An immersion is described by one
+callable, its chart 2-jet ``jet2(u, v)``; ``jet`` evaluates it once per
+call and converts the coordinate derivatives to frame components through
+the coframe (``metric.coordinate_to_frame``), and everything downstream,
+the orientation hint included, reads that ``SurfaceJet``.  Covariant
+derivatives of the tangents use the Leibniz rule over the constant
+connection table.  The second fundamental form is defined so that the
+decomposition
 
     D_{d/da} phi_b = (tangential part) + II_ab n
 
@@ -18,27 +21,33 @@ The mean curvature is H = tr(II . I^-1) / 2 uniformly, with no extra sign
 for Lorentzian induced metrics.  The default normal orientation prefers a
 positive e2 component, then a positive e1 component; immersions may carry
 an orientation hint that overrides this pointwise rule with a continuous
-choice.
+choice.  A check that fails at any sample point raises ValueError naming
+the first such point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import ChartPoint
-from .metric import (
-    _connection_coeffs,
-    _require_nu,
-    coordinate_to_frame,
-    g_frame,
-)
+from .metric import _require_nu, connect_constant, coordinate_to_frame, g_frame
 
 RANK_TOL = 1e-10
 TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this: degenerate plane or null normal
+
+
+def _require(ok, message: str, at: tuple = (), value=None) -> None:
+    """Raise ValueError unless ``ok`` holds at every sample point, naming the
+    first failing point by the coordinates ``at`` and its offending ``value``."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        k = int(np.argmin(ok.ravel()))
+        pick = lambda a: float(np.broadcast_to(a, ok.shape).ravel()[k])
+        where = f" at ({', '.join(repr(pick(a)) for a in at)})" if at else ""
+        raise ValueError(message + where + ("" if value is None else f": {pick(value)!r}"))
 
 
 @dataclass(frozen=True)
@@ -60,29 +69,30 @@ class Domain:
     def span_v(self) -> float:
         return self.v1 - self.v0
 
-    def contains(self, u: float, v: float, margin_u: float = 0.0, margin_v: float = 0.0) -> bool:
-        ok_u = self.periodic_u or (self.u0 + margin_u <= u <= self.u1 - margin_u)
-        ok_v = self.periodic_v or (self.v0 + margin_v <= v <= self.v1 - margin_v)
-        return ok_u and ok_v
+    def contains(self, u, v, margin_u: float = 0.0, margin_v: float = 0.0):
+        ok_u = self.periodic_u | ((self.u0 + margin_u <= u) & (u <= self.u1 - margin_u))
+        ok_v = self.periodic_v | ((self.v0 + margin_v <= v) & (v <= self.v1 - margin_v))
+        return ok_u & ok_v
 
 
 @dataclass(frozen=True)
 class Immersion:
     """A parametrized surface (u, v) -> SL(2,R) given by its chart 2-jet.
 
-    ``jet2(u, v)`` returns six coordinate triples
+    ``jet2(u, v)`` takes equal-shape parameter arrays (or scalars) and
+    returns six coordinate triples
 
         (x, y, th), (x_u, y_u, th_u), (x_v, y_v, th_v),
         (x_uu, y_uu, th_uu), (x_uv, y_uv, th_uv), (x_vv, y_vv, th_vv),
 
-    and is the only evaluation of the family: ``jet`` calls it once per
-    point.  ``orient`` takes the evaluated ``SurfaceJet`` and returns a frame
-    vector whose inner product fixes the sign of the unit normal along the
-    surface.
+    whose components broadcast against u (a constant may stay a scalar).
+    It is the only evaluation of the family: ``jet`` calls it once.
+    ``orient`` takes the evaluated ``SurfaceJet`` and returns frame vectors
+    whose inner product fixes the sign of the unit normal along the surface.
     """
 
     domain: Domain
-    jet2: Callable[[float, float], tuple]
+    jet2: Callable[[np.ndarray, np.ndarray], tuple]
     orient: Optional[Callable[["SurfaceJet"], np.ndarray]] = None
 
     def chart(self, u: float, v: float) -> ChartPoint:
@@ -92,8 +102,8 @@ class Immersion:
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """Second-order data of an immersion at a parameter point: tangents and
-    covariant second derivatives, all in frame components."""
+    """Second-order data of an immersion at its parameter points: tangents
+    and covariant second derivatives, all in frame components."""
 
     point: ChartPoint
     phi_u: np.ndarray
@@ -114,76 +124,81 @@ class FundamentalForm:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.E, self.F], [self.F, self.G]])
+        return np.stack([np.stack([self.E, self.F], -1), np.stack([self.F, self.G], -1)], -2)
 
     @property
     def det(self) -> float:
         return self.E * self.G - self.F * self.F
 
     def apply(self, a, b) -> float:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return float(a @ self.matrix @ b)
+        """The form on (du, dv) coefficient pairs of shape (..., 2)."""
+        a, b = np.asarray(a, dtype=float)[..., None, :], np.asarray(b, dtype=float)[..., :, None]
+        return (a @ self.matrix @ b)[..., 0, 0]
 
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Shape-operator invariants of a surface point."""
+    """Shape-operator invariants of the surface points; k1 and k2 are NaN
+    where the principal curvatures are complex."""
 
     mean_curvature: float
     det_shape: float
     discriminant: float
     causal_type: str  # "riemannian" | "lorentzian" | "degenerate"
-    k1: Optional[float]
-    k2: Optional[float]
+    k1: float
+    k2: float
     complex_curvatures: bool
     umbilic_defect: float
 
 
-def jet(s: Immersion, u: float, v: float, nu: float) -> SurfaceJet:
-    """Assemble the second-order jet at (u, v) from one ``jet2`` call.
+def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
+    """Assemble the second-order jet at the points (u, v) from one ``jet2``
+    call.
 
     The coordinate derivatives go to frame components through the coframe;
     covariant second derivatives follow the Leibniz rule
     D_a phi_b = (d_a f_b)^k e_k + f_a^j f_b^k D_{e_j} e_k over the constant
     connection table.  Raises on rank-deficient tangents (Euclidean Gram
-    determinant of the frame components below RANK_TOL) and on chart heights
-    so small that the chain rule's 2y^2 underflows to zero.
+    determinant of the frame components below RANK_TOL), on a chart height
+    that is not positive, and on one so small that the chain rule's 2y^2
+    underflows to zero.
     """
     nu = _require_nu(nu)
-    (x, y, th), du, dv, duu, duv, dvv = s.jet2(u, v)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    # Each coordinate triple as one (N, 3) array; constant components broadcast.
+    stack = lambda t: np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in t], axis=-1)
+    pos, du, dv, duu, duv, dvv = map(stack, s.jet2(u, v))
+    x, y, th = pos.T
+    _require(y > 0.0, "chart coordinate y must be positive", (u, v), y)
+    _require(2.0 * y * y > 0.0, "chart height y is too small, 2y^2 underflows,", (u, v), y)
     p = ChartPoint(x, y, th)
     fu = coordinate_to_frame(p, du)
     fv = coordinate_to_frame(p, dv)
 
-    gram = (fu @ fu) * (fv @ fv) - (fu @ fv) ** 2
-    if gram < RANK_TOL:
-        raise ValueError(f"immersion is rank-deficient at ({u}, {v}): gram {gram!r}")
-    if not 2.0 * y * y > 0.0:
-        raise ValueError(f"chart height y = {y!r} is too small: 2y^2 underflows")
+    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+    gram = dot(fu, fu) * dot(fv, fv) - dot(fu, fv) ** 2
+    _require(gram >= RANK_TOL, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
 
-    gam = _connection_coeffs(nu)
-    corr = lambda a, b: np.einsum("j,k,jkl->l", a, b, gam)
     return SurfaceJet(
         point=p,
         phi_u=fu,
         phi_v=fv,
-        d_uu=_frame_partial_grad(du, duu, du[1], y) + corr(fu, fu),
-        d_uv=_frame_partial_grad(dv, duv, du[1], y) + corr(fu, fv),
-        d_vv=_frame_partial_grad(dv, dvv, dv[1], y) + corr(fv, fv),
+        d_uu=_frame_partial_grad(du, duu, du[..., 1], y) + connect_constant(fu, fu, nu),
+        d_uv=_frame_partial_grad(dv, duv, du[..., 1], y) + connect_constant(fu, fv, nu),
+        d_vv=_frame_partial_grad(dv, dvv, dv[..., 1], y) + connect_constant(fv, fv, nu),
         nu=nu,
     )
 
 
-def _frame_partial_grad(da, dab, yb: float, y: float) -> np.ndarray:
+def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
     # d_b of (x_a/(2y), y_a/(2y), th_a + x_a/(2y)) for y = y(u, v).
-    xa, ya, ta = da
-    xab, yab, tab = dab
+    xa, ya, ta = da.T
+    xab, yab, tab = dab.T
     h = 1.0 / (2.0 * y)
     h2 = 1.0 / (2.0 * y * y)
     g1 = xab * h - xa * yb * h2
     g2 = yab * h - ya * yb * h2
-    return np.array([g1, g2, tab + g1])
+    return np.stack([g1, g2, tab + g1], axis=-1)
 
 
 def first_form(j: SurfaceJet, nu: float | None = None) -> FundamentalForm:
@@ -196,11 +211,13 @@ def first_form(j: SurfaceJet, nu: float | None = None) -> FundamentalForm:
     )
 
 
-def _default_orientation_sign(n: np.ndarray) -> float:
-    for comp in (n[1], n[0], n[2]):
-        if abs(comp) > 1e-12:
-            return 1.0 if comp > 0.0 else -1.0
-    return 1.0
+def _default_orientation_sign(n: np.ndarray) -> np.ndarray:
+    # The first of n2, n1, n3 that is clearly nonzero decides, else +1: go
+    # through them in reverse so that an earlier one overrides.
+    sign = np.ones(n.shape[:-1])
+    for comp in (n[..., 2], n[..., 0], n[..., 1]):
+        sign = np.where(np.abs(comp) > 1e-12, np.where(comp > 0.0, 1.0, -1.0), sign)
+    return sign
 
 
 def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.ndarray:
@@ -213,21 +230,19 @@ def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.
     orientation hint vector is supplied, in which case g(n, hint) > 0.
     """
     nu = j.nu if nu is None else _require_nu(nu)
-    I = first_form(j, nu)
-    if abs(I.det) < TANGENT_PLANE_TOL:
-        raise ValueError(f"tangent plane is degenerate: gram {I.det!r}")
+    at = (j.point.x, j.point.y, j.point.theta)
+    det = first_form(j, nu).det
+    _require(np.abs(det) >= TANGENT_PLANE_TOL, "tangent plane is degenerate (gram)", at, det)
     c = np.cross(j.phi_u, j.phi_v)
-    n = np.array([c[0], c[1], c[2] / nu])
+    n = np.stack([c[..., 0], c[..., 1], c[..., 2] / nu], axis=-1)
     q = g_frame(n, n, nu)
-    if abs(q) < TANGENT_PLANE_TOL:
-        raise ValueError(f"normal direction is null: g(n,n) {q!r}")
-    n = n / math.sqrt(abs(q))
+    _require(np.abs(q) >= TANGENT_PLANE_TOL, "normal direction is null (g(n,n))", at, q)
+    n = n / np.sqrt(np.abs(q))[..., None]
     if orient_hint is not None:
-        s = g_frame(n, np.asarray(orient_hint, dtype=float), nu)
-        sign = 1.0 if s >= 0.0 else -1.0
+        sign = np.where(g_frame(n, np.asarray(orient_hint, dtype=float), nu) >= 0.0, 1.0, -1.0)
     else:
         sign = _default_orientation_sign(n)
-    return sign * n
+    return sign[..., None] * n
 
 
 def second_form(j: SurfaceJet, n: np.ndarray, nu: float | None = None) -> FundamentalForm:
@@ -251,33 +266,24 @@ def shape_data(I: FundamentalForm, II: FundamentalForm, tol: float = 1e-12) -> S
     only the degenerate/Lorentzian distinction matters here).
     """
     det_i = I.det
-    if abs(det_i) < tol:
-        raise ValueError(f"first fundamental form is degenerate: det {det_i!r}")
+    _require(np.abs(det_i) >= tol, "first fundamental form is degenerate", value=det_i)
     h = (II.E * I.G - 2.0 * II.F * I.F + II.G * I.E) / (2.0 * det_i)
     det_s = II.det / det_i
     disc = h * h - det_s
-    defect = float(
-        max(abs(II.E - h * I.E), abs(II.F - h * I.F), abs(II.G - h * I.G))
+    defect = np.maximum(
+        np.maximum(np.abs(II.E - h * I.E), np.abs(II.F - h * I.F)), np.abs(II.G - h * I.G)
     )
-    if det_i > tol:
-        causal = "riemannian"
-    elif det_i < -tol:
-        causal = "lorentzian"
-    else:
-        causal = "degenerate"
-    if disc >= -tol:
-        root = math.sqrt(max(disc, 0.0))
-        k1, k2 = h + root, h - root
-        complex_curv = False
-    else:
-        k1 = k2 = None
-        complex_curv = True
-    return ShapeData(h, det_s, disc, causal, k1, k2, complex_curv, defect)
+    causal = np.where(det_i > tol, "riemannian", np.where(det_i < -tol, "lorentzian", "degenerate"))
+    real = disc >= -tol
+    root = np.sqrt(np.maximum(disc, 0.0))
+    k1 = np.where(real, h + root, np.nan)
+    k2 = np.where(real, h - root, np.nan)
+    return ShapeData(h, det_s, disc, causal, k1, k2, ~real, defect)
 
 
 @dataclass(frozen=True)
 class SurfacePointData:
-    """Bundle of everything the engine knows at one parameter point."""
+    """Bundle of everything the engine knows at the sample points."""
 
     jet: SurfaceJet
     normal: np.ndarray
@@ -286,7 +292,7 @@ class SurfacePointData:
     shape: ShapeData
 
 
-def surface_shape(s: Immersion, u: float, v: float, nu: float) -> SurfacePointData:
+def surface_shape(s: Immersion, u, v, nu: float) -> SurfacePointData:
     """Jet -> oriented normal -> fundamental forms -> shape invariants.
 
     The families in scope all carry spacelike normals; a timelike normal is
@@ -295,8 +301,8 @@ def surface_shape(s: Immersion, u: float, v: float, nu: float) -> SurfacePointDa
     j = jet(s, u, v, nu)
     hint = s.orient(j) if s.orient is not None else None
     n = unit_normal(j, nu, orient_hint=hint)
-    if g_frame(n, n, nu) < 0.0:
-        raise ValueError("surface has a timelike unit normal; out of scope")
+    q = g_frame(n, n, nu)
+    _require(q >= 0.0, "surface has a timelike unit normal, out of scope,", (u, v), q)
     I = first_form(j, nu)
     II = second_form(j, n, nu)
     return SurfacePointData(j, n, I, II, shape_data(I, II))
@@ -306,13 +312,10 @@ def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:
     """Coefficients (a, b) with w = a phi_u + b phi_v, for a tangent w given
     in frame components (least squares against the Euclidean Gram matrix,
     exact for true tangent vectors)."""
-    w = np.asarray(w, dtype=float)
-    g11 = float(j.phi_u @ j.phi_u)
-    g12 = float(j.phi_u @ j.phi_v)
-    g22 = float(j.phi_v @ j.phi_v)
-    rhs = np.array([float(j.phi_u @ w), float(j.phi_v @ w)])
+    a, b, w = j.phi_u, j.phi_v, np.asarray(w, dtype=float)
+    g11, g12, g22, ra, rb = (float(x @ y) for x, y in ((a, a), (a, b), (b, b), (a, w), (b, w)))
     det = g11 * g22 - g12 * g12
-    return np.array([(g22 * rhs[0] - g12 * rhs[1]) / det, (g11 * rhs[1] - g12 * rhs[0]) / det])
+    return np.array([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det])
 
 
 def gauss_formula_residual(pt: SurfacePointData) -> float:
@@ -328,7 +331,7 @@ def gauss_formula_residual(pt: SurfacePointData) -> float:
 
 
 def intrinsic_gauss_curvature(
-    s: Immersion, u: float, v: float, nu: float, rel_step: float = 1e-4
+    s: Immersion, u, v, nu: float, rel_step: float = 1e-4, first: FundamentalForm | None = None
 ) -> float:
     """Gauss curvature of the induced metric, independent of the second
     fundamental form, by central differences of (E, F, G) on a 3x3 stencil
@@ -344,49 +347,51 @@ def intrinsic_gauss_curvature(
              (E_v/2  E       F    )
              (G_u/2  F       G    ).
 
-    Valid for any nondegenerate (also Lorentzian) induced 2-metric.  The
-    point must sit at least 2h inside every non-periodic domain edge.
+    Valid for any nondegenerate (also Lorentzian) induced 2-metric.  Each
+    of the stencil shifts is one ``jet`` call over all points; ``first``,
+    the first form at (u, v) when the caller already has it, is the centre.
+    Every point must sit at least 2h inside every non-periodic domain edge.
     """
     nu = _require_nu(nu)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     dom = s.domain
     hu = rel_step * dom.span_u
     hv = rel_step * dom.span_v
-    if not dom.contains(u, v, margin_u=2.0 * hu, margin_v=2.0 * hv):
-        raise ValueError(
-            f"point ({u}, {v}) is within 2h of the domain boundary; "
-            "intrinsic curvature needs an interior stencil"
-        )
-
-    efg = {}
-    for i in (-1, 0, 1):
-        for k in (-1, 0, 1):
-            I = first_form(jet(s, u + i * hu, v + k * hv, nu))
-            efg[(i, k)] = np.array([I.E, I.F, I.G])
-
-    f0 = efg[(0, 0)]
-    d_u = (efg[(1, 0)] - efg[(-1, 0)]) / (2.0 * hu)
-    d_v = (efg[(0, 1)] - efg[(0, -1)]) / (2.0 * hv)
-    d_uu = (efg[(1, 0)] - 2.0 * f0 + efg[(-1, 0)]) / (hu * hu)
-    d_vv = (efg[(0, 1)] - 2.0 * f0 + efg[(0, -1)]) / (hv * hv)
-    d_uv = (efg[(1, 1)] - efg[(1, -1)] - efg[(-1, 1)] + efg[(-1, -1)]) / (4.0 * hu * hv)
-
-    E, F, G = f0
-    Eu, Fu, Gu = d_u
-    Ev, Fv, Gv = d_v
-    Evv = d_vv[0]
-    Guu = d_uu[2]
-    Fuv = d_uv[1]
-
-    m1 = np.array(
-        [
-            [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-            [Fv - 0.5 * Gu, E, F],
-            [0.5 * Gv, F, G],
-        ]
+    _require(
+        dom.contains(u, v, margin_u=2.0 * hu, margin_v=2.0 * hv),
+        "intrinsic curvature needs an interior stencil: point within 2h of the domain boundary",
+        (u, v),
     )
-    m2 = np.array([[0.0, 0.5 * Ev, 0.5 * Gu], [0.5 * Ev, E, F], [0.5 * Gu, F, G]])
+
+    def efg(i: int, k: int) -> np.ndarray:
+        I = first_form(jet(s, u + i * hu, v + k * hv, nu))
+        return np.stack([I.E, I.F, I.G], axis=-1)
+
+    f0 = efg(0, 0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
+    up, um, vp, vm = efg(1, 0), efg(-1, 0), efg(0, 1), efg(0, -1)
+    d_u = (up - um) / (2.0 * hu)
+    d_v = (vp - vm) / (2.0 * hv)
+    d_uu = (up - 2.0 * f0 + um) / (hu * hu)
+    d_vv = (vp - 2.0 * f0 + vm) / (hv * hv)
+    d_uv = (efg(1, 1) - efg(1, -1) - efg(-1, 1) + efg(-1, -1)) / (4.0 * hu * hv)
+
+    E, F, G = f0.T
+    Eu, Fu, Gu = d_u.T
+    Ev, Fv, Gv = d_v.T
+    Evv = d_vv[..., 0]
+    Guu = d_uu[..., 2]
+    Fuv = d_uv[..., 1]
+    zero = np.zeros_like(E)
+
+    rows = lambda *r: np.stack([np.stack(row, axis=-1) for row in r], axis=-2)
+    m1 = rows(
+        (-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev),
+        (Fv - 0.5 * Gu, E, F),
+        (0.5 * Gv, F, G),
+    )
+    m2 = rows((zero, 0.5 * Ev, 0.5 * Gu), (0.5 * Ev, E, F), (0.5 * Gu, F, G))
     det_i = E * G - F * F
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i))
+    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
 
 
 def check_analytic_partials(s: Immersion, u: float, v: float, h: float = 1e-5) -> float:

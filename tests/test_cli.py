@@ -211,6 +211,49 @@ class TestCommandLine:
     def test_rejected_family_spec_is_a_usage_error(self, spec):
         assert_usage_error(run_cli(["--suite", "family", "--family", spec, "--grid", "4x4"]))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suite", "sasaki", "--samples", "2", "--family", "bogus(x=1)"],
+            ["--suite", "connection", "--family", "conoid(mu=1)"],
+            ["--suite", "curvature", "--grid", "4x4"],
+            ["--suite", "all", "--nu", "-1"],
+            ["--suite", "all", "--family", "conoid(mu=1)"],
+            ["--suite", "family", "--family", "conoid(mu=1)", "--seed", "3"],
+            ["--suite", "gauss", "--family", "conoid(mu=1)", "--samples", "5"],
+            ["--suite", "connection", "--report", "--family", "conoid(mu=1)"],
+            ["--suite", "all", "--report", "--family", "conoid(mu=1)"],
+            ["--suite", "family", "--family", "conoid(mu=1)", "--report", "--tol", "1e-3"],
+        ],
+    )
+    def test_option_the_run_does_not_read_is_a_usage_error(self, args):
+        assert_usage_error(run_cli(args))
+
+    def test_unread_option_from_config_file_is_a_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("suite = sasaki\nfamily = conoid(mu=1)\n")
+        assert_usage_error(run_cli(["--config", str(cfg_path), "--samples", "2"]))
+
+    def test_oversized_grid_is_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="more than"):
+            SuiteConfig(suite="family", family="conoid", grid=(100000, 100000)).validate()
+        SuiteConfig(suite="family", family="conoid", grid=(256, 256)).validate()
+        assert_usage_error(run_cli(["--suite", "family", "--family", "conoid", "--grid", "100000x100000"]))
+
+    def test_report_is_usable_at_256x256(self, tmp_path):
+        out = tmp_path / "report.csv"
+        res = run_cli(
+            [
+                "--suite", "family", "--family", "conoid(mu=1)", "--report",
+                "--grid", "256x256", "--format", "csv", "--out", str(out),
+            ]
+        )
+        assert res.returncode == 0, res.stderr
+        header, *data = out.read_text().splitlines()
+        assert len(data) == 256 * 256
+        h_col = header.split(",").index("H")
+        assert max(abs(float(line.split(",")[h_col])) for line in data) <= 1e-6
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sl2geom import families
 from sl2geom.core import ChartPoint
 from sl2geom.families import (
     geodesic,
@@ -17,7 +18,9 @@ from sl2geom.families import (
     trig_profile,
     umbilic_profile,
 )
+from sl2geom.gaussmap import grid_samples
 from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame
+from sl2geom.suites import ALL_ROSTER_FAMILIES, SuiteConfig, build_family, parse_family_spec, surface_report
 from sl2geom.surface import (
     Domain,
     FundamentalForm,
@@ -142,30 +145,94 @@ class TestJet:
                 assert np.abs(analytic - (fd + connect_constant(a, b, 1.0))).max() < 1e-4
 
     def test_family_and_base_curve_are_evaluated_once_per_point(self):
-        calls = collections.Counter()
+        # Counts evaluated points (array elements), not calls: a scalar call
+        # is one point, a call over n points is n.
+        points = collections.Counter()
 
-        def counted(name, fn):
+        def counted(name, fn, size):
             def wrapper(*args):
-                calls[name] += 1
+                points[name] += size(*args)
                 return fn(*args)
 
             return wrapper
 
         circle = hyperbolic_circle(3.0)
-        base = hopf_cylinder(dataclasses.replace(circle, jet=counted("curve.jet", circle.jet)))
+        curve_jet = counted("curve.jet", circle.jet, np.size)
+        base = hopf_cylinder(dataclasses.replace(circle, jet=curve_jet))
         s = dataclasses.replace(
-            base, jet2=counted("jet2", base.jet2), orient=counted("orient", base.orient)
+            base,
+            jet2=counted("jet2", base.jet2, lambda u, v: np.broadcast(u, v).size),
+            orient=counted("orient", base.orient, lambda j: j.phi_u[..., 0].size),
         )
-        u, v = 0.7, 0.4 * circle.v1
+        one_point = (0.7, 0.4 * circle.v1, 1)
+        five_points = (np.linspace(0.5, 1.5, 5), np.linspace(0.2, 0.6, 5) * circle.v1, 5)
+        for u, v, size in (one_point, five_points):
+            points.clear()
+            jet(s, u, v, 1.0)
+            assert points == {"jet2": size, "curve.jet": size}
+            points.clear()
+            pt = surface_shape(s, u, v, 1.0)
+            assert points == {"jet2": size, "orient": size, "curve.jet": size}
+            points.clear()
+            intrinsic_gauss_curvature(s, u, v, 1.0)
+            assert points == {"jet2": 9 * size, "curve.jet": 9 * size}
+            points.clear()
+            intrinsic_gauss_curvature(s, u, v, 1.0, first=pt.first)  # the centre is the shape's jet
+            assert points == {"jet2": 8 * size, "curve.jet": 8 * size}
 
-        jet(s, u, v, 1.0)
-        assert calls == {"jet2": 1, "curve.jet": 1}
-        calls.clear()
-        surface_shape(s, u, v, 1.0)
-        assert calls == {"jet2": 1, "orient": 1, "curve.jet": 1}
-        calls.clear()
-        intrinsic_gauss_curvature(s, u, v, 1.0)
-        assert calls == {"jet2": 9, "curve.jet": 9}
+    def test_report_evaluates_nine_points_per_row(self, monkeypatch):
+        # One shape jet per row plus the eight off-centre stencil shifts.
+        points = collections.Counter()
+        original = families.affine_conoid
+
+        def counting_conoid(**kwargs):
+            s = original(**kwargs)
+
+            def jet2(u, v):
+                points["jet2"] += np.broadcast(u, v).size
+                return s.jet2(u, v)
+
+            return dataclasses.replace(s, jet2=jet2)
+
+        monkeypatch.setattr(families, "affine_conoid", counting_conoid)
+        n_u, n_v = 5, 4
+        cfg = SuiteConfig(suite="family", family="conoid(mu=1)", grid=(n_u, n_v), report=True)
+        assert len(surface_report(cfg)) == n_u * n_v
+        assert points == {"jet2": 9 * n_u * n_v}
+
+
+ROSTER_SURFACES = [(spec, nu) for spec, nu in ALL_ROSTER_FAMILIES if not spec.startswith("complex_circle")]
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize("spec,nu", ROSTER_SURFACES)
+    def test_batch_equals_one_point_calls_bitwise(self, spec, nu):
+        s = build_family(parse_family_spec(spec)).surface
+        us, vs = grid_samples(s, 6, 6)
+        pt = surface_shape(s, us, vs, nu)
+        k_batch = intrinsic_gauss_curvature(s, us, vs, nu, first=pt.first)
+        assert np.array_equal(k_batch, intrinsic_gauss_curvature(s, us, vs, nu))
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            one = surface_shape(s, u, v, nu)
+            assert one.shape.mean_curvature == pt.shape.mean_curvature[i]
+            assert one.shape.det_shape == pt.shape.det_shape[i]
+            assert np.array_equal(one.normal, pt.normal[i])
+            assert (one.first.E, one.first.F, one.first.G) == (pt.first.E[i], pt.first.F[i], pt.first.G[i])
+            assert intrinsic_gauss_curvature(s, u, v, nu) == k_batch[i]
+
+    def test_bad_profile_point_mid_array_is_named(self):
+        s = lightcone_surface(minimal_profile(1.0, 0.0))  # y = cos(sqrt(2) u) < 0 at u = 2
+        u = np.array([0.0, 0.3, 2.0, -0.4])
+        v = np.array([0.1, 0.2, 0.5, 0.3])
+        with pytest.raises(ValueError, match=r"profile must stay positive at \(2\.0, 0\.5\)"):
+            surface_shape(s, u, v, 1.0)
+
+    def test_point_inside_stencil_margin_mid_array_is_named(self):
+        s = lightcone_surface(umbilic_profile(1.0, 0.0))
+        u = np.array([0.0, s.domain.u0, 0.5])
+        v = np.array([0.1, 0.25, 0.3])
+        with pytest.raises(ValueError, match=rf"within 2h of the domain boundary at \({s.domain.u0!r}, 0\.25\)"):
+            intrinsic_gauss_curvature(s, u, v, -1.0)
 
 
 class TestFirstForm:
@@ -317,7 +384,7 @@ class TestShapeData:
         assert abs(sd.mean_curvature) < 1e-10
         assert sd.discriminant < -0.5
         assert sd.complex_curvatures
-        assert sd.k1 is None and sd.k2 is None
+        assert np.isnan(sd.k1) and np.isnan(sd.k2)  # no real principal curvatures
 
     def test_degenerate_first_form_rejected(self):
         with pytest.raises(ValueError):
