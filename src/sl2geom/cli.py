@@ -8,7 +8,8 @@
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 configuration error, including an option the chosen run does not read, a
-grid over ``suites.MAX_GRID_POINTS`` and a numerical blow-up.  A
+grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
+``suites.MAX_SAMPLES``, a numerical blow-up and running out of memory.  A
 config file of ``key = value`` lines ('#' comments) can seed every option;
 command-line flags override it.  Reports are byte-identical for identical
 configuration and seed.
@@ -154,6 +155,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"verify: numerical blow-up: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"verify: out of memory: {exc}", file=sys.stderr)
         return 2
 
     if cfg.out is not None:

@@ -126,10 +126,10 @@ def coordinate_to_frame(p: ChartPoint, coord) -> np.ndarray:
 
 
 def frame_to_coordinate(p: ChartPoint, frame) -> np.ndarray:
-    """Frame components -> (dx, dy, dtheta) components."""
-    f = _comps(frame)
+    """Frame components -> (dx, dy, dtheta) components; (3,) or (N, 3)."""
+    f = _comps(frame).T
     ty = 2.0 * p.y
-    return np.array([ty * f[0], ty * f[1], f[2] - f[0]])
+    return np.ascontiguousarray(np.array([ty * f[0], ty * f[1], f[2] - f[0]]).T)
 
 
 # Structure constants of the frame: [e_i, e_j] = C[i][j] in frame components.
@@ -250,35 +250,37 @@ def sectional_curvature(x, y, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fd_step(p: ChartPoint, base: float = DEFAULT_FD_STEP) -> float:
-    return base * max(1.0, abs(p.y))
+def fd_step(p: ChartPoint, base: float = DEFAULT_FD_STEP):
+    return base * np.maximum(1.0, np.abs(p.y))
 
 
-def _shift(p: ChartPoint, w, s: float) -> ChartPoint:
-    w = _comps(w)
-    y = p.y + s * w[1]
-    return ChartPoint(p.x + s * w[0], y, p.theta + s * w[2])
+def _shift(p: ChartPoint, w, s) -> ChartPoint:
+    return ChartPoint(p.x + s * w[0], p.y + s * w[1], p.theta + s * w[2])
 
 
-def directional_derivative(f, p: ChartPoint, coord_dir, h: float):
+def directional_derivative(f, p: ChartPoint, coord_dir, h):
     """Central difference of f (scalar- or vector-valued on chart points)
-    along a coordinate direction.  The step shrinks so that y stays above
-    half its starting value; the chart degenerates as y -> 0."""
-    w = _comps(coord_dir)
-    scale = float(np.abs(w).max())
-    if scale == 0.0:
-        probe = np.asarray(f(p), dtype=float)
-        return np.zeros_like(probe)
-    s = h / scale
-    if w[1] != 0.0:
-        s = min(s, 0.5 * p.y / abs(w[1]))
-    fp = np.asarray(f(_shift(p, w, s)), dtype=float)
-    fm = np.asarray(f(_shift(p, w, -s)), dtype=float)
-    return (fp - fm) / (2.0 * s)
+    along a coordinate direction.  On a batch of N points the direction is
+    (N, 3), h is (N,) and f returns (N,) or (N, 3).  The step shrinks so
+    that y stays above half its starting value; the chart degenerates as
+    y -> 0.  Along a zero direction the derivative is zero; masks keep
+    such lanes finite."""
+    # Component-first (transposed) values, so one step per point broadcasts.
+    w = _comps(coord_dir).T
+    scale = np.abs(w).max(axis=0)
+    moving, vertical = scale != 0.0, w[1] != 0.0
+    s = h / np.where(moving, scale, 1.0)
+    s = np.where(vertical, np.minimum(s, 0.5 * p.y / np.abs(np.where(vertical, w[1], 1.0))), s)
+    fp = np.asarray(f(_shift(p, w, s)), dtype=float).T
+    fm = np.asarray(f(_shift(p, w, -s)), dtype=float).T
+    return np.where(moving, (fp - fm) / (2.0 * s), 0.0).T
 
 
 def _field_frame(field: FieldFunc, p: ChartPoint) -> np.ndarray:
-    return np.asarray(field(p.x, p.y, p.theta), dtype=float)
+    """Frame components of a field at p, (3,) or (N, 3); the field returns
+    three constants, broadcast over a batch, or three (N,) components."""
+    f = np.asarray(field(p.x, p.y, p.theta), dtype=float).T
+    return f if f.shape[:-1] == np.shape(p.y) else np.broadcast_to(f, np.shape(p.y) + (3,))
 
 
 def _field_coord(field: FieldFunc, p: ChartPoint) -> np.ndarray:
@@ -304,7 +306,8 @@ def covariant_derivative(
     step: float | None = None,
 ) -> np.ndarray:
     """D_U V at p for vector fields given as frame-component functions of
-    (x, y, theta).
+    (x, y, theta); at a batch of N points (coordinates of shape (N,)) each
+    field returns constant or (N,) components and the result is (N, 3).
 
     method="table": Leibniz rule over the constant connection table, with the
     derivative of V's components taken by a central difference along U.
@@ -338,8 +341,8 @@ def _koszul(u: FieldFunc, v: FieldFunc, p: ChartPoint, nu: float, h: float) -> n
     uc = _field_coord(u, p)
     vc = _field_coord(v, p)
     br_uv = lie_bracket(u, v, p, h)
-    rhs = np.zeros(3)
-    for l, w in enumerate(frame_fields):
+    rhs = []
+    for w in frame_fields:
         wf = _field_frame(w, p)
         wc = frame_to_coordinate(p, wf)
         term = directional_derivative(gfun(v, w), p, uc, h)
@@ -348,10 +351,9 @@ def _koszul(u: FieldFunc, v: FieldFunc, p: ChartPoint, nu: float, h: float) -> n
         term += g_frame(br_uv, wf, nu)
         term -= g_frame(lie_bracket(u, w, p, h), _field_frame(v, p), nu)
         term -= g_frame(lie_bracket(v, w, p, h), _field_frame(u, p), nu)
-        rhs[l] = 0.5 * term
+        rhs.append(0.5 * term)
     # Divide out the frame metric diag(1, 1, nu).
-    rhs[2] /= nu
-    return rhs
+    return np.stack([rhs[0], rhs[1], rhs[2] / nu], -1)
 
 
 def constant_field(comps) -> FieldFunc:

@@ -1,21 +1,27 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from sl2geom import families
+from sl2geom import cli, families, suites
 from sl2geom.cli import main, read_config_file
+from sl2geom.metric import connection_table, constant_field, covariant_derivative
 from sl2geom.suites import (
     ALL_ROSTER_FAMILIES,
     ALL_ROSTER_GAUSS,
+    MAX_SAMPLES,
     Family,
     RowCollector,
     SuiteConfig,
     build_family,
     parse_family_spec,
+    random_chart_point,
     render_rows,
     rows_passed,
+    run_connection,
     run_family,
     run_suite,
     surface_report,
@@ -108,6 +114,36 @@ class TestSuiteConfig:
     def test_exit_is_conjunction_of_rows(self):
         rows = run_suite(SuiteConfig(suite="connection", nu=1.0, samples=3, seed=1, tol=1e-30))
         assert not rows_passed(rows)  # finite-difference noise exceeds 1e-30
+
+
+class TestConnectionSuite:
+    def test_batched_rows_match_a_per_point_loop(self):
+        rows = RowCollector()
+        run_connection(-1.0, 7, np.random.default_rng(5), rows)
+        rng, e, expected = np.random.default_rng(5), np.eye(3), []
+        for k in range(7):
+            p = random_chart_point(rng)
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    oracle = covariant_derivative(constant_field(e[i - 1]), constant_field(e[j - 1]), p, -1.0, "koszul")
+                    residual = float(np.abs(connection_table(i, j, -1.0) - oracle).max())
+                    expected.append((f"connection.table_vs_koszul[{i}{j}]", f"p{k:03d}", residual))
+        assert [(r.check_id, r.location, r.computed) for r in rows.rows] == expected
+
+    def test_a_wrong_table_entry_fails_exactly_its_rows(self, monkeypatch):
+        true_table = suites.connection_table
+
+        def skewed(i, j, nu):
+            entry = true_table(i, j, nu)
+            if (i, j) == (1, 2):
+                entry[0] += 1e-3
+            return entry
+
+        monkeypatch.setattr(suites, "connection_table", skewed)
+        rows = run_suite(SuiteConfig(suite="connection", nu=-1.0, samples=6, seed=3))
+        wrong = [r for r in rows if r.check_id == "connection.table_vs_koszul[12]"]
+        assert len(wrong) == 6 and not any(r.passed for r in wrong)
+        assert all(r.passed for r in rows if r.check_id != "connection.table_vs_koszul[12]")
 
 
 class TestReportRendering:
@@ -240,6 +276,24 @@ class TestCommandLine:
         SuiteConfig(suite="family", family="conoid", grid=(256, 256)).validate()
         assert_usage_error(run_cli(["--suite", "family", "--family", "conoid", "--grid", "100000x100000"]))
 
+    def test_oversized_sample_count_is_rejected_before_allocation(self, capsys):
+        with pytest.raises(ValueError, match="samples"):
+            SuiteConfig(suite="connection", samples=MAX_SAMPLES + 1).validate()
+        SuiteConfig(suite="connection", samples=MAX_SAMPLES).validate()
+        assert main(["--suite", "connection", "--samples", str(10**9)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("verify: samples")
+
+    def test_out_of_memory_is_a_usage_error_not_a_failed_check(self, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError("cannot allocate the sample arrays")
+
+        monkeypatch.setattr(cli, "run_suite", exhausted)
+        assert main(["--suite", "sasaki", "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["verify: out of memory: cannot allocate the sample arrays"]
+
     def test_report_is_usable_at_256x256(self, tmp_path):
         out = tmp_path / "report.csv"
         res = run_cli(
@@ -296,3 +350,19 @@ class TestCommandLine:
         code = main(["--suite", "sasaki", "--samples", "2", "--format", "csv"])
         assert code == 0
         assert capsys.readouterr().out.startswith("check_id,")
+
+
+# stdout SHA-256 of fixed runs, recorded before the Koszul oracle was batched.
+GOLDEN_STDOUT = {
+    "--suite connection --nu -1 --samples 400 --seed 1": "21cb124ea3f56fa36b0e407b50d5dc34557a71bca2c7758863078ad11b804d65",
+    "--suite all --seed 42": "3ef96c8ef727992deeae0f1cca4eb1dd76524e20b7bc8d72ad2ff0c5f624e5cb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_stdout_is_pinned(argv, capsys):
+    """The report of a fixed run stays byte for byte the same, so a speed-up
+    cannot move a row unnoticed.  A deliberate change of rows updates the pin
+    here, and CHANGES.md records why."""
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

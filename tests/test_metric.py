@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,60 @@ class TestConnection:
                     np.asarray(v(p.x, p.y, p.theta)), covariant_derivative(u, w, p, nu), nu
                 )
                 assert abs(float(lhs) - rhs) < 1e-5
+
+
+def batch_points(rng, n):
+    """n random chart points as one batch.  Every tenth sits at y = 1e-6, where
+    the step along e2 (|w_y| = 2e-6) is cut by the y-clamp."""
+    x, y, t = rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 5.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    y[::10] = 1e-6
+    return ChartPoint(x, y, t)
+
+
+def one_point_views(p):
+    return [ChartPoint(float(x), float(y), float(t)) for x, y, t in zip(p.x, p.y, p.theta)]
+
+
+class TestBatchedOracle:
+    """A batch of chart points runs the same finite-difference code as one
+    point, so the batch equals the per-point calls bit for bit."""
+
+    @pytest.mark.parametrize("method", ["table", "koszul"])
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5])
+    def test_batch_equals_per_point_calls_bitwise(self, rng, nu, method):
+        p = batch_points(rng, 50)
+        e = np.eye(3)
+        pairs = [(constant_field(e[i]), constant_field(e[j])) for i in range(3) for j in range(3)]
+        pairs += [(random_polynomial_field(rng), random_polynomial_field(rng)) for _ in range(2)]
+        pairs.append((random_polynomial_field(rng), constant_field(e[1])))
+        with np.errstate(all="raise"):
+            for u, v in pairs:
+                batch = covariant_derivative(u, v, p, nu, method=method)
+                single = [covariant_derivative(u, v, q, nu, method=method) for q in one_point_views(p)]
+                assert batch.shape == (50, 3)
+                np.testing.assert_array_equal(batch, np.array(single))
+
+    def test_y_clamp_binds_in_the_batch(self):
+        p = ChartPoint(np.zeros(2), np.array([1e-6, 1.0]), np.zeros(2))
+        dlog = directional_derivative(lambda q: np.log(q.y), p, np.array([[0.0, 1.0, 0.0]] * 2), 1e-5)
+        # The half-height step 5e-7 at y = 1e-6 spans (0.5e-6, 1.5e-6): log(3) / 1e-6, far from 1 / y.
+        assert dlog[0] == pytest.approx(math.log(3.0) / 1e-6, rel=1e-12)
+        assert dlog[1] == pytest.approx(1.0, rel=1e-9)
+
+    def test_zero_direction_lane_gives_zero_without_warning(self, rng):
+        p = batch_points(rng, 9)
+        dirs = rng.uniform(-1.0, 1.0, (9, 3))
+        dirs[4] = 0.0
+        f = lambda q: np.stack([q.x * q.y, q.theta / q.y, q.y * q.y], -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = directional_derivative(f, p, dirs, fd_step(p))
+                single = [directional_derivative(f, q, d, fd_step(q)) for q, d in zip(one_point_views(p), dirs)]
+        assert got.shape == (9, 3)
+        np.testing.assert_array_equal(got[4], np.zeros(3))
+        np.testing.assert_array_equal(got, np.array(single))
+        assert np.all(got[np.arange(9) != 4] != 0.0)
 
 
 class TestCurvature:
