@@ -176,142 +176,42 @@ def hypercycle(kappa: float) -> HyperbolicCurve:
     )
 
 
-# Gauss-Legendre 5-point rule on [-1, 1], for arclength accumulation.
-_GL5_NODES = np.array(
-    [
-        -0.906179845938663992797626878299,
-        -0.538469310105683091036314420700,
-        0.0,
-        0.538469310105683091036314420700,
-        0.906179845938663992797626878299,
-    ]
-)
-_GL5_WEIGHTS = np.array(
-    [
-        0.236926885056189087514264040720,
-        0.478628670499366468041291514836,
-        0.568888888888888888888888888889,
-        0.478628670499366468041291514836,
-        0.236926885056189087514264040720,
-    ]
-)
+def hyperbolic_circle(kappa: float) -> HyperbolicCurve:
+    """Closed curve of constant geodesic curvature kappa > 2, by arclength.
 
+    It is the Euclidean circle (-rho sin b, y_c + rho cos b) of center
+    (0, y_c) = (0, kappa / r) and radius rho = 2 / r, r = sqrt(kappa^2 - 4),
+    traversed so the curvature is positive.  Its hyperbolic length is
+    pi rho, and the angle b at arclength v is the closed form of the
+    arclength integral of d(beta) rho / (2 (y_c + rho cos beta)):
 
-def _gl5(f: Callable[[float], float], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(sum(w * f(mid + half * t) for t, w in zip(_GL5_NODES, _GL5_WEIGHTS)))
+        b(v) = 2 atan2(sqrt(kappa + 2) sin(v / rho), sqrt(kappa - 2) cos(v / rho)),
 
-
-class _ArclengthTable:
-    """Cumulative arclength of a raw curve on [t0, t1] and its inverse."""
-
-    def __init__(self, speed: Callable[[float], float], t0: float, t1: float, panels: int = 512):
-        self.speed = speed
-        self.t_grid = np.linspace(t0, t1, panels + 1)
-        s = np.zeros(panels + 1)
-        for i in range(panels):
-            s[i + 1] = s[i] + _gl5(speed, self.t_grid[i], self.t_grid[i + 1])
-        self.s_grid = s
-        self.total = float(s[-1])
-
-    def s_of_t(self, t: float) -> float:
-        i = int(np.searchsorted(self.t_grid, t) - 1)
-        i = min(max(i, 0), len(self.t_grid) - 2)
-        return float(self.s_grid[i] + _gl5(self.speed, float(self.t_grid[i]), t))
-
-    def t_of_s(self, s: float) -> float:
-        s = min(max(s, 0.0), self.total)
-        i = int(np.searchsorted(self.s_grid, s) - 1)
-        i = min(max(i, 0), len(self.s_grid) - 2)
-        lo, hi = float(self.t_grid[i]), float(self.t_grid[i + 1])
-        t = lo + (hi - lo) * (s - self.s_grid[i]) / max(self.s_grid[i + 1] - self.s_grid[i], 1e-300)
-        for _ in range(60):
-            err = self.s_of_t(t) - s
-            if abs(err) < 1e-13 * max(1.0, self.total):
-                break
-            step = err / max(self.speed(t), 1e-300)
-            t_new = t - step
-            if t_new < lo or t_new > hi:
-                # bisect against the bracketing panel
-                if err > 0.0:
-                    hi = t
-                else:
-                    lo = t
-                t_new = 0.5 * (lo + hi)
-            t = t_new
-        return t
-
-
-def from_parametrization(
-    point: Callable[[float], tuple[float, float]],
-    velocity: Callable[[float], tuple[float, float]],
-    acceleration: Callable[[float], tuple[float, float]],
-    t0: float,
-    t1: float,
-    periodic: bool = False,
-    kappa: Optional[float] = None,
-) -> HyperbolicCurve:
-    """Reparametrize an arbitrary regular curve by hyperbolic arclength.
-
-    The cumulative arclength is accumulated by panelled Gauss-Legendre
-    quadrature and inverted with a safeguarded Newton iteration, once per
-    evaluated point (``jet`` applies the scalar inversion to each element
-    of v); the derivatives of the reparametrized curve follow by the chain
-    rule, so no accuracy is lost on first or second derivatives.
+    with db/dv = 2 y / rho; y = (kappa + 2 cos b) / r.  The jet is periodic
+    in v with period pi rho.
     """
-
-    def speed(t: float) -> float:
-        x, y = point(t)
-        xp, yp = velocity(t)
-        return math.hypot(xp, yp) / (2.0 * y)
-
-    table = _ArclengthTable(speed, t0, t1)
-    length = table.total
-
-    def point_jet(v: float):
-        t = table.t_of_s(v % length if periodic else v)
-        x, y = point(t)
-        xp, yp = velocity(t)
-        xpp, ypp = acceleration(t)
-        norm = math.hypot(xp, yp)
-        s = norm / (2.0 * y)
-        # d(speed)/dt from the quotient rule.
-        sr = (xp * xpp + yp * ypp) / (2.0 * y * norm) - norm * yp / (2.0 * y * y)
-        s2, s3 = s * s, s * s * s
-        return x, y, xp / s, yp / s, xpp / s2 - xp * sr / s3, ypp / s2 - yp * sr / s3
-
-    elementwise = np.vectorize(point_jet, otypes=[float] * 6)
+    if not kappa > 2.0:
+        raise ValueError(f"circles need kappa > 2, got {kappa!r}")
+    r = math.sqrt(kappa * kappa - 4.0)
+    rho = 2.0 / r
+    wide, narrow = math.sqrt(kappa + 2.0), math.sqrt(kappa - 2.0)
 
     def jet(v):
-        x, y, xp, yp, xpp, ypp = elementwise(v)
-        return (x, y), (xp, yp), (xpp, ypp)
+        t = v / rho
+        b = 2.0 * np.arctan2(wide * np.sin(t), narrow * np.cos(t))
+        cb, sb = np.cos(b), np.sin(b)
+        y = (kappa + 2.0 * cb) / r
+        return (
+            (-rho * sb, y),
+            (-2.0 * y * cb, -2.0 * y * sb),
+            (2.0 * y * sb * (kappa + 4.0 * cb), -2.0 * y * (kappa * cb + 2.0 * np.cos(2.0 * b))),
+        )
 
     return HyperbolicCurve(
         jet=jet,
         v0=0.0,
-        v1=length,
+        v1=math.pi * rho,
         unit_speed=True,
-        periodic=periodic,
-        kappa=kappa,
-    )
-
-
-def hyperbolic_circle(kappa: float) -> HyperbolicCurve:
-    """Closed curve of constant geodesic curvature kappa > 2: the Euclidean
-    circle of center (0, kappa / sqrt(kappa^2 - 4)) and radius
-    2 / sqrt(kappa^2 - 4), traversed so the curvature is positive, then
-    reparametrized by arclength."""
-    if not kappa > 2.0:
-        raise ValueError(f"circles need kappa > 2, got {kappa!r}")
-    rho = 2.0 / math.sqrt(kappa * kappa - 4.0)
-    yc = kappa / math.sqrt(kappa * kappa - 4.0)
-    return from_parametrization(
-        point=lambda b: (-rho * math.sin(b), yc + rho * math.cos(b)),
-        velocity=lambda b: (-rho * math.cos(b), -rho * math.sin(b)),
-        acceleration=lambda b: (rho * math.sin(b), -rho * math.cos(b)),
-        t0=0.0,
-        t1=TWO_PI,
         periodic=True,
         kappa=kappa,
     )

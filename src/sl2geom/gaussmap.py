@@ -110,14 +110,9 @@ def principal_frame(
     b11, b12, b22 = II.apply(f1, f1), II.apply(f1, f2), II.apply(f2, f2)
     scale = np.maximum(np.maximum(np.abs(b11), np.abs(b12)), np.maximum(np.abs(b22), 1.0))
     umbilic = np.hypot(2.0 * b12, b11 - b22) < tol * scale
-    mu = np.where(umbilic, 0.0, 0.5 * _atan2(2.0 * b12, b11 - b22))
+    mu = np.where(umbilic, 0.0, 0.5 * np.arctan2(2.0 * b12, b11 - b22))
     c, s = np.cos(mu)[..., None], np.sin(mu)[..., None]
     return c * f1 + s * f2, -s * f1 + c * f2, mu
-
-
-# libm's atan2, element by element: numpy's vectorized arctan2 can differ
-# from it in the last bit, and the principal angle feeds the report.
-_atan2 = np.vectorize(math.atan2, otypes=[float])
 
 
 def principal_angle_from_shape(h: float) -> float:

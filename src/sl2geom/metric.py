@@ -188,7 +188,7 @@ def curvature_table(nu: float) -> np.ndarray:
     return r
 
 
-def _as_frame_vector(x, p: ChartPoint | None) -> np.ndarray:
+def _as_frame_vector(x) -> np.ndarray:
     if isinstance(x, int):
         if x not in (1, 2, 3):
             raise ValueError(f"frame index must lie in 1..3, got {x}")
@@ -198,11 +198,11 @@ def _as_frame_vector(x, p: ChartPoint | None) -> np.ndarray:
     return _comps(x)
 
 
-def curvature(x, y, z, nu: float, p: ChartPoint | None = None) -> np.ndarray:
+def curvature(x, y, z, nu: float) -> np.ndarray:
     """R(X, Y) Z in frame components; arguments are frame-component vectors
     ((3,) or (N, 3)) or 1-based frame indices."""
     r = curvature_table(_require_nu(nu))
-    a, b, c = (_as_frame_vector(w, p) for w in (x, y, z))
+    a, b, c = (_as_frame_vector(w) for w in (x, y, z))
     return np.einsum("...i,...j,...k,ijkl->...l", a, b, c, r)
 
 

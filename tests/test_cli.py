@@ -352,11 +352,15 @@ class TestCommandLine:
         assert capsys.readouterr().out.startswith("check_id,")
 
 
-# stdout SHA-256 of fixed runs, recorded before the Koszul oracle was batched.
+# stdout SHA-256 of fixed runs.
 GOLDEN_STDOUT = {
     "--suite connection --nu -1 --samples 400 --seed 1": "21cb124ea3f56fa36b0e407b50d5dc34557a71bca2c7758863078ad11b804d65",
-    "--suite all --seed 42": "3ef96c8ef727992deeae0f1cca4eb1dd76524e20b7bc8d72ad2ff0c5f624e5cb",
+    "--suite all --seed 42": "11166abd1f905172214a914cd66e015b876695b0265214d278b1e81c176a9905",
+    "--report --suite family --family conoid(mu=0.7) --grid 64x64": "8147e1ecfa830b9694b121747f929799fb7d2d6b76e0b465364b4ec0846ec571",
 }
+
+# SHA-256 of the ordered [check_id, location] keys of --suite all --seed 42.
+ALL_ROW_KEYS = "7a28877a33ba7d88fc2b40f0ad3c5c007b8a9f7667b3d0f26d5cf7753ef8bb79"
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
@@ -366,3 +370,24 @@ def test_stdout_is_pinned(argv, capsys):
     here, and CHANGES.md records why."""
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_row_keys_are_pinned():
+    """Which rows a run emits, and in what order, is pinned apart from their
+    values, so a change in the last bits of a value cannot hide a moved row."""
+    rows = run_suite(SuiteConfig(suite="all", seed=42))
+    keys = json.dumps([[r.check_id, r.location] for r in rows])
+    assert hashlib.sha256(keys.encode()).hexdigest() == ALL_ROW_KEYS
+
+
+def test_runs_without_seed_do_not_import_numpy_random():
+    code = (
+        "import contextlib, io, sys\n"
+        "from sl2geom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--suite', 'family', '--family', 'hopf_cylinder(curve=circle,kappa=3)', '--grid', '4x4'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "False"]

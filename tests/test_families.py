@@ -16,7 +16,6 @@ from sl2geom.families import (
     conoid,
     constant_curvature_curve,
     curve_speed_residual,
-    from_parametrization,
     geodesic,
     geodesic_curvature,
     helicoidal_motion,
@@ -85,20 +84,34 @@ class TestCurves:
             assert abs(geodesic_curvature(c, float(v)) - fd_geodesic_curvature(c, float(v))) < 1e-5
 
     def test_reparametrization_is_unit_speed(self):
-        # A deliberately bad parametrization of the geodesic.
-        c = from_parametrization(
-            point=lambda t: (0.0, math.exp(t**3 + t)),
-            velocity=lambda t: (0.0, (3 * t**2 + 1) * math.exp(t**3 + t)),
-            acceleration=lambda t: (
-                0.0,
-                ((3 * t**2 + 1) ** 2 + 6 * t) * math.exp(t**3 + t),
-            ),
-            t0=-1.0,
-            t1=1.0,
-        )
-        for v in np.linspace(0.01, c.v1 - 0.01, 9):
-            assert curve_speed_residual(c, float(v)) < 1e-9
-            assert abs(geodesic_curvature(c, float(v))) < 1e-7
+        # Oracle: the arclength of the Euclidean circle (-rho sin b, y_c + rho cos b)
+        # from angle 0 to the angle of the point at v, by Gauss-Legendre quadrature.
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        for kappa in (2.05, 2.5, 3.0, 10.0, 100.0):
+            c = hyperbolic_circle(kappa)
+            r = math.sqrt(kappa * kappa - 4.0)
+            rho, yc = 2.0 / r, kappa / r
+            assert c.v1 - c.v0 == math.pi * rho
+            vs = np.linspace(0.01, 0.99, 13) * c.v1
+            for v in vs:
+                x, y = c.point(float(v))
+                b = math.atan2(-x / rho, (y - yc) / rho) % (2.0 * math.pi)
+                edges = np.linspace(0.0, b, 9)
+                mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+                beta = mid[:, None] + half[:, None] * nodes
+                arclength = float(np.sum(half[:, None] * weights * rho / (2.0 * (yc + rho * np.cos(beta)))))
+                assert abs(arclength - v) <= 1e-12 * max(1.0, v)
+            # Periodic in v with period pi rho; one array call is the scalar calls.
+            jet = [np.asarray(a) for pair in c.jet(vs) for a in pair]
+            shifted = [np.asarray(a) for pair in c.jet(vs + math.pi * rho) for a in pair]
+            for a, s in zip(jet, shifted):
+                assert np.abs(a - s).max() <= 1e-12 * np.abs(a).max()
+            scalar = [[a for pair in c.jet(float(v)) for a in pair] for v in vs]
+            assert all(np.array_equal(a, [row[k] for row in scalar]) for k, a in enumerate(jet))
+            for v in vs:
+                assert curve_speed_residual(c, float(v)) < 1e-9
+                assert curve_speed_residual(c, float(v)) <= 1e-13 * kappa
+                assert abs(geodesic_curvature(c, float(v)) - kappa) <= 1e-13 * kappa
 
     def test_non_unit_speed_rejected(self):
         doubled = HyperbolicCurve(
