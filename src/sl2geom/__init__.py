@@ -44,7 +44,6 @@ from .families import (
 from .gaussmap import (
     FrameCurvatureComponents,
     GaussClassification,
-    NormalComponents,
     classify_gauss_map,
     frame_curvature_components,
     normal_components,

@@ -9,7 +9,8 @@
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 configuration error, including an option the chosen run does not read, a
 grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
-``suites.MAX_SAMPLES``, a numerical blow-up and running out of memory.  A
+``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
+and running out of memory.  A
 config file of ``key = value`` lines ('#' comments) can seed every option;
 command-line flags override it.  Reports are byte-identical for identical
 configuration and seed.

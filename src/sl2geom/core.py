@@ -214,11 +214,11 @@ def chart_to_group(p: ChartPoint) -> GroupElement:
     return GroupElement(s * c - xs * t, s * t + xs * c, -t / s, c / s)
 
 
-def group_to_chart(g: GroupElement, tol: float = DET_TOL) -> ChartPoint:
+def group_to_chart(g: GroupElement) -> ChartPoint:
     """Invert the chart.  The bottom row of N A K is (-sin(theta), cos(theta))
     / sqrt(y), so theta = atan2(-c, d) lifted to [0, 2*pi) and y = 1/(c^2+d^2);
     x is then read off the upper-right entry of g K(theta)^-1 = N A."""
-    if abs(g.det - 1.0) > tol:
+    if abs(g.det - 1.0) > DET_TOL:
         raise ValueError(f"matrix is not unimodular: det = {g.det!r}")
     theta = math.atan2(-g.c, g.d)
     if theta < 0.0:
@@ -252,8 +252,8 @@ def adjoint_act(g: GroupElement, x: LieVector) -> LieVector:
     return LieVector.from_matrix(m)
 
 
-def classify_orbit(x: LieVector, tol: float = ORBIT_TOL) -> OrbitClass:
-    """Adjoint-orbit type by c = det X.
+def classify_orbit(x: LieVector) -> OrbitClass:
+    """Adjoint-orbit type by c = det X, with tol = ORBIT_TOL.
 
     c < -tol: pseudo-sphere of radius sqrt(-c); c > tol: upper/lower
     hyperbolic sheet by the sign of x1; |c| <= tol: future/past cone by the
@@ -261,6 +261,7 @@ def classify_orbit(x: LieVector, tol: float = ORBIT_TOL) -> OrbitClass:
     (the cone excludes the origin).  The sliver |c| <= tol, x1 == 0 with a
     nonzero vector falls back to zero as well.
     """
+    tol = ORBIT_TOL
     comps = x.components
     if float(np.abs(comps).max()) < tol:
         return OrbitClass(OrbitKind.ZERO, 0.0)
@@ -277,12 +278,12 @@ def classify_orbit(x: LieVector, tol: float = ORBIT_TOL) -> OrbitClass:
     return OrbitClass(OrbitKind.ZERO, c)
 
 
-def embed_ads(g: GroupElement, tol: float = DET_TOL) -> AdSPoint:
+def embed_ads(g: GroupElement) -> AdSPoint:
     """Coefficients of g in the basis (1, i, j', k') of 2x2 matrices.
 
     For unimodular g the image satisfies -x0^2 - x1^2 + x2^2 + x3^2 = -1.
     """
-    if abs(g.det - 1.0) > tol:
+    if abs(g.det - 1.0) > DET_TOL:
         raise ValueError(f"matrix is not unimodular: det = {g.det!r}")
     return AdSPoint(
         0.5 * (g.a + g.d),

@@ -19,8 +19,8 @@ N(x) A(y) K(theta):
     these are orbits of the helicoidal motions and are minimal in g[1];
   * null-orbit surfaces from a positive profile y(u): chart (v, y(u), u),
     invariant under the left nilpotent action, with closed-form mean
-    curvature H = ((1 + nu) y'' y + 4 y^2) / (4 a^3 y^2),
-    a = sqrt(1 + (1 + nu) (y'/(2y))^2);
+    curvature H = ((1 + nu) y'' y + 4 nu y^2) / (4 nu a^3 y^2),
+    a = sqrt(1 + (1 + 1/nu) (y'/(2y))^2), for every nu != 0;
   * complex circles in the anti-de Sitter quadric.
 
 The profile ODEs attached to the null-orbit family (minimality y'' = -2y
@@ -50,6 +50,7 @@ from .core import (
     nilpotent_factor,
     rotation_factor,
 )
+from .metric import _require_nu
 from .surface import Domain, Immersion, SurfaceJet, _require
 
 UNIT_SPEED_TOL = 1e-6
@@ -316,22 +317,22 @@ def umbilic_ode_residual(y: float, yp: float, ypp: float) -> float:
     return ypp - yp * yp / (2.0 * y) + 2.0 * y
 
 
-def riccati_substitution(profile: ProfileFunction, u: float) -> float:
-    """The logarithmic derivative T(u) = y'(u) / y(u).
+def riccati_substitution(profile: ProfileFunction, u):
+    """The logarithmic derivative T(u) = y'(u) / y(u), u scalar or (N,).
 
     For umbilic profiles it equals -2 tan(u + u0) and satisfies
     T' + T^2/2 + 2 = 0.
     """
     y = profile.y(u)
-    if not y > 0.0:
-        raise ValueError(f"profile must be positive at u={u}, got {y!r}")
+    _require(y > 0.0, "profile must be positive", (u,), y)
     return profile.yp(u) / y
 
 
-def riccati_residual(profile: ProfileFunction, u: float, h: float = 1e-4) -> float:
-    """T' + T^2/2 + 2 with T' by a fourth-order central difference (the
-    logarithmic derivative steepens like tan near profile zeros, so the
-    extra stencil order buys two digits there)."""
+def riccati_residual(profile: ProfileFunction, u):
+    """T' + T^2/2 + 2 with T' by a fourth-order central difference of step
+    1e-4 (the logarithmic derivative steepens like tan near profile zeros,
+    so the extra stencil order buys two digits there); u scalar or (N,)."""
+    h = 1e-4
     t = riccati_substitution(profile, u)
     tt = lambda s: riccati_substitution(profile, s)
     tp = (-tt(u + 2 * h) + 8.0 * tt(u + h) - 8.0 * tt(u - h) + tt(u - 2 * h)) / (12.0 * h)
@@ -403,13 +404,9 @@ def conoid(
     x: Callable[[float], float],
     xp: Callable[[float], float],
     xpp: Callable[[float], float],
-    u_range: tuple[float, float] = (-math.pi, math.pi),
-    v_range: tuple[float, float] = (0.25, 4.0),
 ) -> Immersion:
-    """Conoid: chart (x(u), v, u) on v > 0, given x and its first two
-    derivatives."""
-    if not v_range[0] > 0.0:
-        raise ValueError(f"conoid needs v > 0, got range {v_range!r}")
+    """Conoid: chart (x(u), v, u) on [-pi, pi] x [0.25, 4], given x and its
+    first two derivatives."""
 
     def jet2(u, v):
         return (
@@ -421,20 +418,16 @@ def conoid(
             (0.0, 0.0, 0.0),
         )
 
-    return Immersion(
-        Domain(u_range[0], u_range[1], v_range[0], v_range[1]),
-        jet2,
-    )
+    return Immersion(Domain(-math.pi, math.pi, 0.25, 4.0), jet2)
 
 
-def affine_conoid(mu: float, a: float = 0.0, **kwargs) -> Immersion:
+def affine_conoid(mu: float, a: float = 0.0) -> Immersion:
     """Conoid with x(u) = mu u + a: the orbit surface of the pitch-mu
     helicoidal motions, and the complete minimal conoid in g[1]."""
     return conoid(
         x=lambda u: mu * u + a,
         xp=lambda u: mu,
         xpp=lambda u: 0.0,
-        **kwargs,
     )
 
 
@@ -443,13 +436,15 @@ def helicoidal_motion(mu: float, t: float, g: GroupElement) -> GroupElement:
     return nilpotent_factor(mu * t) @ g @ rotation_factor(t)
 
 
-def lightcone_surface(profile: ProfileFunction, v_range: tuple[float, float] = (-1.0, 1.0)) -> Immersion:
+def lightcone_surface(profile: ProfileFunction) -> Immersion:
     """Surface from a positive profile over the null orbit: chart
-    (v, y(u), u), invariant under the left nilpotent action (v-shifts).
+    (v, y(u), u) on v in [-1, 1], invariant under the left nilpotent action
+    (v-shifts).
 
-    The orientation hint e2 matches the closed-form normal
+    The orientation hint e2 matches the closed-form normal, with
+    s = y'/(2y),
 
-        n = (y'/(2y) e1 + e2 - nu y'/(2y) e3) / sqrt(1 + (1+nu)(y'/(2y))^2).
+        n = (s e1 + e2 - (s/nu) e3) / sqrt(1 + (1 + 1/nu) s^2).
     """
 
     def jet2(u, v):
@@ -465,27 +460,28 @@ def lightcone_surface(profile: ProfileFunction, v_range: tuple[float, float] = (
         )
 
     return Immersion(
-        Domain(profile.u_lo, profile.u_hi, v_range[0], v_range[1]),
+        Domain(profile.u_lo, profile.u_hi, -1.0, 1.0),
         jet2,
         orient=lambda j: np.array([0.0, 1.0, 0.0]),
     )
 
 
-def lightcone_mean_curvature(y: float, yp: float, ypp: float, nu: float) -> float:
-    """Closed-form mean curvature of the null-orbit family:
+def lightcone_mean_curvature(y, yp, ypp, nu: float):
+    """Closed-form mean curvature of the null-orbit family, for profile
+    values y, y', y'' that are scalars or (N,) arrays:
 
-        H = ((1 + nu) y'' y + 4 y^2) / (4 a^3 y^2),
-        a = sqrt(1 + (1 + nu) (y' / (2y))^2).
+        H = ((1 + nu) y'' y + 4 nu y^2) / (4 nu a^3 y^2),
+        a = sqrt(1 + (1 + 1/nu) (y' / (2y))^2),
 
-    Constant 1 for nu = -1; zero for nu = 1 exactly when y'' = -2y.
+    a^3 taken as a^2 * a, by multiplication only, so that a scalar and an
+    array call round alike.  Constant 1 for nu = -1; zero for nu = 1
+    exactly when y'' = -2y.
     """
-    if not y > 0.0:
-        raise ValueError(f"profile value must be positive, got {y!r}")
-    if nu == 0.0:
-        raise ValueError("metric parameter nu must be nonzero")
+    nu = _require_nu(nu)
+    _require(y > 0.0, "profile value must be positive", value=y)
     half_slope = yp / (2.0 * y)
-    alpha = math.sqrt(1.0 + (1.0 + nu) * half_slope * half_slope)
-    return ((1.0 + nu) * ypp * y + 4.0 * y * y) / (4.0 * alpha**3 * y * y)
+    a_sq = 1.0 + (1.0 + 1.0 / nu) * half_slope * half_slope
+    return ((1.0 + nu) * ypp * y + 4.0 * nu * y * y) / (4.0 * nu * (a_sq * np.sqrt(a_sq)) * y * y)
 
 
 # ---------------------------------------------------------------------------

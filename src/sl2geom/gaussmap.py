@@ -25,39 +25,27 @@ For a unit normal with frame components (a, b, c):
 The normal Gauss map left-translates the unit normal to the Lie algebra,
 landing on the unit sphere of the Euclidean scalar product.
 
-The grid functions work on arrays as ``surface`` does; the (s, u, v)
-helpers are one-point views.
+The grid functions and the closed-form helpers work on arrays as
+``surface`` does: a normal or frame vector has shape (3,) or (N, 3), an
+angle or mean curvature is a scalar or (N,), and a scalar call is the
+one-point view of the same code.
 
 Everything in this module assumes nu = 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LieVector, left_translate_to_identity
 from .metric import curvature, frame_to_coordinate, g_frame
-from .surface import FundamentalForm, Immersion, SurfacePointData, _require, surface_shape
+from .surface import FundamentalForm, Immersion, SurfacePointData, _require, surface_shape, tangent_coordinates
 
 NU = 1.0
 CLASSIFY_TOL = 1e-7
 H_CONSTANCY_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class NormalComponents:
-    """Frame components (a, b, c) of the unit normal; a^2 + b^2 + c^2 = 1."""
-
-    a: float
-    b: float
-    c: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
 
 
 @dataclass(frozen=True)
@@ -90,14 +78,13 @@ class GaussClassification:
     evidence: dict
 
 
-def normal_components(s: Immersion, u: float, v: float) -> NormalComponents:
-    """Frame components of the oriented unit normal at (u, v), nu = 1."""
-    return NormalComponents(*(float(c) for c in surface_shape(s, u, v, NU).normal))
+def normal_components(s: Immersion, u, v) -> np.ndarray:
+    """Frame components (a, b, c) of the oriented unit normal at (u, v),
+    nu = 1: shape (3,), or (N, 3) over N points; a^2 + b^2 + c^2 = 1."""
+    return surface_shape(s, u, v, NU).normal
 
 
-def principal_frame(
-    I: FundamentalForm, II: FundamentalForm, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, float]:
+def principal_frame(I: FundamentalForm, II: FundamentalForm) -> tuple[np.ndarray, np.ndarray, float]:
     """I-orthonormal tangent directions (as (du, dv) coefficient pairs, shape
     (..., 2)) diagonalizing II, plus the rotation angle from the
     orthonormalized coordinate frame.  Requires det I > 0.  At umbilic
@@ -109,16 +96,16 @@ def principal_frame(
     f2 = np.stack([-I.F / (I.E * np.sqrt(w_norm_sq)), 1.0 / np.sqrt(w_norm_sq)], axis=-1)
     b11, b12, b22 = II.apply(f1, f1), II.apply(f1, f2), II.apply(f2, f2)
     scale = np.maximum(np.maximum(np.abs(b11), np.abs(b12)), np.maximum(np.abs(b22), 1.0))
-    umbilic = np.hypot(2.0 * b12, b11 - b22) < tol * scale
+    umbilic = np.hypot(2.0 * b12, b11 - b22) < 1e-12 * scale
     mu = np.where(umbilic, 0.0, 0.5 * np.arctan2(2.0 * b12, b11 - b22))
     c, s = np.cos(mu)[..., None], np.sin(mu)[..., None]
     return c * f1 + s * f2, -s * f1 + c * f2, mu
 
 
-def principal_angle_from_shape(h: float) -> float:
+def principal_angle_from_shape(h):
     """Principal angle in the (u1, u2) cylinder frame where the second form
-    is ((2H, 1), (1, 0)): half the argument of (2H, 2)."""
-    return 0.5 * math.atan2(2.0, 2.0 * h)
+    is ((2H, 1), (1, 0)): half the argument of (2H, 2); h scalar or (N,)."""
+    return 0.5 * np.arctan2(2.0, 2.0 * h)
 
 
 def _riemann_component(x, y, z, w) -> float:
@@ -146,27 +133,23 @@ def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureCompone
     )
 
 
-def grid_samples(s: Immersion, n_u: int, n_v: int, margin: float = 0.02) -> tuple[np.ndarray, np.ndarray]:
+def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic row-major sample grid over the immersion's domain, as
     two flat arrays (u, v) of n_u * n_v points; periodic axes are sampled
-    endpoint-exclusive, others shrink by the relative margin."""
+    endpoint-exclusive, others shrink by 2% of their span at each end."""
     dom = s.domain
     if n_u < 2 or n_v < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
 
     def axis(lo: float, hi: float, n: int, periodic: bool) -> np.ndarray:
-        m = 0.0 if periodic else margin * (hi - lo)
+        m = 0.0 if periodic else 0.02 * (hi - lo)
         return np.linspace(lo + m, hi - m, n, endpoint=not periodic)
 
     us, vs = axis(dom.u0, dom.u1, n_u, dom.periodic_u), axis(dom.v0, dom.v1, n_v, dom.periodic_v)
     return np.repeat(us, n_v), np.tile(vs, n_u)
 
 
-def classify_gauss_map(
-    s: Immersion,
-    grid: tuple[int, int] = (20, 20),
-    tol: float = CLASSIFY_TOL,
-) -> GaussClassification:
+def classify_gauss_map(s: Immersion, grid: tuple[int, int] = (20, 20)) -> GaussClassification:
     """Classify the tangential Gauss map over a sample grid (nu = 1).
 
     Requires the mean curvature to be constant over the grid within 1e-5
@@ -186,10 +169,10 @@ def classify_gauss_map(
     if h_spread > H_CONSTANCY_TOL:
         raise ValueError(f"mean curvature is not constant over the grid: spread {h_spread!r}")
     max_abs_h = float(np.abs(h_arr).max())
-    minimal = max_abs_h < tol
-    conformal = (max_defect < tol) or minimal
-    vertically_harmonic = max_vertical < tol
-    harmonic = vertically_harmonic and minimal and (max_gap < tol)
+    minimal = max_abs_h < CLASSIFY_TOL
+    conformal = (max_defect < CLASSIFY_TOL) or minimal
+    vertically_harmonic = max_vertical < CLASSIFY_TOL
+    harmonic = vertically_harmonic and minimal and (max_gap < CLASSIFY_TOL)
     return GaussClassification(
         conformal=conformal,
         vertically_harmonic=vertically_harmonic,
@@ -218,35 +201,39 @@ def normal_gauss_map(s: Immersion, u: float, v: float) -> LieVector:
 # ---------------------------------------------------------------------------
 
 
-def oblique_frame(n: NormalComponents) -> tuple[np.ndarray, np.ndarray]:
+def oblique_frame(n) -> tuple[np.ndarray, np.ndarray]:
     """For c != 0, the orthogonal tangent frame v1 = -c e2 + b e3,
-    v2 = (b^2+c^2) e1 - ab e2 - ac e3."""
-    a, b, c = n.a, n.b, n.c
+    v2 = (b^2+c^2) e1 - ab e2 - ac e3 of the unit normal n = (a, b, c),
+    shape (3,) or (N, 3)."""
+    a, b, c = np.asarray(n, dtype=float).T
     return (
-        np.array([0.0, -c, b]),
-        np.array([b * b + c * c, -a * b, -a * c]),
+        np.stack([np.zeros_like(a), -c, b], axis=-1),
+        np.stack([b * b + c * c, -a * b, -a * c], axis=-1),
     )
 
 
-def oblique_vertical_closed_forms(n: NormalComponents) -> tuple[float, float]:
+def oblique_vertical_closed_forms(n) -> tuple[np.ndarray, np.ndarray]:
     """(g(R(v1,v2)v1, n), g(R(v1,v2)v2, n)) = (8ac^2, 8bc)(b^2+c^2) for a
-    unit normal (a, b, c)."""
-    a, b, c = n.a, n.b, n.c
+    unit normal n = (a, b, c), shape (3,) or (N, 3)."""
+    a, b, c = np.asarray(n, dtype=float).T
     p = b * b + c * c
     return 8.0 * a * c * c * p, 8.0 * b * c * p
 
 
-def cylinder_frame(phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cylinder_frame(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For c = 0 and normal (cos phi, sin phi, 0): the tangent frame
-    u1 = sin(phi) e1 - cos(phi) e2, u2 = e3, plus the normal itself."""
+    u1 = sin(phi) e1 - cos(phi) e2, u2 = e3, plus the normal itself; phi
+    scalar or (N,)."""
+    c, s = np.cos(phi), np.sin(phi)
+    zero, one = np.zeros_like(c), np.ones_like(c)
     return (
-        np.array([math.sin(phi), -math.cos(phi), 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([math.cos(phi), math.sin(phi), 0.0]),
+        np.stack([s, -c, zero], axis=-1),
+        np.stack([zero, zero, one], axis=-1),
+        np.stack([c, s, zero], axis=-1),
     )
 
 
-def cylinder_curvature_values(phi: float) -> tuple[np.ndarray, np.ndarray]:
+def cylinder_curvature_values(phi) -> tuple[np.ndarray, np.ndarray]:
     """(R(u1,u2)u1, R(u2,u1)u2) by direct contraction of the curvature
     table in the c = 0 frame.
 
@@ -258,22 +245,20 @@ def cylinder_curvature_values(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return curvature(u1, u2, u1, NU), curvature(u2, u1, u2, NU)
 
 
-def cylinder_principal_components(mu: float) -> tuple[float, float]:
+def cylinder_principal_components(mu) -> tuple[np.ndarray, np.ndarray]:
     """(R_3113, R_3223) = (-7 cos^2 mu + sin^2 mu, -7 sin^2 mu + cos^2 mu)
-    for a principal frame at angle mu in the c = 0 tangent frame."""
-    cm, sm = math.cos(mu), math.sin(mu)
+    for a principal frame at angle mu in the c = 0 tangent frame; mu scalar
+    or (N,)."""
+    cm, sm = np.cos(mu), np.sin(mu)
     return -7.0 * cm * cm + sm * sm, -7.0 * sm * sm + cm * cm
 
 
-def cylinder_second_form_components(pt: SurfacePointData) -> tuple[float, float, float]:
+def cylinder_second_form_components(pt: SurfacePointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(II(u1,u1), II(u1,u2), II(u2,u2)) in the cylinder frame attached to
-    the point's normal; for rotation-invariant cylinders these are
+    each point's normal; for rotation-invariant cylinders these are
     (2H, 1, 0)."""
-    from .surface import tangent_coordinates
-
     n = pt.normal
-    phi = math.atan2(n[1], n[0])
-    u1, u2, _ = cylinder_frame(phi)
+    u1, u2, _ = cylinder_frame(np.arctan2(n[..., 1], n[..., 0]))
     a1 = tangent_coordinates(pt.jet, u1)
     a2 = tangent_coordinates(pt.jet, u2)
     II = pt.second

@@ -213,21 +213,21 @@ def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:
         R(X,Y)Z = -( g(Y,Z) X - g(Z,X) Y )
                   - (1 + nu) { eta(Z) eta(X) Y - eta(Y) eta(Z) X
                                + g(Z,X) eta(Y) xi - g(Y,Z) eta(X) xi
-                               - g(Y,FZ) FX - g(Z,FX) FY + 2 g(X,FY) FZ }.
+                               - g(Y,FZ) FX - g(Z,FX) FY + 2 g(X,FY) FZ };
+
+    frame-component arguments of shape (3,) or (N, 3).
     """
     nu = _require_nu(nu)
     X, Y, Z = (_comps(w) for w in (x, y, z))
-    g = lambda a, b: float(a[0] * b[0] + a[1] * b[1] + nu * a[2] * b[2])
-    eta = lambda a: -a[2]
-    xi = np.array([0.0, 0.0, -1.0])
-    F = lambda a: np.array([-a[1], a[0], 0.0])
-    fx, fy, fz = F(X), F(Y), F(Z)
+    g = lambda a, b: g_frame(a, b, nu)[..., None]
+    eta = lambda a: eta_value(a)[..., None]
+    fx, fy, fz = apply_f(X), apply_f(Y), apply_f(Z)
     base = -(g(Y, Z) * X - g(Z, X) * Y)
     braces = (
         eta(Z) * eta(X) * Y
         - eta(Y) * eta(Z) * X
-        + g(Z, X) * eta(Y) * xi
-        - g(Y, Z) * eta(X) * xi
+        + g(Z, X) * eta(Y) * XI
+        - g(Y, Z) * eta(X) * XI
         - g(Y, fz) * fx
         - g(Z, fx) * fy
         + 2.0 * g(X, fy) * fz
@@ -235,12 +235,17 @@ def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:
     return base - (1.0 + nu) * braces
 
 
-def sectional_curvature(x, y, nu: float) -> float:
-    """K(X, Y) = g(R(X,Y)Y, X) / (g(X,X) g(Y,Y) - g(X,Y)^2)."""
+def sectional_curvature(x, y, nu: float):
+    """K(X, Y) = g(R(X,Y)Y, X) / (g(X,X) g(Y,Y) - g(X,Y)^2), for frame
+    vectors of shape (3,) or planes spanned by (N, 3) pairs."""
     X, Y = _comps(x), _comps(y)
-    den = g_frame(X, X, nu) * g_frame(Y, Y, nu) - g_frame(X, Y, nu) ** 2
-    if abs(den) < SECTION_PLANE_TOL:
-        raise ValueError(f"plane is degenerate: denominator {den!r}")
+    gxy = g_frame(X, Y, nu)
+    # gxy * gxy, not gxy ** 2: a numpy scalar squares through libm pow, an
+    # array by multiplication, and the two differ in the last bit.
+    den = g_frame(X, X, nu) * g_frame(Y, Y, nu) - gxy * gxy
+    degenerate = np.abs(den) < SECTION_PLANE_TOL
+    if degenerate.any():
+        raise ValueError(f"plane is degenerate: denominator {float(np.asarray(den)[degenerate][0])!r}")
     num = g_frame(curvature(X, Y, Y, nu), X, nu)
     return num / den
 
@@ -250,8 +255,8 @@ def sectional_curvature(x, y, nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fd_step(p: ChartPoint, base: float = DEFAULT_FD_STEP):
-    return base * np.maximum(1.0, np.abs(p.y))
+def fd_step(p: ChartPoint):
+    return DEFAULT_FD_STEP * np.maximum(1.0, np.abs(p.y))
 
 
 def _shift(p: ChartPoint, w, s) -> ChartPoint:
@@ -303,7 +308,6 @@ def covariant_derivative(
     p: ChartPoint,
     nu: float,
     method: str = "table",
-    step: float | None = None,
 ) -> np.ndarray:
     """D_U V at p for vector fields given as frame-component functions of
     (x, y, theta); at a batch of N points (coordinates of shape (N,)) each
@@ -316,7 +320,7 @@ def covariant_derivative(
     table.
     """
     nu = _require_nu(nu)
-    h = step if step is not None else fd_step(p)
+    h = fd_step(p)
     if method == "table":
         uf = _field_frame(u, p)
         vf = _field_frame(v, p)
@@ -385,35 +389,37 @@ def sasaki_data(p: ChartPoint) -> SasakiData:
     return SasakiData(p, ETA_FRAME.copy(), XI.copy(), F_MATRIX.copy())
 
 
-def eta_value(v) -> float:
-    return -float(_comps(v)[2])
+def eta_value(v):
+    """eta(v) = -v3 for frame components of shape (3,) or (N, 3)."""
+    return -_comps(v)[..., 2]
 
 
 def apply_f(v) -> np.ndarray:
-    return F_MATRIX @ _comps(v)
+    """F on frame components of shape (3,) or (N, 3)."""
+    return _comps(v) @ F_MATRIX.T
 
 
 def eta_coordinate_components(p: ChartPoint) -> np.ndarray:
-    """eta = -dtheta - dx/(2y) in coordinate components."""
-    return np.array([-1.0 / (2.0 * p.y), 0.0, -1.0])
+    """eta = -dtheta - dx/(2y) in coordinate components, (3,) or (N, 3)."""
+    return np.stack([-1.0 / (2.0 * p.y), np.zeros_like(p.y), np.full_like(p.y, -1.0)], axis=-1)
 
 
-def d_eta(x, y, p: ChartPoint, h: float | None = None) -> float:
+def d_eta(x, y, p: ChartPoint):
     """d(eta)(X, Y) by central differences of the coordinate components of
-    eta, for value vectors X, Y at p (frame components)."""
-    hh = h if h is not None else fd_step(p)
-    xc = frame_to_coordinate(p, _comps(x))
-    yc = frame_to_coordinate(p, _comps(y))
+    eta, for value vectors X, Y at p (frame components, (3,) or (N, 3))."""
+    h = fd_step(p)
+    xc = frame_to_coordinate(p, x)
+    yc = frame_to_coordinate(p, y)
     basis = np.eye(3)
     grad = np.stack(
-        [directional_derivative(eta_coordinate_components, p, basis[i], hh) for i in range(3)]
+        [directional_derivative(eta_coordinate_components, p, basis[i], h) for i in range(3)], axis=-2
     )
     # grad[i, j] = d_i eta_j; d(eta)(X,Y) = (d_i eta_j)(X^i Y^j - X^j Y^i)
-    return float(np.einsum("ij,i,j->", grad, xc, yc) - np.einsum("ij,j,i->", grad, xc, yc))
+    return np.einsum("...ij,...i,...j->...", grad, xc, yc) - np.einsum("...ij,...j,...i->...", grad, xc, yc)
 
 
 class SasakiResiduals(NamedTuple):
-    """Max-norm residuals of the five structure identities at a point."""
+    """Max-norm residuals of the five structure identities, one per point."""
 
     f_squared: float
     d_eta_pairing: float
@@ -421,13 +427,13 @@ class SasakiResiduals(NamedTuple):
     xi_derivative: float
     f_derivative: float
 
-    def max(self) -> float:
-        return max(self)
+    def max(self):
+        return np.maximum.reduce(self)
 
 
 def sasaki_residuals(p: ChartPoint, x, y, nu: float) -> SasakiResiduals:
     """Residuals of the five contact-metric identities at p, tested on the
-    value vectors X and Y:
+    value vectors X and Y ((3,) at one point, (N, 3) at N points):
 
         F^2 = -I + eta (x) xi
         d(eta)(X, Y) = 2 g(X, F Y)
@@ -442,20 +448,20 @@ def sasaki_residuals(p: ChartPoint, x, y, nu: float) -> SasakiResiduals:
     X, Y = _comps(x), _comps(y)
 
     m1 = F_MATRIX @ F_MATRIX + np.eye(3) - np.outer(XI, ETA_FRAME)
-    r1 = float(np.abs(m1).max())
+    r1 = np.full(X.shape[:-1], np.abs(m1).max())
 
-    r2 = abs(d_eta(X, Y, p) - 2.0 * g_frame(X, apply_f(Y), nu))
+    r2 = np.abs(d_eta(X, Y, p) - 2.0 * g_frame(X, apply_f(Y), nu))
 
-    r3 = abs(
+    r3 = np.abs(
         g_frame(apply_f(X), apply_f(Y), nu)
         - g_frame(X, Y, nu)
         + nu * eta_value(X) * eta_value(Y)
     )
 
     dxi = connect_constant(X, XI, nu)
-    r4 = float(np.abs(dxi + nu * apply_f(X)).max())
+    r4 = np.abs(dxi + nu * apply_f(X)).max(-1)
 
-    dfy = connect_constant(X, apply_f(Y), nu) - F_MATRIX @ connect_constant(X, Y, nu)
-    r5 = float(np.abs(dfy - g_frame(X, Y, nu) * XI + nu * eta_value(Y) * X).max())
+    dfy = connect_constant(X, apply_f(Y), nu) - apply_f(connect_constant(X, Y, nu))
+    r5 = np.abs(dfy - g_frame(X, Y, nu)[..., None] * XI + (nu * eta_value(Y))[..., None] * X).max(-1)
 
     return SasakiResiduals(r1, r2, r3, r4, r5)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import families, gaussmap, metric
+from . import families, gaussmap
 from .core import ChartPoint, chart_to_group, rotation_factor, nilpotent_factor
 from .families import (
     HyperbolicCurve,
@@ -31,6 +31,7 @@ from .families import (
 )
 from .gaussmap import classify_gauss_map, frame_curvature_components_at, grid_samples
 from .metric import (
+    apply_f,
     constant_field,
     covariant_derivative,
     curvature,
@@ -55,6 +56,10 @@ READS.update(all={"samples", "seed", "grid", "tol"}, report={"nu", "family", "gr
 MAX_GRID_POINTS = 256 * 256
 # Largest --samples: the Koszul oracle holds O(samples) arrays per entry.
 MAX_SAMPLES = 65_536
+# Largest |nu|: the Koszul oracle's finite-difference residual grows like
+# 1.1e-11 |nu| against a fixed tolerance of 1e-5, so beyond this a correct
+# connection table would fail; at 1e4 the residual is ~90x under tolerance.
+MAX_NU = 1e4
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class SuiteConfig:
             raise ValueError("nu must be nonzero")
         if not math.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
+        if abs(self.nu) > MAX_NU:
+            raise ValueError(f"|nu| must be at most {MAX_NU:g}, got {self.nu!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid resolution must be >= 2 per axis")
         if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
@@ -118,18 +125,6 @@ class RowCollector:
         residual = abs(float(computed) - float(expected))
         self.rows.append(
             ReportRow(check_id, location, float(expected), float(computed), residual, bool(residual <= tol))
-        )
-
-    def add_bool(self, check_id: str, location: str, expected: bool, computed: bool):
-        self.rows.append(
-            ReportRow(
-                check_id,
-                location,
-                1.0 if expected else 0.0,
-                1.0 if computed else 0.0,
-                0.0 if expected == computed else 1.0,
-                expected == computed,
-            )
         )
 
 
@@ -180,50 +175,38 @@ def _curvature_entry_claims(nu: float):
 
 def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
     """Curvature-table entries against the connection composition, the
-    contact-structure closed form, and the constant-curvature claims."""
+    contact-structure closed form, and the constant-curvature claims; each
+    check is one evaluation over all of its samples."""
+    entries = [
+        (f"curvature.entry[{i}{j}{l}]", float(np.abs(curvature(i, j, l, nu) - claim).max()))
+        for (i, j, l), claim in _curvature_entry_claims(nu)
+    ]
+    contact = None
+    if nu in (1.0, -1.0):
+        x, y, z = rng.uniform(-1.0, 1.0, (samples, 3, 3)).transpose(1, 0, 2)
+        contact = np.abs(curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)).max(-1).tolist()
     for k in range(samples):
         loc = f"p{k:03d}"
-        for (i, j, l), claim in _curvature_entry_claims(nu):
-            composed = curvature(i, j, l, nu)
-            rows.add(
-                f"curvature.entry[{i}{j}{l}]",
-                loc,
-                0.0,
-                float(np.abs(composed - claim).max()),
-                1e-6,
-            )
-        if nu in (1.0, -1.0):
-            x, y, z = (random_frame_vector(rng) for _ in range(3))
-            diff = curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)
-            rows.add("curvature.table_vs_contact_form", loc, 0.0, float(np.abs(diff).max()), 1e-9)
+        for check_id, residual in entries:
+            rows.add(check_id, loc, 0.0, residual, 1e-6)
+        if contact is not None:
+            rows.add("curvature.table_vs_contact_form", loc, 0.0, contact[k], 1e-9)
 
     if nu == -1.0:
-        count = 0
-        while count < 5 * samples:
+        planes = []
+        while len(planes) < 5 * samples:
             x, y = random_frame_vector(rng), random_frame_vector(rng)
             den = g_frame(x, x, nu) * g_frame(y, y, nu) - g_frame(x, y, nu) ** 2
-            if abs(den) < 0.1:
-                continue
-            rows.add(
-                "curvature.sectional_constant",
-                f"plane{count:04d}",
-                -1.0,
-                sectional_curvature(x, y, nu),
-                1e-8,
-            )
-            count += 1
+            if abs(den) >= 0.1:
+                planes.append((x, y))
+        x, y = np.array(planes).transpose(1, 0, 2)
+        for k, value in enumerate(sectional_curvature(x, y, nu).tolist()):
+            rows.add("curvature.sectional_constant", f"plane{k:04d}", -1.0, value, 1e-8)
     if nu == 1.0:
-        for k in range(samples):
-            a = rng.uniform(0.0, 2.0 * math.pi)
-            x = np.array([math.cos(a), math.sin(a), 0.0])
-            fx = metric.apply_f(x)
-            rows.add(
-                "curvature.holomorphic_sectional",
-                f"hvec{k:03d}",
-                -7.0,
-                sectional_curvature(x, fx, nu),
-                1e-8,
-            )
+        a = rng.uniform(0.0, 2.0 * math.pi, samples)
+        x = np.stack([np.cos(a), np.sin(a), np.zeros(samples)], axis=-1)
+        for k, value in enumerate(sectional_curvature(x, apply_f(x), nu).tolist()):
+            rows.add("curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, value, 1e-8)
         rows.add(
             "curvature.sectional_e1_e3",
             "frame",
@@ -234,12 +217,17 @@ def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCo
 
 
 def run_sasaki(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
-    names = ("f_squared", "d_eta_pairing", "f_compatibility", "xi_derivative", "f_derivative")
+    """The five contact-metric identities at random chart points, on random
+    frame vectors X and Y: one evaluation over all samples."""
+    # Per sample: the chart point (x, y, theta), then X, then Y.
+    lows = (-2.0, 0.2, 0.0) + (-1.0,) * 6
+    highs = (2.0, 5.0, 2.0 * math.pi) + (1.0,) * 6
+    draws = rng.uniform(lows, highs, (samples, 9))
+    res = sasaki_residuals(ChartPoint(*draws[:, :3].T), draws[:, 3:6], draws[:, 6:], nu)
+    columns = [(f"sasaki.{name}", values.tolist()) for name, values in zip(res._fields, res)]
     for k in range(samples):
-        p = random_chart_point(rng)
-        res = sasaki_residuals(p, random_frame_vector(rng), random_frame_vector(rng), nu)
-        for name, value in zip(names, res):
-            rows.add(f"sasaki.{name}", f"p{k:03d}", 0.0, value, 1e-6)
+        for check_id, values in columns:
+            rows.add(check_id, f"p{k:03d}", 0.0, values[k], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +388,7 @@ def lightcone(spec: FamilySpec) -> Family:
     def rows(u, v, nu):
         pt = surface_shape(s, u, v, nu)
         h = pt.shape.mean_curvature
-        profile_jet = zip(*_lists((profile.y(u), profile.yp(u), profile.ypp(u))))
-        closed = [lightcone_mean_curvature(y, yp, ypp, nu) for y, yp, ypp in profile_jet]
+        closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
         checks = [("family.lightcone_closed_vs_pipeline_H", closed, h, 1e-6)]
         if nu == -1.0:
             checks += [
@@ -412,7 +399,7 @@ def lightcone(spec: FamilySpec) -> Family:
             if p["profile"] == "umbilic":
                 checks += [
                     ("family.lightcone_umbilic_defect", 0.0, pt.shape.umbilic_defect, 1e-6),
-                    ("family.lightcone_riccati", 0.0, [riccati_residual(profile, a) for a in u.tolist()], 1e-7),
+                    ("family.lightcone_riccati", 0.0, riccati_residual(profile, u), 1e-7),
                 ]
         if nu == 1.0 and p["profile"] == "minimal":
             checks.append(("family.lightcone_minimal", 0.0, h, 1e-6))
@@ -469,6 +456,15 @@ def _lists(columns) -> list:
     return [np.asarray(c).tolist() for c in columns]
 
 
+def _columns(checks, shape) -> list:
+    """Checks (check_id, expected, computed, tolerance), each value one per
+    point or a constant, with the values as per-point lists."""
+    return [
+        (check_id, *_lists(np.broadcast_to(x, shape) for x in (expected, computed)), tol)
+        for check_id, expected, computed, tol in checks
+    ]
+
+
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
     fam = build_family(spec)
     if fam.surface is None:  # quadric samples: u around the circle, v across [-1, 1], u-major
@@ -477,10 +473,7 @@ def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColl
     else:
         u, v = grid_samples(fam.surface, grid[0], grid[1])
     # Each point's rows in check order, the points in grid order.
-    checks = [
-        (check_id, *_lists(np.broadcast_to(x, u.shape) for x in (expected, computed)), tol)
-        for check_id, expected, computed, tol in fam.rows(u, v, nu)
-    ]
+    checks = _columns(fam.rows(u, v, nu), u.shape)
     for k, (a, b) in enumerate(zip(*_lists((u, v)))):
         loc = f"({a:.3f},{b:.3f})"
         for check_id, expected, computed, tol in checks:
@@ -502,37 +495,41 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     cls = classify_gauss_map(s, grid=grid)
     loc = spec.describe()
     rows.add("gauss.h_constant", loc, 0.0, cls.evidence["h_spread"], 1e-5)
-    rows.add_bool("gauss.conformal", loc, expect_conf, cls.conformal)
-    rows.add_bool("gauss.vertically_harmonic", loc, expect_vh, cls.vertically_harmonic)
-    rows.add_bool("gauss.harmonic", loc, expect_harm, cls.harmonic)
+    # The classification as 0/1 values, judged with tolerance 0.5.
+    rows.add("gauss.conformal", loc, expect_conf, cls.conformal, 0.5)
+    rows.add("gauss.vertically_harmonic", loc, expect_vh, cls.vertically_harmonic, 0.5)
+    rows.add("gauss.harmonic", loc, expect_harm, cls.harmonic, 0.5)
     if expect_vh:
         rows.add("gauss.vertical_residual", loc, 0.0, cls.evidence["max_vertical"], 1e-7)
     if expect_harm:
         rows.add("gauss.horizontal_gap", loc, 0.0, cls.evidence["max_horizontal_gap"], 1e-7)
 
-    # Closed forms from the classification argument, at a few grid points.
-    for u, v in zip(*_lists(grid_samples(s, 4, 4))):
-        pt = surface_shape(s, u, v, 1.0)
-        n = pt.normal
-        loc_k = f"({u:.3f},{v:.3f})"
-        if abs(n[2]) > 1e-9:
-            nc = gaussmap.NormalComponents(n[0], n[1], n[2])
-            v1, v2 = gaussmap.oblique_frame(nc)
-            rv1 = curvature(v1, v2, v1, 1.0)
-            rv2 = curvature(v1, v2, v2, 1.0)
-            c1, c2 = gaussmap.oblique_vertical_closed_forms(nc)
-            rows.add("gauss.oblique_form_1", loc_k, c1, g_frame(rv1, n, 1.0), 1e-8)
-            rows.add("gauss.oblique_form_2", loc_k, c2, g_frame(rv2, n, 1.0), 1e-8)
-        else:
-            comps = frame_curvature_components_at(pt)
-            mu_p = gaussmap.principal_angle_from_shape(pt.shape.mean_curvature)
-            exp_3113, exp_3223 = gaussmap.cylinder_principal_components(mu_p)
-            rows.add("gauss.cylinder_r3113", loc_k, exp_3113, comps.r3113, 1e-8)
-            rows.add("gauss.cylinder_r3223", loc_k, exp_3223, comps.r3223, 1e-8)
-            s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
-            rows.add("gauss.sff_11", loc_k, 2.0 * pt.shape.mean_curvature, s11, 1e-6)
-            rows.add("gauss.sff_12", loc_k, 1.0, s12, 1e-6)
-            rows.add("gauss.sff_22", loc_k, 0.0, s22, 1e-6)
+    # Closed forms from the classification argument at a 4x4 grid, both
+    # cases evaluated over all points; each point reports the case its
+    # normal falls in (c != 0 oblique, c == 0 cylinder).
+    u, v = grid_samples(s, 4, 4)
+    pt = surface_shape(s, u, v, 1.0)
+    n, h = pt.normal, pt.shape.mean_curvature
+    v1, v2 = gaussmap.oblique_frame(n)
+    c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
+    oblique = [
+        ("gauss.oblique_form_1", c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0), 1e-8),
+        ("gauss.oblique_form_2", c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0), 1e-8),
+    ]
+    comps = frame_curvature_components_at(pt)
+    exp_3113, exp_3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
+    s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
+    cylinder = [
+        ("gauss.cylinder_r3113", exp_3113, comps.r3113, 1e-8),
+        ("gauss.cylinder_r3223", exp_3223, comps.r3223, 1e-8),
+        ("gauss.sff_11", 2.0 * h, s11, 1e-6),
+        ("gauss.sff_12", 1.0, s12, 1e-6),
+        ("gauss.sff_22", 0.0, s22, 1e-6),
+    ]
+    cases = {True: _columns(oblique, u.shape), False: _columns(cylinder, u.shape)}
+    for k, (a, b, c) in enumerate(zip(*_lists((u, v, n[:, 2])))):
+        for check_id, expected, computed, tol in cases[abs(c) > 1e-9]:
+            rows.add(check_id, f"({a:.3f},{b:.3f})", expected[k], computed[k], tol)
 
 
 # ---------------------------------------------------------------------------

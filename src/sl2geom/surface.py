@@ -39,6 +39,11 @@ RANK_TOL = 1e-10
 TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this: degenerate plane or null normal
 
 
+def _dot(a, b) -> np.ndarray:
+    """Euclidean dot product over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _require(ok, message: str, at: tuple = (), value=None) -> None:
     """Raise ValueError unless ``ok`` holds at every sample point, naming the
     first failing point by the coordinates ``at`` and its offending ``value``."""
@@ -175,8 +180,7 @@ def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
     fu = coordinate_to_frame(p, du)
     fv = coordinate_to_frame(p, dv)
 
-    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
-    gram = dot(fu, fu) * dot(fv, fv) - dot(fu, fv) ** 2
+    gram = _dot(fu, fu) * _dot(fv, fv) - _dot(fu, fv) ** 2
     _require(gram >= RANK_TOL, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
 
     return SurfaceJet(
@@ -201,13 +205,12 @@ def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
     return np.stack([g1, g2, tab + g1], axis=-1)
 
 
-def first_form(j: SurfaceJet, nu: float | None = None) -> FundamentalForm:
+def first_form(j: SurfaceJet) -> FundamentalForm:
     """Induced metric coefficients I_ab = g(phi_a, phi_b)."""
-    nu = j.nu if nu is None else _require_nu(nu)
     return FundamentalForm(
-        g_frame(j.phi_u, j.phi_u, nu),
-        g_frame(j.phi_u, j.phi_v, nu),
-        g_frame(j.phi_v, j.phi_v, nu),
+        g_frame(j.phi_u, j.phi_u, j.nu),
+        g_frame(j.phi_u, j.phi_v, j.nu),
+        g_frame(j.phi_v, j.phi_v, j.nu),
     )
 
 
@@ -220,7 +223,7 @@ def _default_orientation_sign(n: np.ndarray) -> np.ndarray:
     return sign
 
 
-def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.ndarray:
+def unit_normal(j: SurfaceJet, orient_hint=None) -> np.ndarray:
     """Unit normal in frame components: g(n, phi_u) = g(n, phi_v) = 0 and
     |g(n, n)| = 1.
 
@@ -229,9 +232,9 @@ def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.
     convention prefers a positive e2 component, then e1, then e3, unless an
     orientation hint vector is supplied, in which case g(n, hint) > 0.
     """
-    nu = j.nu if nu is None else _require_nu(nu)
+    nu = j.nu
     at = (j.point.x, j.point.y, j.point.theta)
-    det = first_form(j, nu).det
+    det = first_form(j).det
     _require(np.abs(det) >= TANGENT_PLANE_TOL, "tangent plane is degenerate (gram)", at, det)
     c = np.cross(j.phi_u, j.phi_v)
     n = np.stack([c[..., 0], c[..., 1], c[..., 2] / nu], axis=-1)
@@ -245,9 +248,9 @@ def unit_normal(j: SurfaceJet, nu: float | None = None, orient_hint=None) -> np.
     return sign[..., None] * n
 
 
-def second_form(j: SurfaceJet, n: np.ndarray, nu: float | None = None) -> FundamentalForm:
+def second_form(j: SurfaceJet, n: np.ndarray) -> FundamentalForm:
     """Second fundamental form coefficients II_ab = g(D_a phi_b, n) / g(n, n)."""
-    nu = j.nu if nu is None else _require_nu(nu)
+    nu = j.nu
     eps = g_frame(n, n, nu)
     return FundamentalForm(
         g_frame(j.d_uu, n, nu) / eps,
@@ -256,7 +259,7 @@ def second_form(j: SurfaceJet, n: np.ndarray, nu: float | None = None) -> Fundam
     )
 
 
-def shape_data(I: FundamentalForm, II: FundamentalForm, tol: float = 1e-12) -> ShapeData:
+def shape_data(I: FundamentalForm, II: FundamentalForm) -> ShapeData:
     """Invariants of the shape operator S = I^-1 II.
 
     H = tr(S)/2, det S = det II / det I, discriminant = H^2 - det S,
@@ -265,6 +268,7 @@ def shape_data(I: FundamentalForm, II: FundamentalForm, tol: float = 1e-12) -> S
     of det I (a negative-definite induced metric is reported "riemannian";
     only the degenerate/Lorentzian distinction matters here).
     """
+    tol = 1e-12
     det_i = I.det
     _require(np.abs(det_i) >= tol, "first fundamental form is degenerate", value=det_i)
     h = (II.E * I.G - 2.0 * II.F * I.F + II.G * I.E) / (2.0 * det_i)
@@ -300,22 +304,22 @@ def surface_shape(s: Immersion, u, v, nu: float) -> SurfacePointData:
     """
     j = jet(s, u, v, nu)
     hint = s.orient(j) if s.orient is not None else None
-    n = unit_normal(j, nu, orient_hint=hint)
-    q = g_frame(n, n, nu)
+    n = unit_normal(j, orient_hint=hint)
+    q = g_frame(n, n, j.nu)
     _require(q >= 0.0, "surface has a timelike unit normal, out of scope,", (u, v), q)
-    I = first_form(j, nu)
-    II = second_form(j, n, nu)
+    I = first_form(j)
+    II = second_form(j, n)
     return SurfacePointData(j, n, I, II, shape_data(I, II))
 
 
 def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:
-    """Coefficients (a, b) with w = a phi_u + b phi_v, for a tangent w given
-    in frame components (least squares against the Euclidean Gram matrix,
-    exact for true tangent vectors)."""
+    """Coefficients (a, b), shape (..., 2), with w = a phi_u + b phi_v, for
+    a tangent w given in frame components, (3,) or (N, 3) (least squares
+    against the Euclidean Gram matrix, exact for true tangent vectors)."""
     a, b, w = j.phi_u, j.phi_v, np.asarray(w, dtype=float)
-    g11, g12, g22, ra, rb = (float(x @ y) for x, y in ((a, a), (a, b), (b, b), (a, w), (b, w)))
+    g11, g12, g22, ra, rb = (_dot(x, y) for x, y in ((a, a), (a, b), (b, b), (a, w), (b, w)))
     det = g11 * g22 - g12 * g12
-    return np.array([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det])
+    return np.stack([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det], axis=-1)
 
 
 def gauss_formula_residual(pt: SurfacePointData) -> float:
@@ -325,17 +329,15 @@ def gauss_formula_residual(pt: SurfacePointData) -> float:
     worst = 0.0
     for dd, coeff in ((j.d_uu, II.E), (j.d_uv, II.F), (j.d_vv, II.G)):
         ab = tangent_coordinates(j, dd - coeff * n)
-        recon = ab[0] * j.phi_u + ab[1] * j.phi_v + coeff * n
+        recon = ab[..., :1] * j.phi_u + ab[..., 1:] * j.phi_v + coeff * n
         worst = max(worst, float(np.abs(dd - recon).max()))
     return worst
 
 
-def intrinsic_gauss_curvature(
-    s: Immersion, u, v, nu: float, rel_step: float = 1e-4, first: FundamentalForm | None = None
-) -> float:
+def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalForm | None = None) -> float:
     """Gauss curvature of the induced metric, independent of the second
     fundamental form, by central differences of (E, F, G) on a 3x3 stencil
-    and the determinant formula
+    with steps h = 1e-4 times the domain spans, and the determinant formula
 
         K = (det M1 - det M2) / (E G - F^2)^2,
 
@@ -355,8 +357,8 @@ def intrinsic_gauss_curvature(
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     dom = s.domain
-    hu = rel_step * dom.span_u
-    hv = rel_step * dom.span_v
+    hu = 1e-4 * dom.span_u
+    hv = 1e-4 * dom.span_v
     _require(
         dom.contains(u, v, margin_u=2.0 * hu, margin_v=2.0 * hv),
         "intrinsic curvature needs an interior stencil: point within 2h of the domain boundary",
@@ -394,10 +396,11 @@ def intrinsic_gauss_curvature(
     return (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
 
 
-def check_analytic_partials(s: Immersion, u: float, v: float, h: float = 1e-5) -> float:
+def check_analytic_partials(s: Immersion, u: float, v: float) -> float:
     """Max-norm disagreement, in frame components, between the tangents of
-    ``jet2`` and central differences of ``Immersion.chart`` at a point (the
-    dual-path consistency check)."""
+    ``jet2`` and central differences of ``Immersion.chart`` with step 1e-5
+    at a point (the dual-path consistency check)."""
+    h = 1e-5
     (x, y, th), du, dv, *_ = s.jet2(u, v)
     p = ChartPoint(x, y, th)
 

@@ -25,7 +25,6 @@ from sl2geom.families import (
     umbilic_profile,
 )
 from sl2geom.gaussmap import (
-    NormalComponents,
     classify_gauss_map,
     cylinder_curvature_values,
     cylinder_frame,
@@ -285,9 +284,8 @@ def test_criterion_08_gauss_map_classification():
         n /= np.linalg.norm(n)
         if abs(n[2]) < 1e-2:
             continue
-        nc = NormalComponents(*n)
-        v1, v2 = oblique_frame(nc)
-        want1, want2 = oblique_vertical_closed_forms(nc)
+        v1, v2 = oblique_frame(n)
+        want1, want2 = oblique_vertical_closed_forms(n)
         got1 = g_frame(curvature(v1, v2, v1, 1.0), n, 1.0)
         got2 = g_frame(curvature(v1, v2, v2, 1.0), n, 1.0)
         worst_oblique = max(worst_oblique, abs(got1 - want1), abs(got2 - want2))

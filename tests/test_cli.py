@@ -1,14 +1,25 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sl2geom import cli, families, suites
+from sl2geom import cli, families, gaussmap, metric, suites
 from sl2geom.cli import main, read_config_file
-from sl2geom.metric import connection_table, constant_field, covariant_derivative
+from sl2geom.metric import (
+    apply_f,
+    connection_table,
+    constant_field,
+    covariant_derivative,
+    curvature,
+    curvature_contact_form,
+    g_frame,
+    sasaki_residuals,
+    sectional_curvature,
+)
 from sl2geom.suites import (
     ALL_ROSTER_FAMILIES,
     ALL_ROSTER_GAUSS,
@@ -19,13 +30,18 @@ from sl2geom.suites import (
     build_family,
     parse_family_spec,
     random_chart_point,
+    random_frame_vector,
     render_rows,
     rows_passed,
     run_connection,
+    run_curvature,
     run_family,
+    run_gauss,
+    run_sasaki,
     run_suite,
     surface_report,
 )
+from sl2geom.surface import surface_shape
 
 
 def run_cli(args, **kwargs):
@@ -95,6 +111,9 @@ class TestSuiteConfig:
             SuiteConfig(grid=(1, 8)).validate()
         with pytest.raises(ValueError):
             SuiteConfig(fmt="xml").validate()
+        with pytest.raises(ValueError, match="nu"):
+            SuiteConfig(nu=-1.0001e4).validate()
+        SuiteConfig(nu=-1e4).validate()
 
     def test_row_invariant(self):
         rows = run_suite(SuiteConfig(suite="sasaki", nu=1.0, samples=5, seed=1))
@@ -146,6 +165,112 @@ class TestConnectionSuite:
         assert all(r.passed for r in rows if r.check_id != "connection.table_vs_koszul[12]")
 
 
+def curvature_rows_per_point(nu, samples, rng):
+    """run_curvature as one evaluation per sample point, the reference for
+    the batched suite."""
+    rows = RowCollector()
+    for k in range(samples):
+        loc = f"p{k:03d}"
+        for (i, j, l), claim in suites._curvature_entry_claims(nu):
+            residual = float(np.abs(curvature(i, j, l, nu) - claim).max())
+            rows.add(f"curvature.entry[{i}{j}{l}]", loc, 0.0, residual, 1e-6)
+        if nu in (1.0, -1.0):
+            x, y, z = (random_frame_vector(rng) for _ in range(3))
+            diff = curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)
+            rows.add("curvature.table_vs_contact_form", loc, 0.0, float(np.abs(diff).max()), 1e-9)
+    if nu == -1.0:
+        count = 0
+        while count < 5 * samples:
+            x, y = random_frame_vector(rng), random_frame_vector(rng)
+            den = g_frame(x, x, nu) * g_frame(y, y, nu) - g_frame(x, y, nu) ** 2
+            if abs(den) < 0.1:
+                continue
+            rows.add("curvature.sectional_constant", f"plane{count:04d}", -1.0, sectional_curvature(x, y, nu), 1e-8)
+            count += 1
+    if nu == 1.0:
+        for k in range(samples):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            x = np.array([math.cos(a), math.sin(a), 0.0])
+            rows.add("curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, sectional_curvature(x, apply_f(x), nu), 1e-8)
+        e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+        rows.add("curvature.sectional_e1_e3", "frame", 1.0, sectional_curvature(e1, e3, nu), 1e-8)
+    return rows.rows
+
+
+class TestCurvatureSuite:
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5])
+    def test_batched_rows_match_a_per_point_loop(self, nu):
+        rows = RowCollector()
+        run_curvature(nu, 12, np.random.default_rng(4), rows)
+        assert rows.rows == curvature_rows_per_point(nu, 12, np.random.default_rng(4))
+
+
+class TestSasakiSuite:
+    @pytest.mark.parametrize("nu", [1.0, -1.0, -0.5])
+    def test_batched_rows_match_a_per_point_loop(self, nu):
+        rows = RowCollector()
+        run_sasaki(nu, 9, np.random.default_rng(6), rows)
+        rng, expected = np.random.default_rng(6), RowCollector()
+        for k in range(9):
+            p = random_chart_point(rng)
+            res = sasaki_residuals(p, random_frame_vector(rng), random_frame_vector(rng), nu)
+            for name, value in zip(res._fields, res):
+                expected.add(f"sasaki.{name}", f"p{k:03d}", 0.0, value, 1e-6)
+        assert rows.rows == expected.rows
+
+    def test_one_d_eta_call_per_run(self, monkeypatch):
+        calls = []
+        original = metric.d_eta
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(metric, "d_eta", counting)
+        run_sasaki(1.0, 7, np.random.default_rng(0), RowCollector())
+        assert len(calls) == 1
+
+
+class TestGaussSuite:
+    @pytest.mark.parametrize("spec", ALL_ROSTER_GAUSS + ["hopf_cylinder(curve=hypercycle,kappa=1)"])
+    def test_closed_form_rows_match_a_per_point_loop(self, spec):
+        rows = RowCollector()
+        run_gauss(parse_family_spec(spec), 1.0, (6, 6), rows)
+        closed_rows = [r for r in rows.rows if r.location.startswith("(")]
+        s, expected = build_family(parse_family_spec(spec)).surface, RowCollector()
+        for u, v in zip(*(a.tolist() for a in gaussmap.grid_samples(s, 4, 4))):
+            pt = surface_shape(s, u, v, 1.0)
+            n, h, loc = pt.normal, pt.shape.mean_curvature, f"({u:.3f},{v:.3f})"
+            if abs(n[2]) > 1e-9:
+                v1, v2 = gaussmap.oblique_frame(n)
+                c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
+                expected.add("gauss.oblique_form_1", loc, c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0), 1e-8)
+                expected.add("gauss.oblique_form_2", loc, c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0), 1e-8)
+            else:
+                comps = gaussmap.frame_curvature_components_at(pt)
+                e3113, e3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
+                expected.add("gauss.cylinder_r3113", loc, e3113, comps.r3113, 1e-8)
+                expected.add("gauss.cylinder_r3223", loc, e3223, comps.r3223, 1e-8)
+                s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
+                expected.add("gauss.sff_11", loc, 2.0 * h, s11, 1e-6)
+                expected.add("gauss.sff_12", loc, 1.0, s12, 1e-6)
+                expected.add("gauss.sff_22", loc, 0.0, s22, 1e-6)
+        assert closed_rows == expected.rows
+
+    def test_closed_block_is_one_surface_shape_call_per_spec(self, monkeypatch):
+        calls = []
+        original = suites.surface_shape
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(suites, "surface_shape", counting)
+        for spec in ALL_ROSTER_GAUSS:
+            run_gauss(parse_family_spec(spec), 1.0, (4, 4), RowCollector())
+        assert len(calls) == len(ALL_ROSTER_GAUSS)
+
+
 class TestReportRendering:
     def test_csv_shape(self):
         cfg = SuiteConfig(suite="sasaki", nu=1.0, samples=3, seed=0, fmt="csv")
@@ -193,6 +318,11 @@ class TestReportRendering:
         assert rows["gauss.vertically_harmonic"].computed == 1.0
         assert rows["gauss.harmonic"].computed == 0.0
         assert rows_passed(list(rows.values()))
+        # 0/1 rows judged with tolerance 0.5 still pass under a tight --tol.
+        cfg.tol = 1e-30
+        tight = {r.check_id: r for r in run_suite(cfg)}
+        for check_id in ("gauss.conformal", "gauss.vertically_harmonic", "gauss.harmonic"):
+            assert tight[check_id] == rows[check_id]
 
 
 class TestCommandLine:
@@ -221,6 +351,14 @@ class TestCommandLine:
     def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "rows.json"
         assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--out", str(out)]))
+
+    def test_nu_beyond_the_bound_is_a_usage_error(self, capsys):
+        assert main(["--suite", "connection", "--nu", "1e6", "--samples", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("verify: |nu|")
+        for suite in ("connection", "sasaki"):
+            assert main(["--suite", suite, "--nu", "1e4", "--samples", "20"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_underflowing_chart_height_is_a_usage_error(self):
         res = run_cli(
@@ -357,6 +495,9 @@ GOLDEN_STDOUT = {
     "--suite connection --nu -1 --samples 400 --seed 1": "21cb124ea3f56fa36b0e407b50d5dc34557a71bca2c7758863078ad11b804d65",
     "--suite all --seed 42": "11166abd1f905172214a914cd66e015b876695b0265214d278b1e81c176a9905",
     "--report --suite family --family conoid(mu=0.7) --grid 64x64": "8147e1ecfa830b9694b121747f929799fb7d2d6b76e0b465364b4ec0846ec571",
+    # The nu outside {1, -1} branches, which --suite all never runs.
+    "--suite curvature --nu 2.5 --seed 3": "957643a0da5e844ff64b217b0d7c5098e16674b4c2c207745e14011be9a3cac8",
+    "--suite sasaki --nu -0.5 --seed 3": "da5e34b493aac19642e8515be583cee3e7976ea8b0a4574e3385ac255bf83d77",
 }
 
 # SHA-256 of the ordered [check_id, location] keys of --suite all --seed 42.

@@ -34,7 +34,9 @@ from sl2geom.families import (
     umbilic_ode_residual,
     umbilic_profile,
 )
-from sl2geom.surface import surface_shape
+from sl2geom.gaussmap import grid_samples
+from sl2geom.suites import SuiteConfig, rows_passed, run_suite
+from sl2geom.surface import jet, surface_shape
 
 
 def fd_geodesic_curvature(c: HyperbolicCurve, v: float, h: float = 1e-5) -> float:
@@ -213,8 +215,12 @@ class TestConoid:
             assert np.abs(g_conoid - g_cyl).max() < 1e-12
 
     def test_positive_v_required(self):
-        with pytest.raises(ValueError):
-            conoid(lambda u: u, lambda u: 1.0, lambda u: 0.0, v_range=(-1.0, 1.0))
+        # v is the chart height y: the conoid's domain stays in v > 0, and
+        # the chart refuses a point below it.
+        s = conoid(lambda u: u, lambda u: 1.0, lambda u: 0.0)
+        assert s.domain.v0 > 0.0
+        with pytest.raises(ValueError, match="y must be positive"):
+            jet(s, 0.3, -0.5, 1.0)
 
 
 class TestHelicoidalMotion:
@@ -268,6 +274,17 @@ class TestLightconeSurface:
     def test_closed_form_requires_positive_profile(self):
         with pytest.raises(ValueError):
             lightcone_mean_curvature(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0, 10.0, -2.0, -5.0])
+    def test_closed_form_matches_pipeline_off_the_canonical_metrics(self, nu):
+        for profile in (minimal_profile(1.0, 0.0), umbilic_profile(1.0, 0.0), trig_profile(2.0, [(0.2, 0.1)])):
+            s = lightcone_surface(profile)
+            u, v = grid_samples(s, 9, 3)
+            h = surface_shape(s, u, v, nu).shape.mean_curvature
+            closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
+            assert np.abs(closed - h).max() < 1e-12
+        for spec in ("lightcone(profile=minimal)", "lightcone(profile=umbilic)", "lightcone(profile=trig)"):
+            assert rows_passed(run_suite(SuiteConfig(suite="family", family=spec, nu=nu, grid=(6, 6))))
 
 
 class TestProfiles:

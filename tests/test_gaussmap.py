@@ -16,7 +16,6 @@ from sl2geom.families import (
     trig_profile,
 )
 from sl2geom.gaussmap import (
-    NormalComponents,
     classify_gauss_map,
     cylinder_curvature_values,
     cylinder_frame,
@@ -35,10 +34,9 @@ from sl2geom.metric import curvature, g_frame
 from sl2geom.surface import FundamentalForm, surface_shape
 
 
-def random_unit_normal(rng) -> NormalComponents:
+def random_unit_normal(rng) -> np.ndarray:
     v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return NormalComponents(*v)
+    return v / np.linalg.norm(v)
 
 
 class TestNormalComponents:
@@ -46,13 +44,11 @@ class TestNormalComponents:
         for curve in (geodesic(), horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
             for (u, v) in ((0.3, 0.1), (2.0, 0.4)):
-                nc = normal_components(s, u, v)
-                assert abs(nc.c) < 1e-12
+                assert abs(normal_components(s, u, v)[2]) < 1e-12
 
     def test_flat_profile_normal(self):
         s = lightcone_surface(trig_profile(2.0, []))
-        nc = normal_components(s, 0.3, 0.0)
-        assert np.allclose(nc.vector, [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(normal_components(s, 0.3, 0.0), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_unit_norm(self, rng):
         for builder in (
@@ -64,8 +60,8 @@ class TestNormalComponents:
             for _ in range(170):
                 u = float(rng.uniform(s.domain.u0 + 0.1, s.domain.u1 - 0.1))
                 v = float(rng.uniform(s.domain.v0 + 0.1, s.domain.v1 - 0.1))
-                nc = normal_components(s, u, v)
-                assert abs(nc.a**2 + nc.b**2 + nc.c**2 - 1.0) < 1e-8
+                a, b, c = normal_components(s, u, v)
+                assert abs(a**2 + b**2 + c**2 - 1.0) < 1e-8
 
 
 class TestPrincipalFrame:
@@ -153,15 +149,14 @@ class TestCurvatureComponents:
 
     def test_oblique_closed_forms_on_random_normals(self, rng):
         for _ in range(300):
-            nc = random_unit_normal(rng)
-            if abs(nc.c) < 1e-3:
+            n = random_unit_normal(rng)
+            if abs(n[2]) < 1e-3:
                 continue
-            v1, v2 = oblique_frame(nc)
-            n = nc.vector
+            v1, v2 = oblique_frame(n)
             assert abs(g_frame(v1, n, 1.0)) < 1e-12
             assert abs(g_frame(v2, n, 1.0)) < 1e-12
             assert abs(g_frame(v1, v2, 1.0)) < 1e-12
-            want1, want2 = oblique_vertical_closed_forms(nc)
+            want1, want2 = oblique_vertical_closed_forms(n)
             got1 = g_frame(curvature(v1, v2, v1, 1.0), n, 1.0)
             got2 = g_frame(curvature(v1, v2, v2, 1.0), n, 1.0)
             assert abs(got1 - want1) < 1e-8

@@ -6,13 +6,16 @@ import pytest
 
 from sl2geom.core import ChartPoint
 from sl2geom.metric import (
+    apply_f,
     connection_table,
     constant_field,
     coordinate_to_frame,
     covariant_derivative,
     curvature,
     curvature_contact_form,
+    d_eta,
     directional_derivative,
+    eta_coordinate_components,
     eta_value,
     fd_step,
     frame_at,
@@ -208,6 +211,43 @@ class TestBatchedOracle:
                 single = [covariant_derivative(u, v, q, nu, method=method) for q in one_point_views(p)]
                 assert batch.shape == (50, 3)
                 np.testing.assert_array_equal(batch, np.array(single))
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5, -0.5])
+    def test_contact_and_sectional_helpers_batch_equals_one_point_bitwise(self, rng, nu):
+        p = batch_points(rng, 40)
+        x, y, z = rng.uniform(-1.0, 1.0, (3, 40, 3))
+        views = list(zip(one_point_views(p), x, y, z))
+        with np.errstate(all="raise"):
+            batched = {
+                "curvature_contact_form": curvature_contact_form(x, y, z, nu),
+                "sectional_curvature": sectional_curvature(x, y, nu),
+                "apply_f": apply_f(x),
+                "eta_value": eta_value(x),
+                "eta_coordinate_components": eta_coordinate_components(p),
+                "d_eta": d_eta(x, y, p),
+            }
+            single = {
+                "curvature_contact_form": [curvature_contact_form(a, b, c, nu) for _, a, b, c in views],
+                "sectional_curvature": [sectional_curvature(a, b, nu) for _, a, b, _ in views],
+                "apply_f": [apply_f(a) for _, a, _, _ in views],
+                "eta_value": [eta_value(a) for _, a, _, _ in views],
+                "eta_coordinate_components": [eta_coordinate_components(q) for q, _, _, _ in views],
+                "d_eta": [d_eta(a, b, q) for q, a, b, _ in views],
+            }
+            res = sasaki_residuals(p, x, y, nu)
+            res_single = [sasaki_residuals(q, a, b, nu) for q, a, b, _ in views]
+        for name, value in batched.items():
+            assert value.shape[0] == 40, name
+            np.testing.assert_array_equal(value, np.array(single[name]), err_msg=name)
+        for field, column in zip(res._fields, res):
+            np.testing.assert_array_equal(column, [getattr(r, field) for r in res_single], err_msg=field)
+        np.testing.assert_array_equal(res.max(), [r.max() for r in res_single])
+
+    def test_degenerate_plane_in_a_batch_is_rejected(self):
+        x = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        y = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="degenerate"):
+            sectional_curvature(x, y, 1.0)
 
     def test_y_clamp_binds_in_the_batch(self):
         p = ChartPoint(np.zeros(2), np.array([1e-6, 1.0]), np.zeros(2))

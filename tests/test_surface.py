@@ -18,9 +18,18 @@ from sl2geom.families import (
     trig_profile,
     umbilic_profile,
 )
+from sl2geom import gaussmap
+from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution
 from sl2geom.gaussmap import grid_samples
 from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame
-from sl2geom.suites import ALL_ROSTER_FAMILIES, SuiteConfig, build_family, parse_family_spec, surface_report
+from sl2geom.suites import (
+    ALL_ROSTER_FAMILIES,
+    ALL_ROSTER_GAUSS,
+    SuiteConfig,
+    build_family,
+    parse_family_spec,
+    surface_report,
+)
 from sl2geom.surface import (
     Domain,
     FundamentalForm,
@@ -33,22 +42,24 @@ from sl2geom.surface import (
     second_form,
     shape_data,
     surface_shape,
+    tangent_coordinates,
     unit_normal,
 )
 
 
 def lightcone_closed_forms(profile, u, nu):
     """The closed-form jet, normal, and second-form data of the null-orbit
-    family, for comparison against the generic pipeline."""
+    family, for comparison against the generic pipeline; the second-form
+    displays hold at nu = +-1."""
     y, yp, ypp = profile.y(u), profile.yp(u), profile.ypp(u)
     half = yp / (2.0 * y)
-    alpha = math.sqrt(1.0 + (1.0 + nu) * half * half)
+    alpha = math.sqrt(1.0 + (1.0 + 1.0 / nu) * half * half)
     phi_u = np.array([0.0, half, 1.0])
     phi_v = np.array([1.0 / (2.0 * y), 0.0, 1.0 / (2.0 * y)])
     d_uu = np.array([-nu * yp / y, ypp / (2.0 * y) - half * yp / y, 0.0])
     d_uv = np.array([-yp * (nu + 2.0), 2.0 * nu * y, -yp]) / (4.0 * y * y)
     d_vv = np.array([0.0, (nu + 1.0) / (2.0 * y * y), 0.0])
-    normal = np.array([half, 1.0, -nu * half]) / alpha
+    normal = np.array([half, 1.0, -half / nu]) / alpha
     II = {
         "uu": (-(1.0 + nu) * yp * yp + ypp * y) / (2.0 * alpha * y * y),
         "uv": (-(1.0 + nu) * yp * yp + 4.0 * nu * y * y) / (8.0 * alpha * y**3),
@@ -220,6 +231,54 @@ class TestBatchPath:
             assert (one.first.E, one.first.F, one.first.G) == (pt.first.E[i], pt.first.F[i], pt.first.G[i])
             assert intrinsic_gauss_curvature(s, u, v, nu) == k_batch[i]
 
+    @pytest.mark.parametrize("spec", ALL_ROSTER_GAUSS + ["hopf_cylinder(curve=hypercycle,kappa=1)", "conoid(mu=0.3)"])
+    def test_closed_form_helpers_batch_equals_one_point_bitwise(self, spec):
+        s = build_family(parse_family_spec(spec)).surface
+        us, vs = grid_samples(s, 5, 5)
+        pt = surface_shape(s, us, vs, 1.0)
+        n, h = pt.normal, pt.shape.mean_curvature
+        phi = np.arctan2(n[:, 1], n[:, 0])
+        mu = gaussmap.principal_angle_from_shape(h)
+
+        def helpers(pt, n, h, phi, mu):
+            return {
+                "oblique_frame": gaussmap.oblique_frame(n),
+                "oblique_vertical_closed_forms": gaussmap.oblique_vertical_closed_forms(n),
+                "cylinder_frame": gaussmap.cylinder_frame(phi),
+                "principal_angle_from_shape": (gaussmap.principal_angle_from_shape(h),),
+                "cylinder_principal_components": gaussmap.cylinder_principal_components(mu),
+                "cylinder_second_form_components": gaussmap.cylinder_second_form_components(pt),
+                "tangent_coordinates": (tangent_coordinates(pt.jet, pt.jet.d_uv),),
+            }
+
+        batched = helpers(pt, n, h, phi, mu)
+        batched["normal_components"] = (gaussmap.normal_components(s, us, vs),)
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            single = helpers(surface_shape(s, u, v, 1.0), n[i], h[i], phi[i], mu[i])
+            single["normal_components"] = (gaussmap.normal_components(s, u, v),)
+            for name, values in single.items():
+                for one, column in zip(values, batched[name]):
+                    np.testing.assert_array_equal(one, column[i], err_msg=name)
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.0, -5.0])
+    def test_lightcone_closed_forms_batch_equals_one_point_bitwise(self, nu):
+        for profile in (minimal_profile(1.0, 0.0), umbilic_profile(1.0, 0.3), trig_profile(2.0, [(0.2, 0.1)])):
+            u = np.linspace(profile.u_lo + 0.1, profile.u_hi - 0.1, 13)
+            jets = (profile.y(u), profile.yp(u), profile.ypp(u))
+            batched = {
+                "lightcone_mean_curvature": lightcone_mean_curvature(*jets, nu),
+                "riccati_substitution": riccati_substitution(profile, u),
+                "riccati_residual": riccati_residual(profile, u),
+            }
+            for i, a in enumerate(u.tolist()):
+                single = {
+                    "lightcone_mean_curvature": lightcone_mean_curvature(*(c[i] for c in jets), nu),
+                    "riccati_substitution": riccati_substitution(profile, a),
+                    "riccati_residual": riccati_residual(profile, a),
+                }
+                for name, value in single.items():
+                    assert value == batched[name][i], name
+
     def test_bad_profile_point_mid_array_is_named(self):
         s = lightcone_surface(minimal_profile(1.0, 0.0))  # y = cos(sqrt(2) u) < 0 at u = 2
         u = np.array([0.0, 0.3, 2.0, -0.4])
@@ -273,7 +332,7 @@ class TestUnitNormal:
     def test_lightcone_closed_form(self):
         profile = trig_profile(2.0, [(0.3, -0.1)])
         s = lightcone_surface(profile)
-        for nu in (1.0, -1.0):
+        for nu in (1.0, -1.0, 0.5, 2.0, 10.0, -2.0, -5.0):
             for u in (-1.0, 0.4, 1.7):
                 j = jet(s, u, 0.1, nu)
                 n = unit_normal(j, orient_hint=np.array([0.0, 1.0, 0.0]))
