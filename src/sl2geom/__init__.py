@@ -51,14 +51,12 @@ from .gaussmap import (
     principal_frame,
 )
 from .metric import (
-    CoordinateVector,
     SasakiData,
     SasakiResiduals,
     connection_table,
     covariant_derivative,
     curvature,
     curvature_contact_form,
-    frame_at,
     metric_at,
     sasaki_data,
     sasaki_residuals,

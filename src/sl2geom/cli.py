@@ -57,6 +57,16 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"report must be one of true/false/yes/no/1/0, got {text!r}") from None
+
+
 _CONFIG_KEYS = {"suite", "nu", "family", "grid", "tol", "format", "seed", "samples", "out", "report"}
 
 
@@ -114,13 +124,13 @@ def config_from_args(args: argparse.Namespace) -> SuiteConfig:
         suite=pick(args.suite, "suite", str, "all"),
         nu=pick(args.nu, "nu", float, 1.0),
         family=pick(args.family, "family", str, None),
-        grid=pick(_parse_grid(args.grid) if args.grid else None, "grid", _parse_grid, (16, 16)),
+        grid=pick(None if args.grid is None else _parse_grid(args.grid), "grid", _parse_grid, (16, 16)),
         tol=pick(args.tol, "tol", float, None),
         fmt=pick(args.format, "format", str, "json"),
         seed=pick(args.seed, "seed", int, 0),
         samples=pick(args.samples, "samples", int, 100),
         out=pick(args.out, "out", str, None),
-        report=bool(pick(args.report, "report", lambda s: s.lower() in ("1", "true", "yes"), False)),
+        report=pick(args.report, "report", _parse_bool, False),
     )
     cfg.validate()
     if cfg.report and cfg.suite != "family":

@@ -69,20 +69,6 @@ def _require_nu(nu: float) -> float:
     return float(nu)
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
-    """Tangent vector at a chart point, components in (d/dx, d/dy, d/dtheta)."""
-
-    base: ChartPoint
-    dx: float
-    dy: float
-    dtheta: float
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dtheta])
-
-
 def _comps(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
@@ -104,16 +90,6 @@ def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
             [0.0, 1.0 / (4.0 * y * y), 0.0],
             [nu / (2.0 * y), 0.0, nu],
         ]
-    )
-
-
-def frame_at(p: ChartPoint) -> tuple[CoordinateVector, CoordinateVector, CoordinateVector]:
-    """The frame (e1, e2, e3) as coordinate vectors at p."""
-    y = p.y
-    return (
-        CoordinateVector(p, 2.0 * y, 0.0, -1.0),
-        CoordinateVector(p, 0.0, 2.0 * y, 0.0),
-        CoordinateVector(p, 0.0, 0.0, 1.0),
     )
 
 

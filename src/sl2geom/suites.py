@@ -119,13 +119,27 @@ class RowCollector:
         self.rows: list[ReportRow] = []
         self.tol_override = tol_override
 
-    def add(self, check_id: str, location: str, expected: float, computed: float, tol: float):
+    def add(self, locations: list[str], checks: list[tuple], where=None):
+        """One row per location and check (check_id, expected, computed,
+        tolerance), location by location and within a location in check
+        order; ``expected`` and ``computed`` are each one value per location
+        or one constant for all.  ``where``, a (locations x checks) boolean
+        mask, keeps only the rows it marks True."""
+        ids, expected, computed, tol = zip(*checks)
+        tol = np.array(tol, dtype=float)
         if self.tol_override is not None:
-            tol = min(tol, self.tol_override)
-        residual = abs(float(computed) - float(expected))
-        self.rows.append(
-            ReportRow(check_id, location, float(expected), float(computed), residual, bool(residual <= tol))
+            tol = np.minimum(tol, self.tol_override)
+        n = len(locations)
+        expected, computed = (
+            np.column_stack([np.broadcast_to(np.asarray(x, dtype=float), n) for x in column])
+            for column in (expected, computed)
         )
+        # The kept (location, check) cells in row-major order: location-major.
+        at, check = np.nonzero(np.broadcast_to(True if where is None else where, expected.shape))
+        expected, computed, tol = expected[at, check], computed[at, check], tol[check]
+        residual = np.abs(computed - expected)
+        values = zip(expected.tolist(), computed.tolist(), residual.tolist(), (residual <= tol).tolist())
+        self.rows += [ReportRow(ids[j], locations[k], *v) for k, j, v in zip(at.tolist(), check.tolist(), values)]
 
 
 def random_chart_point(rng: np.random.Generator) -> ChartPoint:
@@ -151,14 +165,13 @@ def run_connection(nu: float, samples: int, rng: np.random.Generator, rows: RowC
     entry over all points."""
     fields = [constant_field(e) for e in np.eye(3)]
     p = ChartPoint(*np.array([astuple(random_chart_point(rng)) for _ in range(samples)]).T)
-    entries = [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    residuals = []
-    for i, j in entries:
-        oracle = covariant_derivative(fields[i - 1], fields[j - 1], p, nu, method="koszul")
-        residuals.append(np.abs(connection_table(i, j, nu) - oracle).max(1))
-    for k in range(samples):
-        for (i, j), residual in zip(entries, residuals):
-            rows.add(f"connection.table_vs_koszul[{i}{j}]", f"p{k:03d}", 0.0, float(residual[k]), 1e-5)
+    checks = []
+    for i in range(1, 4):
+        for j in range(1, 4):
+            oracle = covariant_derivative(fields[i - 1], fields[j - 1], p, nu, method="koszul")
+            residual = np.abs(connection_table(i, j, nu) - oracle).max(1)
+            checks.append((f"connection.table_vs_koszul[{i}{j}]", 0.0, residual, 1e-5))
+    rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
 
 def _curvature_entry_claims(nu: float):
@@ -177,20 +190,15 @@ def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCo
     """Curvature-table entries against the connection composition, the
     contact-structure closed form, and the constant-curvature claims; each
     check is one evaluation over all of its samples."""
-    entries = [
-        (f"curvature.entry[{i}{j}{l}]", float(np.abs(curvature(i, j, l, nu) - claim).max()))
+    checks = [
+        (f"curvature.entry[{i}{j}{l}]", 0.0, np.abs(curvature(i, j, l, nu) - claim).max(), 1e-6)
         for (i, j, l), claim in _curvature_entry_claims(nu)
     ]
-    contact = None
     if nu in (1.0, -1.0):
         x, y, z = rng.uniform(-1.0, 1.0, (samples, 3, 3)).transpose(1, 0, 2)
-        contact = np.abs(curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)).max(-1).tolist()
-    for k in range(samples):
-        loc = f"p{k:03d}"
-        for check_id, residual in entries:
-            rows.add(check_id, loc, 0.0, residual, 1e-6)
-        if contact is not None:
-            rows.add("curvature.table_vs_contact_form", loc, 0.0, contact[k], 1e-9)
+        contact = np.abs(curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)).max(-1)
+        checks.append(("curvature.table_vs_contact_form", 0.0, contact, 1e-9))
+    rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
     if nu == -1.0:
         planes = []
@@ -200,20 +208,15 @@ def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCo
             if abs(den) >= 0.1:
                 planes.append((x, y))
         x, y = np.array(planes).transpose(1, 0, 2)
-        for k, value in enumerate(sectional_curvature(x, y, nu).tolist()):
-            rows.add("curvature.sectional_constant", f"plane{k:04d}", -1.0, value, 1e-8)
+        locations = [f"plane{k:04d}" for k in range(len(planes))]
+        rows.add(locations, [("curvature.sectional_constant", -1.0, sectional_curvature(x, y, nu), 1e-8)])
     if nu == 1.0:
         a = rng.uniform(0.0, 2.0 * math.pi, samples)
         x = np.stack([np.cos(a), np.sin(a), np.zeros(samples)], axis=-1)
-        for k, value in enumerate(sectional_curvature(x, apply_f(x), nu).tolist()):
-            rows.add("curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, value, 1e-8)
-        rows.add(
-            "curvature.sectional_e1_e3",
-            "frame",
-            1.0,
-            sectional_curvature(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), nu),
-            1e-8,
-        )
+        locations = [f"hvec{k:03d}" for k in range(samples)]
+        rows.add(locations, [("curvature.holomorphic_sectional", -7.0, sectional_curvature(x, apply_f(x), nu), 1e-8)])
+        e1_e3 = sectional_curvature(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), nu)
+        rows.add(["frame"], [("curvature.sectional_e1_e3", 1.0, e1_e3, 1e-8)])
 
 
 def run_sasaki(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
@@ -224,10 +227,8 @@ def run_sasaki(nu: float, samples: int, rng: np.random.Generator, rows: RowColle
     highs = (2.0, 5.0, 2.0 * math.pi) + (1.0,) * 6
     draws = rng.uniform(lows, highs, (samples, 9))
     res = sasaki_residuals(ChartPoint(*draws[:, :3].T), draws[:, 3:6], draws[:, 6:], nu)
-    columns = [(f"sasaki.{name}", values.tolist()) for name, values in zip(res._fields, res)]
-    for k in range(samples):
-        for check_id, values in columns:
-            rows.add(check_id, f"p{k:03d}", 0.0, values[k], 1e-6)
+    checks = [(f"sasaki.{name}", 0.0, values, 1e-6) for name, values in zip(res._fields, res)]
+    rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +452,8 @@ def build_family(spec: FamilySpec) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _lists(columns) -> list:
-    """Per-point columns as Python lists, for emitting rows point by point."""
-    return [np.asarray(c).tolist() for c in columns]
-
-
-def _columns(checks, shape) -> list:
-    """Checks (check_id, expected, computed, tolerance), each value one per
-    point or a constant, with the values as per-point lists."""
-    return [
-        (check_id, *_lists(np.broadcast_to(x, shape) for x in (expected, computed)), tol)
-        for check_id, expected, computed, tol in checks
-    ]
+def _grid_locations(u: np.ndarray, v: np.ndarray) -> list[str]:
+    return [f"({a:.3f},{b:.3f})" for a, b in zip(u.tolist(), v.tolist())]
 
 
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
@@ -472,16 +463,12 @@ def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColl
         v = np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0])
     else:
         u, v = grid_samples(fam.surface, grid[0], grid[1])
-    # Each point's rows in check order, the points in grid order.
-    checks = _columns(fam.rows(u, v, nu), u.shape)
-    for k, (a, b) in enumerate(zip(*_lists((u, v)))):
-        loc = f"({a:.3f},{b:.3f})"
-        for check_id, expected, computed, tol in checks:
-            rows.add(check_id, loc, expected[k], computed[k], tol)
+    rows.add(_grid_locations(u, v), fam.rows(u, v, nu))
     if fam.symmetry is not None:
         step = max(1, u.size // 8)
-        for k, (a, b) in enumerate(zip(*_lists((u[::step], v[::step])))):
-            rows.add("family.symmetry_invariance", f"g{k:03d}", 0.0, fam.symmetry(a, b, 0.37), 1e-9)
+        points = list(zip(u[::step].tolist(), v[::step].tolist()))
+        residuals = [fam.symmetry(a, b, 0.37) for a, b in points]
+        rows.add([f"g{k:03d}" for k in range(len(points))], [("family.symmetry_invariance", 0.0, residuals, 1e-9)])
 
 
 def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
@@ -493,16 +480,18 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     s = fam.surface
     expect_conf, expect_vh, expect_harm = fam.gauss
     cls = classify_gauss_map(s, grid=grid)
-    loc = spec.describe()
-    rows.add("gauss.h_constant", loc, 0.0, cls.evidence["h_spread"], 1e-5)
-    # The classification as 0/1 values, judged with tolerance 0.5.
-    rows.add("gauss.conformal", loc, expect_conf, cls.conformal, 0.5)
-    rows.add("gauss.vertically_harmonic", loc, expect_vh, cls.vertically_harmonic, 0.5)
-    rows.add("gauss.harmonic", loc, expect_harm, cls.harmonic, 0.5)
+    checks = [
+        ("gauss.h_constant", 0.0, cls.evidence["h_spread"], 1e-5),
+        # The classification as 0/1 values, judged with tolerance 0.5.
+        ("gauss.conformal", expect_conf, cls.conformal, 0.5),
+        ("gauss.vertically_harmonic", expect_vh, cls.vertically_harmonic, 0.5),
+        ("gauss.harmonic", expect_harm, cls.harmonic, 0.5),
+    ]
     if expect_vh:
-        rows.add("gauss.vertical_residual", loc, 0.0, cls.evidence["max_vertical"], 1e-7)
+        checks.append(("gauss.vertical_residual", 0.0, cls.evidence["max_vertical"], 1e-7))
     if expect_harm:
-        rows.add("gauss.horizontal_gap", loc, 0.0, cls.evidence["max_horizontal_gap"], 1e-7)
+        checks.append(("gauss.horizontal_gap", 0.0, cls.evidence["max_horizontal_gap"], 1e-7))
+    rows.add([spec.describe()], checks)
 
     # Closed forms from the classification argument at a 4x4 grid, both
     # cases evaluated over all points; each point reports the case its
@@ -526,10 +515,9 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
         ("gauss.sff_12", 1.0, s12, 1e-6),
         ("gauss.sff_22", 0.0, s22, 1e-6),
     ]
-    cases = {True: _columns(oblique, u.shape), False: _columns(cylinder, u.shape)}
-    for k, (a, b, c) in enumerate(zip(*_lists((u, v, n[:, 2])))):
-        for check_id, expected, computed, tol in cases[abs(c) > 1e-9]:
-            rows.add(check_id, f"({a:.3f},{b:.3f})", expected[k], computed[k], tol)
+    is_oblique = np.abs(n[:, 2]) > 1e-9
+    where = np.column_stack([is_oblique] * len(oblique) + [~is_oblique] * len(cylinder))
+    rows.add(_grid_locations(u, v), oblique + cylinder, where)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +603,7 @@ def surface_report(cfg: SuiteConfig) -> list[dict]:
         columns.update((name, getattr(comps, name)) for name in names)
     else:
         columns.update((name, np.full(u.size, None)) for name in names)
-    return [dict(zip(columns, values)) for values in zip(*_lists(columns.values()))]
+    return [dict(zip(columns, values)) for values in zip(*(np.asarray(c).tolist() for c in columns.values()))]
 
 
 def rows_passed(rows: list[ReportRow]) -> bool:
@@ -632,17 +620,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def render(meta: dict, table: list[dict], fmt: str) -> str:
+    """A report of ``table`` rows: CSV as a header line of the row keys and
+    one line per row, or JSON as ``meta`` with the rows under "rows"."""
+    if fmt == "json":
+        return json.dumps({**meta, "rows": table}, indent=2) + "\n"
+    header = list(table[0]) if table else []
+    lines = [",".join(header)] + [",".join(_fmt(row[k]) for k in header) for row in table]
+    return "\n".join(lines) + "\n"
+
+
 def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
-    if cfg.fmt == "csv":
-        lines = ["check_id,location,expected,computed,residual,passed"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [r.check_id, r.location, _fmt(r.expected), _fmt(r.computed), _fmt(r.residual), _fmt(r.passed)]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    payload = {
+    meta = {
         "suite": cfg.suite,
         "nu": cfg.nu,
         "family": cfg.family,
@@ -650,34 +639,10 @@ def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
         "samples": cfg.samples,
         "grid": list(cfg.grid),
         "passed": rows_passed(rows),
-        "rows": [
-            {
-                "check_id": r.check_id,
-                "location": r.location,
-                "expected": r.expected,
-                "computed": r.computed,
-                "residual": r.residual,
-                "passed": r.passed,
-            }
-            for r in rows
-        ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    # vars() of a ReportRow holds its fields in declaration order.
+    return render(meta, [vars(r) for r in rows], cfg.fmt)
 
 
 def render_report(table: list[dict], cfg: SuiteConfig) -> str:
-    if cfg.fmt == "csv":
-        if not table:
-            return "\n"
-        header = list(table[0].keys())
-        lines = [",".join(header)]
-        for row in table:
-            lines.append(",".join(_fmt(row[k]) for k in header))
-        return "\n".join(lines) + "\n"
-    payload = {
-        "family": cfg.family,
-        "nu": cfg.nu,
-        "grid": list(cfg.grid),
-        "rows": table,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, table, cfg.fmt)

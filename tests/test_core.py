@@ -251,13 +251,11 @@ class TestExponentialAndTranslation:
     def test_frame_pushforward_is_orthonormal(self, rng):
         # Left translation carries the g[1]-orthonormal frame to an
         # orthonormal triple for the Euclidean algebra product.
-        from sl2geom.metric import frame_at
+        from sl2geom.metric import frame_to_coordinate
 
         for _ in range(100):
             p = random_point(rng)
-            vecs = [
-                left_translate_to_identity(p, e.components) for e in frame_at(p)
-            ]
+            vecs = [left_translate_to_identity(p, e) for e in frame_to_coordinate(p, np.eye(3))]
             gram = np.array(
                 [
                     [algebra_scalar_product(a, b, MetricSign.PLUS) for b in vecs]

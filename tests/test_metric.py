@@ -18,7 +18,6 @@ from sl2geom.metric import (
     eta_coordinate_components,
     eta_value,
     fd_step,
-    frame_at,
     frame_to_coordinate,
     g_frame,
     lie_bracket,
@@ -70,7 +69,7 @@ class TestMetricMatrix:
             for _ in range(30):
                 p = random_point(rng)
                 m = metric_at(p, nu)
-                frame = [e.components for e in frame_at(p)]
+                frame = frame_to_coordinate(p, np.eye(3))
                 gram = np.array([[a @ m @ b for b in frame] for a in frame])
                 assert np.allclose(gram, np.diag([1.0, 1.0, nu]), atol=1e-12)
 
@@ -79,17 +78,22 @@ class TestMetricMatrix:
             metric_at(ChartPoint(0.0, 1.0, 0.0), 0.0)
 
 
+def literal_frame(p):
+    """The frame e1 = 2y d/dx - d/dtheta, e2 = 2y d/dy, e3 = d/dtheta as
+    (dx, dy, dtheta) rows, written out from the module docstring."""
+    return np.array([[2.0 * p.y, 0.0, -1.0], [0.0, 2.0 * p.y, 0.0], [0.0, 0.0, 1.0]])
+
+
 class TestFrame:
     def test_frame_at_unit_height(self):
-        e1, e2, e3 = frame_at(ChartPoint(0.0, 1.0, 0.0))
-        assert np.allclose(e1.components, [2.0, 0.0, -1.0])
-        assert np.allclose(e2.components, [0.0, 2.0, 0.0])
-        assert np.allclose(e3.components, [0.0, 0.0, 1.0])
+        p = ChartPoint(0.0, 1.0, 0.0)
+        assert np.allclose(literal_frame(p), [[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.allclose(frame_to_coordinate(p, np.eye(3)), literal_frame(p))
 
     def test_coframe_duality(self, rng):
         for _ in range(100):
             p = random_point(rng)
-            frame = np.array([e.components for e in frame_at(p)])
+            frame = literal_frame(p)
             pairing = coordinate_to_frame(p, frame).T  # w_i(e_j): the coframe on each frame vector
             assert np.allclose(pairing, np.eye(3), atol=1e-14)
 
@@ -106,7 +110,7 @@ class TestFrame:
             for _ in range(100):
                 p = random_point(rng)
                 m = metric_at(p, nu)
-                e3 = frame_at(p)[2].components
+                e3 = frame_to_coordinate(p, np.eye(3))[2]
                 assert abs(e3 @ m @ e3 - nu) < 1e-12
 
 
