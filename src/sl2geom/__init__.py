@@ -57,6 +57,7 @@ from .metric import (
     covariant_derivative,
     curvature,
     curvature_contact_form,
+    koszul_connection,
     metric_at,
     sasaki_data,
     sasaki_residuals,

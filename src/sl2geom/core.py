@@ -218,8 +218,6 @@ def group_to_chart(g: GroupElement) -> ChartPoint:
     """Invert the chart.  The bottom row of N A K is (-sin(theta), cos(theta))
     / sqrt(y), so theta = atan2(-c, d) lifted to [0, 2*pi) and y = 1/(c^2+d^2);
     x is then read off the upper-right entry of g K(theta)^-1 = N A."""
-    if abs(g.det - 1.0) > DET_TOL:
-        raise ValueError(f"matrix is not unimodular: det = {g.det!r}")
     theta = math.atan2(-g.c, g.d)
     if theta < 0.0:
         theta += 2.0 * math.pi
@@ -283,8 +281,6 @@ def embed_ads(g: GroupElement) -> AdSPoint:
 
     For unimodular g the image satisfies -x0^2 - x1^2 + x2^2 + x3^2 = -1.
     """
-    if abs(g.det - 1.0) > DET_TOL:
-        raise ValueError(f"matrix is not unimodular: det = {g.det!r}")
     return AdSPoint(
         0.5 * (g.a + g.d),
         0.5 * (g.c - g.b),

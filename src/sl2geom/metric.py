@@ -39,6 +39,10 @@ whose six independent frame values are
 Note the nu^2 (not nu) in the right column: it is forced by the connection
 table and is what makes g[-1] a metric of constant curvature -1.
 
+The table's oracle is ``koszul_connection``: because g(e_i, e_j) is
+constant, the Koszul formula needs only the frame brackets, which it takes
+by finite differences of the coordinate components at each sample point.
+
 The contact structure is eta = -w3 with Reeb field xi = -e3 and the frame
 endomorphism F e1 = e2, F e2 = -e1, F e3 = 0; the usual compatibility
 identities hold for every nu and are exposed as residuals.
@@ -278,62 +282,45 @@ def lie_bracket(u: FieldFunc, v: FieldFunc, p: ChartPoint, h: float) -> np.ndarr
     return coordinate_to_frame(p, du_v - dv_u)
 
 
-def covariant_derivative(
-    u: FieldFunc,
-    v: FieldFunc,
-    p: ChartPoint,
-    nu: float,
-    method: str = "table",
-) -> np.ndarray:
+def covariant_derivative(u: FieldFunc, v: FieldFunc, p: ChartPoint, nu: float) -> np.ndarray:
     """D_U V at p for vector fields given as frame-component functions of
-    (x, y, theta); at a batch of N points (coordinates of shape (N,)) each
-    field returns constant or (N,) components and the result is (N, 3).
-
-    method="table": Leibniz rule over the constant connection table, with the
-    derivative of V's components taken by a central difference along U.
-    method="koszul": the six-term Koszul formula, with every derivative and
-    bracket evaluated by finite differences; an independent oracle for the
-    table.
-    """
+    (x, y, theta), by the Leibniz rule over the constant connection table,
+    with the derivative of V's components taken by a central difference
+    along U; at a batch of N points (coordinates of shape (N,)) each field
+    returns constant or (N,) components and the result is (N, 3)."""
     nu = _require_nu(nu)
+    uf = _field_frame(u, p)
+    vf = _field_frame(v, p)
+    uc = frame_to_coordinate(p, uf)
+    dv = directional_derivative(lambda q: _field_frame(v, q), p, uc, fd_step(p))
+    return dv + connect_constant(uf, vf, nu)
+
+
+def koszul_connection(p: ChartPoint, nu: float) -> np.ndarray:
+    """The Koszul oracle for the connection table: D[..., i, j, :] = frame
+    components of D_{e_i} e_j (0-based i, j), shape (3, 3, 3) at one point
+    or (N, 3, 3, 3) at a batch of N points.
+
+    The frame inner products are constant, so the Koszul formula reduces to
+    brackets (Milnor 1976; O'Neill 1983, Prop. 3.11):
+
+        2 g(D_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_i,e_k],e_j) - g([e_j,e_k],e_i).
+
+    [e1,e2], [e1,e3] and [e2,e3] are taken by finite differences, the other
+    brackets by antisymmetry, and the frame metric diag(1, 1, nu) is divided
+    out; nothing is read from the connection table.
+    """
+    gdiag = np.array([1.0, 1.0, _require_nu(nu)])
+    fields = [constant_field(e) for e in np.eye(3)]
     h = fd_step(p)
-    if method == "table":
-        uf = _field_frame(u, p)
-        vf = _field_frame(v, p)
-        uc = frame_to_coordinate(p, uf)
-        dv = directional_derivative(lambda q: _field_frame(v, q), p, uc, h)
-        return dv + connect_constant(uf, vf, nu)
-    if method == "koszul":
-        return _koszul(u, v, p, nu, h)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _koszul(u: FieldFunc, v: FieldFunc, p: ChartPoint, nu: float, h: float) -> np.ndarray:
-    frame_fields: list[FieldFunc] = [
-        lambda x, y, t: (1.0, 0.0, 0.0),
-        lambda x, y, t: (0.0, 1.0, 0.0),
-        lambda x, y, t: (0.0, 0.0, 1.0),
-    ]
-
-    def gfun(a: FieldFunc, b: FieldFunc):
-        return lambda q: g_frame(_field_frame(a, q), _field_frame(b, q), nu)
-
-    uc = _field_coord(u, p)
-    vc = _field_coord(v, p)
-    br_uv = lie_bracket(u, v, p, h)
-    rhs = []
-    for w in frame_fields:
-        wf = _field_frame(w, p)
-        wc = frame_to_coordinate(p, wf)
-        term = directional_derivative(gfun(v, w), p, uc, h)
-        term += directional_derivative(gfun(u, w), p, vc, h)
-        term -= directional_derivative(gfun(u, v), p, wc, h)
-        term += g_frame(br_uv, wf, nu)
-        term -= g_frame(lie_bracket(u, w, p, h), _field_frame(v, p), nu)
-        term -= g_frame(lie_bracket(v, w, p, h), _field_frame(u, p), nu)
-        rhs.append(0.5 * term)
-    # Divide out the frame metric diag(1, 1, nu).
-    return np.stack([rhs[0], rhs[1], rhs[2] / nu], -1)
+    br = np.zeros(np.shape(p.y) + (3, 3, 3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        br[..., i, j, :] = lie_bracket(fields[i], fields[j], p, h)
+        br[..., j, i, :] = -br[..., i, j, :]
+    low = br * gdiag  # low[..., i, j, k] = g([e_i, e_j], e_k)
+    # two_g[..., i, j, k] = low[i, j, k] - low[i, k, j] - low[j, k, i]
+    two_g = low - low.swapaxes(-2, -1) - np.moveaxis(low, -1, -3)
+    return 0.5 * two_g / gdiag
 
 
 def constant_field(comps) -> FieldFunc:

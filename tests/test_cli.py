@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -9,14 +11,14 @@ import pytest
 
 from sl2geom import cli, families, gaussmap, metric, suites
 from sl2geom.cli import main, read_config_file
+from sl2geom.core import ChartPoint
 from sl2geom.metric import (
     apply_f,
     connection_table,
-    constant_field,
-    covariant_derivative,
     curvature,
     curvature_contact_form,
     g_frame,
+    koszul_connection,
     sasaki_residuals,
     sectional_curvature,
 )
@@ -29,7 +31,6 @@ from sl2geom.suites import (
     SuiteConfig,
     build_family,
     parse_family_spec,
-    random_chart_point,
     random_frame_vector,
     render_rows,
     rows_passed,
@@ -42,6 +43,16 @@ from sl2geom.suites import (
     surface_report,
 )
 from sl2geom.surface import surface_shape
+
+
+def random_chart_point(rng):
+    """One chart point drawn coordinate by coordinate: the per-point
+    reference for the suites' one-call draws."""
+    return ChartPoint(
+        float(rng.uniform(-2.0, 2.0)),
+        float(rng.uniform(0.2, 5.0)),
+        float(rng.uniform(0.0, 2.0 * math.pi)),
+    )
 
 
 def add_row(rows, check_id, location, expected, computed, tol):
@@ -179,30 +190,49 @@ class TestConnectionSuite:
     def test_batched_rows_match_a_per_point_loop(self):
         rows = RowCollector()
         run_connection(-1.0, 7, np.random.default_rng(5), rows)
-        rng, e, expected = np.random.default_rng(5), np.eye(3), []
+        rng, expected = np.random.default_rng(5), []
         for k in range(7):
-            p = random_chart_point(rng)
+            oracle = koszul_connection(random_chart_point(rng), -1.0)
             for i in range(1, 4):
                 for j in range(1, 4):
-                    oracle = covariant_derivative(constant_field(e[i - 1]), constant_field(e[j - 1]), p, -1.0, "koszul")
-                    residual = float(np.abs(connection_table(i, j, -1.0) - oracle).max())
+                    residual = float(np.abs(connection_table(i, j, -1.0) - oracle[i - 1, j - 1]).max())
                     expected.append((f"connection.table_vs_koszul[{i}{j}]", f"p{k:03d}", residual))
         assert [(r.check_id, r.location, r.computed) for r in rows.rows] == expected
 
-    def test_a_wrong_table_entry_fails_exactly_its_rows(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(1, 4) for j in range(1, 4)], ids="{0[0]}{0[1]}".format)
+    def test_a_wrong_table_entry_fails_exactly_its_rows(self, monkeypatch, entry):
         true_table = suites.connection_table
 
         def skewed(i, j, nu):
-            entry = true_table(i, j, nu)
-            if (i, j) == (1, 2):
-                entry[0] += 1e-3
-            return entry
+            value = true_table(i, j, nu)
+            if (i, j) == entry:
+                value[0] += 1e-3
+            return value
 
         monkeypatch.setattr(suites, "connection_table", skewed)
         rows = run_suite(SuiteConfig(suite="connection", nu=-1.0, samples=6, seed=3))
-        wrong = [r for r in rows if r.check_id == "connection.table_vs_koszul[12]"]
+        check_id = "connection.table_vs_koszul[{}{}]".format(*entry)
+        wrong = [r for r in rows if r.check_id == check_id]
         assert len(wrong) == 6 and not any(r.passed for r in wrong)
-        assert all(r.passed for r in rows if r.check_id != "connection.table_vs_koszul[12]")
+        assert all(r.passed for r in rows if r.check_id != check_id)
+
+    @pytest.mark.parametrize("samples", [1, 7, 400])
+    def test_one_oracle_call_of_six_differences_per_run(self, monkeypatch, samples):
+        oracle_calls, differences = [], []
+        original_oracle, original_difference = suites.koszul_connection, metric.directional_derivative
+
+        def counting_oracle(*args):
+            oracle_calls.append(args)
+            return original_oracle(*args)
+
+        def counting_difference(*args):
+            differences.append(args)
+            return original_difference(*args)
+
+        monkeypatch.setattr(suites, "koszul_connection", counting_oracle)
+        monkeypatch.setattr(metric, "directional_derivative", counting_difference)
+        run_connection(1.0, samples, np.random.default_rng(0), RowCollector())
+        assert len(oracle_calls) == 1 and len(differences) == 6
 
 
 def curvature_rows_per_point(nu, samples, rng):
@@ -319,6 +349,24 @@ class TestReportRendering:
         lines = text.strip().split("\n")
         assert lines[0] == "check_id,location,expected,computed,residual,passed"
         assert len(lines) == 1 + 15  # 5 identities x 3 samples
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SuiteConfig(suite="family", family="lightcone(profile=umbilic,A=1,u0=0)", nu=-1.0, grid=(6, 6), fmt="csv"),
+            SuiteConfig(suite="gauss", family="hopf_cylinder(curve=hypercycle,kappa=1)", grid=(6, 6), fmt="csv"),
+        ],
+        ids=["family", "gauss"],
+    )
+    def test_csv_lines_parse_to_the_header_field_count(self, cfg):
+        """Grid locations "(u,v)" and the gauss spec text hold commas; those
+        fields are quoted, so every line splits into the header's fields."""
+        rows = run_suite(cfg)
+        parsed = list(csv.reader(io.StringIO(render_rows(rows, cfg))))
+        assert len(parsed) == 1 + len(rows)
+        assert all(len(line) == len(parsed[0]) == 6 for line in parsed)
+        assert [line[1] for line in parsed[1:]] == [r.location for r in rows]
+        assert any("," in r.location for r in rows)
 
     def test_json_mirrors_row_fields(self):
         cfg = SuiteConfig(suite="sasaki", nu=-1.0, samples=2, seed=0)

@@ -20,6 +20,7 @@ from sl2geom.metric import (
     fd_step,
     frame_to_coordinate,
     g_frame,
+    koszul_connection,
     lie_bracket,
     metric_at,
     sasaki_data,
@@ -134,19 +135,16 @@ class TestConnection:
                     assert np.allclose(got, connection_table(i + 1, j + 1, nu), atol=1e-12)
 
     def test_koszul_oracle_matches_table(self, rng):
-        e = np.eye(3)
         worst = 0.0
         for nu in (1.0, -1.0):
             for _ in range(100):
                 p = random_point(rng)
+                oracle = koszul_connection(p, nu)
                 for i in range(3):
                     for j in range(3):
-                        oracle = covariant_derivative(
-                            constant_field(e[i]), constant_field(e[j]), p, nu, method="koszul"
-                        )
                         worst = max(
                             worst,
-                            float(np.abs(oracle - connection_table(i + 1, j + 1, nu)).max()),
+                            float(np.abs(oracle[i, j] - connection_table(i + 1, j + 1, nu)).max()),
                         )
         assert worst < 1e-5
 
@@ -201,9 +199,8 @@ class TestBatchedOracle:
     """A batch of chart points runs the same finite-difference code as one
     point, so the batch equals the per-point calls bit for bit."""
 
-    @pytest.mark.parametrize("method", ["table", "koszul"])
     @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5])
-    def test_batch_equals_per_point_calls_bitwise(self, rng, nu, method):
+    def test_batch_equals_per_point_calls_bitwise(self, rng, nu):
         p = batch_points(rng, 50)
         e = np.eye(3)
         pairs = [(constant_field(e[i]), constant_field(e[j])) for i in range(3) for j in range(3)]
@@ -211,10 +208,19 @@ class TestBatchedOracle:
         pairs.append((random_polynomial_field(rng), constant_field(e[1])))
         with np.errstate(all="raise"):
             for u, v in pairs:
-                batch = covariant_derivative(u, v, p, nu, method=method)
-                single = [covariant_derivative(u, v, q, nu, method=method) for q in one_point_views(p)]
+                batch = covariant_derivative(u, v, p, nu)
+                single = [covariant_derivative(u, v, q, nu) for q in one_point_views(p)]
                 assert batch.shape == (50, 3)
                 np.testing.assert_array_equal(batch, np.array(single))
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5])
+    def test_koszul_connection_batch_equals_one_point_calls_bitwise(self, rng, nu):
+        p = batch_points(rng, 50)
+        with np.errstate(all="raise"):
+            batch = koszul_connection(p, nu)
+            single = [koszul_connection(q, nu) for q in one_point_views(p)]
+        assert batch.shape == (50, 3, 3, 3) and single[0].shape == (3, 3, 3)
+        np.testing.assert_array_equal(batch, np.array(single))
 
     @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5, -0.5])
     def test_contact_and_sectional_helpers_batch_equals_one_point_bitwise(self, rng, nu):
