@@ -45,13 +45,10 @@ from .gaussmap import (
     FrameCurvatureComponents,
     GaussClassification,
     classify_gauss_map,
-    frame_curvature_components,
-    normal_components,
     normal_gauss_map,
     principal_frame,
 )
 from .metric import (
-    SasakiData,
     SasakiResiduals,
     connection_table,
     covariant_derivative,
@@ -59,7 +56,6 @@ from .metric import (
     curvature_contact_form,
     koszul_connection,
     metric_at,
-    sasaki_data,
     sasaki_residuals,
     sectional_curvature,
 )

@@ -6,14 +6,21 @@
     verify --suite gauss --family "hopf_cylinder(curve=horocycle)"
     verify --suite family --family "conoid(mu=0.3)" --report --format csv
 
+A config file of ``key = value`` lines ('#' comments) can seed every
+option; command-line flags override it.  Each option has one name, shared
+by its flag, its config key and its ``SuiteConfig`` field, and one reader
+in ``PARSERS``: flag text and config text both go through it, and every
+value given is read, also a config value that a flag overrides.
+``SuiteConfig`` holds the defaults, and ``SuiteConfig.validate`` the run
+rules, including which options each run reads.
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-configuration error, including an option the chosen run does not read, a
-grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
+configuration error: an unknown or malformed flag, a value that does not
+parse, an unknown or repeated config key, an option the chosen run does not
+read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
 ``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
-and running out of memory.  A
-config file of ``key = value`` lines ('#' comments) can seed every option;
-command-line flags override it.  Reports are byte-identical for identical
-configuration and seed.
+and running out of memory.  Every exit 2 prints one ``verify:`` line and no
+report.  Reports are byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import sys
 import numpy as np
 
 from .suites import (
-    READS,
+    FORMATS,
     SUITES,
     SuiteConfig,
     render_report,
@@ -44,6 +51,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def read_config_file(path: str) -> dict:
+    """The ``key = value`` lines of a config file as unparsed text; a
+    repeated key is an error."""
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -53,6 +62,8 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
             values[key] = value
     return values
 
@@ -67,7 +78,24 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"report must be one of true/false/yes/no/1/0, got {text!r}") from None
 
 
-_CONFIG_KEYS = {"suite", "nu", "family", "grid", "tol", "format", "seed", "samples", "out", "report"}
+# The reader of each option's text, flag or config value alike.
+PARSERS = dict(
+    suite=str, nu=float, family=str, grid=_parse_grid, tol=float,
+    format=str, seed=int, samples=int, out=str, report=_parse_bool,
+)
+_KINDS = {float: "a number", int: "an integer"}
+
+
+def _parse_option(name: str, text: str):
+    """The value of option ``name`` read from ``text``; text that does not
+    parse is an error that names the option."""
+    parse = PARSERS[name]
+    try:
+        return parse(text)
+    except ValueError:
+        if parse not in _KINDS:
+            raise
+        raise ValueError(f"{name} must be {_KINDS[parse]}, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,79 +103,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="verify",
         description="Numerically certify the geometry of SL(2,R) with the "
         "metric family g[nu] and its surface families.",
+        exit_on_error=False,
     )
-    parser.add_argument("--suite", choices=SUITES, default=None, help="suite to run (default: all)")
-    parser.add_argument("--nu", type=float, default=None, help="metric parameter (default: 1.0)")
+    parser.add_argument("--suite", help=f"suite to run: {', '.join(SUITES)} (default: {SuiteConfig.suite})")
+    parser.add_argument("--nu", help=f"metric parameter (default: {SuiteConfig.nu})")
     parser.add_argument(
         "--family",
-        default=None,
         help="family spec, e.g. hopf_cylinder(curve=horocycle), conoid(mu=1), "
         "lightcone(profile=umbilic,A=1,u0=0), complex_circle(t=0.5)",
     )
-    parser.add_argument("--grid", default=None, help="sampling grid NxM (default: 16x16)")
-    parser.add_argument("--tol", type=float, default=None, help="tighten every per-check tolerance to at most this")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format (default: json)")
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default: 0)")
-    parser.add_argument("--samples", type=int, default=None, help="random sample count (default: 100)")
-    parser.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    parser.add_argument("--config", default=None, help="config file of key = value lines; flags override")
+    parser.add_argument("--grid", help="sampling grid NxM (default: {}x{})".format(*SuiteConfig.grid))
+    parser.add_argument("--tol", help="tighten every per-check tolerance to at most this")
+    parser.add_argument("--format", help=f"output format: {', '.join(FORMATS)} (default: {SuiteConfig.format})")
+    parser.add_argument("--seed", help=f"random seed (default: {SuiteConfig.seed})")
+    parser.add_argument("--samples", help=f"random sample count (default: {SuiteConfig.samples})")
+    parser.add_argument("--out", help="write the report to this path instead of stdout")
+    parser.add_argument("--config", help="config file of key = value lines; flags override")
     parser.add_argument(
         "--report",
-        action="store_true",
-        default=None,
+        action="store_const",
+        const="true",
         help="emit the per-sample geometry table for --family instead of check rows",
     )
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> SuiteConfig:
-    """The run's config from flags over the config file; an option, given
-    either way, that the chosen run does not read is an error."""
-    file_values: dict = {}
-    if args.config is not None:
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    given = set(file_values)
-
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            given.add(key)
-            return flag
-        if key in file_values:
-            return cast(file_values[key])
-        return default
-
-    cfg = SuiteConfig(
-        suite=pick(args.suite, "suite", str, "all"),
-        nu=pick(args.nu, "nu", float, 1.0),
-        family=pick(args.family, "family", str, None),
-        grid=pick(None if args.grid is None else _parse_grid(args.grid), "grid", _parse_grid, (16, 16)),
-        tol=pick(args.tol, "tol", float, None),
-        fmt=pick(args.format, "format", str, "json"),
-        seed=pick(args.seed, "seed", int, 0),
-        samples=pick(args.samples, "samples", int, 100),
-        out=pick(args.out, "out", str, None),
-        report=pick(args.report, "report", _parse_bool, False),
-    )
-    cfg.validate()
-    if cfg.report and cfg.suite != "family":
-        raise ValueError(f"--report needs --suite family, got --suite {cfg.suite}")
-    unread = sorted(given - {"suite", "format", "out", "report"} - READS["report" if cfg.report else cfg.suite])
-    if unread:
-        run = "--report" if cfg.report else f"--suite {cfg.suite}"
-        raise ValueError(f"{run} does not read {', '.join('--' + key for key in unread)}")
-    return cfg
+def config_from_args(argv) -> SuiteConfig:
+    """The run's config from the flags in ``argv`` over the config file;
+    every value given either way is read, and the run must read it."""
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    file_values = {} if args.config is None else read_config_file(args.config)
+    unknown = set(file_values) - set(PARSERS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = [(name, text) for name, text in vars(args).items() if name in PARSERS and text is not None]
+    values = {name: _parse_option(name, text) for name, text in [*file_values.items(), *flags]}
+    return SuiteConfig(**values).validate(given=values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (ValueError, OSError) as exc:
+        cfg = config_from_args(argv)
+    except (ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
 

@@ -78,12 +78,6 @@ class GaussClassification:
     evidence: dict
 
 
-def normal_components(s: Immersion, u, v) -> np.ndarray:
-    """Frame components (a, b, c) of the oriented unit normal at (u, v),
-    nu = 1: shape (3,), or (N, 3) over N points; a^2 + b^2 + c^2 = 1."""
-    return surface_shape(s, u, v, NU).normal
-
-
 def principal_frame(I: FundamentalForm, II: FundamentalForm) -> tuple[np.ndarray, np.ndarray, float]:
     """I-orthonormal tangent directions (as (du, dv) coefficient pairs, shape
     (..., 2)) diagonalizing II, plus the rotation angle from the
@@ -110,11 +104,6 @@ def principal_angle_from_shape(h):
 
 def _riemann_component(x, y, z, w) -> float:
     return g_frame(curvature(x, y, z, NU), w, NU)
-
-
-def frame_curvature_components(s: Immersion, u: float, v: float) -> FrameCurvatureComponents:
-    """R_1213, R_2123, R_3113, R_3223 in a principal frame at (u, v)."""
-    return frame_curvature_components_at(surface_shape(s, u, v, NU))
 
 
 def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureComponents:

@@ -53,7 +53,6 @@ components appear only at conversion boundaries.  All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -336,20 +335,6 @@ def constant_field(comps) -> FieldFunc:
 F_MATRIX = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 XI = np.array([0.0, 0.0, -1.0])
 ETA_FRAME = np.array([0.0, 0.0, -1.0])  # eta(v) = -v3 on frame components
-
-
-@dataclass(frozen=True)
-class SasakiData:
-    """Contact data at a point: eta as a frame covector, xi = -e3, and F."""
-
-    point: ChartPoint
-    eta: np.ndarray
-    xi: np.ndarray
-    f_operator: np.ndarray
-
-
-def sasaki_data(p: ChartPoint) -> SasakiData:
-    return SasakiData(p, ETA_FRAME.copy(), XI.copy(), F_MATRIX.copy())
 
 
 def eta_value(v):

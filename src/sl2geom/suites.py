@@ -45,6 +45,7 @@ from .metric import (
 from .surface import Immersion, intrinsic_gauss_curvature, surface_shape
 
 SUITES = ("connection", "curvature", "sasaki", "family", "gauss", "all")
+FORMATS = ("json", "csv")
 
 # The options each suite, and a --report run of the family suite, reads
 # besides suite, format and out (and report, which picks between them).
@@ -82,13 +83,15 @@ class SuiteConfig:
     family: Optional[str] = None
     grid: tuple[int, int] = (16, 16)
     tol: Optional[float] = None  # tightens every per-check tolerance when set
-    fmt: str = "json"
+    format: str = "json"
     seed: int = 0
     samples: int = 100
     out: Optional[str] = None
     report: bool = False
 
-    def validate(self) -> "SuiteConfig":
+    def validate(self, given=()) -> "SuiteConfig":
+        """Check every value and every run rule; ``given`` names the options
+        the user set, each of which the run must read."""
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
         if self.nu == 0.0:
@@ -103,12 +106,21 @@ class SuiteConfig:
             raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} has more than {MAX_GRID_POINTS} points")
         if self.tol is not None and not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must lie in 1..{MAX_SAMPLES}, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.family is None and (self.report or self.suite in ("family", "gauss")):
             raise ValueError(f"the {'report' if self.report else self.suite + ' suite'} needs --family")
+        if self.report and self.suite != "family":
+            raise ValueError(f"--report needs --suite family, got --suite {self.suite}")
+        reads = READS["report" if self.report else self.suite] | {"suite", "format", "out", "report"}
+        unread = sorted(set(given) - reads)
+        if unread:
+            run = "--report" if self.report else f"--suite {self.suite}"
+            raise ValueError(f"{run} does not read {', '.join('--' + key for key in unread)}")
         return self
 
 
@@ -636,8 +648,8 @@ def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
         "passed": rows_passed(rows),
     }
     # vars() of a ReportRow holds its fields in declaration order.
-    return render(meta, [vars(r) for r in rows], cfg.fmt)
+    return render(meta, [vars(r) for r in rows], cfg.format)
 
 
 def render_report(table: list[dict], cfg: SuiteConfig) -> str:
-    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, table, cfg.fmt)
+    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, table, cfg.format)

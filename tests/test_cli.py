@@ -69,6 +69,27 @@ def run_cli(args, **kwargs):
     )
 
 
+def run_main(args, capsys):
+    """``main(args)`` in this process, its exit code and output shaped as a
+    finished ``run_cli`` child's."""
+    code = main(args)
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
+# One malformed value per option that parses its text.
+MALFORMED = {
+    "nu": "abc",
+    "samples": "1.5",
+    "seed": "seven",
+    "tol": "1e",
+    "suite": "bogus",
+    "format": "xml",
+    "grid": "16by16",
+    "report": "ture",
+}
+
+
 def assert_usage_error(res):
     """Exit 2 with exactly one ``verify: ...`` line on stderr and no report."""
     assert res.returncode == 2
@@ -126,10 +147,24 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(grid=(1, 8)).validate()
         with pytest.raises(ValueError):
-            SuiteConfig(fmt="xml").validate()
+            SuiteConfig(format="xml").validate()
         with pytest.raises(ValueError, match="nu"):
             SuiteConfig(nu=-1.0001e4).validate()
         SuiteConfig(nu=-1e4).validate()
+        with pytest.raises(ValueError, match="seed"):
+            SuiteConfig(suite="sasaki", seed=-1).validate()
+
+    def test_run_rules(self):
+        with pytest.raises(ValueError, match="^--report needs --suite family, got --suite connection$"):
+            SuiteConfig(suite="connection", family="conoid", report=True).validate()
+        with pytest.raises(ValueError, match="^--suite curvature does not read --family, --grid$"):
+            SuiteConfig(suite="curvature").validate(given={"grid", "family", "nu"})
+        with pytest.raises(ValueError, match="^--report does not read --tol$"):
+            SuiteConfig(suite="family", family="conoid", report=True).validate(given={"tol"})
+        always = {"suite", "format", "out", "report"}
+        for run, reads in suites.READS.items():
+            cfg = SuiteConfig(suite="family" if run == "report" else run, family="conoid", report=run == "report")
+            assert cfg.validate(given=reads | always) is cfg
 
     def test_row_invariant(self):
         rows = run_suite(SuiteConfig(suite="sasaki", nu=1.0, samples=5, seed=1))
@@ -344,7 +379,7 @@ class TestGaussSuite:
 
 class TestReportRendering:
     def test_csv_shape(self):
-        cfg = SuiteConfig(suite="sasaki", nu=1.0, samples=3, seed=0, fmt="csv")
+        cfg = SuiteConfig(suite="sasaki", nu=1.0, samples=3, seed=0, format="csv")
         text = render_rows(run_suite(cfg), cfg)
         lines = text.strip().split("\n")
         assert lines[0] == "check_id,location,expected,computed,residual,passed"
@@ -353,8 +388,8 @@ class TestReportRendering:
     @pytest.mark.parametrize(
         "cfg",
         [
-            SuiteConfig(suite="family", family="lightcone(profile=umbilic,A=1,u0=0)", nu=-1.0, grid=(6, 6), fmt="csv"),
-            SuiteConfig(suite="gauss", family="hopf_cylinder(curve=hypercycle,kappa=1)", grid=(6, 6), fmt="csv"),
+            SuiteConfig(suite="family", family="lightcone(profile=umbilic,A=1,u0=0)", nu=-1.0, grid=(6, 6), format="csv"),
+            SuiteConfig(suite="gauss", family="hopf_cylinder(curve=hypercycle,kappa=1)", grid=(6, 6), format="csv"),
         ],
         ids=["family", "gauss"],
     )
@@ -566,6 +601,54 @@ class TestCommandLine:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("sweet = nothing\n")
         assert run_cli(["--config", str(cfg_path)]).returncode == 2
+
+    @pytest.mark.parametrize("name, text", sorted(MALFORMED.items()))
+    def test_malformed_value_is_one_line_naming_the_option(self, name, text, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{name} = {text}\n")
+        by_config = run_main(["--config", str(cfg_path)], capsys)
+        assert_usage_error(by_config)
+        assert name in by_config.stderr
+        # --report takes no value, so its flag form can only attach one.
+        by_flag = run_main([f"--{name}={text}"] if name == "report" else [f"--{name}", text], capsys)
+        assert_usage_error(by_flag)
+        assert name in by_flag.stderr
+        if name != "report":
+            assert by_flag.stderr == by_config.stderr
+
+    def test_repeated_config_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("suite = sasaki\nsamples = 5\nsamples = 7\n")
+        res = run_main(["--config", str(cfg_path)], capsys)
+        assert_usage_error(res)
+        assert res.stderr == f"verify: {cfg_path}:3: repeated config key 'samples'\n"
+
+    def test_config_value_a_flag_overrides_is_still_parsed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("nu = abc\nsuite = curvature\n")
+        res = run_main(["--config", str(cfg_path), "--nu", "1", "--samples", "2"], capsys)
+        assert_usage_error(res)
+        assert res.stderr == "verify: nu must be a number, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["--suite", "sasaki", "extra"], "unrecognized arguments: extra"),
+            (["--suite", "sasaki", "--nu"], "argument --nu: expected one argument"),
+            (["--suite", "sasaki", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_unknown_or_incomplete_flag_is_one_line(self, args, message, capsys):
+        res = run_main(args, capsys)
+        assert_usage_error(res)
+        assert res.stderr == f"verify: {message}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: verify")
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -21,9 +21,7 @@ from sl2geom.gaussmap import (
     cylinder_frame,
     cylinder_principal_components,
     cylinder_second_form_components,
-    frame_curvature_components,
     frame_curvature_components_at,
-    normal_components,
     normal_gauss_map,
     oblique_frame,
     oblique_vertical_closed_forms,
@@ -44,11 +42,11 @@ class TestNormalComponents:
         for curve in (geodesic(), horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
             for (u, v) in ((0.3, 0.1), (2.0, 0.4)):
-                assert abs(normal_components(s, u, v)[2]) < 1e-12
+                assert abs(surface_shape(s, u, v, 1.0).normal[2]) < 1e-12
 
     def test_flat_profile_normal(self):
         s = lightcone_surface(trig_profile(2.0, []))
-        assert np.allclose(normal_components(s, 0.3, 0.0), [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(surface_shape(s, 0.3, 0.0, 1.0).normal, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_unit_norm(self, rng):
         for builder in (
@@ -60,7 +58,7 @@ class TestNormalComponents:
             for _ in range(170):
                 u = float(rng.uniform(s.domain.u0 + 0.1, s.domain.u1 - 0.1))
                 v = float(rng.uniform(s.domain.v0 + 0.1, s.domain.v1 - 0.1))
-                a, b, c = normal_components(s, u, v)
+                a, b, c = surface_shape(s, u, v, 1.0).normal
                 assert abs(a**2 + b**2 + c**2 - 1.0) < 1e-8
 
 
@@ -119,14 +117,14 @@ class TestCurvatureComponents:
         for curve in (geodesic(), horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
             for (u, v) in ((0.2, 0.1), (1.5, 0.5)):
-                comps = frame_curvature_components(s, u, v)
+                comps = frame_curvature_components_at(surface_shape(s, u, v, 1.0))
                 assert comps.vertical < 1e-9
 
     def test_cmc_cylinder_vertical_residual_on_dense_grid(self):
         from sl2geom.gaussmap import grid_samples
 
         s = hopf_cylinder(horocycle())
-        worst = frame_curvature_components(s, *grid_samples(s, 50, 50)).vertical.max()
+        worst = frame_curvature_components_at(surface_shape(s, *grid_samples(s, 50, 50), 1.0)).vertical.max()
         assert worst < 1e-8
 
     def test_cylinder_principal_components_closed_form(self):
@@ -141,7 +139,7 @@ class TestCurvatureComponents:
 
     def test_minimal_cylinder_components_agree(self):
         s = hopf_cylinder(geodesic())
-        comps = frame_curvature_components(s, 0.5, 0.2)
+        comps = frame_curvature_components_at(surface_shape(s, 0.5, 0.2, 1.0))
         # mu = pi/4: both components equal -3; equal but nonzero.
         assert abs(comps.r3113 + 3.0) < 1e-10
         assert abs(comps.r3223 + 3.0) < 1e-10

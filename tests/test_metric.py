@@ -6,6 +6,8 @@ import pytest
 
 from sl2geom.core import ChartPoint
 from sl2geom.metric import (
+    F_MATRIX,
+    XI,
     apply_f,
     connection_table,
     constant_field,
@@ -23,7 +25,6 @@ from sl2geom.metric import (
     koszul_connection,
     lie_bracket,
     metric_at,
-    sasaki_data,
     sasaki_residuals,
     sectional_curvature,
 )
@@ -359,18 +360,16 @@ class TestSectionalCurvature:
 
 class TestSasaki:
     def test_reeb_pairing(self):
-        d = sasaki_data(ChartPoint(0.3, 2.0, 1.0))
-        assert eta_value(d.xi) == 1.0
-        assert np.allclose(d.xi, [0.0, 0.0, -1.0])
+        assert eta_value(XI) == 1.0
+        assert np.allclose(XI, [0.0, 0.0, -1.0])
 
     def test_f_squared_structure(self):
-        d = sasaki_data(ChartPoint(0.0, 1.0, 0.0))
-        f2 = d.f_operator @ d.f_operator
+        f2 = F_MATRIX @ F_MATRIX
         assert np.allclose(f2, np.diag([-1.0, -1.0, 0.0]))
 
     def test_reeb_derivative_matches_table(self):
         # D_{e1} xi = -nu F e1 = -nu e2, straight from the connection table.
-        from sl2geom.metric import XI, connect_constant
+        from sl2geom.metric import connect_constant
 
         for nu in (1.0, -1.0):
             e1 = np.array([1.0, 0.0, 0.0])

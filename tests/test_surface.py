@@ -252,10 +252,11 @@ class TestBatchPath:
             }
 
         batched = helpers(pt, n, h, phi, mu)
-        batched["normal_components"] = (gaussmap.normal_components(s, us, vs),)
+        batched["normal"] = (pt.normal,)
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            single = helpers(surface_shape(s, u, v, 1.0), n[i], h[i], phi[i], mu[i])
-            single["normal_components"] = (gaussmap.normal_components(s, u, v),)
+            point = surface_shape(s, u, v, 1.0)
+            single = helpers(point, n[i], h[i], phi[i], mu[i])
+            single["normal"] = (point.normal,)
             for name, values in single.items():
                 for one, column in zip(values, batched[name]):
                     np.testing.assert_array_equal(one, column[i], err_msg=name)
