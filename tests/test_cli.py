@@ -691,6 +691,14 @@ GOLDEN_STDOUT = {
     "--report --suite family --family conoid(mu=0.7) --grid 16x16 --format csv": (
         "2a83bdb15c3b96807dffd05178febd56ab91d54df8e056a686d3796b31c32bb8"
     ),
+    # At nu != 1 the r1213..r3223 report columns are None: `null` in JSON,
+    # empty fields in CSV.
+    "--report --suite family --family lightcone(profile=umbilic) --nu -1 --grid 8x8": (
+        "7be66bee37588022f7022a7e88d4fb9d0b744324d2f1b85c0ea767656cdbbf6c"
+    ),
+    "--report --suite family --family lightcone(profile=umbilic) --nu -1 --grid 8x8 --format csv": (
+        "9bf391bfe2e2e85f8e8f5e0fe414c2de07bd92271a61a2e2c2e5152b7450c06e"
+    ),
 }
 
 # SHA-256 of the ordered [check_id, location] keys of --suite all --seed 42.
