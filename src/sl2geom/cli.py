@@ -15,8 +15,8 @@ value given is read, also a config value that a flag overrides.
 rules, including which options each run reads.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-configuration error: an unknown or malformed flag, a value that does not
-parse, an unknown or repeated config key, an option the chosen run does not
+configuration error: an unknown, ambiguous, repeated or malformed flag, a
+value that does not parse, an unknown or repeated config key, an option the chosen run does not
 read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
 ``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
 and running out of memory.  Every exit 2 prints one ``verify:`` line and no
@@ -98,12 +98,34 @@ def _parse_option(name: str, text: str):
         raise ValueError(f"{name} must be {_KINDS[parse]}, got {text!r}") from None
 
 
+class _Once(argparse.Action):
+    """Keeps a flag's text, or ``const`` for a flag that takes no value; a
+    flag given twice is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ValueError(f"repeated flag --{self.dest}")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every flag is read once and whose every
+    error, ambiguous abbreviations included, raises ValueError instead of
+    printing the usage block and exiting."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _Once)  # the action of a flag that names none
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="verify",
         description="Numerically certify the geometry of SL(2,R) with the "
         "metric family g[nu] and its surface families.",
-        exit_on_error=False,
     )
     parser.add_argument("--suite", help=f"suite to run: {', '.join(SUITES)} (default: {SuiteConfig.suite})")
     parser.add_argument("--nu", help=f"metric parameter (default: {SuiteConfig.nu})")
@@ -121,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="config file of key = value lines; flags override")
     parser.add_argument(
         "--report",
-        action="store_const",
+        nargs=0,
         const="true",
         help="emit the per-sample geometry table for --family instead of check rows",
     )
@@ -131,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(argv) -> SuiteConfig:
     """The run's config from the flags in ``argv`` over the config file;
     every value given either way is read, and the run must read it."""
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    args = build_parser().parse_args(argv)
     file_values = {} if args.config is None else read_config_file(args.config)
     unknown = set(file_values) - set(PARSERS)
     if unknown:
@@ -146,7 +166,7 @@ def config_from_args(argv) -> SuiteConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
-    except (ValueError, OSError, argparse.ArgumentError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -578,10 +580,11 @@ def run_suite(cfg: SuiteConfig) -> list[ReportRow]:
     return rows.rows
 
 
-def surface_report(cfg: SuiteConfig) -> list[dict]:
-    """Per-sample geometry table for a family: shape invariants, intrinsic
-    curvature, normal components, and (for nu = 1) the principal-frame
-    curvature components."""
+def surface_report(cfg: SuiteConfig) -> dict[str, list]:
+    """Per-sample geometry table for a family, as columns (name -> one value
+    per sample, row-major over the grid): shape invariants, intrinsic
+    curvature, normal components, and the principal-frame curvature
+    components, which are None unless nu = 1."""
     cfg.validate()
     built = build_family(parse_family_spec(cfg.family)).surface
     if built is None:
@@ -607,7 +610,7 @@ def surface_report(cfg: SuiteConfig) -> list[dict]:
         columns.update((name, getattr(comps, name)) for name in names)
     else:
         columns.update((name, np.full(u.size, None)) for name in names)
-    return [dict(zip(columns, values)) for values in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+    return {name: np.asarray(values).tolist() for name, values in columns.items()}
 
 
 def rows_passed(rows: list[ReportRow]) -> bool:
@@ -624,16 +627,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render(meta: dict, table: list[dict], fmt: str) -> str:
-    """A report of ``table`` rows: CSV as a header line of the row keys and
-    one line per row, or JSON as ``meta`` with the rows under "rows"."""
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_column(values: list):
+    """Each value of a column as ``json.dumps`` spells it, with one call per
+    column, not per value, when the column is all finite floats, all
+    strings, or all None and bools."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds <= {type(None), bool}:
+        return map(_JSON_LITERALS.__getitem__, values)
+    return map(json.dumps, values)  # NaN, +-Infinity, ints, mixed columns
+
+
+def _csv_column(values: list):
+    """Each value of a column as ``_fmt`` spells it."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return map("{:.17g}".format, values)
+    if kinds == {str}:
+        return values
+    return map(_fmt, values)
+
+
+def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
+    """A report of a table given as columns (name -> one scalar per row, in
+    row order): CSV as a header line of the column names and one line per
+    row, or JSON as ``meta`` with the rows under "rows", one object per row
+    keyed in column order.  The text is exactly that of ``csv.writer`` over
+    the ``_fmt`` fields, or of ``json.dumps({**meta, "rows": [...]},
+    indent=2)``, written a column at a time instead of a value at a time."""
     if fmt == "json":
-        return json.dumps({**meta, "rows": table}, indent=2) + "\n"
-    header = list(table[0]) if table else []
+        head = json.dumps({**meta, "rows": []}, indent=2)
+        if not any(columns.values()):
+            return head + "\n"
+        # One %-template per row; a key's own "%" is escaped.
+        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in columns)
+        template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+        body = ",\n".join(map(template.__mod__, zip(*map(_json_column, columns.values()), strict=True)))
+        return head.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
-    writer.writerow(header)
-    writer.writerows([_fmt(row[k]) for k in header] for row in table)
+    writer.writerow(columns)
+    writer.writerows(zip(*map(_csv_column, columns.values()), strict=True))
     return out.getvalue()
 
 
@@ -647,9 +687,9 @@ def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
         "grid": list(cfg.grid),
         "passed": rows_passed(rows),
     }
-    # vars() of a ReportRow holds its fields in declaration order.
-    return render(meta, [vars(r) for r in rows], cfg.format)
+    columns = {f.name: list(map(attrgetter(f.name), rows)) for f in fields(ReportRow)}
+    return render(meta, columns, cfg.format)
 
 
-def render_report(table: list[dict], cfg: SuiteConfig) -> str:
-    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, table, cfg.format)
+def render_report(columns: dict[str, list], cfg: SuiteConfig) -> str:
+    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, columns, cfg.format)

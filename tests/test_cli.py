@@ -377,6 +377,50 @@ class TestGaussSuite:
         assert len(calls) == len(ALL_ROSTER_GAUSS)
 
 
+def fmt_field(value) -> str:
+    """How one CSV field is spelled: the per-value formatter the column
+    renderer must reproduce."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def csv_of_row_dicts(table: list[dict]) -> str:
+    """The row-at-a-time CSV writer: ``csv.writer`` over ``fmt_field`` of
+    each row dict."""
+    header = list(table[0]) if table else []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_field(row[k]) for k in header] for row in table)
+    return out.getvalue()
+
+
+def row_dicts(columns: dict) -> list[dict]:
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+# One table holding every kind of value a report cell can take, each kind
+# in a column of its own and mixed with others.
+EVERY_KIND = {
+    "float": [-0.0, 5e-324, 1e16, 1e-7, 0.1],
+    "non_finite": [math.nan, math.inf, -math.inf, 2.5, -0.0],
+    "none": [None] * 5,
+    "bool": [True, False, True, True, False],
+    "none_or_bool": [None, True, None, False, None],
+    "int": [0, -7, 2**70, 1, 42],
+    "float_or_none": [1.25, None, -3e-300, None, 0.1],
+    "mixed": [None, True, 3, 0.5, "x"],
+    "text": ['a "quoted" word', "back\\slash", "100% sure, %s", "bell\x07 and tab\t", "\u03bd = \u22121, Fl\u00e4che"],
+    'key 100% "%s" \u03bd': [1.0, 2.0, 3.0, 4.0, 5.0],
+}
+META = {"suite": "family", "nu": -1.0, "family": 'x(a="%s")', "grid": [8, 8], "passed": False, "tol": None}
+
+
 class TestReportRendering:
     def test_csv_shape(self):
         cfg = SuiteConfig(suite="sasaki", nu=1.0, samples=3, seed=0, format="csv")
@@ -410,29 +454,60 @@ class TestReportRendering:
         row = payload["rows"][0]
         assert set(row) == {"check_id", "location", "expected", "computed", "residual", "passed"}
 
+    def test_json_equals_json_dumps_of_the_row_dicts(self):
+        expected = json.dumps({**META, "rows": row_dicts(EVERY_KIND)}, indent=2) + "\n"
+        assert suites.render(META, EVERY_KIND, "json") == expected
+
+    def test_csv_equals_the_row_at_a_time_writer(self):
+        assert suites.render(META, EVERY_KIND, "csv") == csv_of_row_dicts(row_dicts(EVERY_KIND))
+
+    @pytest.mark.parametrize("columns", [{}, {"u": [], "v": []}], ids=["no_columns", "no_rows"])
+    def test_empty_table(self, columns):
+        assert suites.render(META, columns, "json") == json.dumps({**META, "rows": []}, indent=2) + "\n"
+        assert suites.render(META, {}, "csv") == csv_of_row_dicts([]) == "\n"
+
+    def test_columns_of_unequal_length_are_an_error(self):
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError):
+                suites.render(META, {"u": [1.0, 2.0], "v": [1.0]}, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_check_rows_render_as_their_row_dicts(self, fmt):
+        cfg = SuiteConfig(suite="curvature", nu=1.0, samples=4, seed=2, format=fmt)
+        rows = run_suite(cfg)
+        text = render_rows(rows, cfg)
+        table = [vars(r) for r in rows]
+        if fmt == "csv":
+            assert text == csv_of_row_dicts(table)
+        else:
+            payload = json.loads(text)
+            assert payload["rows"] == table
+            assert text == json.dumps(payload, indent=2) + "\n"
+
     def test_surface_report_columns(self):
         cfg = SuiteConfig(
             suite="family", nu=-1.0, family="lightcone(profile=umbilic)", grid=(4, 4)
         )
         table = surface_report(cfg)
-        assert len(table) == 16
+        assert all(len(column) == 16 for column in table.values())
         expected_cols = {
             "u", "v", "H", "detS", "discriminant", "K", "umbilic_defect",
             "a", "b", "c", "r1213", "r2123", "r3113", "r3223",
         }
-        assert set(table[0]) == expected_cols
-        assert all(abs(row["H"] - 1.0) < 1e-6 for row in table)
-        assert all(row["r1213"] is None for row in table)
+        assert set(table) == expected_cols
+        assert all(abs(h - 1.0) < 1e-6 for h in table["H"])
+        assert all(r is None for r in table["r1213"])
 
     def test_surface_report_minimal_families(self):
         cfg = SuiteConfig(
             suite="family", nu=1.0, family="hopf_cylinder(curve=geodesic)", grid=(4, 4)
         )
-        for row in surface_report(cfg):
-            assert abs(row["H"]) < 1e-6 and abs(row["K"]) < 1e-4
+        table = surface_report(cfg)
+        for h, k in zip(table["H"], table["K"], strict=True):
+            assert abs(h) < 1e-6 and abs(k) < 1e-4
         cfg = SuiteConfig(suite="family", nu=1.0, family="conoid(mu=0.3)", grid=(4, 4))
-        for row in surface_report(cfg):
-            assert abs(row["H"]) < 1e-6
+        for h in surface_report(cfg)["H"]:
+            assert abs(h) < 1e-6
 
     def test_gauss_suite_boolean_rows(self):
         cfg = SuiteConfig(
@@ -643,6 +718,30 @@ class TestCommandLine:
         res = run_main(args, capsys)
         assert_usage_error(res)
         assert res.stderr == f"verify: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--suite", "sasaki", "--samples", "5", "--samples", "2"], "--samples"),
+            (["--suite", "sasaki", "--samples=5", "--sam", "2"], "--samples"),
+            (["--suite", "family", "--family", "conoid", "--report", "--report"], "--report"),
+        ],
+    )
+    def test_repeated_flag_is_one_line_naming_it(self, args, flag, capsys):
+        res = run_main(args, capsys)
+        assert_usage_error(res)
+        assert res.stderr == f"verify: repeated flag {flag}\n"
+
+    def test_ambiguous_abbreviation_is_one_line(self, capsys):
+        res = run_main(["--s", "1"], capsys)
+        assert_usage_error(res)
+        assert res.stderr.startswith("verify: ambiguous option: --s could match ")
+        assert "usage:" not in res.stderr
+
+    def test_unambiguous_abbreviation_is_read(self, capsys):
+        res = run_main(["--suite", "family", "--fam", "conoid(mu=1)", "--grid", "3x3", "--format", "csv"], capsys)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("check_id,") and "family.conoid_minimal" in res.stdout
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -208,7 +208,7 @@ class TestJet:
         monkeypatch.setattr(families, "affine_conoid", counting_conoid)
         n_u, n_v = 5, 4
         cfg = SuiteConfig(suite="family", family="conoid(mu=1)", grid=(n_u, n_v), report=True)
-        assert len(surface_report(cfg)) == n_u * n_v
+        assert len(surface_report(cfg)["u"]) == n_u * n_v
         assert points == {"jet2": 9 * n_u * n_v}
 
 
