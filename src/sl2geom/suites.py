@@ -636,7 +636,7 @@ def _json_column(values: list):
     strings, or all None and bools."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
+        return map(repr, values)  # float.__repr__, called without a slot wrapper
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
     if kinds <= {type(None), bool}:
