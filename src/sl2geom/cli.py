@@ -16,11 +16,12 @@ rules, including which options each run reads.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 configuration error: an unknown, ambiguous, repeated or malformed flag, a
-value that does not parse, an unknown or repeated config key, an option the chosen run does not
-read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
-``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
-and running out of memory.  Every exit 2 prints one ``verify:`` line and no
-report.  Reports are byte-identical for identical configuration and seed.
+value that does not parse, an unknown or repeated config key, an option the
+chosen run does not read, a grid over ``suites.MAX_GRID_POINTS``,
+``--samples`` over ``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a
+numerical blow-up and running out of memory.  Every exit 2 prints one
+``verify:`` line and no report.  Reports are byte-identical for identical
+configuration and seed.
 """
 
 from __future__ import annotations
