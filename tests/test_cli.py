@@ -464,7 +464,10 @@ class TestReportRendering:
     @pytest.mark.parametrize("columns", [{}, {"u": [], "v": []}], ids=["no_columns", "no_rows"])
     def test_empty_table(self, columns):
         assert suites.render(META, columns, "json") == json.dumps({**META, "rows": []}, indent=2) + "\n"
-        assert suites.render(META, {}, "csv") == csv_of_row_dicts([]) == "\n"
+        # CSV writes the header of the column names; with no columns that is
+        # the empty line the row-dict writer gives for no rows.
+        assert suites.render(META, columns, "csv") == ",".join(columns) + "\n"
+        assert csv_of_row_dicts([]) == "\n"
 
     def test_columns_of_unequal_length_are_an_error(self):
         for fmt in ("json", "csv"):
