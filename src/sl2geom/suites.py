@@ -644,23 +644,14 @@ def _json_column(values: list):
     return map(json.dumps, values)  # NaN, +-Infinity, ints, mixed columns
 
 
-def _csv_column(values: list):
-    """Each value of a column as ``_fmt`` spells it."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return map("{:.17g}".format, values)
-    if kinds == {str}:
-        return values
-    return map(_fmt, values)
-
-
 def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
     """A report of a table given as columns (name -> one scalar per row, in
     row order): CSV as a header line of the column names and one line per
     row, or JSON as ``meta`` with the rows under "rows", one object per row
     keyed in column order.  The text is exactly that of ``csv.writer`` over
     the ``_fmt`` fields, or of ``json.dumps({**meta, "rows": [...]},
-    indent=2)``, written a column at a time instead of a value at a time."""
+    indent=2)``; JSON is spelled a column at a time instead of a value at a
+    time."""
     if fmt == "json":
         head = json.dumps({**meta, "rows": []}, indent=2)
         if not any(columns.values()):
@@ -673,7 +664,7 @@ def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)
-    writer.writerows(zip(*map(_csv_column, columns.values()), strict=True))
+    writer.writerows(zip(*(map(_fmt, c) for c in columns.values()), strict=True))
     return out.getvalue()
 
 
