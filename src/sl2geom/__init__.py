@@ -18,7 +18,6 @@ from .core import (
     embed_ads,
     group_exp,
     group_to_chart,
-    hopf_project,
     left_translate_to_identity,
 )
 from .families import (
@@ -51,7 +50,6 @@ from .gaussmap import (
 from .metric import (
     SasakiResiduals,
     connection_table,
-    covariant_derivative,
     curvature,
     curvature_contact_form,
     koszul_connection,

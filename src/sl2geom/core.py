@@ -55,10 +55,6 @@ class GroupElement:
             raise ValueError(f"matrix is not unimodular: det = {det!r}")
 
     @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def from_matrix(cls, m) -> "GroupElement":
         m = np.asarray(m, dtype=float)
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
@@ -66,10 +62,6 @@ class GroupElement:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -287,15 +279,6 @@ def embed_ads(g: GroupElement) -> AdSPoint:
         0.5 * (g.b + g.c),
         0.5 * (g.d - g.a),
     )
-
-
-def hopf_project(p: ChartPoint) -> tuple[float, float]:
-    """Bundle projection onto the hyperbolic base: (x, y, theta) -> (x, y).
-
-    The fibres are the theta-circles; the projection intertwines the right
-    rotation action with the identity on the base.
-    """
-    return (p.x, p.y)
 
 
 def group_exp(x: LieVector) -> GroupElement:

@@ -71,10 +71,10 @@ class HyperbolicCurve:
 
     ``jet(v)`` returns ((x, y), (x', y'), (x'', y'')) for a scalar or an
     array v, with components that broadcast against v, and is the only
-    evaluation of the curve; ``point``, ``velocity`` and ``speed`` read
-    it.  ``unit_speed`` certifies (x'^2 + y'^2)/(4 y^2) = 1;
-    the surface constructors require it.  ``kappa`` records the (constant)
-    geodesic curvature when the factory knows it.
+    evaluation of the curve; ``speed`` reads it.  ``unit_speed``
+    certifies (x'^2 + y'^2)/(4 y^2) = 1; the surface constructors
+    require it.  ``kappa`` records the (constant) geodesic curvature when
+    the factory knows it.
     """
 
     jet: Callable[[np.ndarray], tuple]
@@ -83,12 +83,6 @@ class HyperbolicCurve:
     unit_speed: bool = False
     periodic: bool = False
     kappa: Optional[float] = None
-
-    def point(self, v: float) -> tuple[float, float]:
-        return self.jet(v)[0]
-
-    def velocity(self, v: float) -> tuple[float, float]:
-        return self.jet(v)[1]
 
     def speed(self, v: float) -> float:
         (x, y), (xp, yp), _ = self.jet(v)

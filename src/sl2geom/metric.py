@@ -54,13 +54,11 @@ components appear only at conversion boundaries.  All functions are pure.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ChartPoint
-
-FieldFunc = Callable[[float, float, float], Sequence[float]]
 
 DEFAULT_FD_STEP = 1e-5
 SECTION_PLANE_TOL = 1e-8  # sectional curvature of a plane with |Gram det| below this is refused
@@ -244,55 +242,32 @@ def _shift(p: ChartPoint, w, s) -> ChartPoint:
 
 def directional_derivative(f, p: ChartPoint, coord_dir, h):
     """Central difference of f (scalar- or vector-valued on chart points)
-    along a coordinate direction.  On a batch of N points the direction is
-    (N, 3), h is (N,) and f returns (N,) or (N, 3).  The step shrinks so
-    that y stays above half its starting value; the chart degenerates as
-    y -> 0.  Along a zero direction the derivative is zero; masks keep
-    such lanes finite."""
+    along a nonzero coordinate direction.  On a batch of N points the
+    direction is (N, 3), h is (N,) and f returns (N,) or (N, 3).  The step
+    shrinks so that y stays above half its starting value; the chart
+    degenerates as y -> 0."""
     # Component-first (transposed) values, so one step per point broadcasts.
     w = _comps(coord_dir).T
-    scale = np.abs(w).max(axis=0)
-    moving, vertical = scale != 0.0, w[1] != 0.0
-    s = h / np.where(moving, scale, 1.0)
+    vertical = w[1] != 0.0
+    s = h / np.abs(w).max(axis=0)
     s = np.where(vertical, np.minimum(s, 0.5 * p.y / np.abs(np.where(vertical, w[1], 1.0))), s)
     fp = np.asarray(f(_shift(p, w, s)), dtype=float).T
     fm = np.asarray(f(_shift(p, w, -s)), dtype=float).T
-    return np.where(moving, (fp - fm) / (2.0 * s), 0.0).T
+    return ((fp - fm) / (2.0 * s)).T
 
 
-def _field_frame(field: FieldFunc, p: ChartPoint) -> np.ndarray:
-    """Frame components of a field at p, (3,) or (N, 3); the field returns
-    three constants, broadcast over a batch, or three (N,) components."""
-    f = np.asarray(field(p.x, p.y, p.theta), dtype=float).T
-    return f if f.shape[:-1] == np.shape(p.y) else np.broadcast_to(f, np.shape(p.y) + (3,))
+def _frame_coord(p: ChartPoint, i: int) -> np.ndarray:
+    """Coordinate components of the frame vector e_(i+1) at p, (3,) or (N, 3)."""
+    return frame_to_coordinate(p, np.broadcast_to(np.eye(3)[i], np.shape(p.y) + (3,)))
 
 
-def _field_coord(field: FieldFunc, p: ChartPoint) -> np.ndarray:
-    return frame_to_coordinate(p, _field_frame(field, p))
-
-
-def lie_bracket(u: FieldFunc, v: FieldFunc, p: ChartPoint, h: float) -> np.ndarray:
-    """[U, V] at p in frame components, by finite differences of the
-    coordinate component functions."""
-    uc = _field_coord(u, p)
-    vc = _field_coord(v, p)
-    du_v = directional_derivative(lambda q: _field_coord(v, q), p, uc, h)
-    dv_u = directional_derivative(lambda q: _field_coord(u, q), p, vc, h)
-    return coordinate_to_frame(p, du_v - dv_u)
-
-
-def covariant_derivative(u: FieldFunc, v: FieldFunc, p: ChartPoint, nu: float) -> np.ndarray:
-    """D_U V at p for vector fields given as frame-component functions of
-    (x, y, theta), by the Leibniz rule over the constant connection table,
-    with the derivative of V's components taken by a central difference
-    along U; at a batch of N points (coordinates of shape (N,)) each field
-    returns constant or (N,) components and the result is (N, 3)."""
-    nu = _require_nu(nu)
-    uf = _field_frame(u, p)
-    vf = _field_frame(v, p)
-    uc = frame_to_coordinate(p, uf)
-    dv = directional_derivative(lambda q: _field_frame(v, q), p, uc, fd_step(p))
-    return dv + connect_constant(uf, vf, nu)
+def _frame_bracket(i: int, j: int, p: ChartPoint, h) -> np.ndarray:
+    """[e_(i+1), e_(j+1)] at p in frame components, by central differences
+    of the frame's coordinate components."""
+    ei, ej = _frame_coord(p, i), _frame_coord(p, j)
+    di_ej = directional_derivative(lambda q: _frame_coord(q, j), p, ei, h)
+    dj_ei = directional_derivative(lambda q: _frame_coord(q, i), p, ej, h)
+    return coordinate_to_frame(p, di_ej - dj_ei)
 
 
 def koszul_connection(p: ChartPoint, nu: float) -> np.ndarray:
@@ -310,21 +285,15 @@ def koszul_connection(p: ChartPoint, nu: float) -> np.ndarray:
     out; nothing is read from the connection table.
     """
     gdiag = np.array([1.0, 1.0, _require_nu(nu)])
-    fields = [constant_field(e) for e in np.eye(3)]
     h = fd_step(p)
     br = np.zeros(np.shape(p.y) + (3, 3, 3))
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        br[..., i, j, :] = lie_bracket(fields[i], fields[j], p, h)
+        br[..., i, j, :] = _frame_bracket(i, j, p, h)
         br[..., j, i, :] = -br[..., i, j, :]
     low = br * gdiag  # low[..., i, j, k] = g([e_i, e_j], e_k)
     # two_g[..., i, j, k] = low[i, j, k] - low[i, k, j] - low[j, k, i]
     two_g = low - low.swapaxes(-2, -1) - np.moveaxis(low, -1, -3)
     return 0.5 * two_g / gdiag
-
-
-def constant_field(comps) -> FieldFunc:
-    c = tuple(float(x) for x in _comps(comps))
-    return lambda x, y, t: c
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +343,6 @@ class SasakiResiduals(NamedTuple):
     f_compatibility: float
     xi_derivative: float
     f_derivative: float
-
-    def max(self):
-        return np.maximum.reduce(self)
 
 
 def sasaki_residuals(p: ChartPoint, x, y, nu: float) -> SasakiResiduals:

@@ -322,18 +322,6 @@ def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:
     return np.stack([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det], axis=-1)
 
 
-def gauss_formula_residual(pt: SurfacePointData) -> float:
-    """Max-norm residual of D_a phi_b - (tangential part) - II_ab n over the
-    three second-derivative slots."""
-    j, n, II = pt.jet, pt.normal, pt.second
-    worst = 0.0
-    for dd, coeff in ((j.d_uu, II.E), (j.d_uv, II.F), (j.d_vv, II.G)):
-        ab = tangent_coordinates(j, dd - coeff * n)
-        recon = ab[..., :1] * j.phi_u + ab[..., 1:] * j.phi_v + coeff * n
-        worst = max(worst, float(np.abs(dd - recon).max()))
-    return worst
-
-
 def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalForm | None = None) -> float:
     """Gauss curvature of the induced metric, independent of the second
     fundamental form, by central differences of (E, F, G) on a 3x3 stencil

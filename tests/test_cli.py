@@ -376,6 +376,18 @@ class TestGaussSuite:
             run_gauss(parse_family_spec(spec), 1.0, (4, 4), RowCollector())
         assert len(calls) == len(ALL_ROSTER_GAUSS)
 
+    def test_non_cmc_surface_fails_h_constant_and_exits_one(self, monkeypatch, capsys):
+        # The conoid x(u) = sin u has non-constant H: the classification's
+        # premise fails as a row, not as bad input.
+        sine = families.conoid(x=np.sin, xp=np.cos, xpp=lambda u: -np.sin(u))
+        family = Family(sine, lambda u, v, nu: [], gauss=(False, False, False))
+        monkeypatch.setitem(suites.FAMILIES, "sine_conoid", lambda spec: family)
+        rows = run_suite(SuiteConfig(suite="gauss", family="sine_conoid"))
+        assert [(r.check_id, r.passed) for r in rows if not r.passed] == [("gauss.h_constant", False)]
+        assert rows[0].check_id == "gauss.h_constant" and rows[0].residual > 1.0
+        assert main(["--suite", "gauss", "--family", "sine_conoid"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
 
 def fmt_field(value) -> str:
     """How one CSV field is spelled: the per-value formatter the column

@@ -42,9 +42,9 @@ from sl2geom.surface import jet, surface_shape
 def fd_geodesic_curvature(c: HyperbolicCurve, v: float, h: float = 1e-5) -> float:
     """Curvature oracle that sees only the curve points: finite-difference
     derivatives fed through the same covariant-acceleration formula."""
-    x, y = c.point(v)
-    xm, ym = c.point(v - h)
-    xp, yp = c.point(v + h)
+    (x, y), _, _ = c.jet(v)
+    (xm, ym), _, _ = c.jet(v - h)
+    (xp, yp), _, _ = c.jet(v + h)
     dx, dy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
     ddx, ddy = (xp - 2 * x + xm) / h**2, (yp - 2 * y + ym) / h**2
     ax = ddx - 2.0 * dx * dy / y
@@ -96,7 +96,7 @@ class TestCurves:
             assert c.v1 - c.v0 == math.pi * rho
             vs = np.linspace(0.01, 0.99, 13) * c.v1
             for v in vs:
-                x, y = c.point(float(v))
+                (x, y), _, _ = c.jet(float(v))
                 b = math.atan2(-x / rho, (y - yc) / rho) % (2.0 * math.pi)
                 edges = np.linspace(0.0, b, 9)
                 mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)

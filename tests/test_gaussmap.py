@@ -233,11 +233,12 @@ class TestClassification:
             cls = classify_gauss_map(builder(), grid=(8, 8))
             assert (not cls.harmonic) or cls.vertically_harmonic
 
-    def test_non_constant_mean_curvature_rejected(self):
-        # A generic profile at nu = 1 has varying H.
+    def test_non_constant_mean_curvature_is_reported_not_raised(self):
+        # A generic profile at nu = 1 has varying H; the spread is evidence
+        # for the caller's gauss.h_constant row, not an error.
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
-        with pytest.raises(ValueError):
-            classify_gauss_map(s, grid=(6, 6))
+        cls = classify_gauss_map(s, grid=(6, 6))
+        assert cls.evidence["h_spread"] > 1e-2
 
     def test_grid_resolution_validated(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,6 @@ from sl2geom.surface import (
     Immersion,
     check_analytic_partials,
     first_form,
-    gauss_formula_residual,
     intrinsic_gauss_curvature,
     jet,
     second_form,
@@ -303,8 +302,7 @@ class TestFirstForm:
                 s = hopf_cylinder(curve)
                 for (u, v) in interior_points(s, n=3):
                     I = first_form(jet(s, u, v, nu))
-                    xp, _ = curve.velocity(v)
-                    _, y = curve.point(v)
+                    (_, y), (xp, _), _ = curve.jet(v)
                     beta = xp / (2.0 * y)
                     assert abs(I.E - nu) < 1e-12
                     assert abs(I.F - nu * beta) < 1e-12
@@ -406,13 +404,6 @@ class TestSecondForm:
             j = jet(s, u, 0.5, -1.0)
             n = unit_normal(j, orient_hint=np.array([0.0, 1.0, 0.0]))
             assert abs(second_form(j, n).G) < 1e-14
-
-    def test_gauss_formula_residual(self):
-        for _, builder, nu in SAMPLE_FAMILIES:
-            s = builder()
-            for (u, v) in interior_points(s, n=3):
-                pt = surface_shape(s, u, v, nu)
-                assert gauss_formula_residual(pt) < 1e-6
 
 
 class TestShapeData:
