@@ -48,7 +48,9 @@ endomorphism F e1 = e2, F e2 = -e1, F e3 = 0; the usual compatibility
 identities hold for every nu and are exposed as residuals.
 
 Frame components are the canonical internal representation; coordinate
-components appear only at conversion boundaries.  All functions are pure.
+components appear only at conversion boundaries.  The table contractions
+(``connect_constant``, ``curvature``) take their operands component-major,
+(3, N), and keep the point-major summation order.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -136,51 +138,53 @@ def connection_table(i: int, j: int, nu: float) -> np.ndarray:
     return _connection_coeffs(_require_nu(nu))[i - 1, j - 1].copy()
 
 
+# einsum subscripts of _contract, by the number of vectors, each (3, N).
+_SUBSCRIPTS = {2: "j...,k...,jkl->l...", 3: "i...,j...,k...,ijkl->l..."}
+
+
+def _contract(table: np.ndarray, *vectors) -> np.ndarray:
+    """Each leading index of ``table`` contracted with one frame vector, (3,)
+    or (N, 3).  The vectors go in component-major, so einsum's inner loop runs
+    over the points, while each output keeps the point-major summation order
+    and so its bits.  The result is C-contiguous, (3,) or (N, 3)."""
+    vs = [np.ascontiguousarray(_comps(v).T) for v in vectors]
+    return np.ascontiguousarray(np.einsum(_SUBSCRIPTS[len(vectors)], *vs, table).T)
+
+
 def connect_constant(direction, w, nu: float) -> np.ndarray:
     """D_X W for constant-frame-component W along the frame vector X.
 
     Both arguments are frame-component triples, (3,) or (N, 3); the result
     uses only the connection table (no derivative term).
     """
-    gam = _connection_coeffs(_require_nu(nu))
-    d, w = _comps(direction), _comps(w)
-    return np.einsum("...j,...k,jkl->...l", d, w, gam)
+    return _contract(_connection_coeffs(_require_nu(nu)), direction, w)
 
 
 @lru_cache(maxsize=None)
 def curvature_table(nu: float) -> np.ndarray:
     """R[i, j, k, :] = frame components of R(e_i, e_j) e_k, composed from the
     connection table and the structure constants."""
-    nu = _require_nu(nu)
-    gam = _connection_coeffs(nu)
-    r = np.zeros((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                # D_i (D_j e_k) - D_j (D_i e_k) - D_{[e_i, e_j]} e_k
-                term = np.einsum("m,ml->l", gam[j, k], gam[i])
-                term -= np.einsum("m,ml->l", gam[i, k], gam[j])
-                term -= np.einsum("m,ml->l", _STRUCTURE[i, j], gam[:, k])
-                r[i, j, k] = term
-    return r
+    g = _connection_coeffs(_require_nu(nu))
+    # D_i (D_j e_k) - D_j (D_i e_k) - D_{[e_i, e_j]} e_k
+    return (
+        np.einsum("jkm,iml->ijkl", g, g)
+        - np.einsum("ikm,jml->ijkl", g, g)
+        - np.einsum("ijm,mkl->ijkl", _STRUCTURE, g)
+    )
 
 
 def _as_frame_vector(x) -> np.ndarray:
     if isinstance(x, int):
         if x not in (1, 2, 3):
             raise ValueError(f"frame index must lie in 1..3, got {x}")
-        e = np.zeros(3)
-        e[x - 1] = 1.0
-        return e
+        return np.eye(3)[x - 1]
     return _comps(x)
 
 
 def curvature(x, y, z, nu: float) -> np.ndarray:
     """R(X, Y) Z in frame components; arguments are frame-component vectors
     ((3,) or (N, 3)) or 1-based frame indices."""
-    r = curvature_table(_require_nu(nu))
-    a, b, c = (_as_frame_vector(w) for w in (x, y, z))
-    return np.einsum("...i,...j,...k,ijkl->...l", a, b, c, r)
+    return _contract(curvature_table(_require_nu(nu)), *(_as_frame_vector(w) for w in (x, y, z)))
 
 
 def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 
@@ -818,19 +820,66 @@ GOLDEN_STDOUT = {
 ALL_ROW_KEYS = "7a28877a33ba7d88fc2b40f0ad3c5c007b8a9f7667b3d0f26d5cf7753ef8bb79"
 
 
+# The host the pins were recorded on.
+PINNED_DISPATCH = "x86_64, numpy 2.4.6, SIMD targets AVX512_SKX/AVX512_SPR"
+
+
+def host_dispatch() -> str:
+    """This host's machine, numpy version and the SIMD features its numpy
+    dispatches to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    simd = " ".join(name for name, on in __cpu_features__.items() if on)
+    return f"{platform.machine()}, numpy {np.__version__}, SIMD features {simd or 'none'}"
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
 def test_stdout_is_pinned(argv, capsys):
     """The report of a fixed run stays byte for byte the same, so a speed-up
     cannot move a row unnoticed.  A deliberate change of rows updates the pin
     here, and CHANGES.md records why.
 
-    The pins were recorded on x86-64 with AVX512 and numpy 2.4.6.  They also
-    depend on numpy's SIMD dispatch (np.arctan2, np.exp and array powers can
-    differ from libm in the last bit), so a pin can move on another host
-    with correct code.  There, check the moved run against ALL_ROW_KEYS and
-    the worst residual of each check id; do not re-record the pin blindly."""
+    The pins were recorded under PINNED_DISPATCH.  They also depend on
+    numpy's SIMD dispatch (np.arctan2, np.exp and array powers can differ
+    from libm in the last bit), so a pin can move on another host with
+    correct code; the failure message names this host's dispatch.  There,
+    check the moved run against ALL_ROW_KEYS, test_report_values_match_the_record
+    and the worst residual of each check id; do not re-record the pin blindly."""
     assert main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT[argv], (
+        f"stdout moved; pins recorded under {PINNED_DISPATCH}; this host: {host_dispatch()}"
+    )
+
+
+REPORT_RECORD = os.path.join(os.path.dirname(__file__), "data", "report_conoid_mu0.7_16x16.json")
+
+
+def test_report_values_match_the_record(capsys):
+    """Every cell of a 16x16 conoid report against a recorded run, to a
+    relative 1e-12, so the report's values are pinned on any host, not only
+    under the dispatch of the byte pins.  Keys, None and bool cells must be
+    equal.  The absolute floor is 1e-12 times the column's largest magnitude,
+    and at least 1e-12: H and b are exactly zero in the record, which
+    rounding in other SIMD kernels may not keep."""
+    assert main(["--report", "--suite", "family", "--family", "conoid(mu=0.7)", "--grid", "16x16"]) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    with open(REPORT_RECORD) as f:
+        record = json.load(f)
+    assert {k: v for k, v in fresh.items() if k != "rows"} == {k: v for k, v in record.items() if k != "rows"}
+    assert [list(row) for row in fresh["rows"]] == [list(row) for row in record["rows"]]
+    for name in record["rows"][0]:
+        want = [row[name] for row in record["rows"]]
+        got = [row[name] for row in fresh["rows"]]
+        numeric = [w for w in want if isinstance(w, float)]
+        floor = 1e-12 * max([1.0, *map(abs, numeric)])
+        for w, g in zip(want, got):
+            if isinstance(w, float):
+                assert isinstance(g, float) and math.isclose(g, w, rel_tol=1e-12, abs_tol=floor), (name, w, g)
+            else:
+                assert type(g) is type(w) and g == w, (name, w, g)
 
 
 def test_row_keys_are_pinned():

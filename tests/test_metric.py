@@ -8,12 +8,15 @@ from sl2geom.metric import (
     _STRUCTURE,
     F_MATRIX,
     XI,
+    _connection_coeffs,
     _frame_bracket,
     apply_f,
+    connect_constant,
     connection_table,
     coordinate_to_frame,
     curvature,
     curvature_contact_form,
+    curvature_table,
     d_eta,
     directional_derivative,
     eta_coordinate_components,
@@ -261,6 +264,78 @@ class TestCurvature:
             x, y, z = (random_vec(rng) for _ in range(3))
             expected = -(g_frame(y, z, -1.0) * x - g_frame(z, x, -1.0) * y)
             assert np.abs(curvature(x, y, z, -1.0) - expected).max() < 1e-9
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def looped_curvature_table(nu):
+    """The curvature table one (i, j, k) entry at a time, as a reference."""
+    gam = _connection_coeffs(nu)
+    r = np.zeros((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                term = np.einsum("m,ml->l", gam[j, k], gam[i])
+                term -= np.einsum("m,ml->l", gam[i, k], gam[j])
+                term -= np.einsum("m,ml->l", _STRUCTURE[i, j], gam[:, k])
+                r[i, j, k] = term
+    return r
+
+
+def kernel_operands(rng, n):
+    """Five frame-vector operands, (n, 3) or (3,) for n = 0, as strided views
+    like the suites pass them: column blocks of one draw and the rows of a
+    transposed (n, 3, 3) draw.  They hold +-0.0, subnormals and values near
+    1e150."""
+    shape = (n,) if n else ()
+    draws = rng.uniform(-3.0, 3.0, shape + (9,))
+    draws[..., 3] = 0.0
+    draws[..., 6] = -0.0
+    draws[..., 5] *= 1e150
+    draws[..., 7] = np.copysign(5e-324, draws[..., 7])
+    rows = rng.uniform(-1.0, 1.0, (n, 3, 3)).transpose(1, 0, 2) if n else rng.uniform(-1.0, 1.0, (3, 3))
+    return (draws[..., 3:6], draws[..., 6:], *rows)
+
+
+class TestContractionBits:
+    """connect_constant and curvature hand einsum their operands
+    component-major; each result must keep the bits of the point-major
+    spelling, whatever SIMD kernels the host's numpy dispatches to."""
+
+    NUS = (1.0, -1.0, 2.5, -0.5, 1e4)
+
+    @pytest.mark.parametrize("nu", NUS + (-1e4, 0.1, 1.0 / 3.0, 1e-300))
+    def test_curvature_table_equals_the_loop(self, nu):
+        assert same_bits(curvature_table(nu), looped_curvature_table(nu))
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("n", [0, 1, 16, 4096])
+    def test_connect_constant_equals_point_major(self, rng, nu, n):
+        a, b, x, y, _ = kernel_operands(rng, n)
+        gam = _connection_coeffs(nu)
+        mixed = ((a, b[0]), (b[0], x)) if n else ()
+        for d, w in ((a, b), (x, y), *mixed):
+            out = connect_constant(d, w, nu)
+            assert same_bits(out, np.einsum("...j,...k,jkl->...l", d, w, gam))
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("n", [0, 1, 16, 4096])
+    def test_curvature_equals_point_major(self, rng, nu, n):
+        a, b, x, y, z = kernel_operands(rng, n)
+        e = np.eye(3)
+        r = curvature_table(nu)
+        # (arguments, the same as vectors); 1-based indices are frame vectors.
+        cases = [((a, b, x), (a, b, x)), ((x, y, z), (x, y, z)), ((1, y, 2), (e[0], y, e[1]))]
+        cases += [((3, 1, a), (e[2], e[0], a)), ((2, 3, 3), (e[1], e[2], e[2]))]
+        if n:
+            cases.append(((a[0], y, z[-1]), (a[0], y, z[-1])))
+        for args, vecs in cases:
+            out = curvature(*args, nu)
+            assert same_bits(out, np.einsum("...i,...j,...k,ijkl->...l", *vecs, r))
+            assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
 class TestSectionalCurvature:
