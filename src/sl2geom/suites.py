@@ -17,9 +17,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,16 +63,6 @@ MAX_SAMPLES = 65_536
 # 1.1e-11 |nu| against a fixed tolerance of 1e-5, so beyond this a correct
 # connection table would fail; at 1e4 the residual is ~90x under tolerance.
 MAX_NU = 1e4
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    check_id: str
-    location: str
-    expected: float
-    computed: float
-    residual: float
-    passed: bool
 
 
 @dataclass
@@ -127,11 +116,13 @@ class SuiteConfig:
 
 
 class RowCollector:
-    """Collects report rows; ``tol_override`` can only tighten a check's own
-    tolerance, never loosen it."""
+    """Collects report rows as a table of columns, ``check_id``,
+    ``location``, ``expected``, ``computed``, ``residual`` and ``passed``,
+    each one built-in value per row; ``tol_override`` can only tighten a
+    check's own tolerance, never loosen it."""
 
     def __init__(self, tol_override: Optional[float] = None):
-        self.rows: list[ReportRow] = []
+        self.table = {name: [] for name in ("check_id", "location", "expected", "computed", "residual", "passed")}
         self.tol_override = tol_override
 
     def add(self, locations: list[str], checks: list[tuple], where=None):
@@ -153,12 +144,16 @@ class RowCollector:
         at, check = np.nonzero(np.broadcast_to(True if where is None else where, expected.shape))
         expected, computed, tol = expected[at, check], computed[at, check], tol[check]
         residual = np.abs(computed - expected)
-        values = zip(expected.tolist(), computed.tolist(), residual.tolist(), (residual <= tol).tolist())
-        self.rows += [ReportRow(ids[j], locations[k], *v) for k, j, v in zip(at.tolist(), check.tolist(), values)]
-
-
-def random_frame_vector(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, 3)
+        kept = (
+            map(ids.__getitem__, check.tolist()),
+            map(locations.__getitem__, at.tolist()),
+            expected.tolist(),
+            computed.tolist(),
+            residual.tolist(),
+            (residual <= tol).tolist(),
+        )
+        for column, values in zip(self.table.values(), kept):
+            column.extend(values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +202,16 @@ def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCo
     rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
     if nu == -1.0:
-        planes = []
+        # Frame-vector pairs (X, Y), drawn a batch of the planes still needed
+        # at a time: a batch keeps at most that many, so no pair is drawn past
+        # the last plane, and the generator moves as a pair-at-a-time loop.
+        planes = np.empty((0, 2, 3))
         while len(planes) < 5 * samples:
-            x, y = random_frame_vector(rng), random_frame_vector(rng)
+            pairs = rng.uniform(-1.0, 1.0, (5 * samples - len(planes), 2, 3))
+            x, y = pairs.transpose(1, 0, 2)
             den = g_frame(x, x, nu) * g_frame(y, y, nu) - g_frame(x, y, nu) ** 2
-            if abs(den) >= 0.1:
-                planes.append((x, y))
-        x, y = np.array(planes).transpose(1, 0, 2)
+            planes = np.concatenate([planes, pairs[np.abs(den) >= 0.1]])
+        x, y = planes.transpose(1, 0, 2)
         locations = [f"plane{k:04d}" for k in range(len(planes))]
         rows.add(locations, [("curvature.sectional_constant", -1.0, sectional_curvature(x, y, nu), 1e-8)])
     if nu == 1.0:
@@ -551,7 +549,8 @@ ALL_ROSTER_GAUSS = [
 ]
 
 
-def run_suite(cfg: SuiteConfig) -> list[ReportRow]:
+def run_suite(cfg: SuiteConfig) -> dict[str, list]:
+    """The run's report rows, as ``RowCollector``'s table of columns."""
     cfg.validate()
     rows = RowCollector(cfg.tol)
     # Only the runs that read --seed draw; numpy.random is not imported otherwise.
@@ -577,7 +576,7 @@ def run_suite(cfg: SuiteConfig) -> list[ReportRow]:
             run_family(parse_family_spec(spec_text), nu, grid, rows)
         for spec_text in ALL_ROSTER_GAUSS:
             run_gauss(parse_family_spec(spec_text), 1.0, grid, rows)
-    return rows.rows
+    return rows.table
 
 
 def surface_report(cfg: SuiteConfig) -> dict[str, list]:
@@ -613,8 +612,8 @@ def surface_report(cfg: SuiteConfig) -> dict[str, list]:
     return {name: np.asarray(values).tolist() for name, values in columns.items()}
 
 
-def rows_passed(rows: list[ReportRow]) -> bool:
-    return all(r.passed for r in rows)
+def rows_passed(table: dict[str, list]) -> bool:
+    return all(table["passed"])
 
 
 def _fmt(value) -> str:
@@ -668,7 +667,7 @@ def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
     return out.getvalue()
 
 
-def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
+def render_rows(table: dict[str, list], cfg: SuiteConfig) -> str:
     meta = {
         "suite": cfg.suite,
         "nu": cfg.nu,
@@ -676,10 +675,9 @@ def render_rows(rows: list[ReportRow], cfg: SuiteConfig) -> str:
         "seed": cfg.seed,
         "samples": cfg.samples,
         "grid": list(cfg.grid),
-        "passed": rows_passed(rows),
+        "passed": rows_passed(table),
     }
-    columns = {f.name: list(map(attrgetter(f.name), rows)) for f in fields(ReportRow)}
-    return render(meta, columns, cfg.format)
+    return render(meta, table, cfg.format)
 
 
 def render_report(columns: dict[str, list], cfg: SuiteConfig) -> str:
