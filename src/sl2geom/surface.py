@@ -8,8 +8,8 @@ shape (N, 3), and scalars per point shape (N,); a call with scalar u, v
 is the one-point view of the same code.  An immersion is described by one
 callable, its chart 2-jet ``jet2(u, v)``; ``jet`` evaluates it once per
 call and converts the coordinate derivatives to frame components through
-the coframe (``metric.coordinate_to_frame``), and everything downstream,
-the orientation hint included, reads that ``SurfaceJet``.  Covariant
+the coframe (``metric.coordinate_to_frame``), and everything downstream
+but the curvature probe's stencil reads that ``SurfaceJet``.  Covariant
 derivatives of the tangents use the Leibniz rule over the constant
 connection table.  The second fundamental form is defined so that the
 decomposition
@@ -91,7 +91,7 @@ class Immersion:
         (x_uu, y_uu, th_uu), (x_uv, y_uv, th_uv), (x_vv, y_vv, th_vv),
 
     whose components broadcast against u (a constant may stay a scalar).
-    It is the only evaluation of the family: ``jet`` calls it once.
+    It is the only evaluation of the family: one call per ``jet`` or stencil.
     ``orient`` takes the evaluated ``SurfaceJet`` and returns frame vectors
     whose inner product fixes the sign of the unit normal along the surface.
     """
@@ -169,10 +169,31 @@ def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
     underflows to zero.
     """
     nu = _require_nu(nu)
+    p, du, dv, fu, fv, second = _first_order(s, u, v)
+    duu, duv, dvv = (_stack(t, p.y.shape) for t in second)
+    return SurfaceJet(
+        point=p,
+        phi_u=fu,
+        phi_v=fv,
+        d_uu=_frame_partial_grad(du, duu, du[..., 1], p.y) + connect_constant(fu, fu, nu),
+        d_uv=_frame_partial_grad(dv, duv, du[..., 1], p.y) + connect_constant(fu, fv, nu),
+        d_vv=_frame_partial_grad(dv, dvv, dv[..., 1], p.y) + connect_constant(fv, fv, nu),
+        nu=nu,
+    )
+
+
+def _stack(triple, shape) -> np.ndarray:
+    # One coordinate triple as one (N, 3) array; constant components broadcast.
+    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in triple], axis=-1)
+
+
+def _first_order(s: Immersion, u, v):
+    """The first-order half of ``jet`` with all of its checks, from one
+    ``jet2`` call: the chart point, the coordinate tangents du, dv and their
+    frame components fu, fv as (N, 3) arrays, and jet2's last three triples."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    # Each coordinate triple as one (N, 3) array; constant components broadcast.
-    stack = lambda t: np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in t], axis=-1)
-    pos, du, dv, duu, duv, dvv = map(stack, s.jet2(u, v))
+    pos, du, dv, *second = s.jet2(u, v)
+    pos, du, dv = (_stack(t, u.shape) for t in (pos, du, dv))
     x, y, th = pos.T
     _require(y > 0.0, "chart coordinate y must be positive", (u, v), y)
     _require(2.0 * y * y > 0.0, "chart height y is too small, 2y^2 underflows,", (u, v), y)
@@ -182,16 +203,7 @@ def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
 
     gram = _dot(fu, fu) * _dot(fv, fv) - _dot(fu, fv) ** 2
     _require(gram >= RANK_TOL, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
-
-    return SurfaceJet(
-        point=p,
-        phi_u=fu,
-        phi_v=fv,
-        d_uu=_frame_partial_grad(du, duu, du[..., 1], y) + connect_constant(fu, fu, nu),
-        d_uv=_frame_partial_grad(dv, duv, du[..., 1], y) + connect_constant(fu, fv, nu),
-        d_vv=_frame_partial_grad(dv, dvv, dv[..., 1], y) + connect_constant(fv, fv, nu),
-        nu=nu,
-    )
+    return p, du, dv, fu, fv, second
 
 
 def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
@@ -337,10 +349,13 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
              (E_v/2  E       F    )
              (G_u/2  F       G    ).
 
-    Valid for any nondegenerate (also Lorentzian) induced 2-metric.  Each
-    of the stencil shifts is one ``jet`` call over all points; ``first``,
-    the first form at (u, v) when the caller already has it, is the centre.
-    Every point must sit at least 2h inside every non-periodic domain edge.
+    Valid for any nondegenerate (also Lorentzian) induced 2-metric.  The
+    shifts +u, -u, +v, -v, ++, +-, -+, --, after the centre unless ``first``
+    (the first form at (u, v) when the caller has it) stands for it, are
+    stacked into one first-order ``jet2`` evaluation with the checks of
+    ``jet``; on an error they are evaluated again shift by shift, so that it
+    names the point a shift-by-shift pass stops at.  Every point must sit
+    at least 2h inside every non-periodic domain edge.
     """
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -353,17 +368,26 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
         (u, v),
     )
 
-    def efg(i: int, k: int) -> np.ndarray:
-        I = first_form(jet(s, u + i * hu, v + k * hv, nu))
-        return np.stack([I.E, I.F, I.G], axis=-1)
-
-    f0 = efg(0, 0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
-    up, um, vp, vm = efg(1, 0), efg(-1, 0), efg(0, 1), efg(0, -1)
+    shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+    if first is None:
+        shifts = ((0, 0),) + shifts
+    us = np.stack([u + i * hu for i, _ in shifts])
+    vs = np.stack([v + k * hv for _, k in shifts])
+    try:
+        fu, fv = _first_order(s, us.ravel(), vs.ravel())[3:5]
+    except ValueError:
+        for block in zip(us, vs):
+            _first_order(s, *block)
+        raise
+    efg = np.stack([g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)], axis=-1)
+    blocks = list(efg.reshape(us.shape + (3,)))
+    f0 = blocks.pop(0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
+    up, um, vp, vm, pp, pm, mp, mm = blocks
     d_u = (up - um) / (2.0 * hu)
     d_v = (vp - vm) / (2.0 * hv)
     d_uu = (up - 2.0 * f0 + um) / (hu * hu)
     d_vv = (vp - 2.0 * f0 + vm) / (hv * hv)
-    d_uv = (efg(1, 1) - efg(1, -1) - efg(-1, 1) + efg(-1, -1)) / (4.0 * hu * hv)
+    d_uv = (pp - pm - mp + mm) / (4.0 * hu * hv)
 
     E, F, G = f0.T
     Eu, Fu, Gu = d_u.T

@@ -21,7 +21,7 @@ from sl2geom.families import (
 from sl2geom import gaussmap
 from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution
 from sl2geom.gaussmap import grid_samples
-from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame
+from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame, sectional_curvature
 from sl2geom.suites import (
     ALL_ROSTER_FAMILIES,
     ALL_ROSTER_GAUSS,
@@ -155,13 +155,15 @@ class TestJet:
                 assert np.abs(analytic - (fd + connect_constant(a, b, 1.0))).max() < 1e-4
 
     def test_family_and_base_curve_are_evaluated_once_per_point(self):
-        # Counts evaluated points (array elements), not calls: a scalar call
-        # is one point, a call over n points is n.
-        points = collections.Counter()
+        # Counts evaluated points (array elements), a scalar call being one
+        # point and a call over n points n, and the jet2 calls: every
+        # function here evaluates jet2 once, the probe over all its shifts.
+        points, calls = collections.Counter(), collections.Counter()
 
         def counted(name, fn, size):
             def wrapper(*args):
                 points[name] += size(*args)
+                calls[name] += 1
                 return fn(*args)
 
             return wrapper
@@ -178,21 +180,30 @@ class TestJet:
         five_points = (np.linspace(0.5, 1.5, 5), np.linspace(0.2, 0.6, 5) * circle.v1, 5)
         for u, v, size in (one_point, five_points):
             points.clear()
+            calls.clear()
             jet(s, u, v, 1.0)
             assert points == {"jet2": size, "curve.jet": size}
+            assert calls["jet2"] == 1
             points.clear()
+            calls.clear()
             pt = surface_shape(s, u, v, 1.0)
             assert points == {"jet2": size, "orient": size, "curve.jet": size}
+            assert calls["jet2"] == 1
             points.clear()
+            calls.clear()
             intrinsic_gauss_curvature(s, u, v, 1.0)
             assert points == {"jet2": 9 * size, "curve.jet": 9 * size}
+            assert calls["jet2"] == 1
             points.clear()
+            calls.clear()
             intrinsic_gauss_curvature(s, u, v, 1.0, first=pt.first)  # the centre is the shape's jet
             assert points == {"jet2": 8 * size, "curve.jet": 8 * size}
+            assert calls["jet2"] == 1
 
     def test_report_evaluates_nine_points_per_row(self, monkeypatch):
-        # One shape jet per row plus the eight off-centre stencil shifts.
-        points = collections.Counter()
+        # One shape jet per row plus the eight off-centre stencil shifts, in
+        # two jet2 calls: the shape's and the stencil's.
+        points, calls = collections.Counter(), collections.Counter()
         original = families.affine_conoid
 
         def counting_conoid(**kwargs):
@@ -200,6 +211,7 @@ class TestJet:
 
             def jet2(u, v):
                 points["jet2"] += np.broadcast(u, v).size
+                calls["jet2"] += 1
                 return s.jet2(u, v)
 
             return dataclasses.replace(s, jet2=jet2)
@@ -209,6 +221,7 @@ class TestJet:
         cfg = SuiteConfig(suite="family", family="conoid(mu=1)", grid=(n_u, n_v), report=True)
         assert len(surface_report(cfg)["u"]) == n_u * n_v
         assert points == {"jet2": 9 * n_u * n_v}
+        assert calls == {"jet2": 2}
 
 
 ROSTER_SURFACES = [(spec, nu) for spec, nu in ALL_ROSTER_FAMILIES if not spec.startswith("complex_circle")]
@@ -498,3 +511,142 @@ class TestIntrinsicCurvature:
         s = lightcone_surface(umbilic_profile(1.0, 0.0))
         with pytest.raises(ValueError):
             intrinsic_gauss_curvature(s, s.domain.u0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.7, 2.0])
+    def test_gauss_equation_at_nu_one(self, mu):
+        # K = K_sec(tangent plane) + det S for the spacelike-normal conoids
+        # of g[1], which are not flat; the stencil's u and v blocks enter K
+        # differently, so a probe that mixes them up fails by far more.
+        s = families.affine_conoid(mu=mu)
+        us, vs = grid_samples(s, 16, 16)
+        pt = surface_shape(s, us, vs, 1.0)
+        k = intrinsic_gauss_curvature(s, us, vs, 1.0, first=pt.first)
+        k_sec = sectional_curvature(pt.jet.phi_u, pt.jet.phi_v, 1.0)
+        assert np.abs(k - (k_sec + pt.shape.det_shape)).max() < 1e-4
+
+
+def per_shift_gauss_curvature(s, u, v, nu, first=None):
+    """The Brioschi probe as one ``jet`` call per stencil shift, the centre
+    first unless ``first`` stands for it, then +u, -u, +v, -v, ++, +-, -+,
+    --: the reference that the one-pass stencil must match bit for bit and
+    error for error."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    hu = 1e-4 * s.domain.span_u
+    hv = 1e-4 * s.domain.span_v
+
+    def efg(i, k):
+        I = first_form(jet(s, u + i * hu, v + k * hv, nu))
+        return np.stack([I.E, I.F, I.G], axis=-1)
+
+    f0 = efg(0, 0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
+    up, um, vp, vm = efg(1, 0), efg(-1, 0), efg(0, 1), efg(0, -1)
+    d_u = (up - um) / (2.0 * hu)
+    d_v = (vp - vm) / (2.0 * hv)
+    d_uu = (up - 2.0 * f0 + um) / (hu * hu)
+    d_vv = (vp - 2.0 * f0 + vm) / (hv * hv)
+    d_uv = (efg(1, 1) - efg(1, -1) - efg(-1, 1) + efg(-1, -1)) / (4.0 * hu * hv)
+
+    E, F, G = f0.T
+    Eu, Fu, Gu = d_u.T
+    Ev, Fv, Gv = d_v.T
+    Evv, Guu, Fuv = d_vv[..., 0], d_uu[..., 2], d_uv[..., 1]
+    zero = np.zeros_like(E)
+    rows = lambda *r: np.stack([np.stack(row, axis=-1) for row in r], axis=-2)
+    m1 = rows((-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev), (Fv - 0.5 * Gu, E, F), (0.5 * Gv, F, G))
+    m2 = rows((zero, 0.5 * Ev, 0.5 * Gu), (0.5 * Ev, E, F), (0.5 * Gu, F, G))
+    det_i = E * G - F * F
+    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
+
+
+def bent_chart(a=0.5, y_floor=None, hole=None):
+    """A chart on [0, 1]^2 whose tangents go rank-deficient at u = a:
+    x = (u - a)^2 / 2 so that x_u = u - a; theta = v.  With ``y_floor`` the
+    height is y = y_floor - v, which turns negative past v = y_floor;
+    with ``hole`` jet2 itself refuses the points within H/2 of u = hole."""
+    zero = (0.0, 0.0, 0.0)
+
+    def jet2(u, v):
+        if hole is not None and (bad := np.abs(u - hole) < 0.5 * H).any():
+            raise ValueError(f"no chart at u = {float(u.ravel()[np.argmax(bad.ravel())])!r}")
+        y, y_v = (1.0, 0.0) if y_floor is None else (y_floor - v, -1.0)
+        return (0.5 * (u - a) ** 2, y, v), (u - a, 0.0, 0.0), (0.0, y_v, 1.0), (1.0, 0.0, 0.0), zero, zero
+
+    return Immersion(domain=Domain(0.0, 1.0, 0.0, 1.0), jet2=jet2)
+
+
+def sinking_chart(c=0.5):
+    """A chart on [0, 1]^2 with height y = c - u, positive left of u = c."""
+    zero = (0.0, 0.0, 0.0)
+    return Immersion(
+        domain=Domain(0.0, 1.0, 0.0, 1.0),
+        jet2=lambda u, v: ((v, c - u, u), (0.0, -1.0, 1.0), (1.0, 0.0, 0.0), zero, zero, zero),
+    )
+
+
+def generic_chart():
+    """A chart on [0, 1]^2 whose first form depends on both u and v, so
+    that K is not even in the u or the v differences (every roster family
+    is invariant along one parameter, and there one set vanishes)."""
+    zero = (0.0, 0.0, 0.0)
+    return Immersion(
+        domain=Domain(0.0, 1.0, 0.0, 1.0),
+        jet2=lambda u, v: (
+            (u + 0.3 * v * v, 1.0 + 0.2 * u * u + 0.1 * u * v, v + 0.5 * u * v),
+            (1.0, 0.4 * u + 0.1 * v, 0.5 * v),
+            (0.6 * v, 0.1 * u, 1.0 + 0.5 * u),
+            (0.0, 0.4, 0.0),
+            (0.0, 0.1, 0.5),
+            (0.6, 0.0, 0.0),
+        ),
+    )
+
+
+H = 1e-4  # the probe's stencil step on the unit square
+
+# (name, immersion, failing point, message it must raise): each point is
+# fine at its centre and fails first at its +u shift.
+BAD_STENCILS = [
+    # y <= 0 from the +u shift on.
+    ("y-sinks", sinking_chart(), (0.5 - 0.5 * H, 0.4), "chart coordinate y must be positive"),
+    # Rank-deficient tangents at the +u, ++ and +- shifts only.
+    ("rank-shift", bent_chart(), (0.5 - H, 0.4), "rank-deficient"),
+    # Rank-deficient at +u, and y <= 0 from the later +v shift on: the
+    # shift-by-shift order names the rank failure, not the height.
+    ("rank-before-height", bent_chart(y_floor=0.5), (0.5 - H, 0.5 - 0.5 * H), "rank-deficient"),
+    # Rank-deficient at +u, and jet2 itself refuses the later -u shift.
+    ("rank-before-jet2", bent_chart(hole=0.5 - 2.0 * H), (0.5 - H, 0.4), "rank-deficient"),
+]
+
+
+class TestOnePassStencil:
+    @pytest.mark.parametrize(
+        "spec,nu",
+        ROSTER_SURFACES + [("conoid(mu=0.7)", 1.0), ("conoid(mu=0.7)", -1.0), ("generic", 1.0), ("generic", -1.0)],
+    )
+    def test_matches_per_shift_reference_bitwise(self, spec, nu):
+        s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
+        us, vs = grid_samples(s, 6, 6)
+        pt = surface_shape(s, us, vs, nu)
+        for first in (None, pt.first):
+            k = intrinsic_gauss_curvature(s, us, vs, nu, first=first)
+            assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, first=first).tobytes()
+        for u, v in zip(us[::5].tolist(), vs[::5].tolist()):
+            one = surface_shape(s, u, v, nu)
+            for first in (None, one.first):
+                k = intrinsic_gauss_curvature(s, u, v, nu, first=first)
+                assert k.tobytes() == per_shift_gauss_curvature(s, u, v, nu, first=first).tobytes()
+
+    @pytest.mark.parametrize("name,s,point,message", BAD_STENCILS, ids=[case[0] for case in BAD_STENCILS])
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("with_first", [False, True])
+    def test_errors_name_the_per_shift_point(self, name, s, point, message, batch, with_first):
+        u, v = point
+        if batch:  # the bad point behind a good one
+            u, v = np.array([0.3, u]), np.array([0.3, v])
+        first = first_form(jet(s, u, v, 1.0)) if with_first else None
+        with pytest.raises(ValueError) as expected:
+            per_shift_gauss_curvature(s, u, v, 1.0, first=first)
+        assert message in str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            intrinsic_gauss_curvature(s, u, v, 1.0, first=first)
+        assert str(raised.value) == str(expected.value)
