@@ -422,6 +422,8 @@ def complex_circle(spec: FamilySpec) -> Family:
     the minimal variant against its subgroup-exponential factorization."""
     t = _params(spec, {"t": 0.5})["t"]
     a, b = math.sinh(t), math.cosh(t)
+    if a == 0.0:
+        raise ValueError(f"{spec.describe()}: t must be nonzero; a = sinh t = 0 is degenerate")
     phi = families.complex_circle(a, b)
     phi_min = families.complex_circle(a, b, minimal=True)
 
@@ -630,12 +632,19 @@ _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _json_column(values: list):
-    """Each value of a column as ``json.dumps`` spells it, with one call per
-    column, not per value, when the column is all finite floats, all
-    strings, or all None and bools."""
+    """Each value of a column as ``json.dumps`` spells it.  A column of all
+    finite floats spells each distinct value once: equal floats have the
+    same bits, so the same spelling, except 0.0 and -0.0, which share a key
+    and are spelled one by one.  All strings, or all None and bools, take
+    one call per column, not per value."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
-        return map(repr, values)  # float.__repr__, called without a slot wrapper
+        spelled = dict.fromkeys(values)
+        for v in spelled:
+            spelled[v] = repr(v)
+        if 0.0 in spelled:
+            return (spelled[v] if v else repr(v) for v in values)
+        return map(spelled.__getitem__, values)
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
     if kinds <= {type(None), bool}:

@@ -455,6 +455,7 @@ def row_dicts(columns: dict) -> list[dict]:
 # in a column of its own and mixed with others.
 EVERY_KIND = {
     "float": [-0.0, 5e-324, 1e16, 1e-7, 0.1],
+    "signed_zero": [0.0, -0.0, 0.1, -0.0, 0.1],
     "non_finite": [math.nan, math.inf, -math.inf, 2.5, -0.0],
     "none": [None] * 5,
     "bool": [True, False, True, True, False],
@@ -626,6 +627,7 @@ class TestCommandLine:
             "lightcone(profile=minimal,u0=3)",
             "hopf_cylinder(curve=spiral)",
             "complex_circle(t=1000)",
+            "complex_circle(t=0)",
             "hopf_cylinder(curve=circle,kappa=1e200)",
             "conoid(mu=1e308)",
             "hopf_cylinder(curve=horocycle,y0=1e308)",
