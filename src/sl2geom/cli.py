@@ -15,18 +15,17 @@ value given is read, also a config value that a flag overrides.
 rules, including which options each run reads.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-configuration error: an unknown, ambiguous, repeated or malformed flag, a
-value that does not parse, an unknown or repeated config key, an option the
-chosen run does not read, a grid over ``suites.MAX_GRID_POINTS``,
-``--samples`` over ``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a
-numerical blow-up and running out of memory.  Every exit 2 prints one
-``verify:`` line and no report.  Reports are byte-identical for identical
-configuration and seed.
+configuration error: an unknown, ambiguous or repeated flag, a flag without
+its value, a stray token, a value that does not parse, an unknown or
+repeated config key, an option the run does not read, a grid over
+``suites.MAX_GRID_POINTS``, ``--samples`` over ``suites.MAX_SAMPLES``, |nu|
+over ``suites.MAX_NU``, a numerical blow-up and running out of memory.
+Every exit 2 prints one ``verify:`` line and no report.  Reports are
+byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
@@ -99,68 +98,67 @@ def _parse_option(name: str, text: str):
         raise ValueError(f"{name} must be {_KINDS[parse]}, got {text!r}") from None
 
 
-class _Once(argparse.Action):
-    """Keeps a flag's text, or ``const`` for a flag that takes no value; a
-    flag given twice is an error."""
+HELP = f"""\
+usage: verify [-h] [--name value | --name=value]...
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise ValueError(f"repeated flag --{self.dest}")
-        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+Certify the geometry of SL(2,R), its metrics g[nu] and its surfaces.  A value
+may begin with '-' (--nu -1e-3); a flag may be any unique prefix (--fam).
+
+  -h, --help      show this help and exit
+  --suite NAME    {', '.join(SUITES)} (default: {SuiteConfig.suite})
+  --nu NU         metric parameter (default: {SuiteConfig.nu})
+  --family SPEC   surface family, e.g. conoid(mu=1), hopf_cylinder(curve=horocycle)
+  --grid NxM      sampling grid (default: {SuiteConfig.grid[0]}x{SuiteConfig.grid[1]})
+  --tol TOL       tighten every per-check tolerance to at most this
+  --format NAME   {', '.join(FORMATS)} (default: {SuiteConfig.format})
+  --seed SEED     random seed (default: {SuiteConfig.seed})
+  --samples N     random sample count (default: {SuiteConfig.samples})
+  --out PATH      write the report to this path instead of stdout
+  --config PATH   read options from key = value lines; flags override them
+  --report[=BOOL] emit --family's per-sample geometry table, not check rows
+"""
+FLAGS = (*PARSERS, "config")
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose every flag is read once and whose every
-    error, ambiguous abbreviations included, raises ValueError instead of
-    printing the usage block and exiting."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.register("action", None, _Once)  # the action of a flag that names none
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="verify",
-        description="Numerically certify the geometry of SL(2,R) with the "
-        "metric family g[nu] and its surface families.",
-    )
-    parser.add_argument("--suite", help=f"suite to run: {', '.join(SUITES)} (default: {SuiteConfig.suite})")
-    parser.add_argument("--nu", help=f"metric parameter (default: {SuiteConfig.nu})")
-    parser.add_argument(
-        "--family",
-        help="family spec, e.g. hopf_cylinder(curve=horocycle), conoid(mu=1), "
-        "lightcone(profile=umbilic,A=1,u0=0), complex_circle(t=0.5)",
-    )
-    parser.add_argument("--grid", help="sampling grid NxM (default: {}x{})".format(*SuiteConfig.grid))
-    parser.add_argument("--tol", help="tighten every per-check tolerance to at most this")
-    parser.add_argument("--format", help=f"output format: {', '.join(FORMATS)} (default: {SuiteConfig.format})")
-    parser.add_argument("--seed", help=f"random seed (default: {SuiteConfig.seed})")
-    parser.add_argument("--samples", help=f"random sample count (default: {SuiteConfig.samples})")
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--config", help="config file of key = value lines; flags override")
-    parser.add_argument(
-        "--report",
-        nargs=0,
-        const="true",
-        help="emit the per-sample geometry table for --family instead of check rows",
-    )
-    return parser
+def read_flags(argv) -> dict:
+    """The text of each flag in ``argv`` by full name; ``-h`` prints the help
+    and exits 0, and any token that is not a flag or its value is an error."""
+    flags, extra = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        key, given, text = token[2:].partition("=")
+        names = [name for name in FLAGS if name.startswith(key)]
+        if not token.startswith("--") or not key or not names:
+            extra.append(token)
+            continue
+        if len(names) > 1:
+            raise ValueError(f"ambiguous option: --{key} could match {', '.join('--' + n for n in names)}")
+        name = names[0]
+        if name in flags:
+            raise ValueError(f"repeated flag --{name}")
+        if not given:
+            text = "true" if name == "report" else next(tokens, "--")  # no value fails like a flag
+            if text.startswith("--"):
+                raise ValueError(f"argument --{name}: expected one argument")
+        flags[name] = text
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return flags
 
 
 def config_from_args(argv) -> SuiteConfig:
     """The run's config from the flags in ``argv`` over the config file;
     every value given either way is read, and the run must read it."""
-    args = build_parser().parse_args(argv)
-    file_values = {} if args.config is None else read_config_file(args.config)
+    flags = read_flags(sys.argv[1:] if argv is None else argv)
+    config = flags.pop("config", None)
+    file_values = {} if config is None else read_config_file(config)
     unknown = set(file_values) - set(PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    flags = [(name, text) for name, text in vars(args).items() if name in PARSERS and text is not None]
-    values = {name: _parse_option(name, text) for name, text in [*file_values.items(), *flags]}
+    values = {name: _parse_option(name, text) for name, text in [*file_values.items(), *flags.items()]}
     return SuiteConfig(**values).validate(given=values)
 
 

@@ -738,9 +738,17 @@ class TestCommandLine:
         # --report takes no value, so its flag form can only attach one.
         by_flag = run_main([f"--{name}={text}"] if name == "report" else [f"--{name}", text], capsys)
         assert_usage_error(by_flag)
-        assert name in by_flag.stderr
-        if name != "report":
-            assert by_flag.stderr == by_config.stderr
+        assert by_flag.stderr == by_config.stderr
+
+    @pytest.mark.parametrize("nu", ["-1e-3", "-1E4", "-2e0", "-.5"])
+    def test_negative_nu_reads_the_same_in_every_spelling(self, nu, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"nu = {nu}\n")
+        base = ["--suite", "sasaki", "--samples", "2"]
+        forms = (["--nu", nu], [f"--nu={nu}"], ["--config", str(cfg_path)])
+        runs = [run_main([*base, *form], capsys) for form in forms]
+        assert [res.returncode for res in runs] == [0, 0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
     def test_repeated_config_key_is_a_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -798,7 +806,12 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exit_info:
             main(["-h"])
         assert exit_info.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: verify")
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: verify")
+        assert all(f"--{name}" in help_text for name in [*cli.PARSERS, "config"])
+        # The help is not read from a docstring, so -OO, which strips them, keeps it.
+        res = subprocess.run([sys.executable, "-OO", "-m", "sl2geom.cli", "-h"], capture_output=True, text=True)
+        assert res.returncode == 0 and res.stdout == help_text, res.stderr
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -970,8 +983,8 @@ def test_runs_without_seed_do_not_import_numpy_random():
         "from sl2geom.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['--suite', 'family', '--family', 'hopf_cylinder(curve=circle,kappa=3)', '--grid', '4x4'])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "print(code, 'numpy.random' in sys.modules, 'argparse' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "False"]
+    assert res.stdout.split() == ["0", "False", "False"]

@@ -1,0 +1,96 @@
+"""Property tests of the ``verify`` exit contract, with argv drawn from the
+flag grammar: each option spelled ``--name value`` or ``--name=value`` with a
+valid or malformed value, plus stray tokens."""
+
+import contextlib
+import csv
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sl2geom.cli import main  # noqa: E402
+from sl2geom.suites import READS  # noqa: E402
+
+# Valid and malformed text for each option but --out, which moves the report
+# off stdout; grids stay at 3x3 or smaller and samples at 2 or fewer.
+VALUES = {
+    "suite": ["sasaki", "connection", "curvature", "family", "gauss", "all", "bogus", ""],
+    "nu": ["1", "-1", "0.5", "-1e-3", "-1E4", "-2e0", "-.5", "abc", "0", "nan", "1e5", ""],
+    "family": ["conoid(mu=1)", "conoid(mu=0.3)", "hopf_cylinder(curve=horocycle)",
+               "lightcone(profile=umbilic,A=1,u0=0)", "conoid(mu=1", "nope", ""],
+    "grid": ["2x2", "3x3", "3X2", "3by3", "1x3", ""],
+    "tol": ["1e-3", "1e-12", "1e", "-1", "0"],
+    "format": ["json", "csv", "xml"],
+    "seed": ["0", "7", "seven", "-1"],
+    "samples": ["1", "2", "0", "1.5", "-2"],
+    "report": ["true", "no", "1", "FALSE", "ture", ""],
+}
+JUNK = ["--", "-", "-x", "--s", "--sam", "extra", "-1e-3", "--bogus"]
+SETTINGS = settings(database=None, derandomize=True, deadline=None)
+
+
+@st.composite
+def option_texts(draw):
+    """Option text by name: always a suite, the family, grid and sample
+    count of a run that reads them, so no run is large, and a few others."""
+    suite = draw(st.sampled_from(VALUES["suite"]))
+    names = sorted({"family", "grid", "samples"} & READS.get(suite, set()))
+    names += draw(st.sets(st.sampled_from(sorted(set(VALUES) - {"suite", *names})), max_size=2))
+    return {"suite": suite, **{name: draw(st.sampled_from(VALUES[name])) for name in names}}
+
+
+def spell(name, text, joined):
+    """``--name=text`` or ``--name text``; a bare ``--report`` reads "true"."""
+    if joined:
+        return [f"--{name}={text}"]
+    return ["--report"] if name == "report" else [f"--{name}", text]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(SETTINGS, max_examples=200)
+@given(option_texts(), st.data())
+def test_every_exit_keeps_the_contract(options, data):
+    argv = [token for name, text in options.items() for token in spell(name, text, data.draw(st.booleans()))]
+    if data.draw(st.integers(0, 3)) == 3:  # stray tokens in about one run of four
+        for token in data.draw(st.lists(st.sampled_from(JUNK), min_size=1, max_size=2)):
+            argv.insert(data.draw(st.integers(0, len(argv))), token)
+        argv += ["--nu"] if data.draw(st.booleans()) else []
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("verify: "), (argv, err)
+        return
+    assert err == ""
+    try:
+        json.loads(out)
+    except ValueError:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+
+
+@SETTINGS
+@given(option_texts(), st.data())
+def test_flag_and_config_spellings_agree(tmp_path_factory, options, data):
+    name = data.draw(st.sampled_from(sorted(options)))
+    text = options.pop(name)
+    cfg_path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg_path.write_text(f"{name} = {text}\n")
+    rest = [token for other, value in options.items() for token in spell(other, value, False)]
+    # The varied option comes first either way, so with two bad values it is
+    # the one named in both runs: config values are read before flags.
+    forms = [spell(name, text, True), ["--config", str(cfg_path)]]
+    if name != "report" or text == "true":
+        forms.append(spell(name, text, False))
+    first, *others = (run([*form, *rest]) for form in forms)
+    for result in others:
+        assert result == first, (name, text, rest)
