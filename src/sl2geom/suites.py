@@ -7,17 +7,18 @@ passes when the residual is within tolerance.  Vector-valued checks report
 the max-norm of the difference against an expected value of zero.  Boolean
 classifications are encoded as 0/1 with tolerance 0.5.
 
-Suites are deterministic: random sample points come from a generator seeded
-by the config, grids are row-major, and rows are emitted in a fixed order.
+Suites are deterministic: random sample points come from ``Stream``, numpy's
+``default_rng(seed)`` PCG64 stream reproduced bit for bit, so a report does
+not depend on the installed ``numpy.random``; grids are row-major, and rows
+are emitted in a fixed order.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
@@ -160,8 +161,80 @@ class RowCollector:
 # connection / curvature / sasaki suites
 # ---------------------------------------------------------------------------
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
-def run_connection(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant steps at every call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _affine(lo: np.ndarray, hi: np.ndarray, a: int, c: int):
+    """``(a * s + c) mod 2**128`` for each 128-bit state ``s = hi * 2**64 + lo``,
+    as its low and high words; the high word of ``lo * a`` goes by 32-bit halves."""
+    a0, a1, a_lo, a_hi, c_lo, c_hi = map(np.uint64, (a & _M32, a >> 32 & _M32, a & _M64, a >> 64, c & _M64, c >> 64))
+    x0, x1 = lo & _M32, lo >> 32
+    p01, p10 = x0 * a1, x1 * a0
+    mid = (x0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * a_lo + c_lo
+    return new_lo, carry + lo * a_hi + hi * a_lo + c_hi + (new_lo < c_lo)
+
+
+class Stream:
+    """The draws of ``numpy.random.default_rng(seed).uniform``, bit for bit,
+    without importing ``numpy.random``: ``SeedSequence(seed)`` hashes the
+    seed's 32-bit words into a pool of four and the pool into the 128-bit
+    state and increment of PCG64, whose XSL-RR output gives the top 53 bits
+    of each double (O'Neill, HMC-CS-2014-0905)."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        words = [seed >> k & _M32 for k in range(0, seed.bit_length() or 1, 32)]  # least significant first
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
+        # Each pool word into every other, then each seed word past the fourth into all four.
+        for src, dst in product(range(max(4, len(words))), range(4)):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool if src < 4 else words)[src])) & _M32
+                pool[dst] = mixed ^ mixed >> 16
+        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+        words = [hashmix(pool[k % 4]) for k in range(8)]
+        a, b, c, d = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))  # generate_state(4, uint64)
+        # PCG's seeding: the increment from (c, d), then one step from 0, plus (a, b), and one more step.
+        self.inc = ((c << 64 | d) << 1 | 1) & _M128
+        self.state = ((self.inc + (a << 64 | b)) * self.MULT + self.inc) & _M128
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        """``size`` doubles from ``[low, high)``, the bounds broadcast
+        against ``size`` and drawn in C order, as numpy draws them."""
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        n = math.prod(shape)
+        # The state and the n after it, by doubling: with (a, c) the LCG jumped lo.size
+        # steps, a * s + c over the states built so far gives as many more.
+        lo, hi = np.array([self.state & _M64], np.uint64), np.array([self.state >> 64], np.uint64)
+        a, c = self.MULT, self.inc
+        while lo.size <= n:
+            lo, hi = (np.concatenate(pair) for pair in zip((lo, hi), _affine(lo, hi, a, c)))
+            a, c = a * a & _M128, (a * c + c) & _M128
+        self.state = int(hi[n]) << 64 | int(lo[n])
+        lo, hi = lo[1 : n + 1], hi[1 : n + 1]
+        x, rot = lo ^ hi, hi >> 58  # XSL-RR: the xor of the halves, rotated right by the top six bits
+        u = ((x >> rot | x << (-rot & 63)) >> 11).astype(np.float64).reshape(shape) * 2.0**-53
+        low = np.asarray(low, dtype=np.float64)
+        return low + (np.asarray(high, dtype=np.float64) - low) * u
+
+
+def run_connection(nu: float, samples: int, rng: Stream, rows: RowCollector):
     """Every entry of the connection table against the Koszul
     finite-difference oracle at random chart points, one oracle call over
     all points."""
@@ -187,7 +260,7 @@ def _curvature_entry_claims(nu: float):
     ]
 
 
-def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
+def run_curvature(nu: float, samples: int, rng: Stream, rows: RowCollector):
     """Curvature-table entries against the connection composition, the
     contact-structure closed form, and the constant-curvature claims; each
     check is one evaluation over all of its samples."""
@@ -223,7 +296,7 @@ def run_curvature(nu: float, samples: int, rng: np.random.Generator, rows: RowCo
         rows.add(["frame"], [("curvature.sectional_e1_e3", 1.0, e1_e3, 1e-8)])
 
 
-def run_sasaki(nu: float, samples: int, rng: np.random.Generator, rows: RowCollector):
+def run_sasaki(nu: float, samples: int, rng: Stream, rows: RowCollector):
     """The five contact-metric identities at random chart points, on random
     frame vectors X and Y: one evaluation over all samples."""
     # Per sample: the chart point (x, y, theta), then X, then Y.
@@ -555,8 +628,8 @@ def run_suite(cfg: SuiteConfig) -> dict[str, list]:
     """The run's report rows, as ``RowCollector``'s table of columns."""
     cfg.validate()
     rows = RowCollector(cfg.tol)
-    # Only the runs that read --seed draw; numpy.random is not imported otherwise.
-    rng = np.random.default_rng(cfg.seed) if "seed" in READS[cfg.suite] else None
+    # Only the runs that read --seed draw.
+    rng = Stream(cfg.seed) if "seed" in READS[cfg.suite] else None
     if cfg.suite == "connection":
         run_connection(cfg.nu, cfg.samples, rng, rows)
     elif cfg.suite == "curvature":
@@ -669,6 +742,9 @@ def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
         template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
         body = ",\n".join(map(template.__mod__, zip(*map(_json_column, columns.values()), strict=True)))
         return head.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}\n"
+    import csv  # only here: JSON runs do not load it
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)

@@ -30,6 +30,7 @@ from sl2geom.suites import (
     MAX_SAMPLES,
     Family,
     RowCollector,
+    Stream,
     SuiteConfig,
     build_family,
     parse_family_spec,
@@ -243,6 +244,33 @@ class TestRowCollector:
             assert {type(value) for value in table[name]} == {kind}, name
 
 
+# The bounds the suites draw with: run_connection's and run_sasaki's per-column
+# tuples, and scalars.
+CONNECTION_BOUNDS = ((-2.0, 0.2, 0.0), (2.0, 5.0, 2.0 * math.pi))
+SASAKI_BOUNDS = ((-2.0, 0.2, 0.0) + (-1.0,) * 6, (2.0, 5.0, 2.0 * math.pi) + (1.0,) * 6)
+
+
+class TestStream:
+    """``Stream`` against numpy's own ``default_rng(seed)`` as the reference."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 + 5, 2**128 + 17])
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [(0.0, 1.0, 7), (-1.0, 1.0, (400, 3)), (0.0, 2.0 * math.pi, (50, 3, 3)), (-1.0, 1.0, 0), (0.0, 1.0, 7)],
+            [(*CONNECTION_BOUNDS, (400, 3)), (*SASAKI_BOUNDS, (50, 9)), (-1.0, 1.0, (50, 3, 3)), (*CONNECTION_BOUNDS, (0, 3))],
+            [(*SASAKI_BOUNDS, (7, 9)), (0.0, 2.0 * math.pi, 7), (*CONNECTION_BOUNDS, (7, 3))],
+        ],
+        ids=["scalar-bounds", "column-bounds", "mixed"],
+    )
+    def test_consecutive_draws_are_numpys_bit_for_bit(self, seed, calls):
+        stream, reference = Stream(seed), np.random.default_rng(seed)
+        for low, high, size in calls:
+            got, want = stream.uniform(low, high, size), reference.uniform(low, high, size)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (seed, low, high, size)
+
+
 class TestConnectionSuite:
     def test_batched_rows_match_a_per_point_loop(self):
         rows = RowCollector()
@@ -332,17 +360,18 @@ class TestCurvatureSuite:
         "nu, samples, seed",
         [(1.0, 12, 4), (-1.0, 12, 4), (2.5, 12, 4), (1.0, 1, 4), (-1.0, 1, 4), (2.5, 1, 4), (-1.0, 1, 0)],
     )
-    def test_batched_rows_match_a_per_point_loop(self, nu, samples, seed):
+    @pytest.mark.parametrize("stream", [np.random.default_rng, Stream], ids=["numpy", "Stream"])
+    def test_batched_rows_match_a_per_point_loop(self, nu, samples, seed, stream):
         """The same rows, and the generator left where the reference leaves
         it: the next draw, which the sasaki rows of --suite all take, is the
         same.  At nu = -1 the reference rejects some pairs, so the batched
         sampler must draw again for the planes its first batch missed."""
-        batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched, reference = stream(seed), np.random.default_rng(seed)
         rows = RowCollector()
         run_curvature(nu, samples, batched, rows)
         table, rejected = curvature_rows_per_point(nu, samples, reference)
         assert rows.table == table
-        assert batched.random() == reference.random()
+        assert batched.uniform(0.0, 1.0, 3).tobytes() == reference.uniform(0.0, 1.0, 3).tobytes()
         assert rejected > 0 if nu == -1.0 else rejected == 0
 
 
@@ -977,14 +1006,27 @@ def test_row_keys_are_pinned():
     assert hashlib.sha256(keys.encode()).hexdigest() == ALL_ROW_KEYS
 
 
-def test_runs_without_seed_do_not_import_numpy_random():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "family", "--family", "hopf_cylinder(curve=circle,kappa=3)", "--grid", "4x4"],
+        ["--suite", "connection", "--nu", "-1", "--samples", "40", "--seed", "3"],
+        ["--suite", "all", "--samples", "10", "--grid", "3x3", "--seed", "5"],
+        ["--suite", "sasaki", "--samples", "3", "--seed", "2", "--format", "csv"],
+    ],
+    ids=["family", "connection-seeded", "all-seeded", "sasaki-seeded-csv"],
+)
+def test_runs_do_not_import_numpy_random(argv):
+    """Seeded or not, a run draws from ``suites.Stream`` and loads neither
+    numpy.random nor what it pulls in; a JSON run does not load csv."""
+    unused = ["numpy.random", "hashlib", "secrets", "argparse"] + (["csv"] if "csv" not in argv else [])
     code = (
         "import contextlib, io, sys\n"
         "from sl2geom.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['--suite', 'family', '--family', 'hopf_cylinder(curve=circle,kappa=3)', '--grid', '4x4'])\n"
-        "print(code, 'numpy.random' in sys.modules, 'argparse' in sys.modules)\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, [name for name in {unused!r} if name in sys.modules])\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "False", "False"]
+    assert res.stdout == "0 []\n"

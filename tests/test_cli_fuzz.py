@@ -25,7 +25,7 @@ VALUES = {
     "grid": ["2x2", "3x3", "3X2", "3by3", "1x3", ""],
     "tol": ["1e-3", "1e-12", "1e", "-1", "0"],
     "format": ["json", "csv", "xml"],
-    "seed": ["0", "7", "seven", "-1"],
+    "seed": ["0", "7", "seven", "-1", "18446744073709551621", "340282366920938463463374607431768211473"],
     "samples": ["1", "2", "0", "1.5", "-2"],
     "report": ["true", "no", "1", "FALSE", "ture", ""],
 }
