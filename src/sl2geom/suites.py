@@ -64,6 +64,9 @@ MAX_SAMPLES = 65_536
 # 1.1e-11 |nu| against a fixed tolerance of 1e-5, so beyond this a correct
 # connection table would fail; at 1e4 the residual is ~90x under tolerance.
 MAX_NU = 1e4
+# Rows per piece list in ``render``'s JSON text: a block's list holds two
+# pieces per cell, so the whole table is never held as pieces at once.
+RENDER_BLOCK = 8192
 
 
 @dataclass
@@ -704,25 +707,28 @@ def _fmt(value) -> str:
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _json_column(values: list):
+def _json_column(values: list) -> list[str]:
     """Each value of a column as ``json.dumps`` spells it.  A column of all
-    finite floats spells each distinct value once: equal floats have the
-    same bits, so the same spelling, except 0.0 and -0.0, which share a key
-    and are spelled one by one.  All strings, or all None and bools, take
-    one call per column, not per value."""
+    finite floats, or of all strings, spells each distinct value once: equal
+    values have the same spelling, except 0.0 and -0.0, which share a key
+    and are spelled one by one.  All None and bools take one lookup a value;
+    any other column (NaN, +-Infinity, ints, mixed kinds) one ``json.dumps``
+    call a value."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
-        spelled = dict.fromkeys(values)
-        for v in spelled:
-            spelled[v] = repr(v)
-        if 0.0 in spelled:
-            return (spelled[v] if v else repr(v) for v in values)
-        return map(spelled.__getitem__, values)
-    if kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    if kinds <= {type(None), bool}:
-        return map(_JSON_LITERALS.__getitem__, values)
-    return map(json.dumps, values)  # NaN, +-Infinity, ints, mixed columns
+        spell = repr
+    elif kinds == {str}:
+        spell = encode_basestring_ascii
+    elif kinds <= {type(None), bool}:
+        return list(map(_JSON_LITERALS.__getitem__, values))
+    else:
+        return list(map(json.dumps, values))
+    spelled = dict.fromkeys(values)
+    for v in spelled:
+        spelled[v] = spell(v)
+    if 0.0 in spelled:
+        return [spelled[v] if v else repr(v) for v in values]
+    return list(map(spelled.__getitem__, values))
 
 
 def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
@@ -731,24 +737,38 @@ def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
     row, or JSON as ``meta`` with the rows under "rows", one object per row
     keyed in column order.  The text is exactly that of ``csv.writer`` over
     the ``_fmt`` fields, or of ``json.dumps({**meta, "rows": [...]},
-    indent=2)``; JSON is spelled a column at a time instead of a value at a
-    time."""
+    indent=2)``.  JSON never formats a row: each block of at most
+    ``RENDER_BLOCK`` rows is one list that interleaves, column by column,
+    each key's separator with that column's spellings, and is joined once."""
+    if len(set(map(len, columns.values()))) > 1:
+        raise ValueError("report columns differ in length")
     if fmt == "json":
         head = json.dumps({**meta, "rows": []}, indent=2)
         if not any(columns.values()):
             return head + "\n"
-        # One %-template per row; a key's own "%" is escaped.
-        keys = (encode_basestring_ascii(name).replace("%", "%%") for name in columns)
-        template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-        body = ",\n".join(map(template.__mod__, zip(*map(_json_column, columns.values()), strict=True)))
-        return head.removesuffix("[]\n}") + "[\n" + body + "\n  ]\n}\n"
+        keys = [encode_basestring_ascii(name) for name in columns]
+        seps = ["\n    },\n    {\n      " + keys[0] + ": ", *(",\n      " + key + ": " for key in keys[1:])]
+        k, n = len(keys), len(next(iter(columns.values())))
+        blocks = []
+        for start in range(0, n, RENDER_BLOCK):
+            m = min(RENDER_BLOCK, n - start)
+            pieces = [None] * (2 * k * m)
+            for j, (sep, column) in enumerate(zip(seps, columns.values())):
+                pieces[2 * j :: 2 * k] = [sep] * m
+                pieces[2 * j + 1 :: 2 * k] = _json_column(column[start : start + m])
+            if not start:
+                pieces[0] = head.removesuffix("[]\n}") + "[\n    {\n      " + keys[0] + ": "
+            if start + m == n:
+                pieces.append("\n    }\n  ]\n}\n")
+            blocks.append("".join(pieces))
+        return blocks[0] if len(blocks) == 1 else "".join(blocks)
     import csv  # only here: JSON runs do not load it
     import io
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)
-    writer.writerows(zip(*(map(_fmt, c) for c in columns.values()), strict=True))
+    writer.writerows(zip(*(map(_fmt, c) for c in columns.values())))
     return out.getvalue()
 
 

@@ -495,6 +495,24 @@ EVERY_KIND = {
     "text": ['a "quoted" word', "back\\slash", "100% sure, %s", "bell\x07 and tab\t", "\u03bd = \u22121, Fl\u00e4che"],
     'key 100% "%s" \u03bd': [1.0, 2.0, 3.0, 4.0, 5.0],
 }
+TEXTS = ['a "quoted" word', "back\\slash", "100% sure, %s", "\u03bd = \u22121, Fl\u00e4che"]
+
+
+def boundary_table(n: int) -> dict:
+    """``n`` rows of every column kind: 0.0 and -0.0 (period 7, so both lie
+    on each side of every block boundary), repeated strings that need
+    escaping, bools, None, and a column holding NaN."""
+    signed = [0.0, -0.0, 0.5, -0.0, 0.0, -1.5, 0.5]
+    return {
+        "signed_zero": [signed[i % 7] for i in range(n)],
+        "text": [TEXTS[i % 4] for i in range(n)],
+        "bool": [i % 3 == 0 for i in range(n)],
+        "none": [None] * n,
+        "nan": [math.nan if i % 5 == 0 else i / 7 for i in range(n)],
+        'key 100% "%s" \u03bd': [float(i % 11) for i in range(n)],
+    }
+
+
 META = {"suite": "family", "nu": -1.0, "family": 'x(a="%s")', "grid": [8, 8], "passed": False, "tol": None}
 
 
@@ -545,10 +563,32 @@ class TestReportRendering:
         # the empty line the row-dict writer gives for no rows.
         assert suites.render(META, columns, "csv") == ",".join(columns) + "\n"
 
-    def test_columns_of_unequal_length_are_an_error(self):
+    def test_columns_of_unequal_length_are_an_error(self, monkeypatch):
+        monkeypatch.setattr(suites, "RENDER_BLOCK", 2)
+        # A column shorter or longer than the first, whichever column it is,
+        # inside the first block of rows or past it.
+        tables = [
+            {"u": [1.0, 2.0], "v": [1.0]},
+            {"u": [1.0], "v": [1.0, 2.0]},
+            {"u": [], "v": [1.0]},
+            {"u": [1.0] * 5, "v": [1.0] * 5, "w": [1.0] * 6},
+            {"u": [1.0] * 6, "v": [1.0] * 5, "w": [1.0] * 6},
+        ]
         for fmt in ("json", "csv"):
-            with pytest.raises(ValueError):
-                suites.render(META, {"u": [1.0, 2.0], "v": [1.0]}, fmt)
+            for columns in tables:
+                with pytest.raises(ValueError):
+                    suites.render(META, columns, fmt)
+
+    @pytest.mark.parametrize(
+        "block, n", [(1, 7), (2, 7), (2, 8), (3, 7), (3, 9), (None, 8191), (None, 8192), (None, 8193), (None, 16385)]
+    )
+    def test_json_is_the_same_across_block_boundaries(self, monkeypatch, block, n):
+        if block is None:
+            assert suites.RENDER_BLOCK == 8192  # the row counts straddle its boundaries
+        else:
+            monkeypatch.setattr(suites, "RENDER_BLOCK", block)
+        columns = boundary_table(n)
+        assert suites.render(META, columns, "json") == json.dumps({**META, "rows": row_dicts(columns)}, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_check_rows_render_as_their_row_dicts(self, fmt):
@@ -630,6 +670,23 @@ class TestCommandLine:
     def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "rows.json"
         assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--out", str(out)]))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "connection", "--samples", "1000", "--seed", "3"],  # 9,000 rows: two render blocks
+            ["--suite", "sasaki", "--nu", "-1", "--samples", "3", "--seed", "1", "--format", "csv"],
+            ["--suite", "family", "--family", "conoid(mu=0.7)", "--grid", "6x5", "--report"],
+        ],
+        ids=["json", "csv", "report"],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        path = tmp_path / "report"
+        assert main([*argv, "--out", str(path)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert path.read_bytes() == stdout.encode("utf-8")
 
     def test_nu_beyond_the_bound_is_a_usage_error(self, capsys):
         assert main(["--suite", "connection", "--nu", "1e6", "--samples", "3"]) == 2

@@ -1,11 +1,14 @@
 """Property tests of the ``verify`` exit contract, with argv drawn from the
 flag grammar: each option spelled ``--name value`` or ``--name=value`` with a
-valid or malformed value, plus stray tokens."""
+valid or malformed value, plus stray tokens, and the same argv again with
+``--out`` writing the report to a file."""
 
 import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -15,8 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sl2geom.cli import main  # noqa: E402
 from sl2geom.suites import READS  # noqa: E402
 
-# Valid and malformed text for each option but --out, which moves the report
-# off stdout; grids stay at 3x3 or smaller and samples at 2 or fewer.
+# Valid and malformed text for each option but --out, which is drawn apart;
+# grids stay at 3x3 or smaller and samples at 2 or fewer.
 VALUES = {
     "suite": ["sasaki", "connection", "curvature", "family", "gauss", "all", "bogus", ""],
     "nu": ["1", "-1", "0.5", "-1e-3", "-1E4", "-2e0", "-.5", "abc", "0", "nan", "1e5", ""],
@@ -67,6 +70,18 @@ def test_every_exit_keeps_the_contract(options, data):
         argv += ["--nu"] if data.draw(st.booleans()) else []
     code, out, err = run(argv)
     assert code in (0, 1, 2)
+    if data.draw(st.booleans()):
+        # With --out: nothing on stdout, the same exit and stderr, and the
+        # file holds the stdout of the run without it, or is never made.
+        # No drawn token is a prefix of --out, so appending it keeps argv's error.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report")
+            assert run([*argv, "--out", path]) == (code, "", err), argv
+            if code == 2:
+                assert not os.path.exists(path)
+            else:
+                with open(path, encoding="utf-8", newline="") as fh:
+                    assert fh.read() == out
     if code == 2:
         assert out == "" and len(err.splitlines()) == 1 and err.startswith("verify: "), (argv, err)
         return
