@@ -17,9 +17,10 @@ rules, including which options each run reads.
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 configuration error: an unknown, ambiguous or repeated flag, a flag without
 its value, a stray token, a value that does not parse, an unknown or
-repeated config key, an option the run does not read, a grid over
-``suites.MAX_GRID_POINTS``, ``--samples`` over ``suites.MAX_SAMPLES``, |nu|
-over ``suites.MAX_NU``, a numerical blow-up and running out of memory.
+repeated config key, a config file that is not UTF-8, an option the run
+does not read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
+``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
+and running out of memory.
 Every exit 2 prints one ``verify:`` line and no report.  Reports are
 byte-identical for identical configuration and seed.
 """
@@ -52,19 +53,23 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def read_config_file(path: str) -> dict:
     """The ``key = value`` lines of a config file as unparsed text; a
-    repeated key is an error."""
-    values: dict = {}
+    repeated key is an error, and so is text that is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
-            values[key] = value
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    values: dict = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
+        values[key] = value
     return values
 
 
@@ -98,6 +103,7 @@ def _parse_option(name: str, text: str):
         raise ValueError(f"{name} must be {_KINDS[parse]}, got {text!r}") from None
 
 
+_DEFAULT = SuiteConfig()
 HELP = f"""\
 usage: verify [-h] [--name value | --name=value]...
 
@@ -105,14 +111,14 @@ Certify the geometry of SL(2,R), its metrics g[nu] and its surfaces.  A value
 may begin with '-' (--nu -1e-3); a flag may be any unique prefix (--fam).
 
   -h, --help      show this help and exit
-  --suite NAME    {', '.join(SUITES)} (default: {SuiteConfig.suite})
-  --nu NU         metric parameter (default: {SuiteConfig.nu})
+  --suite NAME    {', '.join(SUITES)} (default: {_DEFAULT.suite})
+  --nu NU         metric parameter (default: {_DEFAULT.nu})
   --family SPEC   surface family, e.g. conoid(mu=1), hopf_cylinder(curve=horocycle)
-  --grid NxM      sampling grid (default: {SuiteConfig.grid[0]}x{SuiteConfig.grid[1]})
+  --grid NxM      sampling grid (default: {_DEFAULT.grid[0]}x{_DEFAULT.grid[1]})
   --tol TOL       tighten every per-check tolerance to at most this
-  --format NAME   {', '.join(FORMATS)} (default: {SuiteConfig.format})
-  --seed SEED     random seed (default: {SuiteConfig.seed})
-  --samples N     random sample count (default: {SuiteConfig.samples})
+  --format NAME   {', '.join(FORMATS)} (default: {_DEFAULT.format})
+  --seed SEED     random seed (default: {_DEFAULT.seed})
+  --samples N     random sample count (default: {_DEFAULT.samples})
   --out PATH      write the report to this path instead of stdout
   --config PATH   read options from key = value lines; flags override them
   --report[=BOOL] emit --family's per-sample geometry table, not check rows
@@ -157,7 +163,7 @@ def config_from_args(argv) -> SuiteConfig:
     file_values = {} if config is None else read_config_file(config)
     unknown = set(file_values) - set(PARSERS)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{config}: unknown config keys: {sorted(unknown)}")
     values = {name: _parse_option(name, text) for name, text in [*file_values.items(), *flags.items()]}
     return SuiteConfig(**values).validate(given=values)
 

@@ -23,14 +23,18 @@ matrices lands on the quadric -x0^2 - x1^2 + x2^2 + x3^2 = -1 inside the
 semi-Euclidean space of signature (2,2): the anti-de Sitter 3-space.
 
 All values here are immutable and every operation is a pure function, so
-everything is freely shareable between threads.
+everything is freely shareable between threads.  Every entry of a group
+element, chart point, algebra vector or quadric point may be a float or an
+equal-shape array, one value per element, and a scalar call is the
+one-point view of the same code.  Transcendentals go through libm value by
+value (``_libm``), so an array call has the bits of its scalar calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,28 +44,45 @@ DET_TOL = 1e-10
 ORBIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A 2x2 real matrix (a b; c d) with ad - bc = 1."""
+def _libm(fn, x) -> np.ndarray:
+    """``fn``, a ``math`` function, at each value of the float or array
+    ``x``, shaped like ``x``.  numpy's own cosh, sinh and exp differ from
+    libm in the last bit on some inputs, and an array call must have the
+    bits of its one-point calls."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
+
+def _square(a, b, c, d) -> np.ndarray:
+    """The matrices (a b; c d) of broadcast entries, shape (..., 2, 2)."""
+    m = np.stack(np.broadcast_arrays(a, b, c, d), -1)
+    return m.reshape(m.shape[:-1] + (2, 2))
+
+
+class _GroupEntries(NamedTuple):
     a: float
     b: float
     c: float
     d: float
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not abs(det - 1.0) <= DET_TOL:
-            raise ValueError(f"matrix is not unimodular: det = {det!r}")
 
-    @classmethod
-    def from_matrix(cls, m) -> "GroupElement":
-        m = np.asarray(m, dtype=float)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+class GroupElement(_GroupEntries):
+    """A 2x2 real matrix (a b; c d) with ad - bc = 1.  Entries that are
+    arrays hold one element per value, and each must be unimodular."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        det = a * d - b * c
+        off = abs(det - 1.0)
+        if not np.all(off <= DET_TOL):
+            worst = float(np.ravel(det)[np.argmax(np.ravel(off))])  # the first NaN, if any
+            raise ValueError(f"matrix is not unimodular: det = {worst!r}")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
+        return _square(self.a, self.b, self.c, self.d)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -75,23 +96,26 @@ class GroupElement:
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """Iwasawa coordinates (x, y, theta), y > 0; theta is kept unreduced
-    (it is only meaningful modulo 2*pi).  The coordinates may also be
-    equal-shape arrays, one chart point per element."""
-
+class _ChartCoordinates(NamedTuple):
     x: float
     y: float
     theta: float
 
-    def __post_init__(self):
-        if not (self.y > 0.0 if isinstance(self.y, float) else np.all(self.y > 0.0)):
-            raise ValueError(f"chart coordinate y must be positive, got {self.y!r}")
+
+class ChartPoint(_ChartCoordinates):
+    """Iwasawa coordinates (x, y, theta), y > 0; theta is kept unreduced
+    (it is only meaningful modulo 2*pi).  The coordinates may also be
+    equal-shape arrays, one chart point per element."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, theta):
+        if not (y > 0.0 if isinstance(y, float) else np.all(y > 0.0)):
+            raise ValueError(f"chart coordinate y must be positive, got {float(np.min(y))!r}")
+        return tuple.__new__(cls, (x, y, theta))
 
 
-@dataclass(frozen=True)
-class LieVector:
+class LieVector(NamedTuple):
     """Element x1*i + x2*j' + x3*k' of sl(2,R) in the split-quaternion basis."""
 
     x1: float
@@ -100,9 +124,7 @@ class LieVector:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [[-self.x3, -self.x1 + self.x2], [self.x1 + self.x2, self.x3]]
-        )
+        return _square(-self.x3, -self.x1 + self.x2, self.x1 + self.x2, self.x3)
 
     @classmethod
     def from_matrix(cls, m) -> "LieVector":
@@ -146,8 +168,7 @@ class OrbitKind(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """Adjoint-orbit type of a Lie algebra vector, with c = det X."""
 
     kind: OrbitKind
@@ -164,8 +185,7 @@ class OrbitClass:
         return 0.0
 
 
-@dataclass(frozen=True)
-class AdSPoint:
+class AdSPoint(NamedTuple):
     """Coordinates in the flat signature-(2,2) space, basis (1, i, j', k')."""
 
     x0: float
@@ -175,7 +195,8 @@ class AdSPoint:
 
     @property
     def coords(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
+        """The four coordinates along the last axis, shape (..., 4)."""
+        return np.stack(np.broadcast_arrays(self.x0, self.x1, self.x2, self.x3), -1)
 
     def quadric_residual(self) -> float:
         """Deviation from -x0^2 - x1^2 + x2^2 + x3^2 = -1."""
@@ -193,14 +214,14 @@ def nilpotent_factor(x: float) -> GroupElement:
 
 
 def rotation_factor(theta: float) -> GroupElement:
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _libm(math.cos, theta), _libm(math.sin, theta)
     return GroupElement(c, s, -s, c)
 
 
 def chart_to_group(p: ChartPoint) -> GroupElement:
     """Evaluate the chart: (x, y, theta) -> N(x) A(y) K(theta)."""
-    s = math.sqrt(p.y)
-    c, t = math.cos(p.theta), math.sin(p.theta)
+    s = np.sqrt(p.y)
+    c, t = _libm(math.cos, p.theta), _libm(math.sin, p.theta)
     # N A = (s, x/s; 0, 1/s), multiplied by the rotation on the right.
     xs = p.x / s
     return GroupElement(s * c - xs * t, s * t + xs * c, -t / s, c / s)
@@ -284,20 +305,19 @@ def embed_ads(g: GroupElement) -> AdSPoint:
 def group_exp(x: LieVector) -> GroupElement:
     """Matrix exponential of a trace-free 2x2 matrix, by Cayley-Hamilton.
 
-    With d = det X:  exp X = cos(sqrt(d)) 1 + sinc-like(d) X, where the
-    scalar pair is (cos, sin/sqrt) for d > 0 and (cosh, sinh/sqrt) for d < 0.
+    With d = det X and r = sqrt(|d|):  exp X = c 1 + s X, where (c, s) is
+    (cos r, sin r / r) for d > 0, (cosh r, sinh r / r) for d < 0 and (1, 1)
+    for d = 0, picked value by value.
     """
     d = x.det
-    if d > 0.0:
-        r = math.sqrt(d)
-        c, s = math.cos(r), math.sin(r) / r
-    elif d < 0.0:
-        r = math.sqrt(-d)
-        c, s = math.cosh(r), math.sinh(r) / r
-    else:
-        c, s = 1.0, 1.0
-    m = c * np.eye(2) + s * x.matrix
-    return GroupElement.from_matrix(m)
+    r = np.sqrt(np.abs(d))
+    pos, neg = d > 0.0, d < 0.0
+    # Each branch sees its own radii and 0 elsewhere: cosh never overflows on a cos radius.
+    rp, rn = np.where(pos, r, 0.0), np.where(neg, r, 0.0)
+    c = np.where(pos, _libm(math.cos, rp), np.where(neg, _libm(math.cosh, rn), 1.0))
+    s = np.where(pos, _libm(math.sin, rp), np.where(neg, _libm(math.sinh, rn), 1.0)) / np.where(pos | neg, r, 1.0)
+    m = x.matrix
+    return GroupElement(c + s * m[..., 0, 0], s * m[..., 0, 1], s * m[..., 1, 0], c + s * m[..., 1, 1])
 
 
 def left_translate_to_identity(p: ChartPoint, coord_components) -> LieVector:

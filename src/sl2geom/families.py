@@ -36,8 +36,7 @@ cylinders over constant-curvature curves have mean curvature kappa / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .core import (
     AdSPoint,
     GroupElement,
     LieVector,
+    _libm,
     embed_ads,
     group_exp,
     nilpotent_factor,
@@ -64,8 +64,7 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperbolicCurve:
+class HyperbolicCurve(NamedTuple):
     """A curve v -> (x(v), y(v)) in the upper half plane with the metric
     (dx^2 + dy^2)/(4 y^2), given by its 2-jet.
 
@@ -228,8 +227,7 @@ def constant_curvature_curve(kappa: float) -> HyperbolicCurve:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileFunction:
+class ProfileFunction(NamedTuple):
     """A positive profile u -> y(u) with derivative access on (u_lo, u_hi);
     y, yp and ypp take scalars or arrays."""
 
@@ -491,19 +489,19 @@ def complex_circle(a: float, b: float, minimal: bool = False) -> Callable[[float
                     a cosh v cos u + b sinh v sin u,
                     a cosh v sin u - b sinh v cos u ),
 
-    for a^2 - b^2 = -1 (nondegenerate when ab != 0).  With ``minimal`` the
-    signs in the last two components are interchanged, which gives the
-    minimal member; that one factors as exp(u i) exp(v k') exp(t j') with
-    a = sinh t, b = cosh t.
+    for a^2 - b^2 = -1 (nondegenerate when ab != 0), at scalar or
+    equal-shape array parameters.  With ``minimal`` the signs in the last
+    two components are interchanged, which gives the minimal member; that
+    one factors as exp(u i) exp(v k') exp(t j') with a = sinh t, b = cosh t.
     """
     if abs(a * a - b * b + 1.0) > 1e-10:
         raise ValueError(f"complex circle needs a^2 - b^2 = -1, got {a * a - b * b!r}")
 
     sign = -1.0 if minimal else 1.0
 
-    def phi(u: float, v: float) -> AdSPoint:
-        cu, su = math.cos(u), math.sin(u)
-        cv, sv = math.cosh(v), math.sinh(v)
+    def phi(u, v) -> AdSPoint:
+        cu, su = _libm(math.cos, u), _libm(math.sin, u)
+        cv, sv = _libm(math.cosh, v), _libm(math.sinh, v)
         return AdSPoint(
             b * cv * cu - a * sv * su,
             a * sv * cu + b * cv * su,
@@ -514,9 +512,10 @@ def complex_circle(a: float, b: float, minimal: bool = False) -> Callable[[float
     return phi
 
 
-def minimal_complex_circle_exponential(t: float, u: float, v: float) -> AdSPoint:
-    """exp(u i) exp(v k') exp(t j') as a quadric point; equals the minimal
-    complex circle with a = sinh t, b = cosh t."""
+def minimal_complex_circle_exponential(t: float, u, v) -> AdSPoint:
+    """exp(u i) exp(v k') exp(t j') as a quadric point, at scalar or
+    equal-shape array u, v; equals the minimal complex circle with
+    a = sinh t, b = cosh t."""
     g = (
         group_exp(LieVector(u, 0.0, 0.0))
         @ group_exp(LieVector(0.0, 0.0, v))

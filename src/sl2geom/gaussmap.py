@@ -35,7 +35,7 @@ Everything in this module assumes nu = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ NU = 1.0
 CLASSIFY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class FrameCurvatureComponents:
+class FrameCurvatureComponents(NamedTuple):
     """Curvature components in a principal frame (e1, e2, e3 = n)."""
 
     r1213: float
@@ -65,8 +64,7 @@ class FrameCurvatureComponents:
         return abs(self.r3113 - self.r3223)
 
 
-@dataclass(frozen=True)
-class GaussClassification:
+class GaussClassification(NamedTuple):
     """Classification of the tangential Gauss map over a sample grid,
     together with the residual evidence the booleans were read from."""
 

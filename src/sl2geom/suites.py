@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,13 +63,17 @@ MAX_SAMPLES = 65_536
 # 1.1e-11 |nu| against a fixed tolerance of 1e-5, so beyond this a correct
 # connection table would fail; at 1e4 the residual is ~90x under tolerance.
 MAX_NU = 1e4
+# Largest |t| of a complex circle.  Its entries grow like cosh t and their
+# rounding like cosh^2 t: on grids up to 256x256 every row keeps 10x headroom
+# to |t| = 5.87 and GroupElement's det check 2x to 5.74; near 6.3 that check
+# rejects correct products.
+MAX_CIRCLE_T = 5.5
 # Rows per piece list in ``render``'s JSON text: a block's list holds two
 # pieces per cell, so the whole table is never held as pieces at once.
 RENDER_BLOCK = 8192
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """Configuration of a verification run."""
 
     suite: str = "all"
@@ -316,10 +319,9 @@ def run_sasaki(nu: float, samples: int, rng: Stream, rows: RowCollector):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -349,20 +351,20 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(text, {})
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What a family spec builds.  ``surface`` is None for the complex
     circles, which live in the quadric.  ``rows(u, v, nu)`` evaluates the
     family once over the sample arrays u, v and returns its checks as
     columns (check_id, expected, computed, tolerance), each value one per
     point or a constant; ``symmetry(u, v, t)`` is the residual of its
-    one-parameter symmetry group, measured entrywise on group elements;
+    one-parameter symmetry group at each of the points u, v, the largest
+    entrywise gap of the two group elements;
     ``gauss`` is the expected (conformal, vertically harmonic, harmonic)
     classification of its Gauss map, or None."""
 
     surface: Optional[Immersion]
     rows: Callable[[np.ndarray, np.ndarray, float], list[tuple]]
-    symmetry: Optional[Callable[[float, float, float], float]] = None
+    symmetry: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     gauss: Optional[tuple[bool, bool, bool]] = None
 
 
@@ -408,8 +410,9 @@ def _variant(spec: FamilySpec, key: str, table: dict, default: str):
     return p, make(p)
 
 
-def _group_residual(lhs, rhs) -> float:
-    return float(np.abs(lhs.matrix - rhs.matrix).max())
+def _group_residual(lhs, rhs) -> np.ndarray:
+    """The largest entrywise gap of each pair of group elements."""
+    return np.abs(lhs.matrix - rhs.matrix).max((-2, -1))
 
 
 def _hopf_metric_gap(I, c: HyperbolicCurve, v, nu: float):
@@ -497,18 +500,19 @@ def complex_circle(spec: FamilySpec) -> Family:
     """Complex circle with a = sinh t, b = cosh t: quadric residuals, and
     the minimal variant against its subgroup-exponential factorization."""
     t = _params(spec, {"t": 0.5})["t"]
+    if abs(t) > MAX_CIRCLE_T:
+        raise ValueError(f"{spec.describe()}: |t| must be at most {MAX_CIRCLE_T:g}, got t = {t!r}")
     a, b = math.sinh(t), math.cosh(t)
     if a == 0.0:
         raise ValueError(f"{spec.describe()}: t must be nonzero; a = sinh t = 0 is degenerate")
     phi = families.complex_circle(a, b)
     phi_min = families.complex_circle(a, b, minimal=True)
 
-    def rows(us, vs, nu):
-        points = list(zip(us.tolist(), vs.tolist()))
-        gaps = [phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords for u, v in points]
+    def rows(u, v, nu):
+        gap = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
         return [
-            ("family.complex_circle_quadric", 0.0, [phi(u, v).quadric_residual() for u, v in points], 1e-9),
-            ("family.complex_circle_exponential", 0.0, [float(np.abs(d).max()) for d in gaps], 1e-8),
+            ("family.complex_circle_quadric", 0.0, phi(u, v).quadric_residual(), 1e-9),
+            ("family.complex_circle_exponential", 0.0, np.abs(gap).max(-1), 1e-8),
         ]
 
     return Family(None, rows)
@@ -548,9 +552,8 @@ def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColl
     rows.add(_grid_locations(u, v), fam.rows(u, v, nu))
     if fam.symmetry is not None:
         step = max(1, u.size // 8)
-        points = list(zip(u[::step].tolist(), v[::step].tolist()))
-        residuals = [fam.symmetry(a, b, 0.37) for a, b in points]
-        rows.add([f"g{k:03d}" for k in range(len(points))], [("family.symmetry_invariance", 0.0, residuals, 1e-9)])
+        residuals = fam.symmetry(u[::step], v[::step], 0.37)
+        rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals, 1e-9)])
 
 
 def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):

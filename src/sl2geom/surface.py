@@ -28,7 +28,7 @@ the first such point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +55,7 @@ def _require(ok, message: str, at: tuple = (), value=None) -> None:
         raise ValueError(message + where + ("" if value is None else f": {pick(value)!r}"))
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Parameter rectangle [u0, u1] x [v0, v1] with periodicity flags."""
 
     u0: float
@@ -94,6 +93,10 @@ class Immersion:
     It is the only evaluation of the family: one call per ``jet`` or stencil.
     ``orient`` takes the evaluated ``SurfaceJet`` and returns frame vectors
     whose inner product fixes the sign of the unit normal along the surface.
+
+    It is the package's one dataclass, the other values being NamedTuples:
+    ``perfbench/tracer.py`` wraps its callables through
+    ``dataclasses.fields`` and ``dataclasses.replace``.
     """
 
     domain: Domain
@@ -105,8 +108,7 @@ class Immersion:
         return ChartPoint(x, y, th)
 
 
-@dataclass(frozen=True)
-class SurfaceJet:
+class SurfaceJet(NamedTuple):
     """Second-order data of an immersion at its parameter points: tangents
     and covariant second derivatives, all in frame components."""
 
@@ -119,8 +121,7 @@ class SurfaceJet:
     nu: float
 
 
-@dataclass(frozen=True)
-class FundamentalForm:
+class FundamentalForm(NamedTuple):
     """Symmetric 2x2 form with coefficients E, F, G in (du, dv)."""
 
     E: float
@@ -141,8 +142,7 @@ class FundamentalForm:
         return (a @ self.matrix @ b)[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class ShapeData:
+class ShapeData(NamedTuple):
     """Shape-operator invariants of the surface points; k1 and k2 are NaN
     where the principal curvatures are complex."""
 
@@ -297,8 +297,7 @@ def shape_data(I: FundamentalForm, II: FundamentalForm) -> ShapeData:
     return ShapeData(h, det_s, disc, causal, k1, k2, ~real, defect)
 
 
-@dataclass(frozen=True)
-class SurfacePointData:
+class SurfacePointData(NamedTuple):
     """Bundle of everything the engine knows at the sample points."""
 
     jet: SurfaceJet

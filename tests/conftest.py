@@ -30,3 +30,21 @@ def random_point(rng) -> ChartPoint:
 
 def random_vec(rng) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, 3)
+
+
+def assert_one_point_views(fn, *args, reference=None):
+    """``fn`` over scalar and equal-shape array arguments gives, field by
+    field, exactly (``==``) what ``fn`` gives at each point called with
+    floats, and what ``reference``, when given, gives there; a result that
+    is not a tuple counts as one field."""
+    shape = np.broadcast(*args).shape
+    batched = fn(*args)
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for k in np.ndindex(shape):
+        point = [a if np.ndim(a) == 0 else np.asarray(a)[k].item() for a in args]
+        for view in (fn, reference) if reference else (fn,):
+            one = view(*point)
+            one = one if isinstance(one, tuple) else (one,)
+            assert len(one) == len(batched)
+            for field, value in zip(batched, one):
+                assert np.broadcast_to(field, shape)[k] == value, (view, k, field, value)

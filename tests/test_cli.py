@@ -146,6 +146,29 @@ class TestFamilyRegistry:
         assert calls == [3.0]
 
 
+class TestComplexCircleBound:
+    # Each row's tolerance: at |t| <= MAX_CIRCLE_T the worst row keeps 10x
+    # headroom under it, on the largest grid.
+    TOL = {"family.complex_circle_quadric": 1e-9, "family.complex_circle_exponential": 1e-8}
+
+    @pytest.mark.parametrize("t", [suites.MAX_CIRCLE_T, -suites.MAX_CIRCLE_T])
+    def test_every_row_passes_with_headroom_at_the_bound(self, t, capsys):
+        res = run_main(["--suite", "family", "--family", f"complex_circle(t={t!r})", "--nu", "-1", "--grid", "256x256"], capsys)
+        assert res.returncode == 0 and res.stderr == ""
+        rows = json.loads(res.stdout)["rows"]
+        assert len(rows) == 2 * 256 * 256
+        for row in rows:
+            assert row["passed"] and 10.0 * row["residual"] <= self.TOL[row["check_id"]], row
+
+    @pytest.mark.parametrize(
+        "t", [math.nextafter(suites.MAX_CIRCLE_T, math.inf), math.nextafter(-suites.MAX_CIRCLE_T, -math.inf), 7.0, 7.3, 10.0, 1000.0]
+    )
+    def test_past_the_bound_is_a_usage_error_naming_t(self, t, capsys):
+        res = run_main(["--suite", "family", "--family", f"complex_circle(t={t!r})", "--nu", "-1"], capsys)
+        assert_usage_error(res)
+        assert f"got t = {t!r}" in res.stderr and "np.float64(" not in res.stderr
+
+
 class TestSuiteConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -637,8 +660,7 @@ class TestReportRendering:
         assert rows["gauss.harmonic"]["computed"] == 0.0
         assert all(row["passed"] for row in rows.values())
         # 0/1 rows judged with tolerance 0.5 still pass under a tight --tol.
-        cfg.tol = 1e-30
-        tight = {row["check_id"]: row for row in row_dicts(run_suite(cfg))}
+        tight = {row["check_id"]: row for row in row_dicts(run_suite(cfg._replace(tol=1e-30)))}
         for check_id in ("gauss.conformal", "gauss.vertically_harmonic", "gauss.harmonic"):
             assert tight[check_id] == rows[check_id]
 

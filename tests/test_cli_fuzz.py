@@ -109,3 +109,62 @@ def test_flag_and_config_spellings_agree(tmp_path_factory, options, data):
     first, *others = (run([*form, *rest]) for form in forms)
     for result in others:
         assert result == first, (name, text, rest)
+
+
+# Config lines by kind: each file mixes well-formed lines, comments and blank
+# lines with at least one fault.
+GOOD_LINES = ["suite = sasaki", "samples = 2", "nu=-1", " seed = 3 # trailing comment", "format = csv"]
+FILLER = ["", "   ", "# a comment", "  # key = value, commented out", "\t"]
+FAULTS = {
+    "missing_equals": ["suite sasaki", "samples", "nu -1 # no equals"],
+    "unknown_key": ["colour = red", "Suite = sasaki", "= 1"],
+    "non_utf8": [b"nu = 1\xff", b"\xfe\xff# comment", b"suite = sas\xc3aki"],
+}
+
+
+@st.composite
+def faulty_config(draw):
+    """The bytes of a config file with at least one fault, and the 1-based
+    line of the first fault the reader meets line by line (missing '=', or
+    a repeated key), or None when only a whole-file check finds one (bytes
+    that are not UTF-8, checked first, or unknown keys, checked last)."""
+    lines = draw(st.lists(st.sampled_from(GOOD_LINES + FILLER), max_size=6))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(FAULTS) + ["repeated_key"]))
+        keyed = [line for line in lines if isinstance(line, str) and "=" in line.split("#")[0]]
+        if kind == "repeated_key":
+            line = draw(st.sampled_from(keyed or GOOD_LINES))
+            if not keyed:
+                lines.insert(draw(st.integers(0, len(lines))), line)
+            at = draw(st.integers(lines.index(line) + 1, len(lines)))
+        else:
+            line = draw(st.sampled_from(FAULTS[kind]))
+            at = draw(st.integers(0, len(lines)))
+        lines.insert(at, line)
+    data = b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines)
+    if any(isinstance(line, bytes) for line in lines):
+        return data, None
+    seen = set()
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#")[0].strip()
+        if not text:
+            continue
+        key = text.split("=")[0].strip()
+        if "=" not in text or key in seen:
+            return data, lineno
+        seen.add(key)
+    return data, None
+
+
+@settings(SETTINGS, max_examples=100)
+@given(faulty_config(), st.booleans())
+def test_a_faulty_config_file_is_one_usage_error(config, with_flags):
+    data, lineno = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, out, err = run(["--config", path, *(["--samples", "1"] if with_flags else [])])
+    assert code == 2 and out == "", (data, err)
+    assert len(err.splitlines()) == 1, (data, err)
+    assert err.startswith(f"verify: {path}:" if lineno is None else f"verify: {path}:{lineno}: "), (data, err)

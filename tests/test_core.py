@@ -21,10 +21,11 @@ from sl2geom.core import (
     group_exp,
     group_to_chart,
     left_translate_to_identity,
+    nilpotent_factor,
     rotation_factor,
     trace_form_scalar_product,
 )
-from conftest import random_point, random_vec
+from conftest import assert_one_point_views, random_point, random_vec
 
 
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
@@ -272,3 +273,65 @@ class TestExponentialAndTranslation:
         # is already the algebra element -k'.
         v = left_translate_to_identity(ChartPoint(0.0, 1.0, 0.0), (0.0, 2.0, 0.0))
         assert np.allclose(v.components, [0.0, 0.0, -1.0], atol=1e-14)
+
+
+def chart_to_group_by_libm(x, y, th):
+    """The chart's matrix entries from ``math`` calls: the reference bits."""
+    s, c, t = math.sqrt(y), math.cos(th), math.sin(th)
+    return s * c - x / s * t, s * t + x / s * c, -t / s, c / s
+
+
+def group_exp_by_libm(x1, x2, x3):
+    """exp X from ``math`` calls, one point: the reference bits."""
+    d = x1 * x1 - x2 * x2 - x3 * x3
+    r = math.sqrt(abs(d))
+    c, s = (math.cos(r), math.sin(r) / r) if d > 0.0 else (math.cosh(r), math.sinh(r) / r) if d < 0.0 else (1.0, 1.0)
+    return c - s * x3, s * (x2 - x1), s * (x1 + x2), c + s * x3
+
+
+class TestBatchedGroupLayer:
+    """Array entries hold one group element per value, and an array call has
+    the bits of its one-point calls, which are those of libm."""
+
+    def chart_arrays(self, rng, n=40):
+        return rng.uniform(-2.0, 2.0, n), rng.uniform(0.2, 5.0, n), rng.uniform(-7.0, 7.0, n)
+
+    def test_chart_to_group_with_scalar_and_array_coordinates_mixed(self, rng):
+        x, y, th = self.chart_arrays(rng)
+        to_group = lambda x, y, th: chart_to_group(ChartPoint(x, y, th))
+        assert_one_point_views(to_group, x, y, th, reference=chart_to_group_by_libm)
+        assert_one_point_views(to_group, x, 1.0, th, reference=chart_to_group_by_libm)  # a horocycle: y constant
+        assert_one_point_views(to_group, 0.0, y, th, reference=chart_to_group_by_libm)  # a vertical geodesic: x constant
+        assert_one_point_views(to_group, x, y, 0.37, reference=chart_to_group_by_libm)
+
+    def test_group_exp_at_every_sign_of_det(self, rng):
+        x1, x2, x3 = rng.uniform(-2.0, 2.0, (3, 60))
+        x1[:3], x2[:3], x3[:3] = (0.0, 0.6, -1.5), (0.0, 0.6, 0.9), (0.0, 0.0, 1.2)  # det = 0
+        det = x1 * x1 - x2 * x2 - x3 * x3
+        assert (det > 0.0).any() and (det < 0.0).any() and (det == 0.0).sum() == 3
+        assert_one_point_views(lambda *x: group_exp(LieVector(*x)), x1, x2, x3, reference=group_exp_by_libm)
+        for axis in range(3):  # one nonzero component, the others scalar, as the complex circle has
+            comps = [0.0, 0.0, 0.0]
+            comps[axis] = x1
+            assert_one_point_views(lambda *x: group_exp(LieVector(*x)), *comps, reference=group_exp_by_libm)
+
+    def test_product_embedding_and_quadric_residual(self, rng):
+        g = chart_to_group(ChartPoint(*self.chart_arrays(rng)))
+        h = chart_to_group(ChartPoint(*self.chart_arrays(rng)))
+        assert_one_point_views(lambda *e: GroupElement(*e[:4]) @ GroupElement(*e[4:]), *g, *h)
+        assert_one_point_views(lambda *e: rotation_factor(0.37) @ GroupElement(*e) @ nilpotent_factor(-1.1), *g)
+        assert_one_point_views(lambda *e: embed_ads(GroupElement(*e)), *g)
+        assert_one_point_views(lambda *e: embed_ads(GroupElement(*e)).quadric_residual(), *g)
+
+    def test_one_bad_element_is_a_one_line_error(self):
+        ones, zeros = np.ones(5), np.zeros(5)
+        a = ones.copy()
+        a[3] = 1.0 + 1e-6
+        with pytest.raises(ValueError) as err:
+            GroupElement(a, zeros, zeros, ones)
+        assert str(err.value) == f"matrix is not unimodular: det = {1.0 + 1e-6!r}"
+        a[1] = np.nan  # a NaN is the worst entry
+        with pytest.raises(ValueError, match=r"^matrix is not unimodular: det = nan$"):
+            GroupElement(a, zeros, zeros, ones)
+        with pytest.raises(ValueError, match=r"^chart coordinate y must be positive, got -0\.5$"):
+            ChartPoint(zeros, np.array([1.0, 2.0, -0.5, 3.0, 0.0]), zeros)

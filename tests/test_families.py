@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_one_point_views
 from sl2geom.core import (
     GroupElement,
     chart_to_group,
@@ -35,7 +36,7 @@ from sl2geom.families import (
     umbilic_profile,
 )
 from sl2geom.gaussmap import grid_samples
-from sl2geom.suites import SuiteConfig, rows_passed, run_suite
+from sl2geom.suites import ALL_ROSTER_FAMILIES, SuiteConfig, build_family, parse_family_spec, rows_passed, run_suite
 from sl2geom.surface import jet, surface_shape
 
 
@@ -191,9 +192,7 @@ class TestConoid:
         mu, a = 1.3, 0.4
         s = affine_conoid(mu, a=a)
         for (u, v) in ((0.7, 0.9), (-1.1, 2.0)):
-            seed = nilpotent_factor(a) @ GroupElement.from_matrix(
-                np.diag([math.sqrt(v), 1.0 / math.sqrt(v)])
-            )
+            seed = nilpotent_factor(a) @ GroupElement(math.sqrt(v), 0.0, 0.0, 1.0 / math.sqrt(v))
             orbit = helicoidal_motion(mu, u, seed)
             assert np.abs(chart_to_group(s.chart(u, v)).matrix - orbit.matrix).max() < 1e-12
 
@@ -393,9 +392,33 @@ class TestComplexCircle:
                 worst = max(worst, float(np.abs(d).max()))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_array_call_has_the_bits_of_its_one_point_calls(self, rng, minimal):
+        t = 0.8
+        u, v = rng.uniform(0.0, 2.0 * math.pi, 50), rng.uniform(-1.0, 1.0, 50)
+        a, b, sign = math.sinh(t), math.cosh(t), -1.0 if minimal else 1.0
+        phi = complex_circle(a, b, minimal=minimal)
+
+        def by_libm(u, v):  # the reference bits
+            cu, su, cv, sv = math.cos(u), math.sin(u), math.cosh(v), math.sinh(v)
+            return (b * cv * cu - a * sv * su, a * sv * cu + b * cv * su, a * cv * cu + sign * b * sv * su, a * cv * su - sign * b * sv * cu)
+
+        assert_one_point_views(phi, u, v, reference=by_libm)
+        assert_one_point_views(lambda u, v: phi(u, v).quadric_residual(), u, v)
+        assert_one_point_views(lambda u, v: minimal_complex_circle_exponential(t, u, v), u, v)
+        assert_one_point_views(lambda u, v: minimal_complex_circle_exponential(t, u, v), u, 0.0)
+
     def test_minimal_variant_quadric(self):
         a, b = math.sinh(0.3), math.cosh(0.3)
         phi = complex_circle(a, b, minimal=True)
         for u in (0.0, 1.0, 3.0):
             for v in (-0.7, 0.2):
                 assert abs(phi(u, v).quadric_residual()) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in ALL_ROSTER_FAMILIES if not spec.startswith("complex_circle")])
+def test_symmetry_residuals_of_an_array_call_are_its_one_point_calls(spec):
+    # run_family passes its eight symmetry points as arrays, in one call.
+    fam = build_family(parse_family_spec(spec))
+    u, v = grid_samples(fam.surface, 12, 12)
+    assert_one_point_views(lambda u, v: fam.symmetry(u, v, 0.37), u[::18], v[::18])

@@ -1,10 +1,13 @@
 import collections
 import dataclasses
+import importlib
 import math
+import os
 
 import numpy as np
 import pytest
 
+import sl2geom
 from sl2geom import families
 from sl2geom.core import ChartPoint
 from sl2geom.families import (
@@ -170,7 +173,7 @@ class TestJet:
 
         circle = hyperbolic_circle(3.0)
         curve_jet = counted("curve.jet", circle.jet, np.size)
-        base = hopf_cylinder(dataclasses.replace(circle, jet=curve_jet))
+        base = hopf_cylinder(circle._replace(jet=curve_jet))
         s = dataclasses.replace(
             base,
             jet2=counted("jet2", base.jet2, lambda u, v: np.broadcast(u, v).size),
@@ -650,3 +653,21 @@ class TestOnePassStencil:
         with pytest.raises(ValueError) as raised:
             intrinsic_gauss_curvature(s, u, v, 1.0, first=first)
         assert str(raised.value) == str(expected.value)
+
+
+def test_immersion_is_the_only_dataclass():
+    """Building a dataclass costs about a millisecond of import time, a
+    NamedTuple a small fraction of that, and the import is most of a small
+    run's time.  ``surface.Immersion`` stays a dataclass because
+    ``perfbench/tracer.py`` wraps its callables through
+    ``dataclasses.fields`` and rebuilds it with ``dataclasses.replace``."""
+    src = os.path.dirname(sl2geom.__file__)
+    found = []
+    for name in sorted(n[:-3] for n in os.listdir(src) if n.endswith(".py")):
+        module = importlib.import_module(f"sl2geom.{name}" if name != "__init__" else "sl2geom")
+        found += [
+            f"{module.__name__}.{value.__qualname__}"
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
+        ]
+    assert found == ["sl2geom.surface.Immersion"]
