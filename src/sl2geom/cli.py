@@ -58,17 +58,17 @@ def read_config_file(path: str) -> dict:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+            raise ValueError(f"{path!r}: not UTF-8 text: {exc.reason}") from None
     values: dict = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
+            raise ValueError(f"{path!r}:{lineno}: expected key = value, got {raw.rstrip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         if key in values:
-            raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
+            raise ValueError(f"{path!r}:{lineno}: repeated config key {key!r}")
         values[key] = value
     return values
 
@@ -163,7 +163,7 @@ def config_from_args(argv) -> SuiteConfig:
     file_values = {} if config is None else read_config_file(config)
     unknown = set(file_values) - set(PARSERS)
     if unknown:
-        raise ValueError(f"{config}: unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{config!r}: unknown config keys: {sorted(unknown)}")
     values = {name: _parse_option(name, text) for name, text in [*file_values.items(), *flags.items()]}
     return SuiteConfig(**values).validate(given=values)
 
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"verify: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"verify: cannot write {cfg.out!r}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -3,9 +3,11 @@ its surface families, replayed numerically and reduced to report rows.
 
 Each row asserts one scalar: ``computed`` is the measured quantity,
 ``expected`` its target, ``residual = |computed - expected|``, and the row
-passes when the residual is within tolerance.  Vector-valued checks report
-the max-norm of the difference against an expected value of zero.  Boolean
-classifications are encoded as 0/1 with tolerance 0.5.
+passes when the residual is within the tolerance that ``TOLERANCES``
+declares for its check id; an emitter gives each check as ``(check_id,
+expected, computed)``.  Vector-valued checks report the max-norm of the
+difference against an expected value of zero.  Boolean classifications are
+encoded as 0/1 with tolerance 0.5.
 
 Suites are deterministic: random sample points come from ``Stream``, numpy's
 ``default_rng(seed)`` PCG64 stream reproduced bit for bit, so a report does
@@ -72,6 +74,51 @@ MAX_CIRCLE_T = 5.5
 # pieces per cell, so the whole table is never held as pieces at once.
 RENDER_BLOCK = 8192
 
+# Each check's tolerance, the one place it is written: a row passes when its
+# residual is at most this.  An indexed id, ``curvature.entry[121]``, is
+# entered under its name before the ``[``.  0/1 classification rows are
+# judged at 0.5; the two gauss evidence rows at the classifier's threshold.
+TOLERANCES = {
+    "connection.table_vs_koszul": 1e-5,
+    "curvature.entry": 1e-6,
+    "curvature.table_vs_contact_form": 1e-9,
+    "curvature.sectional_constant": 1e-8,
+    "curvature.holomorphic_sectional": 1e-8,
+    "curvature.sectional_e1_e3": 1e-8,
+    "sasaki.f_squared": 1e-6,
+    "sasaki.d_eta_pairing": 1e-6,
+    "sasaki.f_compatibility": 1e-6,
+    "sasaki.xi_derivative": 1e-6,
+    "sasaki.f_derivative": 1e-6,
+    "family.hopf_induced_metric": 1e-8,
+    "family.hopf_flat": 1e-4,
+    "family.hopf_mean_curvature": 1e-6,
+    "family.conoid_minimal": 1e-6,
+    "family.lightcone_closed_vs_pipeline_H": 1e-6,
+    "family.lightcone_H_one": 1e-6,
+    "family.lightcone_flat": 1e-4,
+    "family.lightcone_repeated_curvatures": 1e-6,
+    "family.lightcone_umbilic_defect": 1e-6,
+    "family.lightcone_riccati": 1e-7,
+    "family.lightcone_minimal": 1e-6,
+    "family.complex_circle_quadric": 1e-9,
+    "family.complex_circle_exponential": 1e-8,
+    "family.symmetry_invariance": 1e-9,
+    "gauss.h_constant": 1e-5,
+    "gauss.conformal": 0.5,
+    "gauss.vertically_harmonic": 0.5,
+    "gauss.harmonic": 0.5,
+    "gauss.vertical_residual": gaussmap.CLASSIFY_TOL,
+    "gauss.horizontal_gap": gaussmap.CLASSIFY_TOL,
+    "gauss.oblique_form_1": 1e-8,
+    "gauss.oblique_form_2": 1e-8,
+    "gauss.cylinder_r3113": 1e-8,
+    "gauss.cylinder_r3223": 1e-8,
+    "gauss.sff_11": 1e-6,
+    "gauss.sff_12": 1e-6,
+    "gauss.sff_22": 1e-6,
+}
+
 
 class SuiteConfig(NamedTuple):
     """Configuration of a verification run."""
@@ -126,20 +173,20 @@ class RowCollector:
     """Collects report rows as a table of columns, ``check_id``,
     ``location``, ``expected``, ``computed``, ``residual`` and ``passed``,
     each one built-in value per row; ``tol_override`` can only tighten a
-    check's own tolerance, never loosen it."""
+    check's ``TOLERANCES`` entry, never loosen it."""
 
     def __init__(self, tol_override: Optional[float] = None):
         self.table = {name: [] for name in ("check_id", "location", "expected", "computed", "residual", "passed")}
         self.tol_override = tol_override
 
     def add(self, locations: list[str], checks: list[tuple], where=None):
-        """One row per location and check (check_id, expected, computed,
-        tolerance), location by location and within a location in check
-        order; ``expected`` and ``computed`` are each one value per location
-        or one constant for all.  ``where``, a (locations x checks) boolean
-        mask, keeps only the rows it marks True."""
-        ids, expected, computed, tol = zip(*checks)
-        tol = np.array(tol, dtype=float)
+        """One row per location and check (check_id, expected, computed),
+        location by location and within a location in check order, each
+        judged by its id's ``TOLERANCES`` entry; ``expected`` and ``computed``
+        are each one value per location or one constant for all.  ``where``,
+        a (locations x checks) boolean mask, keeps only the rows it marks True."""
+        ids, expected, computed = zip(*checks)
+        tol = np.array([TOLERANCES[check_id.partition("[")[0]] for check_id in ids])
         if self.tol_override is not None:
             tol = np.minimum(tol, self.tol_override)
         n = len(locations)
@@ -250,7 +297,7 @@ def run_connection(nu: float, samples: int, rng: Stream, rows: RowCollector):
     for i in range(1, 4):
         for j in range(1, 4):
             residual = np.abs(connection_table(i, j, nu) - oracle[:, i - 1, j - 1]).max(1)
-            checks.append((f"connection.table_vs_koszul[{i}{j}]", 0.0, residual, 1e-5))
+            checks.append((f"connection.table_vs_koszul[{i}{j}]", 0.0, residual))
     rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
 
@@ -271,13 +318,13 @@ def run_curvature(nu: float, samples: int, rng: Stream, rows: RowCollector):
     contact-structure closed form, and the constant-curvature claims; each
     check is one evaluation over all of its samples."""
     checks = [
-        (f"curvature.entry[{i}{j}{l}]", 0.0, np.abs(curvature(i, j, l, nu) - claim).max(), 1e-6)
+        (f"curvature.entry[{i}{j}{l}]", 0.0, np.abs(curvature(i, j, l, nu) - claim).max())
         for (i, j, l), claim in _curvature_entry_claims(nu)
     ]
     if nu in (1.0, -1.0):
         x, y, z = rng.uniform(-1.0, 1.0, (samples, 3, 3)).transpose(1, 0, 2)
         contact = np.abs(curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)).max(-1)
-        checks.append(("curvature.table_vs_contact_form", 0.0, contact, 1e-9))
+        checks.append(("curvature.table_vs_contact_form", 0.0, contact))
     rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
     if nu == -1.0:
@@ -292,14 +339,14 @@ def run_curvature(nu: float, samples: int, rng: Stream, rows: RowCollector):
             planes = np.concatenate([planes, pairs[np.abs(den) >= 0.1]])
         x, y = planes.transpose(1, 0, 2)
         locations = [f"plane{k:04d}" for k in range(len(planes))]
-        rows.add(locations, [("curvature.sectional_constant", -1.0, sectional_curvature(x, y, nu), 1e-8)])
+        rows.add(locations, [("curvature.sectional_constant", -1.0, sectional_curvature(x, y, nu))])
     if nu == 1.0:
         a = rng.uniform(0.0, 2.0 * math.pi, samples)
         x = np.stack([np.cos(a), np.sin(a), np.zeros(samples)], axis=-1)
         locations = [f"hvec{k:03d}" for k in range(samples)]
-        rows.add(locations, [("curvature.holomorphic_sectional", -7.0, sectional_curvature(x, apply_f(x), nu), 1e-8)])
+        rows.add(locations, [("curvature.holomorphic_sectional", -7.0, sectional_curvature(x, apply_f(x), nu))])
         e1_e3 = sectional_curvature(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), nu)
-        rows.add(["frame"], [("curvature.sectional_e1_e3", 1.0, e1_e3, 1e-8)])
+        rows.add(["frame"], [("curvature.sectional_e1_e3", 1.0, e1_e3)])
 
 
 def run_sasaki(nu: float, samples: int, rng: Stream, rows: RowCollector):
@@ -310,7 +357,7 @@ def run_sasaki(nu: float, samples: int, rng: Stream, rows: RowCollector):
     highs = (2.0, 5.0, 2.0 * math.pi) + (1.0,) * 6
     draws = rng.uniform(lows, highs, (samples, 9))
     res = sasaki_residuals(ChartPoint(*draws[:, :3].T), draws[:, 3:6], draws[:, 6:], nu)
-    checks = [(f"sasaki.{name}", 0.0, values, 1e-6) for name, values in zip(res._fields, res)]
+    checks = [(f"sasaki.{name}", 0.0, values) for name, values in zip(res._fields, res)]
     rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
 
@@ -355,12 +402,11 @@ class Family(NamedTuple):
     """What a family spec builds.  ``surface`` is None for the complex
     circles, which live in the quadric.  ``rows(u, v, nu)`` evaluates the
     family once over the sample arrays u, v and returns its checks as
-    columns (check_id, expected, computed, tolerance), each value one per
-    point or a constant; ``symmetry(u, v, t)`` is the residual of its
-    one-parameter symmetry group at each of the points u, v, the largest
-    entrywise gap of the two group elements;
-    ``gauss`` is the expected (conformal, vertically harmonic, harmonic)
-    classification of its Gauss map, or None."""
+    columns (check_id, expected, computed), each value one per point or a
+    constant; ``symmetry(u, v, t)`` is the residual of its one-parameter
+    symmetry group at each of the points u, v, the largest entrywise gap of
+    the two group elements; ``gauss`` is the expected (conformal, vertically
+    harmonic, harmonic) classification of its Gauss map, or None."""
 
     surface: Optional[Immersion]
     rows: Callable[[np.ndarray, np.ndarray, float], list[tuple]]
@@ -433,9 +479,9 @@ def hopf_cylinder(spec: FamilySpec) -> Family:
     def rows(u, v, nu):
         pt = surface_shape(s, u, v, nu)
         return [
-            ("family.hopf_induced_metric", 0.0, _hopf_metric_gap(pt.first, curve, v, nu), 1e-8),
-            ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first), 1e-4),
-            ("family.hopf_mean_curvature", curve.kappa / 2.0, pt.shape.mean_curvature, 1e-6),
+            ("family.hopf_induced_metric", 0.0, _hopf_metric_gap(pt.first, curve, v, nu)),
+            ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first)),
+            ("family.hopf_mean_curvature", curve.kappa / 2.0, pt.shape.mean_curvature),
         ]
 
     def symmetry(u, v, t):
@@ -453,7 +499,7 @@ def conoid(spec: FamilySpec) -> Family:
     s = families.affine_conoid(mu=p["mu"], a=p["a"])
 
     def rows(u, v, nu):
-        return [("family.conoid_minimal", 0.0, surface_shape(s, u, v, nu).shape.mean_curvature, 1e-6)]
+        return [("family.conoid_minimal", 0.0, surface_shape(s, u, v, nu).shape.mean_curvature)]
 
     def symmetry(u, v, t):
         g = chart_to_group(s.chart(u, v))
@@ -473,20 +519,20 @@ def lightcone(spec: FamilySpec) -> Family:
         pt = surface_shape(s, u, v, nu)
         h = pt.shape.mean_curvature
         closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
-        checks = [("family.lightcone_closed_vs_pipeline_H", closed, h, 1e-6)]
+        checks = [("family.lightcone_closed_vs_pipeline_H", closed, h)]
         if nu == -1.0:
             checks += [
-                ("family.lightcone_H_one", 1.0, h, 1e-6),
-                ("family.lightcone_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first), 1e-4),
-                ("family.lightcone_repeated_curvatures", 0.0, pt.shape.discriminant, 1e-6),
+                ("family.lightcone_H_one", 1.0, h),
+                ("family.lightcone_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first)),
+                ("family.lightcone_repeated_curvatures", 0.0, pt.shape.discriminant),
             ]
             if p["profile"] == "umbilic":
                 checks += [
-                    ("family.lightcone_umbilic_defect", 0.0, pt.shape.umbilic_defect, 1e-6),
-                    ("family.lightcone_riccati", 0.0, riccati_residual(profile, u), 1e-7),
+                    ("family.lightcone_umbilic_defect", 0.0, pt.shape.umbilic_defect),
+                    ("family.lightcone_riccati", 0.0, riccati_residual(profile, u)),
                 ]
         if nu == 1.0 and p["profile"] == "minimal":
-            checks.append(("family.lightcone_minimal", 0.0, h, 1e-6))
+            checks.append(("family.lightcone_minimal", 0.0, h))
         return checks
 
     def symmetry(u, v, t):
@@ -511,8 +557,8 @@ def complex_circle(spec: FamilySpec) -> Family:
     def rows(u, v, nu):
         gap = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
         return [
-            ("family.complex_circle_quadric", 0.0, phi(u, v).quadric_residual(), 1e-9),
-            ("family.complex_circle_exponential", 0.0, np.abs(gap).max(-1), 1e-8),
+            ("family.complex_circle_quadric", 0.0, phi(u, v).quadric_residual()),
+            ("family.complex_circle_exponential", 0.0, np.abs(gap).max(-1)),
         ]
 
     return Family(None, rows)
@@ -553,7 +599,7 @@ def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColl
     if fam.symmetry is not None:
         step = max(1, u.size // 8)
         residuals = fam.symmetry(u[::step], v[::step], 0.37)
-        rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals, 1e-9)])
+        rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals)])
 
 
 def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
@@ -566,16 +612,15 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     expect_conf, expect_vh, expect_harm = fam.gauss
     cls = classify_gauss_map(s, grid=grid)
     checks = [
-        ("gauss.h_constant", 0.0, cls.evidence["h_spread"], 1e-5),
-        # The classification as 0/1 values, judged with tolerance 0.5.
-        ("gauss.conformal", expect_conf, cls.conformal, 0.5),
-        ("gauss.vertically_harmonic", expect_vh, cls.vertically_harmonic, 0.5),
-        ("gauss.harmonic", expect_harm, cls.harmonic, 0.5),
+        ("gauss.h_constant", 0.0, cls.evidence["h_spread"]),
+        ("gauss.conformal", expect_conf, cls.conformal),
+        ("gauss.vertically_harmonic", expect_vh, cls.vertically_harmonic),
+        ("gauss.harmonic", expect_harm, cls.harmonic),
     ]
     if expect_vh:
-        checks.append(("gauss.vertical_residual", 0.0, cls.evidence["max_vertical"], 1e-7))
+        checks.append(("gauss.vertical_residual", 0.0, cls.evidence["max_vertical"]))
     if expect_harm:
-        checks.append(("gauss.horizontal_gap", 0.0, cls.evidence["max_horizontal_gap"], 1e-7))
+        checks.append(("gauss.horizontal_gap", 0.0, cls.evidence["max_horizontal_gap"]))
     rows.add([spec.describe()], checks)
 
     # Closed forms from the classification argument at a 4x4 grid, both
@@ -587,18 +632,18 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     v1, v2 = gaussmap.oblique_frame(n)
     c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
     oblique = [
-        ("gauss.oblique_form_1", c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0), 1e-8),
-        ("gauss.oblique_form_2", c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0), 1e-8),
+        ("gauss.oblique_form_1", c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0)),
+        ("gauss.oblique_form_2", c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0)),
     ]
     comps = frame_curvature_components_at(pt)
     exp_3113, exp_3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
     s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
     cylinder = [
-        ("gauss.cylinder_r3113", exp_3113, comps.r3113, 1e-8),
-        ("gauss.cylinder_r3223", exp_3223, comps.r3223, 1e-8),
-        ("gauss.sff_11", 2.0 * h, s11, 1e-6),
-        ("gauss.sff_12", 1.0, s12, 1e-6),
-        ("gauss.sff_22", 0.0, s22, 1e-6),
+        ("gauss.cylinder_r3113", exp_3113, comps.r3113),
+        ("gauss.cylinder_r3223", exp_3223, comps.r3223),
+        ("gauss.sff_11", 2.0 * h, s11),
+        ("gauss.sff_12", 1.0, s12),
+        ("gauss.sff_22", 0.0, s22),
     ]
     is_oblique = np.abs(n[:, 2]) > 1e-9
     where = np.column_stack([is_oblique] * len(oblique) + [~is_oblique] * len(cylinder))

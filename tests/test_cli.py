@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,7 @@ from sl2geom.suites import (
     ALL_ROSTER_FAMILIES,
     ALL_ROSTER_GAUSS,
     MAX_SAMPLES,
+    TOLERANCES,
     Family,
     RowCollector,
     Stream,
@@ -57,9 +59,10 @@ def random_chart_point(rng):
     )
 
 
-def add_row(rows, check_id, location, expected, computed, tol):
-    """One row through ``RowCollector.add``: one location, one check."""
-    rows.add([location], [(check_id, expected, computed, tol)])
+def add_row(rows, check_id, location, expected, computed):
+    """One row through ``RowCollector.add``: one location, one check, judged
+    by its ``TOLERANCES`` entry."""
+    rows.add([location], [(check_id, expected, computed)])
 
 
 def row_tuples(table, *names):
@@ -147,10 +150,8 @@ class TestFamilyRegistry:
 
 
 class TestComplexCircleBound:
-    # Each row's tolerance: at |t| <= MAX_CIRCLE_T the worst row keeps 10x
-    # headroom under it, on the largest grid.
-    TOL = {"family.complex_circle_quadric": 1e-9, "family.complex_circle_exponential": 1e-8}
-
+    # At |t| <= MAX_CIRCLE_T the worst row keeps 10x headroom under its
+    # tolerance, on the largest grid.
     @pytest.mark.parametrize("t", [suites.MAX_CIRCLE_T, -suites.MAX_CIRCLE_T])
     def test_every_row_passes_with_headroom_at_the_bound(self, t, capsys):
         res = run_main(["--suite", "family", "--family", f"complex_circle(t={t!r})", "--nu", "-1", "--grid", "256x256"], capsys)
@@ -158,7 +159,7 @@ class TestComplexCircleBound:
         rows = json.loads(res.stdout)["rows"]
         assert len(rows) == 2 * 256 * 256
         for row in rows:
-            assert row["passed"] and 10.0 * row["residual"] <= self.TOL[row["check_id"]], row
+            assert row["passed"] and 10.0 * row["residual"] <= TOLERANCES[row["check_id"]], row
 
     @pytest.mark.parametrize(
         "t", [math.nextafter(suites.MAX_CIRCLE_T, math.inf), math.nextafter(-suites.MAX_CIRCLE_T, -math.inf), 7.0, 7.3, 10.0, 1000.0]
@@ -199,43 +200,47 @@ class TestSuiteConfig:
 
     def test_row_invariant(self):
         table = run_suite(SuiteConfig(suite="sasaki", nu=1.0, samples=5, seed=1))
-        for expected, computed, residual, passed in row_tuples(table, "expected", "computed", "residual", "passed"):
-            assert passed == (residual <= 1e-6)
+        for check_id, expected, computed, residual, passed in row_tuples(
+            table, "check_id", "expected", "computed", "residual", "passed"
+        ):
+            assert passed == (residual <= TOLERANCES[check_id])
             assert residual == abs(computed - expected)
 
     def test_tol_override_only_tightens(self):
+        # curvature.entry[121] is judged by its name's entry, 1e-6.
         rows = RowCollector(tol_override=1e300)
-        rows.add(["p0", "p1"], [("check", 0.0, [1e-3, 1e-9], 1e-6)])
+        rows.add(["p0", "p1"], [("curvature.entry[121]", 0.0, [1e-3, 1e-9])])
         assert rows.table["passed"] == [False, True]
         rows = RowCollector(tol_override=1e-12)
-        rows.add(["p0"], [("check", 0.0, 1e-9, 1e-6)])
+        rows.add(["p0"], [("curvature.entry[121]", 0.0, 1e-9)])
         assert not rows.table["passed"][0]
 
 
 class TestRowCollector:
     def test_rows_are_location_major_in_check_order(self):
         rows = RowCollector()
-        rows.add(["p0", "p1"], [("a", 0.0, [1.0, 2.0], 1.5), ("b", [3.0, 4.0], 3.0, 0.5)])
+        # Tolerances 0.5 and 1e-5: each check is judged by its own.
+        rows.add(["p0", "p1"], [("gauss.conformal", 0.0, [0.25, 2.0]), ("gauss.h_constant", [3.0, 4.0], 3.0)])
         assert row_tuples(rows.table, "check_id", "location", "expected", "computed") == [
-            ("a", "p0", 0.0, 1.0),
-            ("b", "p0", 3.0, 3.0),
-            ("a", "p1", 0.0, 2.0),
-            ("b", "p1", 4.0, 3.0),
+            ("gauss.conformal", "p0", 0.0, 0.25),
+            ("gauss.h_constant", "p0", 3.0, 3.0),
+            ("gauss.conformal", "p1", 0.0, 2.0),
+            ("gauss.h_constant", "p1", 4.0, 3.0),
         ]
-        assert row_tuples(rows.table, "residual", "passed") == [(1.0, True), (0.0, True), (2.0, False), (1.0, False)]
+        assert row_tuples(rows.table, "residual", "passed") == [(0.25, True), (0.0, True), (2.0, False), (1.0, False)]
 
     def test_constant_is_broadcast_over_locations(self):
         rows = RowCollector()
-        rows.add(["p0", "p1", "p2"], [("c", -1.0, np.float64(-1.25), 1e-8)])
+        rows.add(["p0", "p1", "p2"], [("curvature.sectional_constant", -1.0, np.float64(-1.25))])
         assert row_tuples(rows.table, "location", "expected", "computed", "passed") == [
             (loc, -1.0, -1.25, False) for loc in ("p0", "p1", "p2")
         ]
 
     def test_single_location(self):
         rows = RowCollector()
-        rows.add(["frame"], [("x", True, False, 0.5), ("y", 1.0, np.array(1.0), 1e-8)])
+        rows.add(["frame"], [("gauss.harmonic", True, False), ("curvature.sectional_e1_e3", 1.0, np.array(1.0))])
         assert rows.table == {
-            "check_id": ["x", "y"],
+            "check_id": ["gauss.harmonic", "curvature.sectional_e1_e3"],
             "location": ["frame", "frame"],
             "expected": [1.0, 1.0],
             "computed": [0.0, 1.0],
@@ -244,7 +249,7 @@ class TestRowCollector:
         }
 
     def test_where_drops_exactly_the_rows_it_marks_false(self):
-        checks = [("a", 0.0, [1.0, 2.0, 3.0], 10.0), ("b", 0.0, [4.0, 5.0, 6.0], 10.0)]
+        checks = [("gauss.oblique_form_1", 0.0, [1.0, 2.0, 3.0]), ("gauss.cylinder_r3113", 0.0, [4.0, 5.0, 6.0])]
         where = np.array([[True, False], [False, False], [True, True]])
         full, masked = RowCollector(), RowCollector()
         full.add(["p0", "p1", "p2"], checks)
@@ -352,11 +357,11 @@ def curvature_rows_per_point(nu, samples, rng):
         loc = f"p{k:03d}"
         for (i, j, l), claim in suites._curvature_entry_claims(nu):
             residual = float(np.abs(curvature(i, j, l, nu) - claim).max())
-            add_row(rows, f"curvature.entry[{i}{j}{l}]", loc, 0.0, residual, 1e-6)
+            add_row(rows, f"curvature.entry[{i}{j}{l}]", loc, 0.0, residual)
         if nu in (1.0, -1.0):
             x, y, z = (rng.uniform(-1.0, 1.0, 3) for _ in range(3))
             diff = curvature(x, y, z, nu) - curvature_contact_form(x, y, z, nu)
-            add_row(rows, "curvature.table_vs_contact_form", loc, 0.0, float(np.abs(diff).max()), 1e-9)
+            add_row(rows, "curvature.table_vs_contact_form", loc, 0.0, float(np.abs(diff).max()))
     if nu == -1.0:
         count = 0
         while count < 5 * samples:
@@ -365,16 +370,16 @@ def curvature_rows_per_point(nu, samples, rng):
             if abs(den) < 0.1:
                 rejected += 1
                 continue
-            add_row(rows, "curvature.sectional_constant", f"plane{count:04d}", -1.0, sectional_curvature(x, y, nu), 1e-8)
+            add_row(rows, "curvature.sectional_constant", f"plane{count:04d}", -1.0, sectional_curvature(x, y, nu))
             count += 1
     if nu == 1.0:
         for k in range(samples):
             a = rng.uniform(0.0, 2.0 * math.pi)
             x = np.array([math.cos(a), math.sin(a), 0.0])
             k_h = sectional_curvature(x, apply_f(x), nu)
-            add_row(rows, "curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, k_h, 1e-8)
+            add_row(rows, "curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, k_h)
         e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-        add_row(rows, "curvature.sectional_e1_e3", "frame", 1.0, sectional_curvature(e1, e3, nu), 1e-8)
+        add_row(rows, "curvature.sectional_e1_e3", "frame", 1.0, sectional_curvature(e1, e3, nu))
     return rows.table, rejected
 
 
@@ -408,7 +413,7 @@ class TestSasakiSuite:
             p = random_chart_point(rng)
             res = sasaki_residuals(p, rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), nu)
             for name, value in zip(res._fields, res):
-                add_row(expected, f"sasaki.{name}", f"p{k:03d}", 0.0, value, 1e-6)
+                add_row(expected, f"sasaki.{name}", f"p{k:03d}", 0.0, value)
         assert rows.table == expected.table
 
     def test_one_d_eta_call_per_run(self, monkeypatch):
@@ -437,17 +442,17 @@ class TestGaussSuite:
             if abs(n[2]) > 1e-9:
                 v1, v2 = gaussmap.oblique_frame(n)
                 c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
-                add_row(expected, "gauss.oblique_form_1", loc, c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0), 1e-8)
-                add_row(expected, "gauss.oblique_form_2", loc, c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0), 1e-8)
+                add_row(expected, "gauss.oblique_form_1", loc, c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0))
+                add_row(expected, "gauss.oblique_form_2", loc, c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0))
             else:
                 comps = gaussmap.frame_curvature_components_at(pt)
                 e3113, e3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
-                add_row(expected, "gauss.cylinder_r3113", loc, e3113, comps.r3113, 1e-8)
-                add_row(expected, "gauss.cylinder_r3223", loc, e3223, comps.r3223, 1e-8)
+                add_row(expected, "gauss.cylinder_r3113", loc, e3113, comps.r3113)
+                add_row(expected, "gauss.cylinder_r3223", loc, e3223, comps.r3223)
                 s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
-                add_row(expected, "gauss.sff_11", loc, 2.0 * h, s11, 1e-6)
-                add_row(expected, "gauss.sff_12", loc, 1.0, s12, 1e-6)
-                add_row(expected, "gauss.sff_22", loc, 0.0, s22, 1e-6)
+                add_row(expected, "gauss.sff_11", loc, 2.0 * h, s11)
+                add_row(expected, "gauss.sff_12", loc, 1.0, s12)
+                add_row(expected, "gauss.sff_22", loc, 0.0, s22)
         assert closed_rows == row_tuples(expected.table)
 
     def test_closed_block_is_one_surface_shape_call_per_spec(self, monkeypatch):
@@ -690,8 +695,12 @@ class TestCommandLine:
             assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--nu", value]))
 
     def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
-        out = tmp_path / "missing" / "rows.json"
-        assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--out", str(out)]))
+        # A newline in the path is quoted, so the message stays one line.
+        for name in ("rows.json", "a\nb"):
+            out = str(tmp_path / "missing" / name)
+            res = run_cli(["--suite", "sasaki", "--samples", "2", "--out", out])
+            assert_usage_error(res)
+            assert f"cannot write {out!r}: " in res.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -863,7 +872,7 @@ class TestCommandLine:
         cfg_path.write_text("suite = sasaki\nsamples = 5\nsamples = 7\n")
         res = run_main(["--config", str(cfg_path)], capsys)
         assert_usage_error(res)
-        assert res.stderr == f"verify: {cfg_path}:3: repeated config key 'samples'\n"
+        assert res.stderr == f"verify: {str(cfg_path)!r}:3: repeated config key 'samples'\n"
 
     def test_config_value_a_flag_overrides_is_still_parsed(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -975,6 +984,12 @@ GOLDEN_STDOUT = {
 # SHA-256 of the ordered [check_id, location] keys of --suite all --seed 42.
 ALL_ROW_KEYS = "7a28877a33ba7d88fc2b40f0ad3c5c007b8a9f7667b3d0f26d5cf7753ef8bb79"
 
+# SHA-256 of the JSON of suites.TOLERANCES' sorted [check id, tolerance]
+# pairs.  The stdout pins cannot see a loosened tolerance while every row
+# still passes; a deliberate change of a tolerance updates this pin, and
+# CHANGES.md records why.
+TOLERANCE_PAIRS = "67547bb6a4b3539cf43b96ebe38541f5fde9f0e9f63e1229fa613dcc85398861"
+
 
 # The host the pins were recorded on.
 PINNED_DISPATCH = "x86_64, numpy 2.4.6, SIMD targets AVX512_SKX/AVX512_SPR"
@@ -1083,6 +1098,38 @@ def test_row_keys_are_pinned():
     table = run_suite(SuiteConfig(suite="all", seed=42))
     keys = json.dumps(row_tuples(table, "check_id", "location"))
     assert hashlib.sha256(keys.encode()).hexdigest() == ALL_ROW_KEYS
+
+
+def test_tolerances_are_pinned():
+    pairs = json.dumps(sorted(TOLERANCES.items()))
+    assert hashlib.sha256(pairs.encode()).hexdigest() == TOLERANCE_PAIRS
+
+
+def test_the_all_run_emits_exactly_the_registered_ids():
+    """Every id the north-star run emits has a tolerance, and every entry is
+    emitted: no entry is dead, and an unregistered id fails here, not in a
+    user's run."""
+    table = run_suite(SuiteConfig(suite="all", seed=42))
+    assert {check_id.partition("[")[0] for check_id in table["check_id"]} == set(TOLERANCES)
+
+
+def test_readme_bullets_and_tolerances_name_the_same_checks():
+    """Each backticked check-id pattern in a "What gets verified" bullet of
+    the README, ``*`` a wildcard and a trailing ``[ij]`` or ``[ijk]`` an
+    index, matches some entry of suites.TOLERANCES, and each entry is
+    matched by some pattern."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("\n## What gets verified\n", 1)[1].split("\n## ", 1)[0]
+    bullets = " ".join(section.split("\n* ")[1:])
+    prefixes = ("connection.", "curvature.", "sasaki.", "family.", "gauss.")
+    patterns = [text for text in re.findall(r"`([^`]+)`", bullets) if text.startswith(prefixes)]
+    unmatched = set(TOLERANCES)
+    for text in patterns:
+        regex = ".*".join(map(re.escape, re.sub(r"\[ijk?\]$", "", text).split("*")))
+        matched = {check_id for check_id in TOLERANCES if re.fullmatch(regex, check_id)}
+        assert matched, f"README names {text!r}, which matches no entry of suites.TOLERANCES"
+        unmatched -= matched
+    assert patterns and not unmatched, f"no README bullet names {sorted(unmatched)}"
 
 
 @pytest.mark.parametrize(

@@ -157,14 +157,15 @@ def faulty_config(draw):
 
 
 @settings(SETTINGS, max_examples=100)
-@given(faulty_config(), st.booleans())
-def test_a_faulty_config_file_is_one_usage_error(config, with_flags):
+@given(faulty_config(), st.booleans(), st.sampled_from(["run.cfg", "bad\ncfg"]))
+def test_a_faulty_config_file_is_one_usage_error(config, with_flags, name):
     data, lineno = config
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "run.cfg")
+        path = os.path.join(tmp, name)
         with open(path, "wb") as fh:
             fh.write(data)
         code, out, err = run(["--config", path, *(["--samples", "1"] if with_flags else [])])
     assert code == 2 and out == "", (data, err)
     assert len(err.splitlines()) == 1, (data, err)
-    assert err.startswith(f"verify: {path}:" if lineno is None else f"verify: {path}:{lineno}: "), (data, err)
+    # The path is quoted, so a newline in it cannot split the line.
+    assert err.startswith(f"verify: {path!r}:" if lineno is None else f"verify: {path!r}:{lineno}: "), (data, err)
