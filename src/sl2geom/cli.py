@@ -151,7 +151,7 @@ def read_flags(argv) -> dict:
                 raise ValueError(f"argument --{name}: expected one argument")
         flags[name] = text
     if extra:
-        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(map(repr, extra))}")
     return flags
 
 

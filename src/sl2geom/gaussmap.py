@@ -99,24 +99,16 @@ def principal_angle_from_shape(h):
     return 0.5 * np.arctan2(2.0, 2.0 * h)
 
 
-def _riemann_component(x, y, z, w) -> float:
-    return g_frame(curvature(x, y, z, NU), w, NU)
-
-
 def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureComponents:
     """R_1213, R_2123, R_3113, R_3223 in a principal frame at every point of
-    ``pt``."""
+    ``pt``, from one curvature contraction over the four stacked triples."""
     e1c, e2c, _ = principal_frame(pt.first, pt.second)
     j = pt.jet
     E1 = e1c[..., :1] * j.phi_u + e1c[..., 1:] * j.phi_v
     E2 = e2c[..., :1] * j.phi_u + e2c[..., 1:] * j.phi_v
     n = pt.normal
-    return FrameCurvatureComponents(
-        r1213=_riemann_component(E1, E2, E1, n),
-        r2123=_riemann_component(E2, E1, E2, n),
-        r3113=_riemann_component(n, E1, E1, n),
-        r3223=_riemann_component(n, E2, E2, n),
-    )
+    r = curvature(np.stack([E1, E2, n, n]), np.stack([E2, E1, E1, E2]), np.stack([E1, E2, E1, E2]), NU)
+    return FrameCurvatureComponents(*g_frame(r, n, NU))
 
 
 def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -48,9 +48,9 @@ endomorphism F e1 = e2, F e2 = -e1, F e3 = 0; the usual compatibility
 identities hold for every nu and are exposed as residuals.
 
 Frame components are the canonical internal representation; coordinate
-components appear only at conversion boundaries.  The table contractions
-(``connect_constant``, ``curvature``) take their operands component-major,
-(3, N), and keep the point-major summation order.  All functions are pure.
+components appear only at conversion boundaries.  ``connect_constant`` and
+``curvature`` keep the bits of the point-major einsum contraction of their
+tables.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def _comps(v) -> np.ndarray:
 
 
 def g_frame(u, v, nu: float) -> float:
-    """Inner product of two frame-component vectors, each of shape (3,) or
-    (N, 3); elementwise over a batch."""
-    a, b = _comps(u).T, _comps(v).T
-    return a[0] * b[0] + a[1] * b[1] + _require_nu(nu) * a[2] * b[2]
+    """Inner product of two frame-component vectors, (3,), (N, 3) or any
+    (..., 3) that broadcast together; elementwise over a batch."""
+    a, b = _comps(u), _comps(v)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + _require_nu(nu) * a[..., 2] * b[..., 2]
 
 
 def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
@@ -101,14 +101,20 @@ def coordinate_to_frame(p: ChartPoint, coord) -> np.ndarray:
     ``coord`` has shape (3,), or (N, 3) for a batch of N chart points."""
     c = _comps(coord).T
     h = 1.0 / (2.0 * p.y)
-    return np.ascontiguousarray(np.array([c[0] * h, c[1] * h, c[2] + c[0] * h]).T)
+    ch = c[0] * h
+    out = np.empty(np.shape(ch) + (3,))  # written in place: no transposing copy
+    out[..., 0], out[..., 1], out[..., 2] = ch, c[1] * h, c[2] + ch
+    return out
 
 
 def frame_to_coordinate(p: ChartPoint, frame) -> np.ndarray:
     """Frame components -> (dx, dy, dtheta) components; (3,) or (N, 3)."""
     f = _comps(frame).T
     ty = 2.0 * p.y
-    return np.ascontiguousarray(np.array([ty * f[0], ty * f[1], f[2] - f[0]]).T)
+    tf = ty * f[0]
+    out = np.empty(np.shape(tf) + (3,))  # f[2] - f[0] broadcasts to a batch of y
+    out[..., 0], out[..., 1], out[..., 2] = tf, ty * f[1], f[2] - f[0]
+    return out
 
 
 # Structure constants of the frame: [e_i, e_j] = C[i][j] in frame components.
@@ -138,26 +144,16 @@ def connection_table(i: int, j: int, nu: float) -> np.ndarray:
     return _connection_coeffs(_require_nu(nu))[i - 1, j - 1].copy()
 
 
-# einsum subscripts of _contract, by the number of vectors, each (3, N).
-_SUBSCRIPTS = {2: "j...,k...,jkl->l...", 3: "i...,j...,k...,ijkl->l..."}
-
-
-def _contract(table: np.ndarray, *vectors) -> np.ndarray:
-    """Each leading index of ``table`` contracted with one frame vector, (3,)
-    or (N, 3).  The vectors go in component-major, so einsum's inner loop runs
-    over the points, while each output keeps the point-major summation order
-    and so its bits.  The result is C-contiguous, (3,) or (N, 3)."""
-    vs = [np.ascontiguousarray(_comps(v).T) for v in vectors]
-    return np.ascontiguousarray(np.einsum(_SUBSCRIPTS[len(vectors)], *vs, table).T)
-
-
 def connect_constant(direction, w, nu: float) -> np.ndarray:
     """D_X W for constant-frame-component W along the frame vector X.
 
     Both arguments are frame-component triples, (3,) or (N, 3); the result
-    uses only the connection table (no derivative term).
+    uses only the connection table (no derivative term), contracted by einsum
+    over component-major operands in the point-major summation order.
     """
-    return _contract(_connection_coeffs(_require_nu(nu)), direction, w)
+    vs = [np.ascontiguousarray(_comps(v).T) for v in (direction, w)]
+    table = _connection_coeffs(_require_nu(nu))
+    return np.ascontiguousarray(np.einsum("j...,k...,jkl->l...", *vs, table).T)
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +169,14 @@ def curvature_table(nu: float) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _curvature_entries(nu: float) -> tuple:
+    """The nonzero entries of ``curvature_table(nu)`` in C order, as
+    (i, j, k, l, value) with 0-based indices."""
+    r = curvature_table(nu)
+    return tuple((i, j, k, l, float(r[i, j, k, l])) for i, j, k, l in np.argwhere(r != 0.0).tolist())
+
+
 def _as_frame_vector(x) -> np.ndarray:
     if isinstance(x, int):
         if x not in (1, 2, 3):
@@ -182,9 +186,20 @@ def _as_frame_vector(x) -> np.ndarray:
 
 
 def curvature(x, y, z, nu: float) -> np.ndarray:
-    """R(X, Y) Z in frame components; arguments are frame-component vectors
-    ((3,) or (N, 3)) or 1-based frame indices."""
-    return _contract(curvature_table(_require_nu(nu)), *(_as_frame_vector(w) for w in (x, y, z)))
+    """R(X, Y) Z in frame components; arguments are 1-based frame indices or
+    frame-component vectors, (3,), (N, 3) or any (..., 3) that broadcast.
+
+    Component l is 0.0 plus ((x_i y_j) z_k) R[i, j, k, l] over the nonzero
+    entries in C order of (i, j, k), as einsum computes them.  A zero entry
+    adds an exact +-0 to a sum that is never -0.0, so where every product is
+    finite the bits are einsum's; a non-finite one still gives a non-finite
+    result, though not NaN in every component as einsum's inf * 0 does.
+    """
+    X, Y, Z = (np.moveaxis(_as_frame_vector(w), -1, 0) for w in (x, y, z))
+    out = np.zeros((3,) + np.broadcast_shapes(X.shape[1:], Y.shape[1:], Z.shape[1:]))
+    for i, j, k, l, r in _curvature_entries(_require_nu(nu)):
+        out[l] += X[i] * Y[j] * Z[k] * r
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:
@@ -262,7 +277,7 @@ def directional_derivative(f, p: ChartPoint, coord_dir, h):
 
 def _frame_coord(p: ChartPoint, i: int) -> np.ndarray:
     """Coordinate components of the frame vector e_(i+1) at p, (3,) or (N, 3)."""
-    return frame_to_coordinate(p, np.broadcast_to(np.eye(3)[i], np.shape(p.y) + (3,)))
+    return frame_to_coordinate(p, np.eye(3)[i])
 
 
 def _frame_bracket(i: int, j: int, p: ChartPoint, h) -> np.ndarray:

@@ -317,9 +317,11 @@ def run_curvature(nu: float, samples: int, rng: Stream, rows: RowCollector):
     """Curvature-table entries against the connection composition, the
     contact-structure closed form, and the constant-curvature claims; each
     check is one evaluation over all of its samples."""
+    claims = _curvature_entry_claims(nu)
+    got = curvature(*np.eye(3)[np.array([ijl for ijl, _ in claims]).T - 1], nu)
     checks = [
-        (f"curvature.entry[{i}{j}{l}]", 0.0, np.abs(curvature(i, j, l, nu) - claim).max())
-        for (i, j, l), claim in _curvature_entry_claims(nu)
+        (f"curvature.entry[{i}{j}{l}]", 0.0, np.abs(value - claim).max())
+        for ((i, j, l), claim), value in zip(claims, got)
     ]
     if nu in (1.0, -1.0):
         x, y, z = rng.uniform(-1.0, 1.0, (samples, 3, 3)).transpose(1, 0, 2)
@@ -419,10 +421,10 @@ def _params(spec: FamilySpec, defaults: dict) -> dict:
     non-numeric or non-finite value for a numeric key, is an error."""
     unknown = sorted(set(spec.params) - set(defaults))
     if unknown:
-        raise ValueError(f"{spec.describe()}: unknown parameter(s) {unknown}; allowed: {sorted(defaults)}")
+        raise ValueError(f"{spec.describe()!r}: unknown parameter(s) {unknown}; allowed: {sorted(defaults)}")
     for key, value in spec.params.items():
         if isinstance(defaults[key], float) and not (isinstance(value, float) and math.isfinite(value)):
-            raise ValueError(f"{spec.describe()}: {key} must be a finite number, got {value!r}")
+            raise ValueError(f"{spec.describe()!r}: {key} must be a finite number, got {value!r}")
     return {**defaults, **spec.params}
 
 
@@ -450,7 +452,7 @@ def _variant(spec: FamilySpec, key: str, table: dict, default: str):
     that choice; returns (parameters, built object)."""
     choice = spec.params.get(key, default)
     if choice not in table:
-        raise ValueError(f"{spec.describe()}: unknown {key} {choice!r}; choose from {sorted(table)}")
+        raise ValueError(f"{spec.describe()!r}: unknown {key} {choice!r}; choose from {sorted(table)}")
     defaults, make = table[choice]
     p = _params(spec, {key: choice, **defaults})
     return p, make(p)
@@ -547,10 +549,10 @@ def complex_circle(spec: FamilySpec) -> Family:
     the minimal variant against its subgroup-exponential factorization."""
     t = _params(spec, {"t": 0.5})["t"]
     if abs(t) > MAX_CIRCLE_T:
-        raise ValueError(f"{spec.describe()}: |t| must be at most {MAX_CIRCLE_T:g}, got t = {t!r}")
+        raise ValueError(f"{spec.describe()!r}: |t| must be at most {MAX_CIRCLE_T:g}, got t = {t!r}")
     a, b = math.sinh(t), math.cosh(t)
     if a == 0.0:
-        raise ValueError(f"{spec.describe()}: t must be nonzero; a = sinh t = 0 is degenerate")
+        raise ValueError(f"{spec.describe()!r}: t must be nonzero; a = sinh t = 0 is degenerate")
     phi = families.complex_circle(a, b)
     phi_min = families.complex_circle(a, b, minimal=True)
 
@@ -585,7 +587,15 @@ def build_family(spec: FamilySpec) -> Family:
 
 
 def _grid_locations(u: np.ndarray, v: np.ndarray) -> list[str]:
-    return [f"({a:.3f},{b:.3f})" for a, b in zip(u.tolist(), v.tolist())]
+    """"(u,v)" to three decimals, each distinct coordinate formatted once."""
+    us, vs = u.tolist(), v.tolist()
+    su = {a: f"({a:.3f}," for a in set(us)}
+    sv = {b: f"{b:.3f})" for b in set(vs)}
+    su[0.0], sv[0.0] = "(0.000,", "0.000)"  # -0.0 shares this key; its points are spelled below
+    out = [su[a] + sv[b] for a, b in zip(us, vs)]
+    for k in np.flatnonzero(np.signbit(u) & (u == 0.0) | np.signbit(v) & (v == 0.0)).tolist():
+        out[k] = f"({us[k]:.3f},{vs[k]:.3f})"
+    return out
 
 
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
@@ -631,10 +641,8 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     n, h = pt.normal, pt.shape.mean_curvature
     v1, v2 = gaussmap.oblique_frame(n)
     c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
-    oblique = [
-        ("gauss.oblique_form_1", c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0)),
-        ("gauss.oblique_form_2", c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0)),
-    ]
+    form_1, form_2 = g_frame(curvature(v1, v2, np.stack([v1, v2]), 1.0), n, 1.0)
+    oblique = [("gauss.oblique_form_1", c1, form_1), ("gauss.oblique_form_2", c2, form_2)]
     comps = frame_curvature_components_at(pt)
     exp_3113, exp_3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
     s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)

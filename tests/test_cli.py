@@ -748,6 +748,8 @@ class TestCommandLine:
             "hopf_cylinder(curve=circle,kappa=1e200)",
             "conoid(mu=1e308)",
             "hopf_cylinder(curve=horocycle,y0=1e308)",
+            "conoid(m\nu=1)",
+            "hopf_cylinder(curve=ci\nrcle)",
         ],
     )
     def test_rejected_family_spec_is_a_usage_error(self, spec):
@@ -884,8 +886,8 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
-            (["--suite", "sasaki", "extra"], "unrecognized arguments: extra"),
+            (["--bogus", "1"], "unrecognized arguments: '--bogus' '1'"),
+            (["--suite", "sasaki", "extra"], "unrecognized arguments: 'extra'"),
             (["--suite", "sasaki", "--nu"], "argument --nu: expected one argument"),
             (["--suite", "sasaki", "--samples", "2", "--seed", "-1"], "seed must be non-negative, got -1"),
         ],

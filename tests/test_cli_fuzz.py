@@ -32,7 +32,7 @@ VALUES = {
     "samples": ["1", "2", "0", "1.5", "-2"],
     "report": ["true", "no", "1", "FALSE", "ture", ""],
 }
-JUNK = ["--", "-", "-x", "--s", "--sam", "extra", "-1e-3", "--bogus"]
+JUNK = ["\n", "--", "-", "-x", "--s", "--sam", "extra", "-1e-3", "--bogus"]
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from sl2geom.core import ChartPoint
+from sl2geom.families import affine_conoid
+from sl2geom.gaussmap import frame_curvature_components_at, grid_samples, principal_frame
 from sl2geom.metric import (
     _STRUCTURE,
     F_MATRIX,
     XI,
     _connection_coeffs,
+    _curvature_entries,
     _frame_bracket,
     apply_f,
     connect_constant,
@@ -29,6 +32,7 @@ from sl2geom.metric import (
     sasaki_residuals,
     sectional_curvature,
 )
+from sl2geom.surface import surface_shape
 from conftest import random_point, random_vec
 
 
@@ -300,9 +304,11 @@ def kernel_operands(rng, n):
 
 
 class TestContractionBits:
-    """connect_constant and curvature hand einsum their operands
-    component-major; each result must keep the bits of the point-major
-    spelling, whatever SIMD kernels the host's numpy dispatches to."""
+    """connect_constant hands einsum its operands component-major, curvature
+    sums only the nonzero entries of its table, and the frame conversions
+    stack their components once; each result must keep the bits of the
+    point-major einsum or component formula, whatever SIMD kernels the
+    host's numpy dispatches to."""
 
     NUS = (1.0, -1.0, 2.5, -0.5, 1e4)
 
@@ -336,6 +342,56 @@ class TestContractionBits:
             out = curvature(*args, nu)
             assert same_bits(out, np.einsum("...i,...j,...k,ijkl->...l", *vecs, r))
             assert out.dtype == np.float64 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("nu", NUS + (-4.0 / 3.0,))
+    def test_curvature_entries_are_the_nonzero_table_entries(self, nu):
+        entries = _curvature_entries(nu)
+        r = curvature_table(nu)
+        assert [list(e[:4]) for e in entries] == np.argwhere(r != 0.0).tolist()
+        assert [e[4] for e in entries] == r[r != 0.0].tolist()
+        # At nu = -4/3 the composed 3 nu + 4 entries are rounding residue,
+        # not 0, and the sum must still read them.
+        assert len(entries) == 12
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_operand_gives_a_non_finite_result(self, rng, nu, bad):
+        for slot in range(3):
+            for component in range(3):
+                vecs = list(rng.uniform(0.5, 1.5, (3, 3)) * rng.choice([-1.0, 1.0], (3, 3)))
+                vecs[slot][component] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    assert not np.isfinite(curvature(*vecs, nu)).all()
+                    assert np.isnan(np.einsum("i,j,k,ijkl->l", *vecs, curvature_table(nu))).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 4096])
+    def test_frame_curvature_components_equal_four_point_major_contractions(self, n):
+        s = affine_conoid(1.3)
+        u, v = grid_samples(s, 64, 64)
+        pt = surface_shape(s, *((u[7], v[7]) if n == 0 else (u[:: 4096 // n], v[:: 4096 // n])), 1.0)
+        e1c, e2c, _ = principal_frame(pt.first, pt.second)
+        j, n_ = pt.jet, pt.normal
+        E1 = e1c[..., :1] * j.phi_u + e1c[..., 1:] * j.phi_v
+        E2 = e2c[..., :1] * j.phi_u + e2c[..., 1:] * j.phi_v
+        r = curvature_table(1.0)
+        comps = frame_curvature_components_at(pt)
+        for got, (x, y, z) in zip(comps, [(E1, E2, E1), (E2, E1, E2), (n_, E1, E1), (n_, E2, E2)]):
+            assert same_bits(got, g_frame(np.einsum("...i,...j,...k,ijkl->...l", x, y, z, r), n_, 1.0))
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 4096])
+    def test_frame_conversions_equal_their_component_formulas(self, rng, n):
+        a, b, *_ = kernel_operands(rng, n)
+        y = rng.uniform(0.1, 5.0, n) if n else 0.7
+        p = ChartPoint(np.zeros_like(y), y, np.zeros_like(y))
+        h, ty = 1.0 / (2.0 * y), 2.0 * y
+        for w in (a, b, a[0]) if n else (a, b):  # a[0]: one vector at every point
+            f = coordinate_to_frame(p, w)
+            c = frame_to_coordinate(p, w)
+            expect_f = np.stack(np.broadcast_arrays(w[..., 0] * h, w[..., 1] * h, w[..., 2] + w[..., 0] * h), axis=-1)
+            expect_c = np.stack(np.broadcast_arrays(ty * w[..., 0], ty * w[..., 1], w[..., 2] - w[..., 0]), axis=-1)
+            for out, expect in ((f, expect_f), (c, expect_c)):
+                assert same_bits(out, expect) and out.shape == np.shape(y) + (3,)
+                assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
 class TestSectionalCurvature:
