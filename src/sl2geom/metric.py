@@ -98,8 +98,9 @@ def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
 
 def coordinate_to_frame(p: ChartPoint, coord) -> np.ndarray:
     """(dx, dy, dtheta) components -> frame components (= coframe values);
-    ``coord`` has shape (3,), or (N, 3) for a batch of N chart points."""
-    c = _comps(coord).T
+    ``coord`` has shape (3,), or (N, 3) for a batch of N chart points, or is
+    a tuple of its three components, scalars or arrays that broadcast."""
+    c = coord if isinstance(coord, tuple) else _comps(coord).T
     h = 1.0 / (2.0 * p.y)
     ch = c[0] * h
     out = np.empty(np.shape(ch) + (3,))  # written in place: no transposing copy

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
@@ -170,14 +170,26 @@ class SuiteConfig(NamedTuple):
 
 
 class RowCollector:
-    """Collects report rows as a table of columns, ``check_id``,
-    ``location``, ``expected``, ``computed``, ``residual`` and ``passed``,
-    each one built-in value per row; ``tol_override`` can only tighten a
-    check's ``TOLERANCES`` entry, never loosen it."""
+    """Collects report rows as a table of columns: ``check_id`` and
+    ``location``, lists of str, ``expected``, ``computed`` and ``residual``,
+    float64 arrays, and ``passed``, a bool array, one entry per row;
+    ``tol_override`` can only tighten a check's ``TOLERANCES`` entry, never
+    loosen it."""
 
     def __init__(self, tol_override: Optional[float] = None):
-        self.table = {name: [] for name in ("check_id", "location", "expected", "computed", "residual", "passed")}
+        # Each column as the chunks of its adds, joined when ``table`` is read.
+        names = ("check_id", "location", "expected", "computed", "residual", "passed")
+        empty = ([], [], np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        self._chunks = {name: [chunk] for name, chunk in zip(names, empty)}
         self.tol_override = tol_override
+
+    @property
+    def table(self) -> dict:
+        """The rows so far, each column joined from its chunks once."""
+        for chunks in self._chunks.values():
+            if len(chunks) > 1:
+                chunks[:] = [np.concatenate(chunks) if isinstance(chunks[0], np.ndarray) else list(chain(*chunks))]
+        return {name: chunks[0] for name, chunks in self._chunks.items()}
 
     def add(self, locations: list[str], checks: list[tuple], where=None):
         """One row per location and check (check_id, expected, computed),
@@ -199,15 +211,15 @@ class RowCollector:
         expected, computed, tol = expected[at, check], computed[at, check], tol[check]
         residual = np.abs(computed - expected)
         kept = (
-            map(ids.__getitem__, check.tolist()),
-            map(locations.__getitem__, at.tolist()),
-            expected.tolist(),
-            computed.tolist(),
-            residual.tolist(),
-            (residual <= tol).tolist(),
+            list(map(ids.__getitem__, check.tolist())),
+            list(map(locations.__getitem__, at.tolist())),
+            expected,
+            computed,
+            residual,
+            residual <= tol,
         )
-        for column, values in zip(self.table.values(), kept):
-            column.extend(values)
+        for chunks, chunk in zip(self._chunks.values(), kept):
+            chunks.append(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +695,10 @@ ALL_ROSTER_GAUSS = [
 ]
 
 
-def run_suite(cfg: SuiteConfig) -> dict[str, list]:
-    """The run's report rows, as ``RowCollector``'s table of columns."""
+def run_suite(cfg: SuiteConfig) -> dict:
+    """The run's report rows, as ``RowCollector``'s table of columns: lists
+    of str for ``check_id`` and ``location``, float64 arrays for
+    ``expected``, ``computed`` and ``residual``, a bool array for ``passed``."""
     cfg.validate()
     rows = RowCollector(cfg.tol)
     # Only the runs that read --seed draw.
@@ -713,11 +727,12 @@ def run_suite(cfg: SuiteConfig) -> dict[str, list]:
     return rows.table
 
 
-def surface_report(cfg: SuiteConfig) -> dict[str, list]:
-    """Per-sample geometry table for a family, as columns (name -> one value
-    per sample, row-major over the grid): shape invariants, intrinsic
-    curvature, normal components, and the principal-frame curvature
-    components, which are None unless nu = 1."""
+def surface_report(cfg: SuiteConfig) -> dict:
+    """Per-sample geometry table for a family, as columns (name -> a float64
+    array of one value per sample, row-major over the grid): shape
+    invariants, intrinsic curvature, normal components, and the
+    principal-frame curvature components, which are lists of None unless
+    nu = 1."""
     cfg.validate()
     built = build_family(parse_family_spec(cfg.family)).surface
     if built is None:
@@ -742,12 +757,12 @@ def surface_report(cfg: SuiteConfig) -> dict[str, list]:
         comps = frame_curvature_components_at(pt)
         columns.update((name, getattr(comps, name)) for name in names)
     else:
-        columns.update((name, np.full(u.size, None)) for name in names)
-    return {name: np.asarray(values).tolist() for name, values in columns.items()}
+        columns.update((name, [None] * u.size) for name in names)
+    return columns
 
 
-def rows_passed(table: dict[str, list]) -> bool:
-    return all(table["passed"])
+def rows_passed(table: dict) -> bool:
+    return bool(np.all(table["passed"]))
 
 
 def _fmt(value) -> str:
@@ -761,50 +776,60 @@ def _fmt(value) -> str:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _json_column(values: list) -> list[str]:
-    """Each value of a column as ``json.dumps`` spells it.  A column of all
-    finite floats, or of all strings, spells each distinct value once: equal
-    values have the same spelling, except 0.0 and -0.0, which share a key
-    and are spelled one by one.  All None and bools take one lookup a value;
-    any other column (NaN, +-Infinity, ints, mixed kinds) one ``json.dumps``
-    call a value."""
+def _json_column(values) -> list[str]:
+    """Each value of a column as ``json.dumps`` spells it.  A bool array
+    indexes the two literals.  A float64 array spells each distinct bit
+    pattern once (so 0.0 and -0.0 are two keys), ``repr`` if finite and
+    ``json.dumps`` (``NaN``, ``Infinity``) if not, and gathers the rows'
+    spellings in one indexing.  A list of strings spells each distinct
+    string once, a list of None and bools takes one lookup a value, and any
+    other list one ``json.dumps`` call a value."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            return _JSON_BOOLS[values.view(np.uint8)].tolist()
+        if values.dtype == np.float64:
+            keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+            floats = keys.view(np.float64)
+            spelled = np.array(list(map(repr, floats.tolist())), dtype=object)
+            non_finite = ~np.isfinite(floats)
+            spelled[non_finite] = list(map(json.dumps, floats[non_finite].tolist()))
+            return spelled[inverse].tolist()
     kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        spell = repr
-    elif kinds == {str}:
-        spell = encode_basestring_ascii
-    elif kinds <= {type(None), bool}:
+    if kinds == {str}:
+        spelled = dict.fromkeys(values)
+        for v in spelled:
+            spelled[v] = encode_basestring_ascii(v)
+        return list(map(spelled.__getitem__, values))
+    if kinds <= {type(None), bool}:
         return list(map(_JSON_LITERALS.__getitem__, values))
-    else:
-        return list(map(json.dumps, values))
-    spelled = dict.fromkeys(values)
-    for v in spelled:
-        spelled[v] = spell(v)
-    if 0.0 in spelled:
-        return [spelled[v] if v else repr(v) for v in values]
-    return list(map(spelled.__getitem__, values))
+    return list(map(json.dumps, values))
 
 
-def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
+def render(meta: dict, columns: dict, fmt: str) -> str:
     """A report of a table given as columns (name -> one scalar per row, in
-    row order): CSV as a header line of the column names and one line per
-    row, or JSON as ``meta`` with the rows under "rows", one object per row
-    keyed in column order.  The text is exactly that of ``csv.writer`` over
-    the ``_fmt`` fields, or of ``json.dumps({**meta, "rows": [...]},
-    indent=2)``.  JSON never formats a row: each block of at most
-    ``RENDER_BLOCK`` rows is one list that interleaves, column by column,
-    each key's separator with that column's spellings, and is joined once."""
-    if len(set(map(len, columns.values()))) > 1:
+    row order, as a list or a float64 or bool array): CSV as a header line
+    of the column names and one line per row, or JSON as ``meta`` with the
+    rows under "rows", one object per row keyed in column order.  The text
+    is exactly that of ``csv.writer`` over the ``_fmt`` fields of the
+    columns' ``tolist()`` values, or of ``json.dumps({**meta, "rows": [...]},
+    indent=2)`` over those values.  JSON never formats a row: each block of
+    at most ``RENDER_BLOCK`` rows is one list that interleaves, column by
+    column, each key's separator with that block of the column's
+    spellings, and is joined once."""
+    lengths = set(map(len, columns.values()))
+    if len(lengths) > 1:
         raise ValueError("report columns differ in length")
+    n = lengths.pop() if lengths else 0
     if fmt == "json":
         head = json.dumps({**meta, "rows": []}, indent=2)
-        if not any(columns.values()):
+        if not n:
             return head + "\n"
         keys = [encode_basestring_ascii(name) for name in columns]
         seps = ["\n    },\n    {\n      " + keys[0] + ": ", *(",\n      " + key + ": " for key in keys[1:])]
-        k, n = len(keys), len(next(iter(columns.values())))
+        k = len(keys)
         blocks = []
         for start in range(0, n, RENDER_BLOCK):
             m = min(RENDER_BLOCK, n - start)
@@ -824,11 +849,12 @@ def render(meta: dict, columns: dict[str, list], fmt: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)
-    writer.writerows(zip(*(map(_fmt, c) for c in columns.values())))
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    writer.writerows(zip(*(map(_fmt, c) for c in values)))
     return out.getvalue()
 
 
-def render_rows(table: dict[str, list], cfg: SuiteConfig) -> str:
+def render_rows(table: dict, cfg: SuiteConfig) -> str:
     meta = {
         "suite": cfg.suite,
         "nu": cfg.nu,
@@ -841,5 +867,5 @@ def render_rows(table: dict[str, list], cfg: SuiteConfig) -> str:
     return render(meta, table, cfg.format)
 
 
-def render_report(columns: dict[str, list], cfg: SuiteConfig) -> str:
+def render_report(columns: dict, cfg: SuiteConfig) -> str:
     return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, columns, cfg.format)

@@ -169,32 +169,28 @@ def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
     underflows to zero.
     """
     nu = _require_nu(nu)
-    p, du, dv, fu, fv, second = _first_order(s, u, v)
-    duu, duv, dvv = (_stack(t, p.y.shape) for t in second)
+    p, du, dv, fu, fv, (duu, duv, dvv) = _first_order(s, u, v)
     return SurfaceJet(
         point=p,
         phi_u=fu,
         phi_v=fv,
-        d_uu=_frame_partial_grad(du, duu, du[..., 1], p.y) + connect_constant(fu, fu, nu),
-        d_uv=_frame_partial_grad(dv, duv, du[..., 1], p.y) + connect_constant(fu, fv, nu),
-        d_vv=_frame_partial_grad(dv, dvv, dv[..., 1], p.y) + connect_constant(fv, fv, nu),
+        d_uu=_frame_partial_grad(du, duu, du[1], p.y) + connect_constant(fu, fu, nu),
+        d_uv=_frame_partial_grad(dv, duv, du[1], p.y) + connect_constant(fu, fv, nu),
+        d_vv=_frame_partial_grad(dv, dvv, dv[1], p.y) + connect_constant(fv, fv, nu),
         nu=nu,
     )
 
 
-def _stack(triple, shape) -> np.ndarray:
-    # One coordinate triple as one (N, 3) array; constant components broadcast.
-    return np.stack([np.broadcast_to(np.asarray(c, dtype=float), shape) for c in triple], axis=-1)
-
-
 def _first_order(s: Immersion, u, v):
     """The first-order half of ``jet`` with all of its checks, from one
-    ``jet2`` call: the chart point, the coordinate tangents du, dv and their
-    frame components fu, fv as (N, 3) arrays, and jet2's last three triples."""
+    ``jet2`` call: the chart point, the coordinate tangents du, dv as jet2
+    gives them, a triple of components each a scalar or an array of the
+    points' shape, their frame components fu, fv as (N, 3) arrays, and
+    jet2's last three triples."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     pos, du, dv, *second = s.jet2(u, v)
-    pos, du, dv = (_stack(t, u.shape) for t in (pos, du, dv))
-    x, y, th = pos.T
+    du, dv = tuple(du), tuple(dv)  # component triples, as coordinate_to_frame reads a tuple
+    x, y, th = (np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in pos)
     _require(y > 0.0, "chart coordinate y must be positive", (u, v), y)
     _require(2.0 * y * y > 0.0, "chart height y is too small, 2y^2 underflows,", (u, v), y)
     p = ChartPoint(x, y, th)
@@ -207,9 +203,10 @@ def _first_order(s: Immersion, u, v):
 
 
 def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
-    # d_b of (x_a/(2y), y_a/(2y), th_a + x_a/(2y)) for y = y(u, v).
-    xa, ya, ta = da.T
-    xab, yab, tab = dab.T
+    # d_b of (x_a/(2y), y_a/(2y), th_a + x_a/(2y)) for y = y(u, v), from
+    # component triples whose constant components broadcast.
+    xa, ya, ta = da
+    xab, yab, tab = dab
     h = 1.0 / (2.0 * y)
     h2 = 1.0 / (2.0 * y * y)
     g1 = xab * h - xa * yb * h2

@@ -65,6 +65,12 @@ def add_row(rows, check_id, location, expected, computed):
     rows.add([location], [(check_id, expected, computed)])
 
 
+def listed(table):
+    """A column table with each array column as its ``tolist()`` values, so
+    that two tables compare with ``==`` value by value."""
+    return {name: column.tolist() if isinstance(column, np.ndarray) else column for name, column in table.items()}
+
+
 def row_tuples(table, *names):
     """The rows of a column table in order, each as the tuple of the named
     columns (every column when none is named)."""
@@ -210,7 +216,7 @@ class TestSuiteConfig:
         # curvature.entry[121] is judged by its name's entry, 1e-6.
         rows = RowCollector(tol_override=1e300)
         rows.add(["p0", "p1"], [("curvature.entry[121]", 0.0, [1e-3, 1e-9])])
-        assert rows.table["passed"] == [False, True]
+        assert rows.table["passed"].tolist() == [False, True]
         rows = RowCollector(tol_override=1e-12)
         rows.add(["p0"], [("curvature.entry[121]", 0.0, 1e-9)])
         assert not rows.table["passed"][0]
@@ -239,7 +245,7 @@ class TestRowCollector:
     def test_single_location(self):
         rows = RowCollector()
         rows.add(["frame"], [("gauss.harmonic", True, False), ("curvature.sectional_e1_e3", 1.0, np.array(1.0))])
-        assert rows.table == {
+        assert listed(rows.table) == {
             "check_id": ["gauss.harmonic", "curvature.sectional_e1_e3"],
             "location": ["frame", "frame"],
             "expected": [1.0, 1.0],
@@ -261,15 +267,22 @@ class TestRowCollector:
         table = run_suite(SuiteConfig(suite="connection", nu=1.0, samples=3, seed=1, tol=1e-30))
         assert not rows_passed(table)  # finite-difference noise exceeds 1e-30
 
-    def test_run_suite_returns_six_columns_of_built_in_values(self):
-        """Every column holds one value per row, each of the exact built-in
-        type ``render`` spells a column at a time: a numpy scalar would send
-        its column down the per-value ``json.dumps`` path."""
+    def test_run_suite_returns_the_column_contract(self):
+        """Every column holds one entry per row, in the form ``render``
+        spells a column at a time: ``check_id`` and ``location`` are lists of
+        str, the three float columns C-contiguous float64 arrays, and
+        ``passed`` a bool array; anything else would send its column down
+        the per-value ``json.dumps`` path."""
         table = run_suite(SuiteConfig(suite="all", seed=1, samples=2, grid=(3, 3), tol=1e-3))
         assert list(table) == ["check_id", "location", "expected", "computed", "residual", "passed"]
         assert len({len(column) for column in table.values()}) == 1 and table["check_id"]
-        for name, kind in zip(table, (str, str, float, float, float, bool), strict=True):
-            assert {type(value) for value in table[name]} == {kind}, name
+        for name in ("check_id", "location"):
+            assert type(table[name]) is list and {type(value) for value in table[name]} == {str}, name
+        dtypes = {"expected": np.float64, "computed": np.float64, "residual": np.float64, "passed": bool}
+        for name, dtype in dtypes.items():
+            column = table[name]
+            assert type(column) is np.ndarray and column.dtype == dtype and column.ndim == 1, name
+            assert column.flags.c_contiguous, name
 
 
 # The bounds the suites draw with: run_connection's and run_sasaki's per-column
@@ -398,7 +411,7 @@ class TestCurvatureSuite:
         rows = RowCollector()
         run_curvature(nu, samples, batched, rows)
         table, rejected = curvature_rows_per_point(nu, samples, reference)
-        assert rows.table == table
+        assert listed(rows.table) == listed(table)
         assert batched.uniform(0.0, 1.0, 3).tobytes() == reference.uniform(0.0, 1.0, 3).tobytes()
         assert rejected > 0 if nu == -1.0 else rejected == 0
 
@@ -414,7 +427,7 @@ class TestSasakiSuite:
             res = sasaki_residuals(p, rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), nu)
             for name, value in zip(res._fields, res):
                 add_row(expected, f"sasaki.{name}", f"p{k:03d}", 0.0, value)
-        assert rows.table == expected.table
+        assert listed(rows.table) == listed(expected.table)
 
     def test_one_d_eta_call_per_run(self, monkeypatch):
         calls = []
@@ -508,8 +521,17 @@ def row_dicts(columns: dict) -> list[dict]:
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
+def from_bits(*bits) -> np.ndarray:
+    """The float64 array of the given bit patterns."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# NaN with the sign bit and a payload other than the default quiet NaN's.
+PAYLOAD_NAN = 0xFFF4000000000123
+
 # One table holding every kind of value a report cell can take, each kind
-# in a column of its own and mixed with others.
+# in a column of its own and mixed with others; float64 and bool arrays
+# next to the lists of the same values.
 EVERY_KIND = {
     "float": [-0.0, 5e-324, 1e16, 1e-7, 0.1],
     "signed_zero": [0.0, -0.0, 0.1, -0.0, 0.1],
@@ -522,6 +544,9 @@ EVERY_KIND = {
     "mixed": [None, True, 3, 0.5, "x"],
     "text": ['a "quoted" word', "back\\slash", "100% sure, %s", "bell\x07 and tab\t", "\u03bd = \u22121, Fl\u00e4che"],
     'key 100% "%s" \u03bd': [1.0, 2.0, 3.0, 4.0, 5.0],
+    "float_array": np.array([-0.0, 5e-324, 1e16, 1e-7, 0.0]),
+    "non_finite_array": np.concatenate([[math.nan, math.inf, -math.inf], from_bits(PAYLOAD_NAN), [-0.0]]),
+    "bool_array": np.array([True, False, True, True, False]),
 }
 TEXTS = ['a "quoted" word', "back\\slash", "100% sure, %s", "\u03bd = \u22121, Fl\u00e4che"]
 
@@ -529,8 +554,12 @@ TEXTS = ['a "quoted" word', "back\\slash", "100% sure, %s", "\u03bd = \u22121, F
 def boundary_table(n: int) -> dict:
     """``n`` rows of every column kind: 0.0 and -0.0 (period 7, so both lie
     on each side of every block boundary), repeated strings that need
-    escaping, bools, None, and a column holding NaN."""
+    escaping, bools, None, and a column holding NaN; then the same kinds as
+    float64 and bool arrays, one of them cycling through -0.0, 0.0, the
+    smallest subnormal, 1e16, 1e-7, NaN, a NaN with a payload and +-inf."""
     signed = [0.0, -0.0, 0.5, -0.0, 0.0, -1.5, 0.5]
+    special = np.concatenate([[-0.0, 0.0, 5e-324, 1e16, 1e-7, math.nan], from_bits(PAYLOAD_NAN), [math.inf, -math.inf]])
+    rows = np.arange(n)
     return {
         "signed_zero": [signed[i % 7] for i in range(n)],
         "text": [TEXTS[i % 4] for i in range(n)],
@@ -538,6 +567,10 @@ def boundary_table(n: int) -> dict:
         "none": [None] * n,
         "nan": [math.nan if i % 5 == 0 else i / 7 for i in range(n)],
         'key 100% "%s" \u03bd': [float(i % 11) for i in range(n)],
+        "signed_zero_array": np.array(signed)[rows % 7],
+        "special_array": special[rows % special.size],
+        "distinct_array": rows / 7.0,
+        "bool_array": rows % 3 == 0,
     }
 
 
@@ -578,13 +611,24 @@ class TestReportRendering:
         assert set(row) == {"check_id", "location", "expected", "computed", "residual", "passed"}
 
     def test_json_equals_json_dumps_of_the_row_dicts(self):
-        expected = json.dumps({**META, "rows": row_dicts(EVERY_KIND)}, indent=2) + "\n"
+        expected = json.dumps({**META, "rows": row_dicts(listed(EVERY_KIND))}, indent=2) + "\n"
         assert suites.render(META, EVERY_KIND, "json") == expected
 
     def test_csv_equals_the_row_at_a_time_writer(self):
-        assert suites.render(META, EVERY_KIND, "csv") == csv_of_row_dicts(row_dicts(EVERY_KIND))
+        assert suites.render(META, EVERY_KIND, "csv") == csv_of_row_dicts(row_dicts(listed(EVERY_KIND)))
 
-    @pytest.mark.parametrize("columns", [{}, {"u": [], "v": []}], ids=["no_columns", "no_rows"])
+    @pytest.mark.parametrize("columns", [EVERY_KIND, boundary_table(9)], ids=["every_kind", "boundary"])
+    def test_csv_of_arrays_equals_csv_of_their_lists(self, columns):
+        """An array column is written as its ``tolist()`` values: bools as
+        true/false, not numpy's True/False."""
+        assert any(isinstance(column, np.ndarray) for column in columns.values())
+        assert suites.render(META, columns, "csv") == suites.render(META, listed(columns), "csv")
+
+    @pytest.mark.parametrize(
+        "columns",
+        [{}, {"u": [], "v": []}, {"u": np.empty(0), "v": np.empty(0, dtype=bool)}],
+        ids=["no_columns", "no_rows", "no_rows_arrays"],
+    )
     def test_empty_table(self, columns):
         assert suites.render(META, columns, "json") == json.dumps({**META, "rows": []}, indent=2) + "\n"
         # CSV writes the header of the column names; with no columns that is
@@ -601,6 +645,7 @@ class TestReportRendering:
             {"u": [], "v": [1.0]},
             {"u": [1.0] * 5, "v": [1.0] * 5, "w": [1.0] * 6},
             {"u": [1.0] * 6, "v": [1.0] * 5, "w": [1.0] * 6},
+            {"u": np.zeros(5), "v": np.zeros(6, dtype=bool)},
         ]
         for fmt in ("json", "csv"):
             for columns in tables:
@@ -616,14 +661,15 @@ class TestReportRendering:
         else:
             monkeypatch.setattr(suites, "RENDER_BLOCK", block)
         columns = boundary_table(n)
-        assert suites.render(META, columns, "json") == json.dumps({**META, "rows": row_dicts(columns)}, indent=2) + "\n"
+        expected = json.dumps({**META, "rows": row_dicts(listed(columns))}, indent=2) + "\n"
+        assert suites.render(META, columns, "json") == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_check_rows_render_as_their_row_dicts(self, fmt):
         cfg = SuiteConfig(suite="curvature", nu=1.0, samples=4, seed=2, format=fmt)
         columns = run_suite(cfg)
         text = render_rows(columns, cfg)
-        table = row_dicts(columns)
+        table = row_dicts(listed(columns))
         if fmt == "csv":
             assert text == csv_of_row_dicts(table)
         else:
@@ -655,6 +701,17 @@ class TestReportRendering:
         cfg = SuiteConfig(suite="family", nu=1.0, family="conoid(mu=0.3)", grid=(4, 4))
         for h in surface_report(cfg)["H"]:
             assert abs(h) < 1e-6
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0])
+    def test_surface_report_column_contract(self, nu):
+        """Geometry columns are float64 arrays, and the principal-frame
+        components, which exist only at nu = 1, are lists of None elsewhere."""
+        table = surface_report(SuiteConfig(suite="family", nu=nu, family="lightcone(profile=umbilic)", grid=(3, 4)))
+        for name, column in table.items():
+            if nu != 1.0 and name.startswith("r"):
+                assert column == [None] * 12, name
+            else:
+                assert type(column) is np.ndarray and column.dtype == np.float64 and column.shape == (12,), name
 
     def test_gauss_suite_boolean_rows(self):
         cfg = SuiteConfig(
@@ -1085,7 +1142,7 @@ def test_check_row_values_match_the_record():
     record = dict(zip(header, map(list, zip(*lines))))
     assert list(table) == header and len(set(record["check_id"])) == 51
     assert table["check_id"] == record["check_id"] and table["location"] == record["location"]
-    assert table["passed"] == [{"true": True, "false": False}[text] for text in record["passed"]]
+    assert table["passed"].tolist() == [{"true": True, "false": False}[text] for text in record["passed"]]
     for k, check_id in enumerate(record["check_id"]):
         floor = NOISE_FLOOR.get(check_id, 1e-12)
         for name in ("expected", "computed"):

@@ -1,7 +1,8 @@
 """Property tests of the ``verify`` exit contract, with argv drawn from the
 flag grammar: each option spelled ``--name value`` or ``--name=value`` with a
 valid or malformed value, plus stray tokens, and the same argv again with
-``--out`` writing the report to a file."""
+``--out`` writing the report to a file; and of the JSON spelling of float
+columns, drawn by bit pattern."""
 
 import contextlib
 import csv
@@ -9,12 +10,15 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from sl2geom import suites  # noqa: E402
 from sl2geom.cli import main  # noqa: E402
 from sl2geom.suites import READS  # noqa: E402
 
@@ -91,6 +95,49 @@ def test_every_exit_keeps_the_contract(options, data):
     except ValueError:
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["before", "inside", "after"])
+@pytest.mark.parametrize("token", JUNK)
+def test_every_junk_token_is_one_usage_error(token, at):
+    """Each stray token, wherever it stands, is exercised on purpose: the
+    derandomized draws above need not place every entry where it breaks."""
+    argv = ["--suite", "sasaki", "--samples", "1"]
+    argv.insert(at, token)
+    code, out, err = run(argv)
+    assert code == 2 and out == "", (argv, err)
+    assert len(err.splitlines()) == 1 and err.startswith("verify: "), (argv, err)
+
+
+# Bit patterns a drawn float column mixes with arbitrary ones: 0.0, -0.0,
+# +-inf, the default quiet NaN, a NaN with the sign bit and a payload, the
+# smallest subnormal.
+SPECIAL_BITS = [
+    0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF4000000000123, 1
+]
+
+
+@st.composite
+def float_columns(draw):
+    """Two float64 columns of one length, drawn by bit pattern from a small
+    set of keys, arbitrary and special, so that values repeat within and
+    across blocks."""
+    keys = draw(st.lists(st.integers(0, 2**64 - 1), max_size=4))
+    keys += draw(st.lists(st.sampled_from(SPECIAL_BITS), min_size=1, max_size=4))
+    n = draw(st.integers(1, 30))
+    columns = [draw(st.lists(st.sampled_from(keys), min_size=n, max_size=n)) for _ in range(2)]
+    return [np.array(bits, dtype=np.uint64).view(np.float64) for bits in columns]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(float_columns(), st.integers(1, 8))
+def test_float_columns_render_as_json_dumps_of_their_values(columns, block):
+    x, y = columns
+    table = {"x": x, "passed": x == y, "y": y}
+    with mock.patch.object(suites, "RENDER_BLOCK", block):
+        text = suites.render({"nu": 1.0}, table, "json")
+    rows = [dict(zip(table, values)) for values in zip(*(column.tolist() for column in table.values()))]
+    assert text == json.dumps({"nu": 1.0, "rows": rows}, indent=2) + "\n"
 
 
 @SETTINGS
