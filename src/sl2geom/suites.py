@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
@@ -169,27 +169,60 @@ class SuiteConfig(NamedTuple):
         return self
 
 
+class Labels:
+    """A column of str as its ``labels`` and ``codes``, an intp array of one
+    index into ``labels`` per row: ``RowCollector`` appends each add's ids
+    and locations once instead of one str per row.  A label may appear more
+    than once in ``labels``; slicing keeps ``labels`` and slices ``codes``."""
+
+    __slots__ = ("labels", "codes")
+    __iter__ = None  # not a sequence of str: read it through tolist()
+
+    def __init__(self, labels: list[str], codes: np.ndarray):
+        self.labels, self.codes = labels, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "Labels":
+        return Labels(self.labels, self.codes[rows])
+
+    def tolist(self) -> list[str]:
+        return list(map(self.labels.__getitem__, self.codes.tolist()))
+
+
 class RowCollector:
     """Collects report rows as a table of columns: ``check_id`` and
-    ``location``, lists of str, ``expected``, ``computed`` and ``residual``,
+    ``location``, ``Labels``, ``expected``, ``computed`` and ``residual``,
     float64 arrays, and ``passed``, a bool array, one entry per row;
     ``tol_override`` can only tighten a check's ``TOLERANCES`` entry, never
     loosen it."""
 
     def __init__(self, tol_override: Optional[float] = None):
-        # Each column as the chunks of its adds, joined when ``table`` is read.
-        names = ("check_id", "location", "expected", "computed", "residual", "passed")
-        empty = ([], [], np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=bool))
-        self._chunks = {name: [chunk] for name, chunk in zip(names, empty)}
+        # Each array column as the chunks of its adds, joined when ``table`` is read.
+        self._chunks = {name: [np.empty(0, float)] for name in ("expected", "computed", "residual")}
+        self._chunks["passed"] = [np.empty(0, bool)]
+        # The label lists, to which each add appends its ids and locations, and
+        # each add's span: (first id code, first location code, checks, rows,
+        # the indices of its kept cells or None for all of them).
+        self._ids, self._locations, self._spans = [], [], []
         self.tol_override = tol_override
 
     @property
     def table(self) -> dict:
-        """The rows so far, each column joined from its chunks once."""
+        """The rows so far, each column joined from its chunks once.  The
+        label codes are written from the spans after the joins, which have
+        freed the chunks, into one array of two rows."""
         for chunks in self._chunks.values():
             if len(chunks) > 1:
-                chunks[:] = [np.concatenate(chunks) if isinstance(chunks[0], np.ndarray) else list(chain(*chunks))]
-        return {name: chunks[0] for name, chunks in self._chunks.items()}
+                chunks[:] = [np.concatenate(chunks)]
+        codes, start = np.empty((2, len(self._chunks["passed"][0])), np.intp), 0
+        for ids_at, locations_at, k, size, kept in self._spans:
+            at, check = np.divmod(np.arange(size) if kept is None else kept, k)
+            codes[:, start : start + size] = check + ids_at, at + locations_at
+            start += size
+        table = {"check_id": Labels(self._ids, codes[0]), "location": Labels(self._locations, codes[1])}
+        return table | {name: chunks[0] for name, chunks in self._chunks.items()}
 
     def add(self, locations: list[str], checks: list[tuple], where=None):
         """One row per location and check (check_id, expected, computed),
@@ -201,24 +234,22 @@ class RowCollector:
         tol = np.array([TOLERANCES[check_id.partition("[")[0]] for check_id in ids])
         if self.tol_override is not None:
             tol = np.minimum(tol, self.tol_override)
-        n = len(locations)
-        expected, computed = (
-            np.column_stack([np.broadcast_to(np.asarray(x, dtype=float), n) for x in column])
-            for column in (expected, computed)
-        )
-        # The kept (location, check) cells in row-major order: location-major.
-        at, check = np.nonzero(np.broadcast_to(True if where is None else where, expected.shape))
-        expected, computed, tol = expected[at, check], computed[at, check], tol[check]
+        n, k = len(locations), len(ids)
+        cells = np.empty((2, n, k))
+        for j in range(k):  # a constant broadcasts over the locations
+            cells[0, :, j], cells[1, :, j] = expected[j], computed[j]
+        # The (location, check) cells in row-major order, location-major, and
+        # the indices of those ``where`` keeps.
+        cells, tol, kept = cells.reshape(2, n * k), np.tile(tol, n), None
+        if where is not None:
+            kept = np.flatnonzero(where)
+            cells, tol = cells[:, kept], tol[kept]
+        expected, computed = cells
         residual = np.abs(computed - expected)
-        kept = (
-            list(map(ids.__getitem__, check.tolist())),
-            list(map(locations.__getitem__, at.tolist())),
-            expected,
-            computed,
-            residual,
-            residual <= tol,
-        )
-        for chunks, chunk in zip(self._chunks.values(), kept):
+        self._spans.append((len(self._ids), len(self._locations), k, len(expected), kept))
+        self._ids += ids
+        self._locations += locations
+        for chunks, chunk in zip(self._chunks.values(), (expected, computed, residual, residual <= tol)):
             chunks.append(chunk)
 
 
@@ -242,10 +273,11 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _affine(lo: np.ndarray, hi: np.ndarray, a: int, c: int):
-    """``(a * s + c) mod 2**128`` for each 128-bit state ``s = hi * 2**64 + lo``,
-    as its low and high words; the high word of ``lo * a`` goes by 32-bit halves."""
-    a0, a1, a_lo, a_hi, c_lo, c_hi = map(np.uint64, (a & _M32, a >> 32 & _M32, a & _M64, a >> 64, c & _M64, c >> 64))
+def _affine(lo: np.ndarray, hi: np.ndarray, a: int, c_lo, c_hi):
+    """``(a * s + c) mod 2**128`` for each 128-bit ``s = hi * 2**64 + lo``, with
+    ``c`` given by its low and high words (one each, or one per ``s``), as
+    its low and high words; the high word of ``lo * a`` goes by 32-bit halves."""
+    a0, a1, a_lo, a_hi = map(np.uint64, (a & _M32, a >> 32 & _M32, a & _M64, a >> 64))
     x0, x1 = lo & _M32, lo >> 32
     p01, p10 = x0 * a1, x1 * a0
     mid = (x0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
@@ -254,14 +286,32 @@ def _affine(lo: np.ndarray, hi: np.ndarray, a: int, c: int):
     return new_lo, carry + lo * a_hi + hi * a_lo + c_hi + (new_lo < c_lo)
 
 
+def _jumps(a: int, c: int, n: int):
+    """``(A_k, C_k)`` for k = 1..n (a power of two), with ``x -> A_k * x + C_k
+    mod 2**128`` the map ``x -> a * x + c`` taken k times, as low and high
+    word arrays of shape (2, n), the A row over the C row.  By doubling: with
+    (a, c) the map taken m times, A_{m+k} = a A_k and C_{m+k} = a C_k + c."""
+    lo, hi = np.array([[a & _M64], [c & _M64]], np.uint64), np.array([[a >> 64], [c >> 64]], np.uint64)
+    while lo.shape[1] < n:
+        step = _affine(lo, hi, a, np.array([[0], [c & _M64]], np.uint64), np.array([[0], [c >> 64]], np.uint64))
+        lo, hi = (np.concatenate(pair, axis=1) for pair in zip((lo, hi), step))
+        a, c = a * a & _M128, (a * c + c) & _M128
+    return lo, hi
+
+
 class Stream:
     """The draws of ``numpy.random.default_rng(seed).uniform``, bit for bit,
     without importing ``numpy.random``: ``SeedSequence(seed)`` hashes the
     seed's 32-bit words into a pool of four and the pool into the 128-bit
     state and increment of PCG64, whose XSL-RR output gives the top 53 bits
-    of each double (O'Neill, HMC-CS-2014-0905)."""
+    of each double (O'Neill, HMC-CS-2014-0905).  The k-th state after ``s``
+    is ``A_k * s + C_k``; a draw takes up to ``BLOCK`` states at once from a
+    table of those constants, one vectorised multiply-add (F. Brown, Trans.
+    Am. Nucl. Soc. 71, 1994), so the table, and a draw's work arrays, stay
+    ``BLOCK`` long however large the draw."""
 
     MULT = 0x2360ED051FC65DA44385DF649FCCF645
+    BLOCK = 4096
 
     def __init__(self, seed: int):
         words = [seed >> k & _M32 for k in range(0, seed.bit_length() or 1, 32)]  # least significant first
@@ -278,23 +328,23 @@ class Stream:
         # PCG's seeding: the increment from (c, d), then one step from 0, plus (a, b), and one more step.
         self.inc = ((c << 64 | d) << 1 | 1) & _M128
         self.state = ((self.inc + (a << 64 | b)) * self.MULT + self.inc) & _M128
+        self._jumps = _jumps(self.MULT, self.inc, self.BLOCK)
 
     def uniform(self, low, high, size) -> np.ndarray:
         """``size`` doubles from ``[low, high)``, the bounds broadcast
         against ``size`` and drawn in C order, as numpy draws them."""
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = math.prod(shape)
-        # The state and the n after it, by doubling: with (a, c) the LCG jumped lo.size
-        # steps, a * s + c over the states built so far gives as many more.
-        lo, hi = np.array([self.state & _M64], np.uint64), np.array([self.state >> 64], np.uint64)
-        a, c = self.MULT, self.inc
-        while lo.size <= n:
-            lo, hi = (np.concatenate(pair) for pair in zip((lo, hi), _affine(lo, hi, a, c)))
-            a, c = a * a & _M128, (a * c + c) & _M128
-        self.state = int(hi[n]) << 64 | int(lo[n])
-        lo, hi = lo[1 : n + 1], hi[1 : n + 1]
-        x, rot = lo ^ hi, hi >> 58  # XSL-RR: the xor of the halves, rotated right by the top six bits
-        u = ((x >> rot | x << (-rot & 63)) >> 11).astype(np.float64).reshape(shape) * 2.0**-53
+        (a_lo, c_lo), (a_hi, c_hi) = self._jumps
+        bits = np.empty(n, np.uint64)
+        for start in range(0, n, self.BLOCK):
+            m = min(self.BLOCK, n - start)
+            # The m states after this one, each A_k * state + C_k: A_k is the multiplicand.
+            lo, hi = _affine(a_lo[:m], a_hi[:m], self.state, c_lo[:m], c_hi[:m])
+            self.state = int(hi[-1]) << 64 | int(lo[-1])
+            x, rot = lo ^ hi, hi >> 58  # XSL-RR: the xor of the halves, rotated right by the top six bits
+            bits[start : start + m] = (x >> rot | x << (-rot & 63)) >> 11
+        u = bits.astype(np.float64).reshape(shape) * 2.0**-53
         low = np.asarray(low, dtype=np.float64)
         return low + (np.asarray(high, dtype=np.float64) - low) * u
 
@@ -696,8 +746,8 @@ ALL_ROSTER_GAUSS = [
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    """The run's report rows, as ``RowCollector``'s table of columns: lists
-    of str for ``check_id`` and ``location``, float64 arrays for
+    """The run's report rows, as ``RowCollector``'s table of columns:
+    ``Labels`` for ``check_id`` and ``location``, float64 arrays for
     ``expected``, ``computed`` and ``residual``, a bool array for ``passed``."""
     cfg.validate()
     rows = RowCollector(cfg.tol)
@@ -784,9 +834,14 @@ def _json_column(values) -> list[str]:
     indexes the two literals.  A float64 array spells each distinct bit
     pattern once (so 0.0 and -0.0 are two keys), ``repr`` if finite and
     ``json.dumps`` (``NaN``, ``Infinity``) if not, and gathers the rows'
-    spellings in one indexing.  A list of strings spells each distinct
-    string once, a list of None and bools takes one lookup a value, and any
-    other list one ``json.dumps`` call a value."""
+    spellings in one indexing.  ``Labels`` spell each label between their
+    lowest and highest code once and gather the same way.  A list of None
+    and bools takes one lookup a value, and any other list one
+    ``json.dumps`` call a value."""
+    if isinstance(values, Labels):
+        low, high = int(values.codes.min()), int(values.codes.max()) + 1
+        spelled = np.array(list(map(encode_basestring_ascii, values.labels[low:high])), dtype=object)
+        return spelled[values.codes - low].tolist()
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
             return _JSON_BOOLS[values.view(np.uint8)].tolist()
@@ -797,28 +852,23 @@ def _json_column(values) -> list[str]:
             non_finite = ~np.isfinite(floats)
             spelled[non_finite] = list(map(json.dumps, floats[non_finite].tolist()))
             return spelled[inverse].tolist()
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        spelled = dict.fromkeys(values)
-        for v in spelled:
-            spelled[v] = encode_basestring_ascii(v)
-        return list(map(spelled.__getitem__, values))
-    if kinds <= {type(None), bool}:
+    if set(map(type, values)) <= {type(None), bool}:
         return list(map(_JSON_LITERALS.__getitem__, values))
     return list(map(json.dumps, values))
 
 
 def render(meta: dict, columns: dict, fmt: str) -> str:
     """A report of a table given as columns (name -> one scalar per row, in
-    row order, as a list or a float64 or bool array): CSV as a header line
-    of the column names and one line per row, or JSON as ``meta`` with the
-    rows under "rows", one object per row keyed in column order.  The text
-    is exactly that of ``csv.writer`` over the ``_fmt`` fields of the
-    columns' ``tolist()`` values, or of ``json.dumps({**meta, "rows": [...]},
-    indent=2)`` over those values.  JSON never formats a row: each block of
-    at most ``RENDER_BLOCK`` rows is one list that interleaves, column by
-    column, each key's separator with that block of the column's
-    spellings, and is joined once."""
+    row order, as a list, a float64 or bool array, or ``Labels``): CSV as a
+    header line of the column names and one line per row, or JSON as
+    ``meta`` with the rows under "rows", one object per row keyed in column
+    order.  The text is exactly that of ``csv.writer`` over the ``_fmt``
+    fields of the columns' values (an array's or ``Labels``' ``tolist()``),
+    or of ``json.dumps({**meta, "rows": [...]}, indent=2)`` over those
+    values.  JSON never formats a row: each block of at most
+    ``RENDER_BLOCK`` rows is one list that interleaves, column by column,
+    each key's separator with that block of the column's spellings, and is
+    joined once."""
     lengths = set(map(len, columns.values()))
     if len(lengths) > 1:
         raise ValueError("report columns differ in length")
@@ -849,7 +899,7 @@ def render(meta: dict, columns: dict, fmt: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)
-    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values())
+    values = (c if isinstance(c, list) else c.tolist() for c in columns.values())
     writer.writerows(zip(*(map(_fmt, c) for c in values)))
     return out.getvalue()
 

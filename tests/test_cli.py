@@ -31,6 +31,7 @@ from sl2geom.suites import (
     MAX_SAMPLES,
     TOLERANCES,
     Family,
+    Labels,
     RowCollector,
     Stream,
     SuiteConfig,
@@ -66,15 +67,32 @@ def add_row(rows, check_id, location, expected, computed):
 
 
 def listed(table):
-    """A column table with each array column as its ``tolist()`` values, so
-    that two tables compare with ``==`` value by value."""
-    return {name: column.tolist() if isinstance(column, np.ndarray) else column for name, column in table.items()}
+    """A column table with each array or ``Labels`` column as its
+    ``tolist()`` values, so that two tables compare with ``==`` value by
+    value."""
+    return {name: column if isinstance(column, list) else column.tolist() for name, column in table.items()}
 
 
 def row_tuples(table, *names):
     """The rows of a column table in order, each as the tuple of the named
     columns (every column when none is named)."""
-    return list(zip(*(table[name] for name in names or table), strict=True))
+    columns = listed(table)
+    return list(zip(*(columns[name] for name in names or columns), strict=True))
+
+
+def assert_same_text(got: str, want: str):
+    """``got == want``.  On a mismatch the failure names the first offset at
+    which the texts differ, with a little of each around it, instead of the
+    diff pytest would build of two whole reports, which takes minutes for a
+    few megabytes."""
+    if got != want:
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        context = slice(max(at - 60, 0), at + 60)
+        pytest.fail(
+            f"texts differ at offset {at} of {len(got)} (got) and {len(want)} (want) characters:\n"
+            f"  got  {got[context]!r}\n  want {want[context]!r}",
+            pytrace=False,
+        )
 
 
 def run_cli(args, **kwargs):
@@ -222,6 +240,36 @@ class TestSuiteConfig:
         assert not rows.table["passed"][0]
 
 
+class RecordingCollector(RowCollector):
+    """A ``RowCollector`` that also keeps the arguments of each add."""
+
+    def __init__(self, tol_override=None):
+        super().__init__(tol_override)
+        self.calls = []
+
+    def add(self, locations, checks, where=None):
+        self.calls.append((locations, checks, where))
+        super().add(locations, checks, where)
+
+
+def rows_one_at_a_time(calls, tol_override=None):
+    """The rows of ``RowCollector.add`` calls built one row at a time: the
+    reference for its one-pass columns."""
+    rows = []
+    for locations, checks, where in calls:
+        for i, location in enumerate(locations):
+            for j, (check_id, *pair) in enumerate(checks):
+                if where is not None and not where[i][j]:
+                    continue
+                values = [np.asarray(x, dtype=float) for x in pair]
+                expected, computed = (float(x if x.ndim == 0 else x[i]) for x in values)
+                tol = TOLERANCES[check_id.partition("[")[0]]
+                tol = tol if tol_override is None else min(tol, tol_override)
+                residual = abs(computed - expected)
+                rows.append((check_id, location, expected, computed, residual, residual <= tol))
+    return rows
+
+
 class TestRowCollector:
     def test_rows_are_location_major_in_check_order(self):
         rows = RowCollector()
@@ -255,13 +303,53 @@ class TestRowCollector:
         }
 
     def test_where_drops_exactly_the_rows_it_marks_false(self):
-        checks = [("gauss.oblique_form_1", 0.0, [1.0, 2.0, 3.0]), ("gauss.cylinder_r3113", 0.0, [4.0, 5.0, 6.0])]
+        # Tolerances 0.5 and 1e-5, and residuals between them: each kept row
+        # is judged by its own check's.
+        checks = [("gauss.conformal", 0.0, [0.25, 2.0, 0.4]), ("gauss.h_constant", 0.0, [0.25, 5.0, 1e-6])]
         where = np.array([[True, False], [False, False], [True, True]])
         full, masked = RowCollector(), RowCollector()
         full.add(["p0", "p1", "p2"], checks)
         masked.add(["p0", "p1", "p2"], checks, where)
         full_rows = row_tuples(full.table)
+        assert [row[-1] for row in full_rows] == [True, False, False, False, True, True]
         assert row_tuples(masked.table) == [full_rows[0], full_rows[4], full_rows[5]]
+
+    @pytest.mark.parametrize("tol", [None, 1e-7, 1e-30], ids=["no-tol", "tol-1e-7", "tol-1e-30"])
+    @pytest.mark.parametrize("run", ["gauss", "curvature", "family"])
+    def test_rows_match_a_row_at_a_time_collector(self, run, tol):
+        """Each add of a suite, the gauss suite's masked ones included, under
+        a tightening ``tol_override`` or none, gives the rows a collector
+        that builds one row at a time gives."""
+        rows = RecordingCollector(tol)
+        if run == "gauss":
+            for spec in ALL_ROSTER_GAUSS:
+                run_gauss(parse_family_spec(spec), 1.0, (5, 4), rows)
+            masks = [where for _, _, where in rows.calls if where is not None]
+            assert len(masks) == len(ALL_ROSTER_GAUSS) and all(mask.any() and not mask.all() for mask in masks)
+        elif run == "curvature":
+            for nu in (1.0, -1.0):
+                run_curvature(nu, 6, Stream(4), rows)
+        else:
+            run_family(parse_family_spec("lightcone(profile=umbilic)"), -1.0, (5, 4), rows)
+        assert row_tuples(rows.table) == rows_one_at_a_time(rows.calls, tol)
+
+    def test_reading_the_table_between_adds_changes_no_row(self):
+        """The table read after every add, as the suites' callers may, holds
+        the rows of one read at the end, labels and codes included."""
+        adds = [
+            (["p0", "p1"], [("gauss.conformal", 0.0, [0.25, 2.0]), ("gauss.h_constant", [3.0, 4.0], 3.0)], None),
+            (["frame"], [("curvature.sectional_e1_e3", 1.0, 1.0)], None),
+            (["q0", "q1"], [("gauss.sff_11", 0.0, [1.0, 2.0]), ("gauss.sff_12", 1.0, 1.0)], np.array([[False, True], [True, True]])),
+        ]
+        once, often = RowCollector(), RowCollector()
+        for locations, checks, where in adds:
+            once.add(locations, checks, where)
+            often.add(locations, checks, where)
+            listed(often.table)
+        assert listed(often.table) == listed(once.table)
+        assert row_tuples(once.table, "check_id", "location")[-3:] == [
+            ("gauss.sff_12", "q0"), ("gauss.sff_11", "q1"), ("gauss.sff_12", "q1")
+        ]
 
     def test_exit_is_conjunction_of_rows(self):
         table = run_suite(SuiteConfig(suite="connection", nu=1.0, samples=3, seed=1, tol=1e-30))
@@ -269,15 +357,20 @@ class TestRowCollector:
 
     def test_run_suite_returns_the_column_contract(self):
         """Every column holds one entry per row, in the form ``render``
-        spells a column at a time: ``check_id`` and ``location`` are lists of
-        str, the three float columns C-contiguous float64 arrays, and
-        ``passed`` a bool array; anything else would send its column down
-        the per-value ``json.dumps`` path."""
+        spells a column at a time: ``check_id`` and ``location`` are
+        ``Labels``, a list of str and one intp code into it per row, the three
+        float columns C-contiguous float64 arrays, and ``passed`` a bool
+        array; anything else would send its column down the per-value
+        ``json.dumps`` path."""
         table = run_suite(SuiteConfig(suite="all", seed=1, samples=2, grid=(3, 3), tol=1e-3))
         assert list(table) == ["check_id", "location", "expected", "computed", "residual", "passed"]
-        assert len({len(column) for column in table.values()}) == 1 and table["check_id"]
+        assert len({len(column) for column in table.values()}) == 1 and len(table["check_id"])
         for name in ("check_id", "location"):
-            assert type(table[name]) is list and {type(value) for value in table[name]} == {str}, name
+            column = table[name]
+            assert type(column) is Labels and type(column.labels) is list, name
+            assert {type(value) for value in column.labels} == {str}, name
+            assert column.codes.dtype == np.intp and column.codes.ndim == 1, name
+            assert 0 <= column.codes.min() and column.codes.max() < len(column.labels), name
         dtypes = {"expected": np.float64, "computed": np.float64, "residual": np.float64, "passed": bool}
         for name, dtype in dtypes.items():
             column = table[name]
@@ -294,6 +387,8 @@ SASAKI_BOUNDS = ((-2.0, 0.2, 0.0) + (-1.0,) * 6, (2.0, 5.0, 2.0 * math.pi) + (1.
 class TestStream:
     """``Stream`` against numpy's own ``default_rng(seed)`` as the reference."""
 
+    B = Stream.BLOCK
+
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 + 5, 2**128 + 17])
     @pytest.mark.parametrize(
         "calls",
@@ -301,8 +396,17 @@ class TestStream:
             [(0.0, 1.0, 7), (-1.0, 1.0, (400, 3)), (0.0, 2.0 * math.pi, (50, 3, 3)), (-1.0, 1.0, 0), (0.0, 1.0, 7)],
             [(*CONNECTION_BOUNDS, (400, 3)), (*SASAKI_BOUNDS, (50, 9)), (-1.0, 1.0, (50, 3, 3)), (*CONNECTION_BOUNDS, (0, 3))],
             [(*SASAKI_BOUNDS, (7, 9)), (0.0, 2.0 * math.pi, 7), (*CONNECTION_BOUNDS, (7, 3))],
+            # A draw takes at most Stream.BLOCK states from the jump table at a
+            # time: sizes at and across that boundary, one and several blocks long.
+            [(0.0, 1.0, B - 1), (0.0, 1.0, B), (0.0, 1.0, B + 1), (0.0, 1.0, 3 * B + 5), (0.0, 1.0, 2)],
+            [(*CONNECTION_BOUNDS, (B // 3 + 1, 3)), (*SASAKI_BOUNDS, (B // 9 + 2, 9)), (-1.0, 1.0, (B, 2, 3))],
+            # Small draws, then one larger than all of them, then a small one.
+            [(0.0, 1.0, 1), (-1.0, 1.0, (7, 3)), (0.0, 1.0, 2 * B + B // 2), (0.0, 1.0, 3)],
+            # Empty draws leave the state where it was.
+            [(-1.0, 1.0, 0), (0.0, 1.0, 5), (*CONNECTION_BOUNDS, (0, 3)), (0.0, 1.0, (0,)), (-1.0, 1.0, B + 3)],
         ],
-        ids=["scalar-bounds", "column-bounds", "mixed"],
+        ids=["scalar-bounds", "column-bounds", "mixed", "block-boundaries", "column-bounds-across-blocks",
+             "large-after-small", "empty-then-more"],
     )
     def test_consecutive_draws_are_numpys_bit_for_bit(self, seed, calls):
         stream, reference = Stream(seed), np.random.default_rng(seed)
@@ -489,7 +593,7 @@ class TestGaussSuite:
         monkeypatch.setitem(suites.FAMILIES, "sine_conoid", lambda spec: family)
         table = run_suite(SuiteConfig(suite="gauss", family="sine_conoid"))
         assert [row for row in row_tuples(table, "check_id", "passed") if not row[1]] == [("gauss.h_constant", False)]
-        assert table["check_id"][0] == "gauss.h_constant" and table["residual"][0] > 1.0
+        assert table["check_id"].tolist()[0] == "gauss.h_constant" and table["residual"][0] > 1.0
         assert main(["--suite", "gauss", "--family", "sine_conoid"]) == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
 
@@ -518,6 +622,7 @@ def csv_of_row_dicts(table: list[dict]) -> str:
 
 
 def row_dicts(columns: dict) -> list[dict]:
+    columns = listed(columns)
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
@@ -549,6 +654,8 @@ EVERY_KIND = {
     "bool_array": np.array([True, False, True, True, False]),
 }
 TEXTS = ['a "quoted" word', "back\\slash", "100% sure, %s", "\u03bd = \u22121, Fl\u00e4che"]
+# Label texts a CSV writer must quote and JSON must escape.
+LABEL_TEXTS = ['say "hi"', "a,b", "two\nlines", "\u03bd = \u22121, Fl\u00e4che", "back\\slash, tab\t", "(0.500,-1.000)"]
 
 
 def boundary_table(n: int) -> dict:
@@ -598,10 +705,11 @@ class TestReportRendering:
         fields are quoted, so every line splits into the header's fields."""
         table = run_suite(cfg)
         parsed = list(csv.reader(io.StringIO(render_rows(table, cfg))))
-        assert len(parsed) == 1 + len(table["location"])
+        locations = table["location"].tolist()
+        assert len(parsed) == 1 + len(locations)
         assert all(len(line) == len(parsed[0]) == 6 for line in parsed)
-        assert [line[1] for line in parsed[1:]] == table["location"]
-        assert any("," in location for location in table["location"])
+        assert [line[1] for line in parsed[1:]] == locations
+        assert any("," in location for location in locations)
 
     def test_json_mirrors_row_fields(self):
         cfg = SuiteConfig(suite="sasaki", nu=-1.0, samples=2, seed=0)
@@ -612,17 +720,17 @@ class TestReportRendering:
 
     def test_json_equals_json_dumps_of_the_row_dicts(self):
         expected = json.dumps({**META, "rows": row_dicts(listed(EVERY_KIND))}, indent=2) + "\n"
-        assert suites.render(META, EVERY_KIND, "json") == expected
+        assert_same_text(suites.render(META, EVERY_KIND, "json"), expected)
 
     def test_csv_equals_the_row_at_a_time_writer(self):
-        assert suites.render(META, EVERY_KIND, "csv") == csv_of_row_dicts(row_dicts(listed(EVERY_KIND)))
+        assert_same_text(suites.render(META, EVERY_KIND, "csv"), csv_of_row_dicts(row_dicts(listed(EVERY_KIND))))
 
     @pytest.mark.parametrize("columns", [EVERY_KIND, boundary_table(9)], ids=["every_kind", "boundary"])
     def test_csv_of_arrays_equals_csv_of_their_lists(self, columns):
         """An array column is written as its ``tolist()`` values: bools as
         true/false, not numpy's True/False."""
         assert any(isinstance(column, np.ndarray) for column in columns.values())
-        assert suites.render(META, columns, "csv") == suites.render(META, listed(columns), "csv")
+        assert_same_text(suites.render(META, columns, "csv"), suites.render(META, listed(columns), "csv"))
 
     @pytest.mark.parametrize(
         "columns",
@@ -662,7 +770,27 @@ class TestReportRendering:
             monkeypatch.setattr(suites, "RENDER_BLOCK", block)
         columns = boundary_table(n)
         expected = json.dumps({**META, "rows": row_dicts(listed(columns))}, indent=2) + "\n"
-        assert suites.render(META, columns, "json") == expected
+        assert_same_text(suites.render(META, columns, "json"), expected)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("block, n", [(1, 7), (2, 7), (3, 9), (4, 13), (None, 8191), (None, 8193), (None, 16385)])
+    def test_labels_render_as_their_strings_across_block_boundaries(self, monkeypatch, block, n, fmt):
+        """A ``Labels`` column is written as its ``tolist()`` strings, in JSON
+        block by block and in CSV: labels that need escaping or quoting, a
+        label listed twice, codes that jump back and forth and codes that
+        run up like a check run's locations."""
+        if block is not None:
+            monkeypatch.setattr(suites, "RENDER_BLOCK", block)
+        rows = np.arange(n)
+        columns = {
+            "jumping": Labels(LABEL_TEXTS * 2, (rows * 5 + rows // 3) % (2 * len(LABEL_TEXTS))),
+            "x": rows / 7.0,
+            "running": Labels([f"{text} #{k}" for k in range(n // 2 + 1) for text in LABEL_TEXTS[:2]], rows),
+            "passed": rows % 3 == 0,
+        }
+        table = row_dicts(listed(columns))
+        want = json.dumps({**META, "rows": table}, indent=2) + "\n" if fmt == "json" else csv_of_row_dicts(table)
+        assert_same_text(suites.render(META, columns, fmt), want)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_check_rows_render_as_their_row_dicts(self, fmt):
@@ -671,11 +799,11 @@ class TestReportRendering:
         text = render_rows(columns, cfg)
         table = row_dicts(listed(columns))
         if fmt == "csv":
-            assert text == csv_of_row_dicts(table)
+            assert_same_text(text, csv_of_row_dicts(table))
         else:
             payload = json.loads(text)
             assert payload["rows"] == table
-            assert text == json.dumps(payload, indent=2) + "\n"
+            assert_same_text(text, json.dumps(payload, indent=2) + "\n")
 
     def test_surface_report_columns(self):
         cfg = SuiteConfig(
@@ -1141,7 +1269,7 @@ def test_check_row_values_match_the_record():
         header, *lines = csv.reader(f)
     record = dict(zip(header, map(list, zip(*lines))))
     assert list(table) == header and len(set(record["check_id"])) == 51
-    assert table["check_id"] == record["check_id"] and table["location"] == record["location"]
+    assert table["check_id"].tolist() == record["check_id"] and table["location"].tolist() == record["location"]
     assert table["passed"].tolist() == [{"true": True, "false": False}[text] for text in record["passed"]]
     for k, check_id in enumerate(record["check_id"]):
         floor = NOISE_FLOOR.get(check_id, 1e-12)
@@ -1169,7 +1297,7 @@ def test_the_all_run_emits_exactly_the_registered_ids():
     emitted: no entry is dead, and an unregistered id fails here, not in a
     user's run."""
     table = run_suite(SuiteConfig(suite="all", seed=42))
-    assert {check_id.partition("[")[0] for check_id in table["check_id"]} == set(TOLERANCES)
+    assert {check_id.partition("[")[0] for check_id in table["check_id"].tolist()} == set(TOLERANCES)
 
 
 def test_readme_bullets_and_tolerances_name_the_same_checks():
@@ -1198,13 +1326,15 @@ def test_readme_bullets_and_tolerances_name_the_same_checks():
         ["--suite", "connection", "--nu", "-1", "--samples", "40", "--seed", "3"],
         ["--suite", "all", "--samples", "10", "--grid", "3x3", "--seed", "5"],
         ["--suite", "sasaki", "--samples", "3", "--seed", "2", "--format", "csv"],
+        ["--report", "--suite", "family", "--family", "conoid(mu=0.7)", "--grid", "8x8"],
     ],
-    ids=["family", "connection-seeded", "all-seeded", "sasaki-seeded-csv"],
+    ids=["family", "connection-seeded", "all-seeded", "sasaki-seeded-csv", "report"],
 )
 def test_runs_do_not_import_numpy_random(argv):
     """Seeded or not, a run draws from ``suites.Stream`` and loads neither
-    numpy.random nor what it pulls in; a JSON run does not load csv."""
-    unused = ["numpy.random", "hashlib", "secrets", "argparse"] + (["csv"] if "csv" not in argv else [])
+    numpy.random nor what it pulls in, nor numpy.ma (which ``np.unique``
+    imports when asked for its keys alone); a JSON run does not load csv."""
+    unused = ["numpy.random", "numpy.ma", "hashlib", "secrets", "argparse"] + (["csv"] if "csv" not in argv else [])
     code = (
         "import contextlib, io, sys\n"
         "from sl2geom.cli import main\n"

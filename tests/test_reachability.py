@@ -31,6 +31,7 @@ TIMELIKE = {("lightcone(profile=minimal)", "-0.5"), ("lightcone(profile=umbilic)
 def roster(config_path):
     """(argv, expected exit code) of every run, small enough to be quick."""
     runs = [(["--suite", s, "--nu", nu, "--samples", "2"], 0) for s in ("connection", "curvature", "sasaki") for nu in NUS]
+    runs.append((["--suite", "sasaki", "--samples", "2", "--format", "csv"], 0))  # check rows as CSV
     for spec in SURFACES + ["complex_circle"]:
         for nu in NUS:
             code = 2 if (spec, nu) in TIMELIKE else 0
