@@ -19,9 +19,11 @@ configuration error: an unknown, ambiguous or repeated flag, a flag without
 its value, a stray token, a value that does not parse, an unknown or
 repeated config key, a config file that is not UTF-8, an option the run
 does not read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
-``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up
-and running out of memory.
-Every exit 2 prints one ``verify:`` line and no report.  Reports are
+``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up,
+running out of memory and a report that cannot be written to stdout or
+``--out`` (a full disk, a closed pipe, a closed stdout).  Every exit 2
+prints one ``verify:`` line.  An error found before writing starts leaves
+no report; a write that fails part way may leave part of it.  Reports are
 byte-identical for identical configuration and seed.
 """
 
@@ -179,12 +181,19 @@ def main(argv=None) -> int:
         # Overflow, division by zero and NaN raise: a blow-up is bad input, not a failed check.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if cfg.report:
-                text = render_report(surface_report(cfg), cfg)
-                ok = True
+                table, render, ok = surface_report(cfg), render_report, True
             else:
-                rows = run_suite(cfg)
-                text = render_rows(rows, cfg)
-                ok = rows_passed(rows)
+                table, render = run_suite(cfg), render_rows
+                ok = rows_passed(table)
+        # Each block of the report is written as soon as it is rendered.
+        if cfg.out is None:
+            if sys.stdout is None:  # started with stdout closed, or dropped below
+                raise OSError("the stream is closed")
+            render(table, cfg, sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                render(table, cfg, fh)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
@@ -194,16 +203,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"verify: out of memory: {exc}", file=sys.stderr)
         return 2
-
-    if cfg.out is not None:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"verify: cannot write {cfg.out!r}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        if cfg.out is None:
+            # Drop the stream: what its failed flush left buffered would fail
+            # again in the flush at exit, which then exits 120, not 2.
+            sys.stdout = None
+        print(f"verify: cannot write {'stdout' if cfg.out is None else repr(cfg.out)}: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

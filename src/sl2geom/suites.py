@@ -71,7 +71,8 @@ MAX_NU = 1e4
 # rejects correct products.
 MAX_CIRCLE_T = 5.5
 # Rows per piece list in ``render``'s JSON text: a block's list holds two
-# pieces per cell, so the whole table is never held as pieces at once.
+# pieces per cell, and each block is written before the next is built, so
+# neither the whole table's pieces nor its text are held at once.
 RENDER_BLOCK = 8192
 
 # Each check's tolerance, the one place it is written: a row passes when its
@@ -857,18 +858,18 @@ def _json_column(values) -> list[str]:
     return list(map(json.dumps, values))
 
 
-def render(meta: dict, columns: dict, fmt: str) -> str:
-    """A report of a table given as columns (name -> one scalar per row, in
-    row order, as a list, a float64 or bool array, or ``Labels``): CSV as a
-    header line of the column names and one line per row, or JSON as
-    ``meta`` with the rows under "rows", one object per row keyed in column
-    order.  The text is exactly that of ``csv.writer`` over the ``_fmt``
-    fields of the columns' values (an array's or ``Labels``' ``tolist()``),
-    or of ``json.dumps({**meta, "rows": [...]}, indent=2)`` over those
-    values.  JSON never formats a row: each block of at most
-    ``RENDER_BLOCK`` rows is one list that interleaves, column by column,
-    each key's separator with that block of the column's spellings, and is
-    joined once."""
+def render(meta: dict, columns: dict, fmt: str, out) -> None:
+    """Write to the text stream ``out`` a report of a table given as columns
+    (name -> one scalar per row, in row order, as a list, a float64 or bool
+    array, or ``Labels``): CSV as a header line of the column names and one
+    line per row, or JSON as ``meta`` with the rows under "rows", one object
+    per row keyed in column order.  The text is exactly that of
+    ``csv.writer`` over the ``_fmt`` fields of the columns' values (an
+    array's or ``Labels``' ``tolist()``), or of
+    ``json.dumps({**meta, "rows": [...]}, indent=2)`` over those values.
+    JSON never formats a row: each block of at most ``RENDER_BLOCK`` rows is
+    one list that interleaves, column by column, each key's separator with
+    that block of the column's spellings, and is joined and written once."""
     lengths = set(map(len, columns.values()))
     if len(lengths) > 1:
         raise ValueError("report columns differ in length")
@@ -876,11 +877,11 @@ def render(meta: dict, columns: dict, fmt: str) -> str:
     if fmt == "json":
         head = json.dumps({**meta, "rows": []}, indent=2)
         if not n:
-            return head + "\n"
+            out.write(head + "\n")
+            return
         keys = [encode_basestring_ascii(name) for name in columns]
         seps = ["\n    },\n    {\n      " + keys[0] + ": ", *(",\n      " + key + ": " for key in keys[1:])]
         k = len(keys)
-        blocks = []
         for start in range(0, n, RENDER_BLOCK):
             m = min(RENDER_BLOCK, n - start)
             pieces = [None] * (2 * k * m)
@@ -891,20 +892,18 @@ def render(meta: dict, columns: dict, fmt: str) -> str:
                 pieces[0] = head.removesuffix("[]\n}") + "[\n    {\n      " + keys[0] + ": "
             if start + m == n:
                 pieces.append("\n    }\n  ]\n}\n")
-            blocks.append("".join(pieces))
-        return blocks[0] if len(blocks) == 1 else "".join(blocks)
+            block, pieces = "".join(pieces), None  # the pieces go before the write copies the text
+            out.write(block)
+        return
     import csv  # only here: JSON runs do not load it
-    import io
 
-    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")  # quotes fields holding a comma
     writer.writerow(columns)
     values = (c if isinstance(c, list) else c.tolist() for c in columns.values())
     writer.writerows(zip(*(map(_fmt, c) for c in values)))
-    return out.getvalue()
 
 
-def render_rows(table: dict, cfg: SuiteConfig) -> str:
+def render_rows(table: dict, cfg: SuiteConfig, out) -> None:
     meta = {
         "suite": cfg.suite,
         "nu": cfg.nu,
@@ -914,8 +913,8 @@ def render_rows(table: dict, cfg: SuiteConfig) -> str:
         "grid": list(cfg.grid),
         "passed": rows_passed(table),
     }
-    return render(meta, table, cfg.format)
+    render(meta, table, cfg.format, out)
 
 
-def render_report(columns: dict, cfg: SuiteConfig) -> str:
-    return render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, columns, cfg.format)
+def render_report(columns: dict, cfg: SuiteConfig, out) -> None:
+    render({"family": cfg.family, "nu": cfg.nu, "grid": list(cfg.grid)}, columns, cfg.format, out)

@@ -143,16 +143,11 @@ class FundamentalForm(NamedTuple):
 
 
 class ShapeData(NamedTuple):
-    """Shape-operator invariants of the surface points; k1 and k2 are NaN
-    where the principal curvatures are complex."""
+    """Shape-operator invariants of the surface points."""
 
     mean_curvature: float
     det_shape: float
     discriminant: float
-    causal_type: str  # "riemannian" | "lorentzian" | "degenerate"
-    k1: float
-    k2: float
-    complex_curvatures: bool
     umbilic_defect: float
 
 
@@ -271,27 +266,19 @@ def second_form(j: SurfaceJet, n: np.ndarray) -> FundamentalForm:
 def shape_data(I: FundamentalForm, II: FundamentalForm) -> ShapeData:
     """Invariants of the shape operator S = I^-1 II.
 
-    H = tr(S)/2, det S = det II / det I, discriminant = H^2 - det S,
-    principal curvatures H +- sqrt(discriminant) when real.  The umbilic
-    defect is the max-norm of II - H I.  The causal type comes from the sign
-    of det I (a negative-definite induced metric is reported "riemannian";
-    only the degenerate/Lorentzian distinction matters here).
+    H = tr(S)/2, det S = det II / det I, discriminant = H^2 - det S (the
+    principal curvatures H +- sqrt(discriminant) are real where it is not
+    negative).  The umbilic defect is the max-norm of II - H I.
     """
-    tol = 1e-12
     det_i = I.det
-    _require(np.abs(det_i) >= tol, "first fundamental form is degenerate", value=det_i)
+    _require(np.abs(det_i) >= 1e-12, "first fundamental form is degenerate", value=det_i)
     h = (II.E * I.G - 2.0 * II.F * I.F + II.G * I.E) / (2.0 * det_i)
     det_s = II.det / det_i
     disc = h * h - det_s
     defect = np.maximum(
         np.maximum(np.abs(II.E - h * I.E), np.abs(II.F - h * I.F)), np.abs(II.G - h * I.G)
     )
-    causal = np.where(det_i > tol, "riemannian", np.where(det_i < -tol, "lorentzian", "degenerate"))
-    real = disc >= -tol
-    root = np.sqrt(np.maximum(disc, 0.0))
-    k1 = np.where(real, h + root, np.nan)
-    k2 = np.where(real, h - root, np.nan)
-    return ShapeData(h, det_s, disc, causal, k1, k2, ~real, defect)
+    return ShapeData(h, det_s, disc, defect)
 
 
 class SurfacePointData(NamedTuple):

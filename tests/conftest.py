@@ -1,3 +1,4 @@
+import io
 import math
 import os
 
@@ -48,3 +49,11 @@ def assert_one_point_views(fn, *args, reference=None):
             assert len(one) == len(batched)
             for field, value in zip(batched, one):
                 assert np.broadcast_to(field, shape)[k] == value, (view, k, field, value)
+
+
+def rendered(render, *args) -> str:
+    """The text that ``render`` (``suites.render``, ``render_rows`` or
+    ``render_report``) writes to a stream given ``args``."""
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()

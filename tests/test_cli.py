@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from sl2geom import cli, families, gaussmap, metric, suites
+from conftest import rendered
 from sl2geom.cli import main, read_config_file
 from sl2geom.core import ChartPoint
 from sl2geom.metric import (
@@ -687,7 +689,7 @@ META = {"suite": "family", "nu": -1.0, "family": 'x(a="%s")', "grid": [8, 8], "p
 class TestReportRendering:
     def test_csv_shape(self):
         cfg = SuiteConfig(suite="sasaki", nu=1.0, samples=3, seed=0, format="csv")
-        text = render_rows(run_suite(cfg), cfg)
+        text = rendered(render_rows, run_suite(cfg), cfg)
         lines = text.strip().split("\n")
         assert lines[0] == "check_id,location,expected,computed,residual,passed"
         assert len(lines) == 1 + 15  # 5 identities x 3 samples
@@ -704,7 +706,7 @@ class TestReportRendering:
         """Grid locations "(u,v)" and the gauss spec text hold commas; those
         fields are quoted, so every line splits into the header's fields."""
         table = run_suite(cfg)
-        parsed = list(csv.reader(io.StringIO(render_rows(table, cfg))))
+        parsed = list(csv.reader(io.StringIO(rendered(render_rows, table, cfg))))
         locations = table["location"].tolist()
         assert len(parsed) == 1 + len(locations)
         assert all(len(line) == len(parsed[0]) == 6 for line in parsed)
@@ -713,24 +715,24 @@ class TestReportRendering:
 
     def test_json_mirrors_row_fields(self):
         cfg = SuiteConfig(suite="sasaki", nu=-1.0, samples=2, seed=0)
-        payload = json.loads(render_rows(run_suite(cfg), cfg))
+        payload = json.loads(rendered(render_rows, run_suite(cfg), cfg))
         assert payload["passed"] is True
         row = payload["rows"][0]
         assert set(row) == {"check_id", "location", "expected", "computed", "residual", "passed"}
 
     def test_json_equals_json_dumps_of_the_row_dicts(self):
         expected = json.dumps({**META, "rows": row_dicts(listed(EVERY_KIND))}, indent=2) + "\n"
-        assert_same_text(suites.render(META, EVERY_KIND, "json"), expected)
+        assert_same_text(rendered(suites.render, META, EVERY_KIND, "json"), expected)
 
     def test_csv_equals_the_row_at_a_time_writer(self):
-        assert_same_text(suites.render(META, EVERY_KIND, "csv"), csv_of_row_dicts(row_dicts(listed(EVERY_KIND))))
+        assert_same_text(rendered(suites.render, META, EVERY_KIND, "csv"), csv_of_row_dicts(row_dicts(listed(EVERY_KIND))))
 
     @pytest.mark.parametrize("columns", [EVERY_KIND, boundary_table(9)], ids=["every_kind", "boundary"])
     def test_csv_of_arrays_equals_csv_of_their_lists(self, columns):
         """An array column is written as its ``tolist()`` values: bools as
         true/false, not numpy's True/False."""
         assert any(isinstance(column, np.ndarray) for column in columns.values())
-        assert_same_text(suites.render(META, columns, "csv"), suites.render(META, listed(columns), "csv"))
+        assert_same_text(rendered(suites.render, META, columns, "csv"), rendered(suites.render, META, listed(columns), "csv"))
 
     @pytest.mark.parametrize(
         "columns",
@@ -738,10 +740,10 @@ class TestReportRendering:
         ids=["no_columns", "no_rows", "no_rows_arrays"],
     )
     def test_empty_table(self, columns):
-        assert suites.render(META, columns, "json") == json.dumps({**META, "rows": []}, indent=2) + "\n"
+        assert rendered(suites.render, META, columns, "json") == json.dumps({**META, "rows": []}, indent=2) + "\n"
         # CSV writes the header of the column names; with no columns that is
         # the empty line the row-dict writer gives for no rows.
-        assert suites.render(META, columns, "csv") == ",".join(columns) + "\n"
+        assert rendered(suites.render, META, columns, "csv") == ",".join(columns) + "\n"
 
     def test_columns_of_unequal_length_are_an_error(self, monkeypatch):
         monkeypatch.setattr(suites, "RENDER_BLOCK", 2)
@@ -758,7 +760,7 @@ class TestReportRendering:
         for fmt in ("json", "csv"):
             for columns in tables:
                 with pytest.raises(ValueError):
-                    suites.render(META, columns, fmt)
+                    rendered(suites.render, META, columns, fmt)
 
     @pytest.mark.parametrize(
         "block, n", [(1, 7), (2, 7), (2, 8), (3, 7), (3, 9), (None, 8191), (None, 8192), (None, 8193), (None, 16385)]
@@ -770,7 +772,7 @@ class TestReportRendering:
             monkeypatch.setattr(suites, "RENDER_BLOCK", block)
         columns = boundary_table(n)
         expected = json.dumps({**META, "rows": row_dicts(listed(columns))}, indent=2) + "\n"
-        assert_same_text(suites.render(META, columns, "json"), expected)
+        assert_same_text(rendered(suites.render, META, columns, "json"), expected)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("block, n", [(1, 7), (2, 7), (3, 9), (4, 13), (None, 8191), (None, 8193), (None, 16385)])
@@ -790,13 +792,47 @@ class TestReportRendering:
         }
         table = row_dicts(listed(columns))
         want = json.dumps({**META, "rows": table}, indent=2) + "\n" if fmt == "json" else csv_of_row_dicts(table)
-        assert_same_text(suites.render(META, columns, fmt), want)
+        assert_same_text(rendered(suites.render, META, columns, fmt), want)
+
+    def test_each_json_block_is_one_write(self):
+        """JSON reaches the stream as one write per block of at most
+        ``RENDER_BLOCK`` rows, each exactly its block's text, so no write
+        holds more than one block; CSV's writes join to the ``csv.writer``
+        text; an empty table writes only the head or the header line."""
+
+        class Recording(io.TextIOBase):
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        block = suites.RENDER_BLOCK
+        columns = boundary_table(2 * block + 1)
+        table = row_dicts(listed(columns))
+        want = json.dumps({**META, "rows": table}, indent=2) + "\n"
+        # A block after the first opens with the close of the row before it.
+        closes = [m.start() for m in re.finditer(r"\n    \},\n    \{\n", want)]
+        cuts = [0, closes[block - 1], closes[2 * block - 1], len(want)]
+        out = Recording()
+        suites.render(META, columns, "json", out)
+        assert len(out.writes) == 3
+        for got, a, b in zip(out.writes, cuts, cuts[1:]):
+            assert_same_text(got, want[a:b])
+        out = Recording()
+        suites.render(META, columns, "csv", out)
+        assert_same_text("".join(out.writes), csv_of_row_dicts(table))
+        for fmt, head in [("json", json.dumps({**META, "rows": []}, indent=2) + "\n"), ("csv", "u,v\n")]:
+            out = Recording()
+            suites.render(META, {"u": np.empty(0), "v": []}, fmt, out)
+            assert "".join(out.writes) == head
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_check_rows_render_as_their_row_dicts(self, fmt):
         cfg = SuiteConfig(suite="curvature", nu=1.0, samples=4, seed=2, format=fmt)
         columns = run_suite(cfg)
-        text = render_rows(columns, cfg)
+        text = rendered(render_rows, columns, cfg)
         table = row_dicts(listed(columns))
         if fmt == "csv":
             assert_same_text(text, csv_of_row_dicts(table))
@@ -886,6 +922,38 @@ class TestCommandLine:
             res = run_cli(["--suite", "sasaki", "--samples", "2", "--out", out])
             assert_usage_error(res)
             assert f"cannot write {out!r}: " in res.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "sasaki", "--samples", "1"],
+            ["--suite", "sasaki", "--samples", "1", "--format", "csv"],
+            ["--suite", "connection", "--samples", "1000", "--seed", "3"],  # two render blocks
+        ],
+        ids=["json", "csv", "two_blocks"],
+    )
+    def test_a_stdout_that_cannot_be_written_is_a_usage_error(self, argv, buffered):
+        """Exit 2 with one line, not a traceback's exit 1, also when a small
+        report waits in stdout's buffer until the flush: a failed flush left
+        for the exit would make it exit 120."""
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "sl2geom.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+            )
+        assert res.returncode == 2, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify: cannot write stdout: "), res.stderr
+
+    def test_a_closed_stdout_is_a_usage_error(self, capsys):
+        """Python sets ``sys.stdout`` to None when it starts with stdout closed."""
+        with contextlib.redirect_stdout(None):
+            assert main(["--suite", "sasaki", "--samples", "1"]) == 2
+        assert capsys.readouterr() == ("", "verify: cannot write stdout: the stream is closed\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -987,6 +1055,18 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["verify: out of memory: cannot allocate the sample arrays"]
+
+    def test_out_of_memory_while_writing_is_a_usage_error(self, monkeypatch, capsys):
+        """A write that fails part way exits 2 with one line, and may leave
+        the part of the report written before it."""
+
+        def exhausted(table, cfg, out):
+            out.write("{")
+            raise MemoryError("cannot join a block")
+
+        monkeypatch.setattr(cli, "render_rows", exhausted)
+        assert main(["--suite", "sasaki", "--samples", "2"]) == 2
+        assert capsys.readouterr() == ("{", "verify: out of memory: cannot join a block\n")
 
     def test_report_is_usable_at_256x256(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -18,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import rendered  # noqa: E402
 from sl2geom import suites  # noqa: E402
 from sl2geom.cli import main  # noqa: E402
 from sl2geom.suites import READS  # noqa: E402
@@ -57,9 +58,16 @@ def spell(name, text, joined):
     return ["--report"] if name == "report" else [f"--{name}", text]
 
 
-def run(argv):
+class Unwritable(io.TextIOBase):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def run(argv, stdout=None):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(stdout or out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -74,6 +82,13 @@ def test_every_exit_keeps_the_contract(options, data):
         argv += ["--nu"] if data.draw(st.booleans()) else []
     code, out, err = run(argv)
     assert code in (0, 1, 2)
+    # With a stdout that cannot be written: a usage error keeps its exit and
+    # its line, and a run that reaches its report exits 2 with one line.
+    failed_code, _, failed_err = run(argv, stdout=Unwritable())
+    if code == 2:
+        assert (failed_code, failed_err) == (2, err), argv
+    else:
+        assert failed_code == 2 and failed_err == "verify: cannot write stdout: [Errno 28] No space left on device\n"
     if data.draw(st.booleans()):
         # With --out: nothing on stdout, the same exit and stderr, and the
         # file holds the stdout of the run without it, or is never made.
@@ -135,7 +150,7 @@ def test_float_columns_render_as_json_dumps_of_their_values(columns, block):
     x, y = columns
     table = {"x": x, "passed": x == y, "y": y}
     with mock.patch.object(suites, "RENDER_BLOCK", block):
-        text = suites.render({"nu": 1.0}, table, "json")
+        text = rendered(suites.render, {"nu": 1.0}, table, "json")
     rows = [dict(zip(table, values)) for values in zip(*(column.tolist() for column in table.values()))]
     assert text == json.dumps({"nu": 1.0, "rows": rows}, indent=2) + "\n"
 
