@@ -20,16 +20,20 @@ its value, a stray token, a value that does not parse, an unknown or
 repeated config key, a config file that is not UTF-8, an option the run
 does not read, a grid over ``suites.MAX_GRID_POINTS``, ``--samples`` over
 ``suites.MAX_SAMPLES``, |nu| over ``suites.MAX_NU``, a numerical blow-up,
-running out of memory and a report that cannot be written to stdout or
-``--out`` (a full disk, a closed pipe, a closed stdout).  Every exit 2
-prints one ``verify:`` line.  An error found before writing starts leaves
-no report; a write that fails part way may leave part of it.  Reports are
-byte-identical for identical configuration and seed.
+running out of memory and a report, or the ``-h`` help, that cannot be
+written to stdout or ``--out`` (a full disk, a closed pipe, a closed
+stdout).  An exception of any other kind is a defect of the program, not a
+failed check: it exits 2 with one ``verify: internal error: <Type>:
+<message>`` line, the message's newlines quoted.  Every exit 2 prints one
+``verify:`` line.  An error found before writing starts leaves no report; a
+write that fails part way may leave part of it.  Reports are byte-identical
+for identical configuration and seed.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -128,15 +132,15 @@ may begin with '-' (--nu -1e-3); a flag may be any unique prefix (--fam).
 FLAGS = (*PARSERS, "config")
 
 
-def read_flags(argv) -> dict:
-    """The text of each flag in ``argv`` by full name; ``-h`` prints the help
-    and exits 0, and any token that is not a flag or its value is an error."""
+def read_flags(argv) -> Optional[dict]:
+    """The text of each flag in ``argv`` by full name, or None at ``-h``,
+    which asks for the help; any token that is not a flag or its value is
+    an error."""
     flags, extra = {}, []
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
-            sys.stdout.write(HELP)
-            raise SystemExit(0)
+            return None
         key, given, text = token[2:].partition("=")
         names = [name for name in FLAGS if name.startswith(key)]
         if not token.startswith("--") or not key or not names:
@@ -157,10 +161,13 @@ def read_flags(argv) -> dict:
     return flags
 
 
-def config_from_args(argv) -> SuiteConfig:
-    """The run's config from the flags in ``argv`` over the config file;
-    every value given either way is read, and the run must read it."""
+def config_from_args(argv) -> Optional[SuiteConfig]:
+    """The run's config from the flags in ``argv`` over the config file, or
+    None for the help; every value given either way is read, and the run
+    must read it."""
     flags = read_flags(sys.argv[1:] if argv is None else argv)
+    if flags is None:
+        return None
     config = flags.pop("config", None)
     file_values = {} if config is None else read_config_file(config)
     unknown = set(file_values) - set(PARSERS)
@@ -172,27 +179,38 @@ def config_from_args(argv) -> SuiteConfig:
 
 def main(argv=None) -> int:
     try:
+        return _main(argv)
+    except Exception as exc:  # a defect: one line and exit 2, never a traceback's exit 1
+        print(f"verify: internal error: {type(exc).__name__}: {repr(str(exc))[1:-1]}", file=sys.stderr)
+        return 2
+
+
+def _main(argv) -> int:
+    try:
         cfg = config_from_args(argv)
     except (ValueError, OSError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
 
+    out = None if cfg is None else cfg.out
     try:
         # Overflow, division by zero and NaN raise: a blow-up is bad input, not a failed check.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            if cfg.report:
+            if cfg is None:  # -h: the help goes out the way a report does
+                table, render, ok = HELP, lambda text, _, stream: stream.write(text), True
+            elif cfg.report:
                 table, render, ok = surface_report(cfg), render_report, True
             else:
                 table, render = run_suite(cfg), render_rows
                 ok = rows_passed(table)
         # Each block of the report is written as soon as it is rendered.
-        if cfg.out is None:
+        if out is None:
             if sys.stdout is None:  # started with stdout closed, or dropped below
                 raise OSError("the stream is closed")
             render(table, cfg, sys.stdout)
             sys.stdout.flush()
         else:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 render(table, cfg, fh)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
@@ -204,12 +222,14 @@ def main(argv=None) -> int:
         print(f"verify: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if cfg.out is None:
+        if out is None:
             # Drop the stream: what its failed flush left buffered would fail
             # again in the flush at exit, which then exits 120, not 2.
             sys.stdout = None
-        print(f"verify: cannot write {'stdout' if cfg.out is None else repr(cfg.out)}: {exc}", file=sys.stderr)
+        print(f"verify: cannot write {'stdout' if out is None else repr(out)}: {exc}", file=sys.stderr)
         return 2
+    if cfg is None:
+        raise SystemExit(0)
     return 0 if ok else 1
 
 

@@ -127,17 +127,15 @@ def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarr
     return np.repeat(us, n_v), np.tile(vs, n_u)
 
 
-def classify_gauss_map(s: Immersion, grid: tuple[int, int] = (20, 20)) -> GaussClassification:
-    """Classify the tangential Gauss map over a sample grid (nu = 1).
-
-    The curvature criteria presuppose constant mean curvature; the spread
-    of H over the grid is returned as ``evidence["h_spread"]`` for the
-    caller to judge (the gauss suite's ``gauss.h_constant`` row), and the
-    booleans are read from the grid either way.  Harmonicity for
-    nonminimal surfaces is reported false; for minimal ones it additionally
-    requires the principal curvature components R_3113 and R_3223 to agree.
-    """
-    pt = surface_shape(s, *grid_samples(s, grid[0], grid[1]), NU)
+def classify_gauss_map(pt: SurfacePointData) -> GaussClassification:
+    """Classify the tangential Gauss map over ``pt``, a surface's
+    ``surface_shape`` at its sample points at nu = 1; another nu is an
+    error.  The criteria presuppose constant mean curvature: the spread of H
+    is ``evidence["h_spread"]``, for the caller to judge, and the booleans
+    are read either way.  Harmonicity also requires minimality and R_3113 =
+    R_3223."""
+    if pt.jet.nu != NU:
+        raise ValueError(f"the Gauss map is classified at nu = 1, got a sample at nu = {pt.jet.nu!r}")
     comps = frame_curvature_components_at(pt)
     h_arr = pt.shape.mean_curvature
     max_defect = float(pt.shape.umbilic_defect.max())

@@ -45,7 +45,7 @@ from .metric import (
     sasaki_residuals,
     sectional_curvature,
 )
-from .surface import Immersion, intrinsic_gauss_curvature, surface_shape
+from .surface import Immersion, SurfacePointData, intrinsic_gauss_curvature, surface_shape
 
 SUITES = ("connection", "curvature", "sasaki", "family", "gauss", "all")
 FORMATS = ("json", "csv")
@@ -465,16 +465,16 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 class Family(NamedTuple):
     """What a family spec builds.  ``surface`` is None for the complex
-    circles, which live in the quadric.  ``rows(u, v, nu)`` evaluates the
-    family once over the sample arrays u, v and returns its checks as
-    columns (check_id, expected, computed), each value one per point or a
-    constant; ``symmetry(u, v, t)`` is the residual of its one-parameter
-    symmetry group at each of the points u, v, the largest entrywise gap of
-    the two group elements; ``gauss`` is the expected (conformal, vertically
-    harmonic, harmonic) classification of its Gauss map, or None."""
+    circles, which live in the quadric.  ``rows(u, v, nu, pt)`` reads the
+    sample arrays u, v and ``pt``, the family's ``evaluate`` there, and
+    returns its checks as columns (check_id, expected, computed), each value
+    one per point or a constant; ``symmetry(u, v, t)`` is the residual of
+    its one-parameter symmetry group at each of the points u, v, the largest
+    entrywise gap of the two group elements; ``gauss`` is the expected
+    (conformal, vertically harmonic, harmonic) classification, or None."""
 
     surface: Optional[Immersion]
-    rows: Callable[[np.ndarray, np.ndarray, float], list[tuple]]
+    rows: Callable[[np.ndarray, np.ndarray, float, Optional[SurfacePointData]], list[tuple]]
     symmetry: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     gauss: Optional[tuple[bool, bool, bool]] = None
 
@@ -541,8 +541,7 @@ def hopf_cylinder(spec: FamilySpec) -> Family:
     _, curve = _variant(spec, "curve", _CURVES, "geodesic")
     s = families.hopf_cylinder(curve)
 
-    def rows(u, v, nu):
-        pt = surface_shape(s, u, v, nu)
+    def rows(u, v, nu, pt):
         return [
             ("family.hopf_induced_metric", 0.0, _hopf_metric_gap(pt.first, curve, v, nu)),
             ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first)),
@@ -563,8 +562,8 @@ def conoid(spec: FamilySpec) -> Family:
     p = _params(spec, {"mu": 1.0, "a": 0.0})
     s = families.affine_conoid(mu=p["mu"], a=p["a"])
 
-    def rows(u, v, nu):
-        return [("family.conoid_minimal", 0.0, surface_shape(s, u, v, nu).shape.mean_curvature)]
+    def rows(u, v, nu, pt):
+        return [("family.conoid_minimal", 0.0, pt.shape.mean_curvature)]
 
     def symmetry(u, v, t):
         g = chart_to_group(s.chart(u, v))
@@ -580,8 +579,7 @@ def lightcone(spec: FamilySpec) -> Family:
     p, profile = _variant(spec, "profile", _PROFILES, "minimal")
     s = families.lightcone_surface(profile)
 
-    def rows(u, v, nu):
-        pt = surface_shape(s, u, v, nu)
+    def rows(u, v, nu, pt):
         h = pt.shape.mean_curvature
         closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
         checks = [("family.lightcone_closed_vs_pipeline_H", closed, h)]
@@ -619,7 +617,7 @@ def complex_circle(spec: FamilySpec) -> Family:
     phi = families.complex_circle(a, b)
     phi_min = families.complex_circle(a, b, minimal=True)
 
-    def rows(u, v, nu):
+    def rows(u, v, nu, pt):
         gap = phi_min(u, v).coords - minimal_complex_circle_exponential(t, u, v).coords
         return [
             ("family.complex_circle_quadric", 0.0, phi(u, v).quadric_residual()),
@@ -661,29 +659,32 @@ def _grid_locations(u: np.ndarray, v: np.ndarray) -> list[str]:
     return out
 
 
-def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
-    fam = build_family(spec)
-    if fam.surface is None:  # quadric samples: u around the circle, v across [-1, 1], u-major
+def evaluate(fam: Family, grid: tuple[int, int], nu: float):
+    """The family's row-major sample arrays u, v and its one ``surface_shape``
+    there; the complex circles sample the quadric (u around the circle, v
+    across [-1, 1]) and have no surface sample (None)."""
+    if fam.surface is None:
         u = np.repeat(np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False), grid[1])
-        v = np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0])
-    else:
-        u, v = grid_samples(fam.surface, grid[0], grid[1])
-    rows.add(_grid_locations(u, v), fam.rows(u, v, nu))
+        return u, np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0]), None
+    u, v = grid_samples(fam.surface, grid[0], grid[1])
+    return u, v, surface_shape(fam.surface, u, v, nu)
+
+
+def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
+    """The family rows of a spec; returns the family and its surface sample."""
+    fam = build_family(spec)
+    u, v, pt = evaluate(fam, grid, nu)
+    rows.add(_grid_locations(u, v), fam.rows(u, v, nu, pt))
     if fam.symmetry is not None:
         step = max(1, u.size // 8)
         residuals = fam.symmetry(u[::step], v[::step], 0.37)
         rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals)])
+    return fam, pt
 
 
-def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
-    if nu != 1.0:
-        raise ValueError("the gauss suite is defined for nu = 1")
-    fam = build_family(spec)
-    if fam.gauss is None:
-        raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
-    s = fam.surface
+def run_gauss(spec: FamilySpec, fam: Family, sample: SurfacePointData, rows: RowCollector):
     expect_conf, expect_vh, expect_harm = fam.gauss
-    cls = classify_gauss_map(s, grid=grid)
+    cls = classify_gauss_map(sample)
     checks = [
         ("gauss.h_constant", 0.0, cls.evidence["h_spread"]),
         ("gauss.conformal", expect_conf, cls.conformal),
@@ -699,8 +700,7 @@ def run_gauss(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowColle
     # Closed forms from the classification argument at a 4x4 grid, both
     # cases evaluated over all points; each point reports the case its
     # normal falls in (c != 0 oblique, c == 0 cylinder).
-    u, v = grid_samples(s, 4, 4)
-    pt = surface_shape(s, u, v, 1.0)
+    u, v, pt = evaluate(fam, (4, 4), 1.0)
     n, h = pt.normal, pt.shape.mean_curvature
     v1, v2 = gaussmap.oblique_frame(n)
     c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
@@ -763,7 +763,13 @@ def run_suite(cfg: SuiteConfig) -> dict:
     elif cfg.suite == "family":
         run_family(parse_family_spec(cfg.family), cfg.nu, cfg.grid, rows)
     elif cfg.suite == "gauss":
-        run_gauss(parse_family_spec(cfg.family), cfg.nu, cfg.grid, rows)
+        spec = parse_family_spec(cfg.family)
+        if cfg.nu != 1.0:
+            raise ValueError("the gauss suite is defined for nu = 1")
+        fam = build_family(spec)
+        if fam.gauss is None:
+            raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
+        run_gauss(spec, fam, evaluate(fam, cfg.grid, 1.0)[2], rows)
     elif cfg.suite == "all":
         small = max(10, cfg.samples // 4)
         for nu in (1.0, -1.0):
@@ -771,10 +777,9 @@ def run_suite(cfg: SuiteConfig) -> dict:
             run_curvature(nu, cfg.samples, rng, rows)
             run_sasaki(nu, cfg.samples, rng, rows)
         grid = (min(cfg.grid[0], 12), min(cfg.grid[1], 12))
-        for spec_text, nu in ALL_ROSTER_FAMILIES:
-            run_family(parse_family_spec(spec_text), nu, grid, rows)
+        built = {text: run_family(parse_family_spec(text), nu, grid, rows) for text, nu in ALL_ROSTER_FAMILIES}
         for spec_text in ALL_ROSTER_GAUSS:
-            run_gauss(parse_family_spec(spec_text), 1.0, grid, rows)
+            run_gauss(parse_family_spec(spec_text), *built[spec_text], rows)
     return rows.table
 
 
@@ -785,11 +790,10 @@ def surface_report(cfg: SuiteConfig) -> dict:
     principal-frame curvature components, which are lists of None unless
     nu = 1."""
     cfg.validate()
-    built = build_family(parse_family_spec(cfg.family)).surface
-    if built is None:
+    fam = build_family(parse_family_spec(cfg.family))
+    if fam.surface is None:
         raise ValueError("reports are defined for surface families")
-    u, v = grid_samples(built, cfg.grid[0], cfg.grid[1])
-    pt = surface_shape(built, u, v, cfg.nu)
+    u, v, pt = evaluate(fam, cfg.grid, cfg.nu)
     sd = pt.shape
     columns = {
         "u": u,
@@ -797,7 +801,7 @@ def surface_report(cfg: SuiteConfig) -> dict:
         "H": sd.mean_curvature,
         "detS": sd.det_shape,
         "discriminant": sd.discriminant,
-        "K": intrinsic_gauss_curvature(built, u, v, cfg.nu, first=pt.first),
+        "K": intrinsic_gauss_curvature(fam.surface, u, v, cfg.nu, first=pt.first),
         "umbilic_defect": sd.umbilic_defect,
         "a": pt.normal[:, 0],
         "b": pt.normal[:, 1],

@@ -7,6 +7,8 @@ import pytest
 
 import sl2geom
 from sl2geom.core import ChartPoint
+from sl2geom.gaussmap import grid_samples
+from sl2geom.surface import surface_shape
 
 
 def pytest_configure(config):
@@ -49,6 +51,12 @@ def assert_one_point_views(fn, *args, reference=None):
             assert len(one) == len(batched)
             for field, value in zip(batched, one):
                 assert np.broadcast_to(field, shape)[k] == value, (view, k, field, value)
+
+
+def sampled(s, n_u: int, n_v: int, nu: float = 1.0):
+    """The immersion ``s`` evaluated by ``surface_shape`` on its n_u x n_v
+    sample grid: the sample ``classify_gauss_map`` reads."""
+    return surface_shape(s, *grid_samples(s, n_u, n_v), nu)
 
 
 def rendered(render, *args) -> str:

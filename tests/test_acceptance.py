@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from conftest import sampled
 from sl2geom.core import ChartPoint, chart_to_group, embed_ads
 from sl2geom.families import (
     affine_conoid,
@@ -255,19 +256,19 @@ def test_criterion_08_gauss_map_classification():
     rng = _rng()
     details = []
 
-    cls0 = classify_gauss_map(hopf_cylinder(constant_curvature_curve(0.0)), grid=(12, 12))
+    cls0 = classify_gauss_map(sampled(hopf_cylinder(constant_curvature_curve(0.0)), 12, 12))
     ok = cls0.vertically_harmonic and cls0.harmonic
     details.append("kappa=0 vh+harmonic")
 
     gaps = []
     for kappa in (2.0, 3.0):
-        cls = classify_gauss_map(hopf_cylinder(constant_curvature_curve(kappa)), grid=(12, 12))
+        cls = classify_gauss_map(sampled(hopf_cylinder(constant_curvature_curve(kappa)), 12, 12))
         ok = ok and cls.vertically_harmonic and not cls.harmonic
         gaps.append(cls.evidence["max_horizontal_gap"])
     ok = ok and all(g > 1e-3 for g in gaps)  # R3113 != R3223 separates them
     details.append("kappa=2,3 vh only")
 
-    cls_conoid = classify_gauss_map(affine_conoid(1.0), grid=(12, 12))
+    cls_conoid = classify_gauss_map(sampled(affine_conoid(1.0), 12, 12))
     ok = ok and not cls_conoid.vertically_harmonic
     details.append("conoid mu=1 not vh")
 

@@ -38,6 +38,7 @@ from sl2geom.suites import (
     Stream,
     SuiteConfig,
     build_family,
+    evaluate,
     parse_family_spec,
     render_rows,
     rows_passed,
@@ -125,6 +126,14 @@ MALFORMED = {
     "grid": "16by16",
     "report": "ture",
 }
+
+
+def gauss_sample(text, grid):
+    """``run_gauss``'s arguments but the collector for a spec: the spec, its
+    family, and the family's surface sample at nu = 1 on ``grid``."""
+    spec = parse_family_spec(text)
+    fam = build_family(spec)
+    return spec, fam, evaluate(fam, grid, 1.0)[2]
 
 
 def assert_usage_error(res):
@@ -325,7 +334,7 @@ class TestRowCollector:
         rows = RecordingCollector(tol)
         if run == "gauss":
             for spec in ALL_ROSTER_GAUSS:
-                run_gauss(parse_family_spec(spec), 1.0, (5, 4), rows)
+                run_gauss(*gauss_sample(spec, (5, 4)), rows)
             masks = [where for _, _, where in rows.calls if where is not None]
             assert len(masks) == len(ALL_ROSTER_GAUSS) and all(mask.any() and not mask.all() for mask in masks)
         elif run == "curvature":
@@ -552,7 +561,7 @@ class TestGaussSuite:
     @pytest.mark.parametrize("spec", ALL_ROSTER_GAUSS + ["hopf_cylinder(curve=hypercycle,kappa=1)"])
     def test_closed_form_rows_match_a_per_point_loop(self, spec):
         rows = RowCollector()
-        run_gauss(parse_family_spec(spec), 1.0, (6, 6), rows)
+        run_gauss(*gauss_sample(spec, (6, 6)), rows)
         closed_rows = [row for row in row_tuples(rows.table) if row[1].startswith("(")]
         s, expected = build_family(parse_family_spec(spec)).surface, RowCollector()
         for u, v in zip(*(a.tolist() for a in gaussmap.grid_samples(s, 4, 4))):
@@ -582,10 +591,56 @@ class TestGaussSuite:
             calls.append(args)
             return original(*args)
 
+        samples = [gauss_sample(spec, (4, 4)) for spec in ALL_ROSTER_GAUSS]
         monkeypatch.setattr(suites, "surface_shape", counting)
-        for spec in ALL_ROSTER_GAUSS:
-            run_gauss(parse_family_spec(spec), 1.0, (4, 4), RowCollector())
+        for args in samples:
+            run_gauss(*args, RowCollector())
         assert len(calls) == len(ALL_ROSTER_GAUSS)
+
+    def test_the_all_run_evaluates_each_family_grid_and_nu_once(self, monkeypatch):
+        """Each gauss family of the all run is one of its families at nu = 1,
+        whose build and 12x12 sample the classification reads: 13 surface
+        evaluations, 9 on 12x12 grids and 4 closed-form blocks on 4x4, and
+        10 builds."""
+        assert all((spec, 1.0) in ALL_ROSTER_FAMILIES for spec in ALL_ROSTER_GAUSS)
+        points, builds = [], []
+
+        def counting_shape(original):
+            def counting(s, u, v, nu):
+                points.append(np.size(u))
+                return original(s, u, v, nu)
+
+            return counting
+
+        def counting_build(spec):
+            builds.append(spec)
+            return build_family(spec)
+
+        for module in (suites, gaussmap):
+            monkeypatch.setattr(module, "surface_shape", counting_shape(module.surface_shape))
+        monkeypatch.setattr(suites, "build_family", counting_build)
+        assert rows_passed(run_suite(SuiteConfig(suite="all", seed=42)))
+        assert sorted(points) == [16] * 4 + [144] * 9
+        assert len(builds) == len(ALL_ROSTER_FAMILIES) == 10
+
+    @pytest.mark.parametrize(
+        "nu, spec, message",
+        [
+            (-1.0, "lightcone(profile=trig)", "the gauss suite is defined for nu = 1"),
+            (2.0, "bogus", "the gauss suite is defined for nu = 1"),
+            (1.0, "bogus", "unknown family 'bogus'"),
+            (1.0, "lightcone(profile=trig)", "gauss suite has no expectations for family 'lightcone'"),
+            (1.0, "complex_circle", "gauss suite has no expectations for family 'complex_circle'"),
+        ],
+    )
+    def test_the_gauss_suite_checks_its_spec_before_evaluating(self, monkeypatch, nu, spec, message):
+        """The nu check, the build and the expectations check run in that
+        order, and each rejects the run before any surface is evaluated."""
+        calls = []
+        monkeypatch.setattr(suites, "surface_shape", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_suite(SuiteConfig(suite="gauss", nu=nu, family=spec))
+        assert calls == []
 
     def test_non_cmc_surface_fails_h_constant_and_exits_one(self, monkeypatch, capsys):
         # The conoid x(u) = sin u has non-constant H: the classification's
@@ -931,8 +986,9 @@ class TestCommandLine:
             ["--suite", "sasaki", "--samples", "1"],
             ["--suite", "sasaki", "--samples", "1", "--format", "csv"],
             ["--suite", "connection", "--samples", "1000", "--seed", "3"],  # two render blocks
+            ["-h"],
         ],
-        ids=["json", "csv", "two_blocks"],
+        ids=["json", "csv", "two_blocks", "help"],
     )
     def test_a_stdout_that_cannot_be_written_is_a_usage_error(self, argv, buffered):
         """Exit 2 with one line, not a traceback's exit 1, also when a small
@@ -1055,6 +1111,34 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["verify: out of memory: cannot allocate the sample arrays"]
+
+    @pytest.mark.parametrize(
+        "name, error, line",
+        [
+            (
+                "run_sasaki",
+                IndexError("index 3 is out of bounds\nfor axis 0 with size 3"),
+                "verify: internal error: IndexError: index 3 is out of bounds\\nfor axis 0 with size 3",
+            ),
+            (
+                "render",
+                TypeError("'NoneType' object is not iterable"),
+                "verify: internal error: TypeError: 'NoneType' object is not iterable",
+            ),
+        ],
+        ids=["suite", "render"],
+    )
+    def test_an_internal_error_is_one_line_not_a_failed_check(self, monkeypatch, capsys, name, error, line):
+        """An exception that no handler expects is a defect of the program:
+        exit 2 with one line, its message's newline quoted, and no report,
+        not a traceback's exit 1, which reads as a failed check."""
+
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(suites, name, broken)
+        assert main(["--suite", "sasaki", "--samples", "2"]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
 
     def test_out_of_memory_while_writing_is_a_usage_error(self, monkeypatch, capsys):
         """A write that fails part way exits 2 with one line, and may leave

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sampled
 from sl2geom.core import MetricSign, algebra_scalar_product
 from sl2geom.families import (
     affine_conoid,
@@ -22,6 +23,7 @@ from sl2geom.gaussmap import (
     cylinder_principal_components,
     cylinder_second_form_components,
     frame_curvature_components_at,
+    grid_samples,
     normal_gauss_map,
     oblique_frame,
     oblique_vertical_closed_forms,
@@ -199,13 +201,13 @@ class TestCurvatureComponents:
 
 class TestClassification:
     def test_minimal_cylinder_is_harmonic(self):
-        cls = classify_gauss_map(hopf_cylinder(geodesic()), grid=(10, 10))
+        cls = classify_gauss_map(sampled(hopf_cylinder(geodesic()), 10, 10))
         assert cls.conformal and cls.vertically_harmonic and cls.harmonic
 
     def test_cmc_cylinders_vertically_harmonic_not_harmonic(self):
         for kappa in (2.0, 3.0):
             cls = classify_gauss_map(
-                hopf_cylinder(constant_curvature_curve(kappa)), grid=(10, 10)
+                sampled(hopf_cylinder(constant_curvature_curve(kappa)), 10, 10)
             )
             assert cls.vertically_harmonic
             assert not cls.harmonic
@@ -213,14 +215,14 @@ class TestClassification:
             assert abs(cls.mean_curvature - kappa / 2.0) < 1e-8
 
     def test_minimal_conoid_not_vertically_harmonic(self):
-        cls = classify_gauss_map(affine_conoid(1.0), grid=(10, 10))
+        cls = classify_gauss_map(sampled(affine_conoid(1.0), 10, 10))
         assert cls.conformal  # minimal
         assert not cls.vertically_harmonic
         assert not cls.harmonic
         assert cls.evidence["max_vertical"] > 1e-2
 
     def test_zero_pitch_conoid_behaves_like_geodesic_cylinder(self):
-        cls = classify_gauss_map(affine_conoid(0.0), grid=(8, 8))
+        cls = classify_gauss_map(sampled(affine_conoid(0.0), 8, 8))
         assert cls.vertically_harmonic and cls.harmonic
 
     def test_harmonic_implies_vertically_harmonic(self):
@@ -230,19 +232,26 @@ class TestClassification:
             lambda: affine_conoid(1.0),
             lambda: affine_conoid(0.0),
         ):
-            cls = classify_gauss_map(builder(), grid=(8, 8))
+            cls = classify_gauss_map(sampled(builder(), 8, 8))
             assert (not cls.harmonic) or cls.vertically_harmonic
 
     def test_non_constant_mean_curvature_is_reported_not_raised(self):
         # A generic profile at nu = 1 has varying H; the spread is evidence
         # for the caller's gauss.h_constant row, not an error.
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
-        cls = classify_gauss_map(s, grid=(6, 6))
+        cls = classify_gauss_map(sampled(s, 6, 6))
         assert cls.evidence["h_spread"] > 1e-2
 
     def test_grid_resolution_validated(self):
         with pytest.raises(ValueError):
-            classify_gauss_map(hopf_cylinder(geodesic()), grid=(1, 5))
+            grid_samples(hopf_cylinder(geodesic()), 1, 5)
+
+    @pytest.mark.parametrize("nu", [-1.0, 2.5])
+    def test_a_sample_at_another_nu_is_rejected(self, nu):
+        """The criteria hold for g[1] only, so a sample evaluated at another
+        nu is an error that names its nu, not a classification."""
+        with pytest.raises(ValueError, match=f"nu = {nu!r}"):
+            classify_gauss_map(sampled(hopf_cylinder(geodesic()), 4, 4, nu))
 
 
 class TestNormalGaussMap:
