@@ -9,17 +9,16 @@ expected, computed)``.  Vector-valued checks report the max-norm of the
 difference against an expected value of zero.  Boolean classifications are
 encoded as 0/1 with tolerance 0.5.
 
-Suites are deterministic: random sample points come from ``Stream``, numpy's
-``default_rng(seed)`` PCG64 stream reproduced bit for bit, so a report does
-not depend on the installed ``numpy.random``; grids are row-major, and rows
-are emitted in a fixed order.
+Suites are deterministic: random sample points come from ``Stream``, a
+counter-based SplitMix64 stream over (seed, draw index) that no run needs
+``numpy.random`` for; grids are row-major, and rows are emitted in a fixed
+order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
@@ -258,94 +257,42 @@ class RowCollector:
 # connection / curvature / sasaki suites
 # ---------------------------------------------------------------------------
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's 32-bit hash, whose constant steps at every call."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _affine(lo: np.ndarray, hi: np.ndarray, a: int, c_lo, c_hi):
-    """``(a * s + c) mod 2**128`` for each 128-bit ``s = hi * 2**64 + lo``, with
-    ``c`` given by its low and high words (one each, or one per ``s``), as
-    its low and high words; the high word of ``lo * a`` goes by 32-bit halves."""
-    a0, a1, a_lo, a_hi = map(np.uint64, (a & _M32, a >> 32 & _M32, a & _M64, a >> 64))
-    x0, x1 = lo & _M32, lo >> 32
-    p01, p10 = x0 * a1, x1 * a0
-    mid = (x0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_lo = lo * a_lo + c_lo
-    return new_lo, carry + lo * a_hi + hi * a_lo + c_hi + (new_lo < c_lo)
-
-
-def _jumps(a: int, c: int, n: int):
-    """``(A_k, C_k)`` for k = 1..n (a power of two), with ``x -> A_k * x + C_k
-    mod 2**128`` the map ``x -> a * x + c`` taken k times, as low and high
-    word arrays of shape (2, n), the A row over the C row.  By doubling: with
-    (a, c) the map taken m times, A_{m+k} = a A_k and C_{m+k} = a C_k + c."""
-    lo, hi = np.array([[a & _M64], [c & _M64]], np.uint64), np.array([[a >> 64], [c >> 64]], np.uint64)
-    while lo.shape[1] < n:
-        step = _affine(lo, hi, a, np.array([[0], [c & _M64]], np.uint64), np.array([[0], [c >> 64]], np.uint64))
-        lo, hi = (np.concatenate(pair, axis=1) for pair in zip((lo, hi), step))
-        a, c = a * a & _M128, (a * c + c) & _M128
-    return lo, hi
+def _mix64(z: np.ndarray) -> None:
+    """SplitMix64's finaliser, in place on a uint64 array (arrays wrap in
+    silence where numpy scalars warn)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
 
 
 class Stream:
-    """The draws of ``numpy.random.default_rng(seed).uniform``, bit for bit,
-    without importing ``numpy.random``: ``SeedSequence(seed)`` hashes the
-    seed's 32-bit words into a pool of four and the pool into the 128-bit
-    state and increment of PCG64, whose XSL-RR output gives the top 53 bits
-    of each double (O'Neill, HMC-CS-2014-0905).  The k-th state after ``s``
-    is ``A_k * s + C_k``; a draw takes up to ``BLOCK`` states at once from a
-    table of those constants, one vectorised multiply-add (F. Brown, Trans.
-    Am. Nucl. Soc. 71, 1994), so the table, and a draw's work arrays, stay
-    ``BLOCK`` long however large the draw."""
-
-    MULT = 0x2360ED051FC65DA44385DF649FCCF645
-    BLOCK = 4096
+    """SplitMix64 over (seed, draw index) (Steele, Lea and Flood, OOPSLA
+    2014): the k-th double of a run, k = 1, 2, ..., is the top 53 bits of
+    ``mix64(key + k * 0x9E3779B97F4A7C15)`` times 2**-53.  A seed below 2**64
+    is the key; each higher 64-bit word is mixed into it by the finaliser.
+    A draw is one vectorised pass over its index range, so the stream
+    depends on nothing but numpy's integer arithmetic."""
 
     def __init__(self, seed: int):
-        words = [seed >> k & _M32 for k in range(0, seed.bit_length() or 1, 32)]  # least significant first
-        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
-        # Each pool word into every other, then each seed word past the fourth into all four.
-        for src, dst in product(range(max(4, len(words))), range(4)):
-            if src != dst:
-                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool if src < 4 else words)[src])) & _M32
-                pool[dst] = mixed ^ mixed >> 16
-        hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-        words = [hashmix(pool[k % 4]) for k in range(8)]
-        a, b, c, d = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))  # generate_state(4, uint64)
-        # PCG's seeding: the increment from (c, d), then one step from 0, plus (a, b), and one more step.
-        self.inc = ((c << 64 | d) << 1 | 1) & _M128
-        self.state = ((self.inc + (a << 64 | b)) * self.MULT + self.inc) & _M128
-        self._jumps = _jumps(self.MULT, self.inc, self.BLOCK)
+        self.key, self.drawn = np.array([seed % 2**64], np.uint64), 0
+        for shift in range(64, seed.bit_length(), 64):
+            self.key ^= (seed >> shift) % 2**64
+            _mix64(self.key)
 
     def uniform(self, low, high, size) -> np.ndarray:
         """``size`` doubles from ``[low, high)``, the bounds broadcast
-        against ``size`` and drawn in C order, as numpy draws them."""
+        against ``size`` and drawn in C order."""
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = math.prod(shape)
-        (a_lo, c_lo), (a_hi, c_hi) = self._jumps
-        bits = np.empty(n, np.uint64)
-        for start in range(0, n, self.BLOCK):
-            m = min(self.BLOCK, n - start)
-            # The m states after this one, each A_k * state + C_k: A_k is the multiplicand.
-            lo, hi = _affine(a_lo[:m], a_hi[:m], self.state, c_lo[:m], c_hi[:m])
-            self.state = int(hi[-1]) << 64 | int(lo[-1])
-            x, rot = lo ^ hi, hi >> 58  # XSL-RR: the xor of the halves, rotated right by the top six bits
-            bits[start : start + m] = (x >> rot | x << (-rot & 63)) >> 11
-        u = bits.astype(np.float64).reshape(shape) * 2.0**-53
+        z = np.arange(self.drawn + 1, self.drawn + n + 1, dtype=np.uint64)
+        self.drawn += n
+        z *= 0x9E3779B97F4A7C15
+        z += self.key
+        _mix64(z)
+        z >>= 11
+        u = z.astype(np.float64).reshape(shape) * 2.0**-53
         low = np.asarray(low, dtype=np.float64)
         return low + (np.asarray(high, dtype=np.float64) - low) * u
 

@@ -395,10 +395,33 @@ CONNECTION_BOUNDS = ((-2.0, 0.2, 0.0), (2.0, 5.0, 2.0 * math.pi))
 SASAKI_BOUNDS = ((-2.0, 0.2, 0.0) + (-1.0,) * 6, (2.0, 5.0, 2.0 * math.pi) + (1.0,) * 6)
 
 
-class TestStream:
-    """``Stream`` against numpy's own ``default_rng(seed)`` as the reference."""
+M64 = 2**64 - 1
 
-    B = Stream.BLOCK
+
+def splitmix64_doubles(seed: int, start: int, n: int) -> list[float]:
+    """Doubles ``start + 1 .. start + n`` of ``Stream(seed)``, in Python ints:
+    SplitMix64's finaliser of ``key + k * 0x9E3779B97F4A7C15``, top 53 bits,
+    with each 64-bit word of the seed above the lowest mixed into the key."""
+
+    def mix64(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & M64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & M64
+        return z ^ z >> 31
+
+    key = seed & M64
+    for shift in range(64, seed.bit_length(), 64):
+        key = mix64(key ^ seed >> shift & M64)
+    return [(mix64(key + k * 0x9E3779B97F4A7C15 & M64) >> 11) * 2.0**-53 for k in range(start + 1, start + n + 1)]
+
+
+class TestStream:
+    """``Stream`` against the published SplitMix64 outputs and against
+    ``splitmix64_doubles``, a reference that shares no numpy code with it."""
+
+    def test_seed_zero_gives_the_published_splitmix64_outputs(self):
+        published = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        got = Stream(0).uniform(0.0, 1.0, 3)
+        assert got.tolist() == [(x >> 11) * 2.0**-53 for x in published]
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**32, 2**64 + 5, 2**128 + 17])
     @pytest.mark.parametrize(
@@ -407,24 +430,40 @@ class TestStream:
             [(0.0, 1.0, 7), (-1.0, 1.0, (400, 3)), (0.0, 2.0 * math.pi, (50, 3, 3)), (-1.0, 1.0, 0), (0.0, 1.0, 7)],
             [(*CONNECTION_BOUNDS, (400, 3)), (*SASAKI_BOUNDS, (50, 9)), (-1.0, 1.0, (50, 3, 3)), (*CONNECTION_BOUNDS, (0, 3))],
             [(*SASAKI_BOUNDS, (7, 9)), (0.0, 2.0 * math.pi, 7), (*CONNECTION_BOUNDS, (7, 3))],
-            # A draw takes at most Stream.BLOCK states from the jump table at a
-            # time: sizes at and across that boundary, one and several blocks long.
-            [(0.0, 1.0, B - 1), (0.0, 1.0, B), (0.0, 1.0, B + 1), (0.0, 1.0, 3 * B + 5), (0.0, 1.0, 2)],
-            [(*CONNECTION_BOUNDS, (B // 3 + 1, 3)), (*SASAKI_BOUNDS, (B // 9 + 2, 9)), (-1.0, 1.0, (B, 2, 3))],
+            # Sizes at and across 4096 doubles, one and several blocks long: a
+            # stream that drew by blocks would split its draws there.
+            [(0.0, 1.0, 4095), (0.0, 1.0, 4096), (0.0, 1.0, 4097), (0.0, 1.0, 3 * 4096 + 5), (0.0, 1.0, 2)],
+            [(*CONNECTION_BOUNDS, (1366, 3)), (*SASAKI_BOUNDS, (457, 9)), (-1.0, 1.0, (4096, 2, 3))],
             # Small draws, then one larger than all of them, then a small one.
-            [(0.0, 1.0, 1), (-1.0, 1.0, (7, 3)), (0.0, 1.0, 2 * B + B // 2), (0.0, 1.0, 3)],
-            # Empty draws leave the state where it was.
-            [(-1.0, 1.0, 0), (0.0, 1.0, 5), (*CONNECTION_BOUNDS, (0, 3)), (0.0, 1.0, (0,)), (-1.0, 1.0, B + 3)],
+            [(0.0, 1.0, 1), (-1.0, 1.0, (7, 3)), (0.0, 1.0, 2 * 4096 + 2048), (0.0, 1.0, 3)],
+            # Empty draws leave the stream where it was.
+            [(-1.0, 1.0, 0), (0.0, 1.0, 5), (*CONNECTION_BOUNDS, (0, 3)), (0.0, 1.0, (0,)), (-1.0, 1.0, 4099)],
         ],
         ids=["scalar-bounds", "column-bounds", "mixed", "block-boundaries", "column-bounds-across-blocks",
              "large-after-small", "empty-then-more"],
     )
-    def test_consecutive_draws_are_numpys_bit_for_bit(self, seed, calls):
-        stream, reference = Stream(seed), np.random.default_rng(seed)
+    def test_consecutive_draws_match_the_reference_bit_for_bit(self, seed, calls):
+        stream, drawn = Stream(seed), 0
         for low, high, size in calls:
-            got, want = stream.uniform(low, high, size), reference.uniform(low, high, size)
+            shape = (size,) if isinstance(size, int) else size
+            n = math.prod(shape)
+            u = np.array(splitmix64_doubles(seed, drawn, n), dtype=np.float64).reshape(shape)
+            drawn += n
+            low, high = np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
+            got, want = stream.uniform(low, high, size), low + (high - low) * u
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (seed, low, high, size)
+
+    def test_seeds_that_differ_above_bit_63_give_different_streams(self):
+        assert Stream(5).uniform(0.0, 1.0, 4).tobytes() != Stream(2**64 + 5).uniform(0.0, 1.0, 4).tobytes()
+
+    def test_draws_are_uniform(self):
+        """Pearson's chi-square over 64 equal bins of 2**16 draws at a fixed
+        seed, so the result never changes: 63 degrees of freedom, whose
+        statistic exceeds 120 with probability about 2e-5."""
+        counts = np.bincount(Stream(2026).uniform(0.0, 64.0, 2**16).astype(np.int64), minlength=64)
+        assert len(counts) == 64
+        assert ((counts - 1024.0) ** 2 / 1024.0).sum() < 120.0
 
 
 class TestConnectionSuite:
@@ -502,7 +541,7 @@ def curvature_rows_per_point(nu, samples, rng):
             count += 1
     if nu == 1.0:
         for k in range(samples):
-            a = rng.uniform(0.0, 2.0 * math.pi)
+            a = float(rng.uniform(0.0, 2.0 * math.pi, 1)[0])
             x = np.array([math.cos(a), math.sin(a), 0.0])
             k_h = sectional_curvature(x, apply_f(x), nu)
             add_row(rows, "curvature.holomorphic_sectional", f"hvec{k:03d}", -7.0, k_h)
@@ -514,7 +553,7 @@ def curvature_rows_per_point(nu, samples, rng):
 class TestCurvatureSuite:
     @pytest.mark.parametrize(
         "nu, samples, seed",
-        [(1.0, 12, 4), (-1.0, 12, 4), (2.5, 12, 4), (1.0, 1, 4), (-1.0, 1, 4), (2.5, 1, 4), (-1.0, 1, 0)],
+        [(1.0, 12, 4), (-1.0, 12, 4), (2.5, 12, 4), (1.0, 1, 4), (-1.0, 1, 4), (2.5, 1, 4), (-1.0, 1, 10)],
     )
     @pytest.mark.parametrize("stream", [np.random.default_rng, Stream], ids=["numpy", "Stream"])
     def test_batched_rows_match_a_per_point_loop(self, nu, samples, seed, stream):
@@ -522,7 +561,7 @@ class TestCurvatureSuite:
         it: the next draw, which the sasaki rows of --suite all take, is the
         same.  At nu = -1 the reference rejects some pairs, so the batched
         sampler must draw again for the planes its first batch missed."""
-        batched, reference = stream(seed), np.random.default_rng(seed)
+        batched, reference = stream(seed), stream(seed)
         rows = RowCollector()
         run_curvature(nu, samples, batched, rows)
         table, rejected = curvature_rows_per_point(nu, samples, reference)
@@ -1311,14 +1350,14 @@ class TestCommandLine:
 
 # stdout SHA-256 of fixed runs.
 GOLDEN_STDOUT = {
-    "--suite connection --nu -1 --samples 400 --seed 1": "21cb124ea3f56fa36b0e407b50d5dc34557a71bca2c7758863078ad11b804d65",
-    "--suite all --seed 42": "11166abd1f905172214a914cd66e015b876695b0265214d278b1e81c176a9905",
+    "--suite connection --nu -1 --samples 400 --seed 1": "97c51ded1219e8f00298affac1ab7fb2af08c583089890f7e2756a9c26f30993",
+    "--suite all --seed 42": "7b6348555f9c750e19f6fda72568105a4738f332a9cf75a680058cfe64392a33",
     "--report --suite family --family conoid(mu=0.7) --grid 64x64": "8147e1ecfa830b9694b121747f929799fb7d2d6b76e0b465364b4ec0846ec571",
     # The nu outside {1, -1} branches, which --suite all never runs.
     "--suite curvature --nu 2.5 --seed 3": "957643a0da5e844ff64b217b0d7c5098e16674b4c2c207745e14011be9a3cac8",
-    "--suite sasaki --nu -0.5 --seed 3": "da5e34b493aac19642e8515be583cee3e7976ea8b0a4574e3385ac255bf83d77",
+    "--suite sasaki --nu -0.5 --seed 3": "3ad3c836695250c7e572120b7d30cebbaa0a0d058dd9ed703b19394978d9e271",
     # The CSV writers, for check rows and for the --report table.
-    "--suite sasaki --nu -0.5 --seed 3 --format csv": "c93ca05f46d0aa4da9bea8e081a7d693e3d5db33a5d5a76f9da0d500c6c9be10",
+    "--suite sasaki --nu -0.5 --seed 3 --format csv": "032805a67e52344502617ef933c0b1fe58accd8d7602e3f2b165d6dd0b360f69",
     "--report --suite family --family conoid(mu=0.7) --grid 16x16 --format csv": (
         "2a83bdb15c3b96807dffd05178febd56ab91d54df8e056a686d3796b31c32bb8"
     ),

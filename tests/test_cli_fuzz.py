@@ -1,8 +1,8 @@
 """Property tests of the ``verify`` exit contract, with argv drawn from the
 flag grammar: each option spelled ``--name value`` or ``--name=value`` with a
 valid or malformed value, plus stray tokens, and the same argv again with
-``--out`` writing the report to a file; and of the JSON spelling of float
-columns, drawn by bit pattern."""
+``--out`` writing the report to a file; of the JSON spelling of float
+columns, drawn by bit pattern; and of the seeded stream's split draws."""
 
 import contextlib
 import csv
@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -153,6 +154,45 @@ def test_float_columns_render_as_json_dumps_of_their_values(columns, block):
         text = rendered(suites.render, {"nu": 1.0}, table, "json")
     rows = [dict(zip(table, values)) for values in zip(*(column.tolist() for column in table.values()))]
     assert text == json.dumps({"nu": 1.0, "rows": rows}, indent=2) + "\n"
+
+
+# Seeds at the edges of the 64-bit words that ``Stream`` builds its key from.
+EDGE_SEEDS = [0, 2**64 - 1, 2**64, 2**128 + 17]
+
+
+@st.composite
+def draw_sizes(draw):
+    """A ``size`` for ``uniform``: a count, or a shape of up to three small
+    axes (``()`` is one double, an axis of 0 none)."""
+    if draw(st.booleans()):
+        return draw(st.integers(0, 40))
+    return tuple(draw(st.lists(st.integers(0, 6), max_size=3)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**192)), st.lists(draw_sizes(), max_size=6))
+def test_split_draws_equal_one_draw(seed, sizes):
+    """Consecutive ``uniform`` calls of any sizes and shapes give, in C
+    order, the doubles of one call as long as all of them."""
+    with np.errstate(all="raise"):
+        stream = suites.Stream(seed)
+        parts = [stream.uniform(0.0, 1.0, size) for size in sizes]
+        whole = suites.Stream(seed).uniform(0.0, 1.0, sum(part.size for part in parts))
+    for part, size in zip(parts, sizes):
+        assert part.shape == ((size,) if isinstance(size, int) else size)
+    assert b"".join(part.tobytes() for part in parts) == whole.tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_draws_raise_nothing_where_numpy_errors_raise(seed):
+    """``cli.main`` runs under ``np.errstate`` with errors raised, and a
+    numpy scalar uint64 multiply that wraps would raise there: the stream's
+    arithmetic wraps on arrays, which raise nothing."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = suites.Stream(seed)
+        for low, high, size in [(0.0, 1.0, 5), ((-2.0, 0.2), (2.0, 5.0), (3, 2)), (-1.0, 1.0, 0)]:
+            stream.uniform(low, high, size)
 
 
 @SETTINGS
