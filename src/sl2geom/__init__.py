@@ -24,12 +24,12 @@ from .families import (
     HyperbolicCurve,
     ProfileFunction,
     affine_conoid,
+    chart_flow,
     complex_circle,
     conoid,
     constant_curvature_curve,
     geodesic,
     geodesic_curvature,
-    helicoidal_motion,
     hopf_cylinder,
     horocycle,
     hyperbolic_circle,

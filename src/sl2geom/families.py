@@ -35,6 +35,7 @@ cylinders over constant-curvature curves have mean curvature kappa / 2.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -361,7 +362,8 @@ def rk4_integrate(
 def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
     """Cylinder over a unit-speed base curve: chart (x(v), y(v), u).
 
-    Invariant under the right rotation action (u-translations).  The unit
+    Invariant under the right rotation action: u-translations move the
+    chart along d/dtheta, group (1, 0, 0, 1).  The unit
     normal is oriented along the lift of the rotated curve velocity, which
     keeps it continuous around closed base curves; for unit-speed curves of
     constant curvature kappa the mean curvature is then kappa / 2.
@@ -389,6 +391,7 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
         Domain(0.0, TWO_PI, c.v0, c.v1, periodic_u=True, periodic_v=c.periodic),
         jet2,
         orient=orient,
+        group=(1.0, 0.0, 0.0, 1.0),
     )
 
 
@@ -415,23 +418,23 @@ def conoid(
 
 def affine_conoid(mu: float, a: float = 0.0) -> Immersion:
     """Conoid with x(u) = mu u + a: the orbit surface of the pitch-mu
-    helicoidal motions, and the complete minimal conoid in g[1]."""
-    return conoid(
-        x=lambda u: mu * u + a,
-        xp=lambda u: mu,
-        xpp=lambda u: 0.0,
-    )
+    helicoidal motions, group (1, 0, mu, 1), and the complete minimal
+    conoid in g[1]."""
+    s = conoid(x=lambda u: mu * u + a, xp=lambda u: mu, xpp=lambda u: 0.0)
+    return dataclasses.replace(s, group=(1.0, 0.0, mu, 1.0))
 
 
-def helicoidal_motion(mu: float, t: float, g: GroupElement) -> GroupElement:
-    """The pitch-mu screw motion N(mu t) g K(t); a one-parameter group in t."""
-    return nilpotent_factor(mu * t) @ g @ rotation_factor(t)
+def chart_flow(kx: float, ktheta: float, t, g: GroupElement) -> GroupElement:
+    """N(kx t) g K(ktheta t), a one-parameter group in t: it moves the chart
+    point (x, y, theta) of g by t (kx, 0, ktheta).  The pitch-mu screw
+    motions are kx = mu, ktheta = 1."""
+    return nilpotent_factor(kx * t) @ g @ rotation_factor(ktheta * t)
 
 
 def lightcone_surface(profile: ProfileFunction) -> Immersion:
     """Surface from a positive profile over the null orbit: chart
-    (v, y(u), u) on v in [-1, 1], invariant under the left nilpotent action
-    (v-shifts).
+    (v, y(u), u) on v in [-1, 1], invariant under the left nilpotent action:
+    v-translations move the chart along d/dx, group (0, 1, 1, 0).
 
     The orientation hint e2 matches the closed-form normal, with
     s = y'/(2y),
@@ -455,6 +458,7 @@ def lightcone_surface(profile: ProfileFunction) -> Immersion:
         Domain(profile.u_lo, profile.u_hi, -1.0, 1.0),
         jet2,
         orient=lambda j: np.array([0.0, 1.0, 0.0]),
+        group=(0.0, 1.0, 1.0, 0.0),
     )
 
 

@@ -25,10 +25,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import families, gaussmap
-from .core import ChartPoint, chart_to_group, rotation_factor, nilpotent_factor
+from .core import ChartPoint, chart_to_group
 from .families import (
     HyperbolicCurve,
-    helicoidal_motion,
+    chart_flow,
     lightcone_mean_curvature,
     minimal_complex_circle_exponential,
     riccati_residual,
@@ -412,17 +412,15 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 class Family(NamedTuple):
     """What a family spec builds.  ``surface`` is None for the complex
-    circles, which live in the quadric.  ``rows(u, v, nu, pt)`` reads the
-    sample arrays u, v and ``pt``, the family's ``evaluate`` there, and
+    circles, which live in the quadric; its ``group``, when declared, is
+    what ``run_family``'s symmetry rows check.  ``rows(u, v, nu, pt)`` reads
+    the sample arrays u, v and ``pt``, the family's ``evaluate`` there, and
     returns its checks as columns (check_id, expected, computed), each value
-    one per point or a constant; ``symmetry(u, v, t)`` is the residual of
-    its one-parameter symmetry group at each of the points u, v, the largest
-    entrywise gap of the two group elements; ``gauss`` is the expected
-    (conformal, vertically harmonic, harmonic) classification, or None."""
+    one per point or a constant; ``gauss`` is the expected (conformal,
+    vertically harmonic, harmonic) classification, or None."""
 
     surface: Optional[Immersion]
     rows: Callable[[np.ndarray, np.ndarray, float, Optional[SurfacePointData]], list[tuple]]
-    symmetry: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     gauss: Optional[tuple[bool, bool, bool]] = None
 
 
@@ -468,11 +466,6 @@ def _variant(spec: FamilySpec, key: str, table: dict, default: str):
     return p, make(p)
 
 
-def _group_residual(lhs, rhs) -> np.ndarray:
-    """The largest entrywise gap of each pair of group elements."""
-    return np.abs(lhs.matrix - rhs.matrix).max((-2, -1))
-
-
 def _hopf_metric_gap(I, c: HyperbolicCurve, v, nu: float):
     """Max-norm gap between I and the display nu (du + beta dv)^2 + dv^2,
     beta = x'/(2y)."""
@@ -491,16 +484,12 @@ def hopf_cylinder(spec: FamilySpec) -> Family:
     def rows(u, v, nu, pt):
         return [
             ("family.hopf_induced_metric", 0.0, _hopf_metric_gap(pt.first, curve, v, nu)),
-            ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first)),
+            ("family.hopf_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, pt.first)),
             ("family.hopf_mean_curvature", curve.kappa / 2.0, pt.shape.mean_curvature),
         ]
 
-    def symmetry(u, v, t):
-        g = chart_to_group(s.chart(u, v))
-        return _group_residual(chart_to_group(s.chart(u + t, v)), g @ rotation_factor(t))
-
     minimal = curve.kappa == 0.0
-    return Family(s, rows, symmetry, (minimal, True, minimal))
+    return Family(s, rows, (minimal, True, minimal))
 
 
 def conoid(spec: FamilySpec) -> Family:
@@ -512,11 +501,7 @@ def conoid(spec: FamilySpec) -> Family:
     def rows(u, v, nu, pt):
         return [("family.conoid_minimal", 0.0, pt.shape.mean_curvature)]
 
-    def symmetry(u, v, t):
-        g = chart_to_group(s.chart(u, v))
-        return _group_residual(chart_to_group(s.chart(u + t, v)), helicoidal_motion(p["mu"], t, g))
-
-    return Family(s, rows, symmetry, (True, True, True) if p["mu"] == 0.0 else (True, False, False))
+    return Family(s, rows, (True, True, True) if p["mu"] == 0.0 else (True, False, False))
 
 
 def lightcone(spec: FamilySpec) -> Family:
@@ -533,7 +518,7 @@ def lightcone(spec: FamilySpec) -> Family:
         if nu == -1.0:
             checks += [
                 ("family.lightcone_H_one", 1.0, h),
-                ("family.lightcone_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, first=pt.first)),
+                ("family.lightcone_flat", 0.0, intrinsic_gauss_curvature(s, u, v, nu, pt.first)),
                 ("family.lightcone_repeated_curvatures", 0.0, pt.shape.discriminant),
             ]
             if p["profile"] == "umbilic":
@@ -545,11 +530,7 @@ def lightcone(spec: FamilySpec) -> Family:
             checks.append(("family.lightcone_minimal", 0.0, h))
         return checks
 
-    def symmetry(u, v, t):
-        g = chart_to_group(s.chart(u, v))
-        return _group_residual(chart_to_group(s.chart(u, v + t)), nilpotent_factor(t) @ g)
-
-    return Family(s, rows, symmetry)
+    return Family(s, rows)
 
 
 def complex_circle(spec: FamilySpec) -> Family:
@@ -617,14 +598,24 @@ def evaluate(fam: Family, grid: tuple[int, int], nu: float):
     return u, v, surface_shape(fam.surface, u, v, nu)
 
 
+def symmetry_residual(s: Immersion, u, v, t: float) -> np.ndarray:
+    """At each of the points u, v, the largest entrywise gap between the
+    surface moved by t along its declared group, g(u + t du, v + t dv), and
+    the chart flow N(kx t) g(u, v) K(ktheta t)."""
+    du, dv, kx, ktheta = s.group
+    moved = chart_to_group(s.chart(u + t * du, v + t * dv))
+    return np.abs(moved.matrix - chart_flow(kx, ktheta, t, chart_to_group(s.chart(u, v))).matrix).max((-2, -1))
+
+
 def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
-    """The family rows of a spec; returns the family and its surface sample."""
+    """The family rows of a spec, then the symmetry rows of a surface that
+    declares its group; returns the family and its surface sample."""
     fam = build_family(spec)
     u, v, pt = evaluate(fam, grid, nu)
     rows.add(_grid_locations(u, v), fam.rows(u, v, nu, pt))
-    if fam.symmetry is not None:
+    if fam.surface is not None and fam.surface.group is not None:
         step = max(1, u.size // 8)
-        residuals = fam.symmetry(u[::step], v[::step], 0.37)
+        residuals = symmetry_residual(fam.surface, u[::step], v[::step], 0.37)
         rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals)])
     return fam, pt
 
@@ -672,24 +663,19 @@ def run_gauss(spec: FamilySpec, fam: Family, sample: SurfacePointData, rows: Row
 # the "all" roster, run_suite, surface_report, serialization
 # ---------------------------------------------------------------------------
 
-ALL_ROSTER_FAMILIES = [
-    ("hopf_cylinder(curve=geodesic)", 1.0),
-    ("hopf_cylinder(curve=horocycle)", 1.0),
-    ("hopf_cylinder(curve=circle,kappa=3)", 1.0),
-    ("conoid(mu=0.3)", 1.0),
-    ("conoid(mu=1)", 1.0),
-    ("conoid(mu=2)", 1.0),
-    ("lightcone(profile=minimal,A=1,B=0)", 1.0),
-    ("lightcone(profile=umbilic,A=1,u0=0)", -1.0),
-    ("lightcone(profile=trig)", -1.0),
-    ("complex_circle(t=0.5)", -1.0),
-]
-
-ALL_ROSTER_GAUSS = [
-    "hopf_cylinder(curve=geodesic)",
-    "hopf_cylinder(curve=horocycle)",
-    "hopf_cylinder(curve=circle,kappa=3)",
-    "conoid(mu=1)",
+# The "all" run's (spec, nu, classify): the family rows of each at its nu,
+# then the gauss rows of each marked classify, read from the same sample.
+ALL_ROSTER = [
+    ("hopf_cylinder(curve=geodesic)", 1.0, True),
+    ("hopf_cylinder(curve=horocycle)", 1.0, True),
+    ("hopf_cylinder(curve=circle,kappa=3)", 1.0, True),
+    ("conoid(mu=0.3)", 1.0, False),
+    ("conoid(mu=1)", 1.0, True),
+    ("conoid(mu=2)", 1.0, False),
+    ("lightcone(profile=minimal,A=1,B=0)", 1.0, False),
+    ("lightcone(profile=umbilic,A=1,u0=0)", -1.0, False),
+    ("lightcone(profile=trig)", -1.0, False),
+    ("complex_circle(t=0.5)", -1.0, False),
 ]
 
 
@@ -724,9 +710,12 @@ def run_suite(cfg: SuiteConfig) -> dict:
             run_curvature(nu, cfg.samples, rng, rows)
             run_sasaki(nu, cfg.samples, rng, rows)
         grid = (min(cfg.grid[0], 12), min(cfg.grid[1], 12))
-        built = {text: run_family(parse_family_spec(text), nu, grid, rows) for text, nu in ALL_ROSTER_FAMILIES}
-        for spec_text in ALL_ROSTER_GAUSS:
-            run_gauss(parse_family_spec(spec_text), *built[spec_text], rows)
+        built = [
+            (text, classify, run_family(parse_family_spec(text), nu, grid, rows)) for text, nu, classify in ALL_ROSTER
+        ]
+        for text, classify, (fam, pt) in built:
+            if classify:
+                run_gauss(parse_family_spec(text), fam, pt, rows)
     return rows.table
 
 
@@ -748,7 +737,7 @@ def surface_report(cfg: SuiteConfig) -> dict:
         "H": sd.mean_curvature,
         "detS": sd.det_shape,
         "discriminant": sd.discriminant,
-        "K": intrinsic_gauss_curvature(fam.surface, u, v, cfg.nu, first=pt.first),
+        "K": intrinsic_gauss_curvature(fam.surface, u, v, cfg.nu, pt.first),
         "umbilic_defect": sd.umbilic_defect,
         "a": pt.normal[:, 0],
         "b": pt.normal[:, 1],

@@ -93,6 +93,10 @@ class Immersion:
     It is the only evaluation of the family: one call per ``jet`` or stencil.
     ``orient`` takes the evaluated ``SurfaceJet`` and returns frame vectors
     whose inner product fixes the sign of the unit normal along the surface.
+    ``group = (du, dv, kx, ktheta)`` declares the one-parameter group the
+    surface is an orbit of: the parameter step t (du, dv) moves its chart
+    point by t (kx, 0, ktheta), that is, g to N(kx t) g K(ktheta t)
+    (``families.chart_flow``); None when the family declares no group.
 
     It is the package's one dataclass, the other values being NamedTuples:
     ``perfbench/tracer.py`` wraps its callables through
@@ -102,6 +106,7 @@ class Immersion:
     domain: Domain
     jet2: Callable[[np.ndarray, np.ndarray], tuple]
     orient: Optional[Callable[["SurfaceJet"], np.ndarray]] = None
+    group: Optional[tuple[float, float, float, float]] = None
 
     def chart(self, u: float, v: float) -> ChartPoint:
         (x, y, th), *_ = self.jet2(u, v)
@@ -317,7 +322,7 @@ def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:
     return np.stack([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det], axis=-1)
 
 
-def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalForm | None = None) -> float:
+def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalForm) -> float:
     """Gauss curvature of the induced metric, independent of the second
     fundamental form, by central differences of (E, F, G) on a 3x3 stencil
     with steps h = 1e-4 times the domain spans, and the determinant formula
@@ -333,12 +338,13 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
              (G_u/2  F       G    ).
 
     Valid for any nondegenerate (also Lorentzian) induced 2-metric.  The
-    shifts +u, -u, +v, -v, ++, +-, -+, --, after the centre unless ``first``
-    (the first form at (u, v) when the caller has it) stands for it, are
-    stacked into one first-order ``jet2`` evaluation with the checks of
-    ``jet``; on an error they are evaluated again shift by shift, so that it
-    names the point a shift-by-shift pass stops at.  Every point must sit
-    at least 2h inside every non-periodic domain edge.
+    centre is ``first``, the first form at (u, v) from the caller's
+    evaluation there, so the probe never sees the second form.  The shifts
+    +u, -u, +v, -v, ++, +-, -+, -- are stacked into one first-order ``jet2``
+    evaluation with the checks of ``jet``; on an error they are evaluated
+    again shift by shift, so that it names the point a shift-by-shift pass
+    stops at.  Every point must sit at least 2h inside every non-periodic
+    domain edge.
     """
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -352,8 +358,6 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     )
 
     shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-    if first is None:
-        shifts = ((0, 0),) + shifts
     us = np.stack([u + i * hu for i, _ in shifts])
     vs = np.stack([v + k * hv for _, k in shifts])
     try:
@@ -363,9 +367,8 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
             _first_order(s, *block)
         raise
     efg = np.stack([g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)], axis=-1)
-    blocks = list(efg.reshape(us.shape + (3,)))
-    f0 = blocks.pop(0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
-    up, um, vp, vm, pp, pm, mp, mm = blocks
+    up, um, vp, vm, pp, pm, mp, mm = efg.reshape(us.shape + (3,))
+    f0 = np.stack([first.E, first.F, first.G], axis=-1)
     d_u = (up - um) / (2.0 * hu)
     d_v = (vp - vm) / (2.0 * hv)
     d_uu = (up - 2.0 * f0 + um) / (hu * hu)

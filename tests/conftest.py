@@ -8,7 +8,11 @@ import pytest
 import sl2geom
 from sl2geom.core import ChartPoint
 from sl2geom.gaussmap import grid_samples
+from sl2geom.suites import ALL_ROSTER
 from sl2geom.surface import surface_shape
+
+# The specs of the "all" roster whose sample the gauss suite classifies.
+CLASSIFIED = [spec for spec, _, classify in ALL_ROSTER if classify]
 
 
 def pytest_configure(config):

@@ -156,7 +156,7 @@ def test_criterion_05_cylinders_metric_flatness_mean_curvature():
                 beta = xp / (2.0 * y)
                 display = np.array([[1.0, beta], [beta, beta * beta + 1.0]])
                 worst_metric = max(worst_metric, float(np.abs(I.matrix - display).max()))
-                worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), float(v), 1.0)))
+                worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), float(v), 1.0, I)))
                 h = surface_shape(s, float(u), float(v), 1.0).shape.mean_curvature
                 worst_h = max(worst_h, abs(h - kappa / 2.0))
     ok = worst_metric < 1e-8 and worst_k < 1e-4 and worst_h < 1e-6
@@ -211,7 +211,7 @@ def test_criterion_07_lightcone_surfaces():
         pt = surface_shape(s, float(u), 0.1, -1.0)
         worst_h1 = max(worst_h1, abs(pt.shape.mean_curvature - 1.0))
         worst_d = max(worst_d, abs(pt.shape.discriminant))
-        worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), 0.1, -1.0)))
+        worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), 0.1, -1.0, pt.first)))
 
     worst_min = 0.0
     sm = lightcone_surface(minimal_profile(1.0, 0.0))

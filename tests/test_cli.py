@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from sl2geom import cli, families, gaussmap, metric, suites
-from conftest import rendered
+from conftest import CLASSIFIED, rendered
 from sl2geom.cli import main, read_config_file
 from sl2geom.core import ChartPoint
 from sl2geom.metric import (
@@ -28,8 +29,7 @@ from sl2geom.metric import (
     sectional_curvature,
 )
 from sl2geom.suites import (
-    ALL_ROSTER_FAMILIES,
-    ALL_ROSTER_GAUSS,
+    ALL_ROSTER,
     MAX_SAMPLES,
     TOLERANCES,
     Family,
@@ -166,10 +166,48 @@ class TestFamilySpecParsing:
 
 class TestFamilyRegistry:
     def test_every_roster_spec_builds(self):
-        for text in [spec for spec, _ in ALL_ROSTER_FAMILIES] + ALL_ROSTER_GAUSS:
+        for text, _, _ in ALL_ROSTER:
             assert isinstance(build_family(parse_family_spec(text)), Family)
-        for text in ALL_ROSTER_GAUSS:
-            assert build_family(parse_family_spec(text)).gauss is not None
+
+    def test_classified_roster_entries_are_at_nu_one_with_gauss_expectations(self):
+        """The all run classifies an entry's own sample, and the gauss suite
+        is defined at nu = 1 for families that declare expectations."""
+        assert CLASSIFIED
+        for text, nu, classify in ALL_ROSTER:
+            if classify:
+                assert nu == 1.0, text
+                assert build_family(parse_family_spec(text)).gauss is not None, text
+
+    # Per family, the builder of its surface and the index in
+    # ``Immersion.group`` of one nonzero component of its chart field.
+    SKEWED_FIELDS = [
+        ("hopf_cylinder", "hopf_cylinder", 3),
+        ("conoid", "affine_conoid", 2),
+        ("lightcone", "lightcone_surface", 2),
+    ]
+
+    @pytest.mark.parametrize("name,builder,index", SKEWED_FIELDS, ids=[case[0] for case in SKEWED_FIELDS])
+    def test_a_wrong_declared_field_fails_exactly_its_family_symmetry_rows(self, monkeypatch, name, builder, index):
+        true_builder = getattr(families, builder)
+
+        def skewed(*args, **kwargs):
+            s = true_builder(*args, **kwargs)
+            group = list(s.group)
+            group[index] *= 1.0 + 1e-6
+            return dataclasses.replace(s, group=tuple(group))
+
+        monkeypatch.setattr(families, builder, skewed)
+        failed = 0
+        for text, nu, _ in ALL_ROSTER:
+            spec, rows = parse_family_spec(text), RowCollector()
+            run_family(spec, nu, (12, 12), rows)
+            for check_id, passed in row_tuples(rows.table, "check_id", "passed"):
+                skewed_row = spec.name == name and check_id == "family.symmetry_invariance"
+                assert passed != skewed_row, (text, check_id)
+                failed += skewed_row
+        assert failed >= 8
+        rows = row_tuples(run_suite(SuiteConfig(suite="all", seed=42)), "check_id", "passed")
+        assert [row_id for row_id, passed in rows if not passed] == ["family.symmetry_invariance"] * failed
 
     def test_base_curve_is_built_once_per_spec(self, monkeypatch):
         calls = []
@@ -333,10 +371,10 @@ class TestRowCollector:
         that builds one row at a time gives."""
         rows = RecordingCollector(tol)
         if run == "gauss":
-            for spec in ALL_ROSTER_GAUSS:
+            for spec in CLASSIFIED:
                 run_gauss(*gauss_sample(spec, (5, 4)), rows)
             masks = [where for _, _, where in rows.calls if where is not None]
-            assert len(masks) == len(ALL_ROSTER_GAUSS) and all(mask.any() and not mask.all() for mask in masks)
+            assert len(masks) == len(CLASSIFIED) and all(mask.any() and not mask.all() for mask in masks)
         elif run == "curvature":
             for nu in (1.0, -1.0):
                 run_curvature(nu, 6, Stream(4), rows)
@@ -597,7 +635,7 @@ class TestSasakiSuite:
 
 
 class TestGaussSuite:
-    @pytest.mark.parametrize("spec", ALL_ROSTER_GAUSS + ["hopf_cylinder(curve=hypercycle,kappa=1)"])
+    @pytest.mark.parametrize("spec", CLASSIFIED + ["hopf_cylinder(curve=hypercycle,kappa=1)"])
     def test_closed_form_rows_match_a_per_point_loop(self, spec):
         rows = RowCollector()
         run_gauss(*gauss_sample(spec, (6, 6)), rows)
@@ -630,18 +668,17 @@ class TestGaussSuite:
             calls.append(args)
             return original(*args)
 
-        samples = [gauss_sample(spec, (4, 4)) for spec in ALL_ROSTER_GAUSS]
+        samples = [gauss_sample(spec, (4, 4)) for spec in CLASSIFIED]
         monkeypatch.setattr(suites, "surface_shape", counting)
         for args in samples:
             run_gauss(*args, RowCollector())
-        assert len(calls) == len(ALL_ROSTER_GAUSS)
+        assert len(calls) == len(CLASSIFIED)
 
     def test_the_all_run_evaluates_each_family_grid_and_nu_once(self, monkeypatch):
         """Each gauss family of the all run is one of its families at nu = 1,
         whose build and 12x12 sample the classification reads: 13 surface
         evaluations, 9 on 12x12 grids and 4 closed-form blocks on 4x4, and
         10 builds."""
-        assert all((spec, 1.0) in ALL_ROSTER_FAMILIES for spec in ALL_ROSTER_GAUSS)
         points, builds = [], []
 
         def counting_shape(original):
@@ -660,7 +697,7 @@ class TestGaussSuite:
         monkeypatch.setattr(suites, "build_family", counting_build)
         assert rows_passed(run_suite(SuiteConfig(suite="all", seed=42)))
         assert sorted(points) == [16] * 4 + [144] * 9
-        assert len(builds) == len(ALL_ROSTER_FAMILIES) == 10
+        assert len(builds) == len(ALL_ROSTER) == 10
 
     @pytest.mark.parametrize(
         "nu, spec, message",

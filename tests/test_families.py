@@ -5,6 +5,7 @@ import pytest
 
 from conftest import assert_one_point_views
 from sl2geom.core import (
+    ChartPoint,
     GroupElement,
     chart_to_group,
     nilpotent_factor,
@@ -13,13 +14,13 @@ from sl2geom.core import (
 from sl2geom.families import (
     HyperbolicCurve,
     affine_conoid,
+    chart_flow,
     complex_circle,
     conoid,
     constant_curvature_curve,
     curve_speed_residual,
     geodesic,
     geodesic_curvature,
-    helicoidal_motion,
     hopf_cylinder,
     horocycle,
     hyperbolic_circle,
@@ -36,7 +37,15 @@ from sl2geom.families import (
     umbilic_profile,
 )
 from sl2geom.gaussmap import grid_samples
-from sl2geom.suites import ALL_ROSTER_FAMILIES, SuiteConfig, build_family, parse_family_spec, rows_passed, run_suite
+from sl2geom.suites import (
+    ALL_ROSTER,
+    SuiteConfig,
+    build_family,
+    parse_family_spec,
+    rows_passed,
+    run_suite,
+    symmetry_residual,
+)
 from sl2geom.surface import jet, surface_shape
 
 
@@ -193,14 +202,14 @@ class TestConoid:
         s = affine_conoid(mu, a=a)
         for (u, v) in ((0.7, 0.9), (-1.1, 2.0)):
             seed = nilpotent_factor(a) @ GroupElement(math.sqrt(v), 0.0, 0.0, 1.0 / math.sqrt(v))
-            orbit = helicoidal_motion(mu, u, seed)
+            orbit = chart_flow(mu, 1.0, u, seed)
             assert np.abs(chart_to_group(s.chart(u, v)).matrix - orbit.matrix).max() < 1e-12
 
     def test_screw_invariance_of_image(self):
         mu = 0.8
         s = affine_conoid(mu)
         for (u, v, t) in ((0.2, 0.7, 1.1), (-0.9, 2.2, -0.6)):
-            moved = helicoidal_motion(mu, t, chart_to_group(s.chart(u, v)))
+            moved = chart_flow(mu, 1.0, t, chart_to_group(s.chart(u, v)))
             target = chart_to_group(s.chart(u + t, v))
             assert np.abs(moved.matrix - target.matrix).max() < 1e-9
 
@@ -222,24 +231,39 @@ class TestConoid:
             jet(s, 0.3, -0.5, 1.0)
 
 
-class TestHelicoidalMotion:
-    def test_zero_is_identity(self, rng):
+# (kx, ktheta) of the chart flows: a screw motion, the right rotations
+# (kx = 0) and the left nilpotent action (ktheta = 0).
+FLOWS = [(0.7, 1.0), (0.0, 1.0), (1.0, 0.0), (-1.3, 0.4)]
+
+
+class TestChartFlow:
+    @pytest.mark.parametrize("kx,ktheta", FLOWS)
+    def test_zero_is_identity(self, rng, kx, ktheta):
         from conftest import random_point
 
         g = chart_to_group(random_point(rng))
-        moved = helicoidal_motion(0.7, 0.0, g)
+        moved = chart_flow(kx, ktheta, 0.0, g)
         assert np.abs(moved.matrix - g.matrix).max() < 1e-15
 
-    def test_one_parameter_group_law(self, rng):
+    @pytest.mark.parametrize("kx,ktheta", FLOWS)
+    def test_one_parameter_group_law(self, rng, kx, ktheta):
         from conftest import random_point
 
         for _ in range(100):
-            mu = float(rng.uniform(-2.0, 2.0))
             t, s = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))
             g = chart_to_group(random_point(rng))
-            once = helicoidal_motion(mu, t, helicoidal_motion(mu, s, g))
-            direct = helicoidal_motion(mu, t + s, g)
+            once = chart_flow(kx, ktheta, t, chart_flow(kx, ktheta, s, g))
+            direct = chart_flow(kx, ktheta, t + s, g)
             assert np.abs(once.matrix - direct.matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("kx,ktheta", FLOWS)
+    def test_translates_the_chart(self, rng, kx, ktheta):
+        from conftest import random_point
+
+        for _ in range(20):
+            p, t = random_point(rng), float(rng.uniform(-2.0, 2.0))
+            moved = chart_to_group(ChartPoint(p.x + kx * t, p.y, p.theta + ktheta * t))
+            assert np.abs(chart_flow(kx, ktheta, t, chart_to_group(p)).matrix - moved.matrix).max() < 1e-12
 
 
 class TestLightconeSurface:
@@ -416,9 +440,35 @@ class TestComplexCircle:
                 assert abs(phi(u, v).quadric_residual()) < 1e-12
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in ALL_ROSTER_FAMILIES if not spec.startswith("complex_circle")])
+ROSTER_SURFACES = [spec for spec, _, _ in ALL_ROSTER if not spec.startswith("complex_circle")]
+
+
+@pytest.mark.parametrize("spec", ROSTER_SURFACES)
 def test_symmetry_residuals_of_an_array_call_are_its_one_point_calls(spec):
     # run_family passes its eight symmetry points as arrays, in one call.
-    fam = build_family(parse_family_spec(spec))
-    u, v = grid_samples(fam.surface, 12, 12)
-    assert_one_point_views(lambda u, v: fam.symmetry(u, v, 0.37), u[::18], v[::18])
+    s = build_family(parse_family_spec(spec)).surface
+    u, v = grid_samples(s, 12, 12)
+    assert_one_point_views(lambda u, v: symmetry_residual(s, u, v, 0.37), u[::18], v[::18])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ROSTER_SURFACES
+    + [
+        "conoid(mu=-2.5,a=0.7)",
+        "conoid(mu=0,a=-1.2)",
+        "hopf_cylinder(curve=hypercycle,kappa=-1.5)",
+        "hopf_cylinder(curve=circle,kappa=5)",
+        "lightcone(profile=umbilic,A=2,u0=0.3)",
+    ],
+)
+def test_declared_group_is_the_chart_tangent_along_its_step(spec):
+    """The parameter step (du, dv) of ``Immersion.group`` moves the chart by
+    the declared field: du (x_u, y_u, th_u) + dv (x_v, y_v, th_v) from
+    ``jet2`` is exactly (kx, 0, ktheta) at every grid point."""
+    s = build_family(parse_family_spec(spec)).surface
+    du, dv, kx, ktheta = s.group
+    u, v = grid_samples(s, 12, 12)
+    _, tangent_u, tangent_v, *_ = s.jet2(u, v)
+    for along_u, along_v, want in zip(tangent_u, tangent_v, (kx, 0.0, ktheta)):
+        assert np.array_equal(np.broadcast_to(du * along_u + dv * along_v, u.shape), np.full(u.shape, want)), spec

@@ -25,9 +25,9 @@ from sl2geom import gaussmap
 from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution
 from sl2geom.gaussmap import grid_samples
 from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame, sectional_curvature
+from conftest import CLASSIFIED
 from sl2geom.suites import (
-    ALL_ROSTER_FAMILIES,
-    ALL_ROSTER_GAUSS,
+    ALL_ROSTER,
     SuiteConfig,
     build_family,
     parse_family_spec,
@@ -194,12 +194,7 @@ class TestJet:
             assert calls["jet2"] == 1
             points.clear()
             calls.clear()
-            intrinsic_gauss_curvature(s, u, v, 1.0)
-            assert points == {"jet2": 9 * size, "curve.jet": 9 * size}
-            assert calls["jet2"] == 1
-            points.clear()
-            calls.clear()
-            intrinsic_gauss_curvature(s, u, v, 1.0, first=pt.first)  # the centre is the shape's jet
+            intrinsic_gauss_curvature(s, u, v, 1.0, pt.first)  # the centre is the shape's jet
             assert points == {"jet2": 8 * size, "curve.jet": 8 * size}
             assert calls["jet2"] == 1
 
@@ -227,7 +222,7 @@ class TestJet:
         assert calls == {"jet2": 2}
 
 
-ROSTER_SURFACES = [(spec, nu) for spec, nu in ALL_ROSTER_FAMILIES if not spec.startswith("complex_circle")]
+ROSTER_SURFACES = [(spec, nu) for spec, nu, _ in ALL_ROSTER if not spec.startswith("complex_circle")]
 
 
 class TestBatchPath:
@@ -236,17 +231,16 @@ class TestBatchPath:
         s = build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 6, 6)
         pt = surface_shape(s, us, vs, nu)
-        k_batch = intrinsic_gauss_curvature(s, us, vs, nu, first=pt.first)
-        assert np.array_equal(k_batch, intrinsic_gauss_curvature(s, us, vs, nu))
+        k_batch = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
             one = surface_shape(s, u, v, nu)
             assert one.shape.mean_curvature == pt.shape.mean_curvature[i]
             assert one.shape.det_shape == pt.shape.det_shape[i]
             assert np.array_equal(one.normal, pt.normal[i])
             assert (one.first.E, one.first.F, one.first.G) == (pt.first.E[i], pt.first.F[i], pt.first.G[i])
-            assert intrinsic_gauss_curvature(s, u, v, nu) == k_batch[i]
+            assert intrinsic_gauss_curvature(s, u, v, nu, one.first) == k_batch[i]
 
-    @pytest.mark.parametrize("spec", ALL_ROSTER_GAUSS + ["hopf_cylinder(curve=hypercycle,kappa=1)", "conoid(mu=0.3)"])
+    @pytest.mark.parametrize("spec", CLASSIFIED + ["hopf_cylinder(curve=hypercycle,kappa=1)", "conoid(mu=0.3)"])
     def test_closed_form_helpers_batch_equals_one_point_bitwise(self, spec):
         s = build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 5, 5)
@@ -307,7 +301,7 @@ class TestBatchPath:
         u = np.array([0.0, s.domain.u0, 0.5])
         v = np.array([0.1, 0.25, 0.3])
         with pytest.raises(ValueError, match=rf"within 2h of the domain boundary at \({s.domain.u0!r}, 0\.25\)"):
-            intrinsic_gauss_curvature(s, u, v, -1.0)
+            intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet(s, u, v, -1.0)))
 
 
 class TestFirstForm:
@@ -486,12 +480,12 @@ class TestIntrinsicCurvature:
             s = hopf_cylinder(curve)
             for nu in (1.0, -1.0):
                 for (u, v) in interior_points(s, n=3):
-                    assert abs(intrinsic_gauss_curvature(s, u, v, nu)) < 1e-4
+                    assert abs(intrinsic_gauss_curvature(s, u, v, nu, first_form(jet(s, u, v, nu)))) < 1e-4
 
     def test_lightcone_lorentzian_flat(self):
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
         for (u, v) in interior_points(s, n=3):
-            assert abs(intrinsic_gauss_curvature(s, u, v, -1.0)) < 1e-4
+            assert abs(intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet(s, u, v, -1.0)))) < 1e-4
 
     def test_gauss_equation_in_constant_curvature(self):
         # K = det S - 1 for every surface of the nu = -1 ambient.
@@ -503,14 +497,14 @@ class TestIntrinsicCurvature:
         ):
             s = builder()
             for (u, v) in interior_points(s, n=3):
-                k = intrinsic_gauss_curvature(s, u, v, -1.0)
-                det_s = surface_shape(s, u, v, -1.0).shape.det_shape
-                assert abs(k - (det_s - 1.0)) < 2e-4
+                pt = surface_shape(s, u, v, -1.0)
+                k = intrinsic_gauss_curvature(s, u, v, -1.0, pt.first)
+                assert abs(k - (pt.shape.det_shape - 1.0)) < 2e-4
 
     def test_boundary_margin_enforced(self):
         s = lightcone_surface(umbilic_profile(1.0, 0.0))
         with pytest.raises(ValueError):
-            intrinsic_gauss_curvature(s, s.domain.u0, 0.0, -1.0)
+            intrinsic_gauss_curvature(s, s.domain.u0, 0.0, -1.0, first_form(jet(s, s.domain.u0, 0.0, -1.0)))
 
     @pytest.mark.parametrize("mu", [0.3, 0.7, 2.0])
     def test_gauss_equation_at_nu_one(self, mu):
@@ -520,16 +514,16 @@ class TestIntrinsicCurvature:
         s = families.affine_conoid(mu=mu)
         us, vs = grid_samples(s, 16, 16)
         pt = surface_shape(s, us, vs, 1.0)
-        k = intrinsic_gauss_curvature(s, us, vs, 1.0, first=pt.first)
+        k = intrinsic_gauss_curvature(s, us, vs, 1.0, pt.first)
         k_sec = sectional_curvature(pt.jet.phi_u, pt.jet.phi_v, 1.0)
         assert np.abs(k - (k_sec + pt.shape.det_shape)).max() < 1e-4
 
 
-def per_shift_gauss_curvature(s, u, v, nu, first=None):
-    """The Brioschi probe as one ``jet`` call per stencil shift, the centre
-    first unless ``first`` stands for it, then +u, -u, +v, -v, ++, +-, -+,
-    --: the reference that the one-pass stencil must match bit for bit and
-    error for error."""
+def per_shift_gauss_curvature(s, u, v, nu, first):
+    """The Brioschi probe with the centre's first form ``first`` and one
+    ``jet`` call per stencil shift, +u, -u, +v, -v, ++, +-, -+, --: the
+    reference that the one-pass stencil must match bit for bit and error
+    for error."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     hu = 1e-4 * s.domain.span_u
     hv = 1e-4 * s.domain.span_v
@@ -538,7 +532,7 @@ def per_shift_gauss_curvature(s, u, v, nu, first=None):
         I = first_form(jet(s, u + i * hu, v + k * hv, nu))
         return np.stack([I.E, I.F, I.G], axis=-1)
 
-    f0 = efg(0, 0) if first is None else np.stack([first.E, first.F, first.G], axis=-1)
+    f0 = np.stack([first.E, first.F, first.G], axis=-1)
     up, um, vp, vm = efg(1, 0), efg(-1, 0), efg(0, 1), efg(0, -1)
     d_u = (up - um) / (2.0 * hu)
     d_v = (vp - vm) / (2.0 * hv)
@@ -627,28 +621,25 @@ class TestOnePassStencil:
         s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 6, 6)
         pt = surface_shape(s, us, vs, nu)
-        for first in (None, pt.first):
-            k = intrinsic_gauss_curvature(s, us, vs, nu, first=first)
-            assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, first=first).tobytes()
+        k = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
+        assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, pt.first).tobytes()
         for u, v in zip(us[::5].tolist(), vs[::5].tolist()):
             one = surface_shape(s, u, v, nu)
-            for first in (None, one.first):
-                k = intrinsic_gauss_curvature(s, u, v, nu, first=first)
-                assert k.tobytes() == per_shift_gauss_curvature(s, u, v, nu, first=first).tobytes()
+            k = intrinsic_gauss_curvature(s, u, v, nu, one.first)
+            assert k.tobytes() == per_shift_gauss_curvature(s, u, v, nu, one.first).tobytes()
 
     @pytest.mark.parametrize("name,s,point,message", BAD_STENCILS, ids=[case[0] for case in BAD_STENCILS])
     @pytest.mark.parametrize("batch", [False, True])
-    @pytest.mark.parametrize("with_first", [False, True])
-    def test_errors_name_the_per_shift_point(self, name, s, point, message, batch, with_first):
+    def test_errors_name_the_per_shift_point(self, name, s, point, message, batch):
         u, v = point
         if batch:  # the bad point behind a good one
             u, v = np.array([0.3, u]), np.array([0.3, v])
-        first = first_form(jet(s, u, v, 1.0)) if with_first else None
+        first = first_form(jet(s, u, v, 1.0))
         with pytest.raises(ValueError) as expected:
-            per_shift_gauss_curvature(s, u, v, 1.0, first=first)
+            per_shift_gauss_curvature(s, u, v, 1.0, first)
         assert message in str(expected.value)
         with pytest.raises(ValueError) as raised:
-            intrinsic_gauss_curvature(s, u, v, 1.0, first=first)
+            intrinsic_gauss_curvature(s, u, v, 1.0, first)
         assert str(raised.value) == str(expected.value)
 
 
