@@ -36,6 +36,9 @@ from .core import ChartPoint
 from .metric import _require_nu, connect_constant, coordinate_to_frame, g_frame
 
 RANK_TOL = 1e-10
+# Points per stencil slice: a (4096, 3) float64 temporary is 96 KiB, under glibc's
+# default 128 KiB mmap threshold, so the slices reuse heap memory, not new pages.
+STENCIL_BLOCK = 4096
 TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this: degenerate plane or null normal
 
 
@@ -90,7 +93,7 @@ class Immersion:
         (x_uu, y_uu, th_uu), (x_uv, y_uv, th_uv), (x_vv, y_vv, th_vv),
 
     whose components broadcast against u (a constant may stay a scalar).
-    It is the only evaluation of the family: one call per ``jet`` or stencil.
+    It is the family's only evaluation: one call per ``jet`` or stencil slice.
     ``orient`` takes the evaluated ``SurfaceJet`` and returns frame vectors
     whose inner product fixes the sign of the unit normal along the surface.
     ``group = (du, dv, kx, ktheta)`` declares the one-parameter group the
@@ -340,11 +343,11 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     Valid for any nondegenerate (also Lorentzian) induced 2-metric.  The
     centre is ``first``, the first form at (u, v) from the caller's
     evaluation there, so the probe never sees the second form.  The shifts
-    +u, -u, +v, -v, ++, +-, -+, -- are stacked into one first-order ``jet2``
-    evaluation with the checks of ``jet``; on an error they are evaluated
-    again shift by shift, so that it names the point a shift-by-shift pass
-    stops at.  Every point must sit at least 2h inside every non-periodic
-    domain edge.
+    +u, -u, +v, -v, ++, +-, -+, -- are stacked and evaluated in slices of
+    at most ``STENCIL_BLOCK`` points, one first-order ``jet2`` call with the
+    checks of ``jet`` each; on an error they are evaluated again shift by
+    shift, so that it names the point a shift-by-shift pass stops at.
+    Every point must sit at least 2h inside every non-periodic domain edge.
     """
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -360,14 +363,17 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
     us = np.stack([u + i * hu for i, _ in shifts])
     vs = np.stack([v + k * hv for _, k in shifts])
+    efg = np.empty(us.shape + (3,))
     try:
-        fu, fv = _first_order(s, us.ravel(), vs.ravel())[3:5]
+        for i in range(0, us.size, STENCIL_BLOCK):
+            block = slice(i, i + STENCIL_BLOCK)
+            fu, fv = _first_order(s, us.ravel()[block], vs.ravel()[block])[3:5]
+            efg.reshape(-1, 3)[block] = np.stack([g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)], -1)
     except ValueError:
-        for block in zip(us, vs):
-            _first_order(s, *block)
+        for shift in zip(us, vs):
+            _first_order(s, *shift)
         raise
-    efg = np.stack([g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)], axis=-1)
-    up, um, vp, vm, pp, pm, mp, mm = efg.reshape(us.shape + (3,))
+    up, um, vp, vm, pp, pm, mp, mm = efg
     f0 = np.stack([first.E, first.F, first.G], axis=-1)
     d_u = (up - um) / (2.0 * hu)
     d_v = (vp - vm) / (2.0 * hv)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sl2geom.families import (
     trig_profile,
     umbilic_profile,
 )
-from sl2geom import gaussmap
+from sl2geom import gaussmap, surface
 from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution
 from sl2geom.gaussmap import grid_samples
 from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame, sectional_curvature
@@ -160,7 +161,8 @@ class TestJet:
     def test_family_and_base_curve_are_evaluated_once_per_point(self):
         # Counts evaluated points (array elements), a scalar call being one
         # point and a call over n points n, and the jet2 calls: every
-        # function here evaluates jet2 once, the probe over all its shifts.
+        # function here evaluates jet2 once, the probe over all its shifts,
+        # which for so few points are one stencil slice.
         points, calls = collections.Counter(), collections.Counter()
 
         def counted(name, fn, size):
@@ -201,25 +203,56 @@ class TestJet:
     def test_report_evaluates_nine_points_per_row(self, monkeypatch):
         # One shape jet per row plus the eight off-centre stencil shifts, in
         # two jet2 calls: the shape's and the stencil's.
-        points, calls = collections.Counter(), collections.Counter()
-        original = families.affine_conoid
-
-        def counting_conoid(**kwargs):
-            s = original(**kwargs)
-
-            def jet2(u, v):
-                points["jet2"] += np.broadcast(u, v).size
-                calls["jet2"] += 1
-                return s.jet2(u, v)
-
-            return dataclasses.replace(s, jet2=jet2)
-
-        monkeypatch.setattr(families, "affine_conoid", counting_conoid)
         n_u, n_v = 5, 4
-        cfg = SuiteConfig(suite="family", family="conoid(mu=1)", grid=(n_u, n_v), report=True)
-        assert len(surface_report(cfg)["u"]) == n_u * n_v
-        assert points == {"jet2": 9 * n_u * n_v}
-        assert calls == {"jet2": 2}
+        assert report_jet2_sizes(monkeypatch, (n_u, n_v)) == [n_u * n_v, 8 * n_u * n_v]
+
+    @pytest.mark.parametrize("grid,block", [((24, 24), None), ((5, 4), 64)])
+    def test_report_above_the_block_evaluates_the_stencil_in_slices(self, monkeypatch, grid, block):
+        # The shape jet in one call, then the 8N stencil points in slices of
+        # at most STENCIL_BLOCK: 24x24 is the smallest square grid whose
+        # stencil exceeds the unpatched block.
+        if block is not None:
+            monkeypatch.setattr(surface, "STENCIL_BLOCK", block)
+        n = grid[0] * grid[1]
+        assert 8 * n > surface.STENCIL_BLOCK
+        sizes = report_jet2_sizes(monkeypatch, grid)
+        assert sum(sizes) == 9 * n
+        assert len(sizes) == 1 + math.ceil(8 * n / surface.STENCIL_BLOCK)
+        assert sizes[0] == n
+        assert max(sizes[1:]) <= surface.STENCIL_BLOCK
+
+    def test_report_peak_memory_at_256x256(self):
+        # The whole-grid stencil traced at 84.5 MiB on this report; slices
+        # of STENCIL_BLOCK points bring it to about 61 MiB.
+        cfg = SuiteConfig(suite="family", family="conoid(mu=0.7)", grid=(256, 256), report=True)
+        tracemalloc.start()
+        try:
+            surface_report(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
+
+
+def report_jet2_sizes(monkeypatch, grid):
+    """The number of points of each jet2 call, in order, of a
+    ``conoid(mu=1)`` report on ``grid``."""
+    sizes = []
+    original = families.affine_conoid
+
+    def counting_conoid(**kwargs):
+        s = original(**kwargs)
+
+        def jet2(u, v):
+            sizes.append(np.broadcast(u, v).size)
+            return s.jet2(u, v)
+
+        return dataclasses.replace(s, jet2=jet2)
+
+    monkeypatch.setattr(families, "affine_conoid", counting_conoid)
+    cfg = SuiteConfig(suite="family", family="conoid(mu=1)", grid=grid, report=True)
+    assert len(surface_report(cfg)["u"]) == grid[0] * grid[1]
+    return sizes
 
 
 ROSTER_SURFACES = [(spec, nu) for spec, nu, _ in ALL_ROSTER if not spec.startswith("complex_circle")]
@@ -522,7 +555,7 @@ class TestIntrinsicCurvature:
 def per_shift_gauss_curvature(s, u, v, nu, first):
     """The Brioschi probe with the centre's first form ``first`` and one
     ``jet`` call per stencil shift, +u, -u, +v, -v, ++, +-, -+, --: the
-    reference that the one-pass stencil must match bit for bit and error
+    reference that the sliced stencil must match bit for bit and error
     for error."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     hu = 1e-4 * s.domain.span_u
@@ -612,12 +645,17 @@ BAD_STENCILS = [
 ]
 
 
-class TestOnePassStencil:
+class TestSlicedStencil:
+    # Blocks of 8, 24 and 40 points put slice edges inside the shifts of a
+    # 6x6 grid (36 points a shift); None keeps STENCIL_BLOCK, one slice.
+    @pytest.mark.parametrize("block", [None, 8, 24, 40])
     @pytest.mark.parametrize(
         "spec,nu",
         ROSTER_SURFACES + [("conoid(mu=0.7)", 1.0), ("conoid(mu=0.7)", -1.0), ("generic", 1.0), ("generic", -1.0)],
     )
-    def test_matches_per_shift_reference_bitwise(self, spec, nu):
+    def test_matches_per_shift_reference_bitwise(self, monkeypatch, spec, nu, block):
+        if block is not None:
+            monkeypatch.setattr(surface, "STENCIL_BLOCK", block)
         s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 6, 6)
         pt = surface_shape(s, us, vs, nu)
@@ -638,6 +676,53 @@ class TestOnePassStencil:
         with pytest.raises(ValueError) as expected:
             per_shift_gauss_curvature(s, u, v, 1.0, first)
         assert message in str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            intrinsic_gauss_curvature(s, u, v, 1.0, first)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0])
+    @pytest.mark.parametrize("spec,grid", [("conoid(mu=0.7)", (24, 24)), ("generic", (36, 32))])
+    def test_grid_above_the_block_matches_per_shift_reference_bitwise(self, spec, grid, nu):
+        # Unpatched slices: the second starts inside the last shift of the
+        # 24x24 conoid, whose F vanishes there, and inside the -v shift of
+        # the 36x32 generic chart, whose E, F and G all enter K.
+        s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
+        us, vs = grid_samples(s, *grid)
+        assert us.size < surface.STENCIL_BLOCK < 8 * us.size
+        pt = surface_shape(s, us, vs, nu)
+        k = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
+        assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, pt.first).tobytes()
+
+    @pytest.mark.parametrize("name,s,point,message", BAD_STENCILS, ids=[case[0] for case in BAD_STENCILS])
+    @pytest.mark.parametrize("good", [5, 9])
+    def test_errors_in_a_later_slice_name_the_per_shift_point(self, monkeypatch, name, s, point, message, good):
+        # Slices of 8 points; the bad point behind `good` good ones, so that
+        # with 9 its first failing shift point sits in the second slice and
+        # the height or jet2 failure of its later shifts in later slices.
+        monkeypatch.setattr(surface, "STENCIL_BLOCK", 8)
+        u = np.append(np.linspace(0.2, 0.3, good), point[0])
+        v = np.append(np.linspace(0.3, 0.2, good), point[1])
+        first = first_form(jet(s, u, v, 1.0))
+        with pytest.raises(ValueError) as expected:
+            per_shift_gauss_curvature(s, u, v, 1.0, first)
+        assert message in str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            intrinsic_gauss_curvature(s, u, v, 1.0, first)
+        assert str(raised.value) == str(expected.value)
+
+    def test_a_failing_shift_across_slices_is_retried_whole(self, monkeypatch):
+        # In the +v shift (stencil points 20-29 of 10) the first point is
+        # rank-deficient in the slice of points 16-23 and the last sinks
+        # below y = 0 in the next; the shift-by-shift pass checks the height
+        # of the whole shift first, so it names the last point, which the
+        # first failing slice alone would not.
+        monkeypatch.setattr(surface, "STENCIL_BLOCK", 8)
+        s = bent_chart(y_floor=0.5)
+        u = np.concatenate([[0.5], np.linspace(0.2, 0.3, 8), [0.3]])
+        v = np.concatenate([[0.2], np.linspace(0.3, 0.2, 8), [0.5 - 0.5 * H]])
+        first = FundamentalForm(np.ones(10), np.zeros(10), np.ones(10))  # the probe never evaluates the centre
+        with pytest.raises(ValueError, match=r"y must be positive at \(0\.3, ") as expected:
+            per_shift_gauss_curvature(s, u, v, 1.0, first)
         with pytest.raises(ValueError) as raised:
             intrinsic_gauss_curvature(s, u, v, 1.0, first)
         assert str(raised.value) == str(expected.value)
