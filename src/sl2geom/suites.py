@@ -69,10 +69,13 @@ MAX_NU = 1e4
 # to |t| = 5.87 and GroupElement's det check 2x to 5.74; near 6.3 that check
 # rejects correct products.
 MAX_CIRCLE_T = 5.5
-# Rows per piece list in ``render``'s JSON text: a block's list holds two
-# pieces per cell, and each block is written before the next is built, so
-# neither the whole table's pieces nor its text are held at once.
+# Rows ``render`` spells at a time, so the whole table's JSON spellings are
+# never held at once, and rows per write: 256 rows of the widest table (the
+# 14-column report, about 465 characters a row) are about 119 KB of text and a
+# 57 KB piece list, under glibc's 128 KiB mmap threshold, so each write reuses
+# heap memory instead of faulting in new pages.
 RENDER_BLOCK = 8192
+RENDER_SLICE = 256
 
 # Each check's tolerance, the one place it is written: a row passes when its
 # residual is at most this.  An indexed id, ``curvature.entry[121]``, is
@@ -770,32 +773,39 @@ _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
-def _json_column(values) -> list[str]:
-    """Each value of a column as ``json.dumps`` spells it.  A bool array
-    indexes the two literals.  A float64 array spells each distinct bit
-    pattern once (so 0.0 and -0.0 are two keys), ``repr`` if finite and
-    ``json.dumps`` (``NaN``, ``Infinity``) if not, and gathers the rows'
-    spellings in one indexing.  ``Labels`` spell each label between their
-    lowest and highest code once and gather the same way.  A list of None
-    and bools takes one lookup a value, and any other list one
-    ``json.dumps`` call a value."""
+def _json_column(values, previous):
+    """Each value of a column as ``json.dumps`` spells it, and the sorted keys
+    and spellings of the last float64 column so far (this one or ``previous``).
+    A bool array indexes the two literals.  A float64 array spells each distinct
+    bit pattern (0.0 and -0.0 are two keys) that one ``np.searchsorted`` does
+    not find in ``previous``, ``repr`` if finite and ``json.dumps`` (``NaN``,
+    ``Infinity``) if not, and gathers the rows' spellings in one indexing.
+    ``Labels`` spell each label between their lowest and highest code once and
+    gather the same way.  A list of None and bools takes one lookup a value,
+    and any other list one ``json.dumps`` call a value."""
     if isinstance(values, Labels):
         low, high = int(values.codes.min()), int(values.codes.max()) + 1
         spelled = np.array(list(map(encode_basestring_ascii, values.labels[low:high])), dtype=object)
-        return spelled[values.codes - low].tolist()
+        return spelled[values.codes - low].tolist(), previous
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
-            return _JSON_BOOLS[values.view(np.uint8)].tolist()
+            return _JSON_BOOLS[values.view(np.uint8)].tolist(), previous
         if values.dtype == np.float64:
             keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+            spelled, new = np.empty(len(keys), dtype=object), np.ones(len(keys), dtype=bool)
+            if previous is not None:
+                known, names = previous
+                at = np.searchsorted(known, keys).clip(max=len(known) - 1)
+                new = known[at] != keys
+                spelled[~new] = names[at[~new]]
             floats = keys.view(np.float64)
-            spelled = np.array(list(map(repr, floats.tolist())), dtype=object)
-            non_finite = ~np.isfinite(floats)
+            spelled[new] = list(map(repr, floats[new].tolist()))
+            non_finite = new & ~np.isfinite(floats)
             spelled[non_finite] = list(map(json.dumps, floats[non_finite].tolist()))
-            return spelled[inverse].tolist()
+            return spelled[inverse].tolist(), (keys, spelled)
     if set(map(type, values)) <= {type(None), bool}:
-        return list(map(_JSON_LITERALS.__getitem__, values))
-    return list(map(json.dumps, values))
+        return list(map(_JSON_LITERALS.__getitem__, values)), previous
+    return list(map(json.dumps, values)), previous
 
 
 def render(meta: dict, columns: dict, fmt: str, out) -> None:
@@ -807,9 +817,9 @@ def render(meta: dict, columns: dict, fmt: str, out) -> None:
     ``csv.writer`` over the ``_fmt`` fields of the columns' values (an
     array's or ``Labels``' ``tolist()``), or of
     ``json.dumps({**meta, "rows": [...]}, indent=2)`` over those values.
-    JSON never formats a row: each block of at most ``RENDER_BLOCK`` rows is
-    one list that interleaves, column by column, each key's separator with
-    that block of the column's spellings, and is joined and written once."""
+    JSON never formats a row: it spells each block of at most ``RENDER_BLOCK``
+    rows by column, then writes each slice of at most ``RENDER_SLICE`` rows as
+    one joined list interleaving each key's separator with its spellings."""
     lengths = set(map(len, columns.values()))
     if len(lengths) > 1:
         raise ValueError("report columns differ in length")
@@ -824,16 +834,21 @@ def render(meta: dict, columns: dict, fmt: str, out) -> None:
         k = len(keys)
         for start in range(0, n, RENDER_BLOCK):
             m = min(RENDER_BLOCK, n - start)
-            pieces = [None] * (2 * k * m)
-            for j, (sep, column) in enumerate(zip(seps, columns.values())):
-                pieces[2 * j :: 2 * k] = [sep] * m
-                pieces[2 * j + 1 :: 2 * k] = _json_column(column[start : start + m])
-            if not start:
-                pieces[0] = head.removesuffix("[]\n}") + "[\n    {\n      " + keys[0] + ": "
-            if start + m == n:
-                pieces.append("\n    }\n  ]\n}\n")
-            block, pieces = "".join(pieces), None  # the pieces go before the write copies the text
-            out.write(block)
+            spelled, previous = [], None
+            for column in columns.values():
+                cells, previous = _json_column(column[start : start + m], previous)
+                spelled.append(cells)
+            for at in range(0, m, RENDER_SLICE):
+                w = min(RENDER_SLICE, m - at)
+                pieces = [None] * (2 * k * w)
+                for j, (sep, cells) in enumerate(zip(seps, spelled)):
+                    pieces[2 * j :: 2 * k] = [sep] * w
+                    pieces[2 * j + 1 :: 2 * k] = cells[at : at + w]
+                if not start + at:
+                    pieces[0] = head.removesuffix("[]\n}") + "[\n    {\n      " + keys[0] + ": "
+                if start + at + w == n:
+                    pieces.append("\n    }\n  ]\n}\n")
+                out.write("".join(pieces))
         return
     import csv  # only here: JSON runs do not load it
 

@@ -814,6 +814,16 @@ def boundary_table(n: int) -> dict:
     }
 
 
+def patch_render_units(monkeypatch, block, slice_):
+    """Set ``render``'s ``RENDER_BLOCK`` and ``RENDER_SLICE`` to ``block`` and
+    ``slice_``; a None keeps, and checks, the module's value."""
+    for name, value, default in [("RENDER_BLOCK", block, 8192), ("RENDER_SLICE", slice_, 256)]:
+        if value is None:
+            assert getattr(suites, name) == default  # the row counts straddle its boundaries
+        else:
+            monkeypatch.setattr(suites, name, value)
+
+
 META = {"suite": "family", "nu": -1.0, "family": 'x(a="%s")', "grid": [8, 8], "passed": False, "tol": None}
 
 
@@ -894,26 +904,36 @@ class TestReportRendering:
                     rendered(suites.render, META, columns, fmt)
 
     @pytest.mark.parametrize(
-        "block, n", [(1, 7), (2, 7), (2, 8), (3, 7), (3, 9), (None, 8191), (None, 8192), (None, 8193), (None, 16385)]
+        "block, slice_, n",
+        [
+            (1, None, 7), (2, None, 7), (2, None, 8), (3, None, 7), (3, None, 9),
+            (3, 2, 10), (4, 3, 11), (7, 1, 9),
+            (None, None, 257), (None, None, 8191), (None, None, 8192), (None, None, 8193), (None, None, 16385),
+        ],
     )
-    def test_json_is_the_same_across_block_boundaries(self, monkeypatch, block, n):
-        if block is None:
-            assert suites.RENDER_BLOCK == 8192  # the row counts straddle its boundaries
-        else:
-            monkeypatch.setattr(suites, "RENDER_BLOCK", block)
+    def test_json_is_the_same_across_block_boundaries(self, monkeypatch, block, slice_, n):
+        """The text is the same whichever rows a block or a slice of it holds:
+        row counts straddle the patched boundaries, slices that do not divide
+        their block, and the unpatched 256 and 8,192."""
+        patch_render_units(monkeypatch, block, slice_)
         columns = boundary_table(n)
         expected = json.dumps({**META, "rows": row_dicts(listed(columns))}, indent=2) + "\n"
         assert_same_text(rendered(suites.render, META, columns, "json"), expected)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("block, n", [(1, 7), (2, 7), (3, 9), (4, 13), (None, 8191), (None, 8193), (None, 16385)])
-    def test_labels_render_as_their_strings_across_block_boundaries(self, monkeypatch, block, n, fmt):
+    @pytest.mark.parametrize(
+        "block, slice_, n",
+        [
+            (1, None, 7), (2, None, 7), (3, None, 9), (4, None, 13), (3, 2, 10), (4, 3, 11), (7, 1, 9),
+            (None, None, 257), (None, None, 8191), (None, None, 8193), (None, None, 16385),
+        ],
+    )
+    def test_labels_render_as_their_strings_across_block_boundaries(self, monkeypatch, block, slice_, n, fmt):
         """A ``Labels`` column is written as its ``tolist()`` strings, in JSON
-        block by block and in CSV: labels that need escaping or quoting, a
-        label listed twice, codes that jump back and forth and codes that
-        run up like a check run's locations."""
-        if block is not None:
-            monkeypatch.setattr(suites, "RENDER_BLOCK", block)
+        block by block and slice by slice, and in CSV: labels that need
+        escaping or quoting, a label listed twice, codes that jump back and
+        forth and codes that run up like a check run's locations."""
+        patch_render_units(monkeypatch, block, slice_)
         rows = np.arange(n)
         columns = {
             "jumping": Labels(LABEL_TEXTS * 2, (rows * 5 + rows // 3) % (2 * len(LABEL_TEXTS))),
@@ -925,11 +945,13 @@ class TestReportRendering:
         want = json.dumps({**META, "rows": table}, indent=2) + "\n" if fmt == "json" else csv_of_row_dicts(table)
         assert_same_text(rendered(suites.render, META, columns, fmt), want)
 
-    def test_each_json_block_is_one_write(self):
-        """JSON reaches the stream as one write per block of at most
-        ``RENDER_BLOCK`` rows, each exactly its block's text, so no write
-        holds more than one block; CSV's writes join to the ``csv.writer``
-        text; an empty table writes only the head or the header line."""
+    @pytest.mark.parametrize("block, slice_, n, writes", [(None, None, 2 * 8192 + 1, 65), (5, 2, 12, 7), (4, 4, 9, 3)])
+    def test_each_json_slice_is_one_write(self, monkeypatch, block, slice_, n, writes):
+        """JSON reaches the stream as one write per slice of at most
+        ``RENDER_SLICE`` rows, each exactly its slice's text, and a block of
+        ``RENDER_BLOCK`` rows starts a new slice, so no write holds more than
+        one slice; CSV's writes join to the ``csv.writer`` text; an empty
+        table writes only the head or the header line."""
 
         class Recording(io.TextIOBase):
             def __init__(self):
@@ -939,16 +961,18 @@ class TestReportRendering:
                 self.writes.append(text)
                 return len(text)
 
-        block = suites.RENDER_BLOCK
-        columns = boundary_table(2 * block + 1)
+        patch_render_units(monkeypatch, block, slice_)
+        block, slice_ = suites.RENDER_BLOCK, suites.RENDER_SLICE
+        columns = boundary_table(n)
         table = row_dicts(listed(columns))
         want = json.dumps({**META, "rows": table}, indent=2) + "\n"
-        # A block after the first opens with the close of the row before it.
+        # A slice after the first opens with the close of the row before it.
         closes = [m.start() for m in re.finditer(r"\n    \},\n    \{\n", want)]
-        cuts = [0, closes[block - 1], closes[2 * block - 1], len(want)]
+        firsts = [row for start in range(0, n, block) for row in range(start, min(start + block, n), slice_)]
+        cuts = [0, *(closes[row - 1] for row in firsts[1:]), len(want)]
         out = Recording()
         suites.render(META, columns, "json", out)
-        assert len(out.writes) == 3
+        assert len(out.writes) == len(firsts) == writes
         for got, a, b in zip(out.writes, cuts, cuts[1:]):
             assert_same_text(got, want[a:b])
         out = Recording()

@@ -135,25 +135,50 @@ SPECIAL_BITS = [
 
 @st.composite
 def float_columns(draw):
-    """Two float64 columns of one length, drawn by bit pattern from a small
-    set of keys, arbitrary and special, so that values repeat within and
-    across blocks."""
-    keys = draw(st.lists(st.integers(0, 2**64 - 1), max_size=4))
-    keys += draw(st.lists(st.sampled_from(SPECIAL_BITS), min_size=1, max_size=4))
+    """Three float64 columns of one length, each drawn by bit pattern from
+    its own small pool of keys, arbitrary and special.  The pools share some
+    keys, so values repeat within a column, from one column to the next and
+    across blocks, and a column may hold keys above or below all of those of
+    the column before it."""
+    shared = draw(st.lists(st.integers(0, 2**64 - 1), max_size=3))
+    shared += draw(st.lists(st.sampled_from(SPECIAL_BITS), min_size=1, max_size=4))
     n = draw(st.integers(1, 30))
-    columns = [draw(st.lists(st.sampled_from(keys), min_size=n, max_size=n)) for _ in range(2)]
+    columns = []
+    for _ in range(3):
+        pool = shared + draw(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(SPECIAL_BITS), max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     return [np.array(bits, dtype=np.uint64).view(np.float64) for bits in columns]
 
 
 @settings(SETTINGS, max_examples=200)
-@given(float_columns(), st.integers(1, 8))
-def test_float_columns_render_as_json_dumps_of_their_values(columns, block):
-    x, y = columns
-    table = {"x": x, "passed": x == y, "y": y}
-    with mock.patch.object(suites, "RENDER_BLOCK", block):
+@given(float_columns(), st.integers(1, 8), st.integers(1, 8))
+def test_float_columns_render_as_json_dumps_of_their_values(columns, block, slice_):
+    """The JSON text of float columns, a bool column between two of them, in
+    blocks and slices of any size, is ``json.dumps`` of their values.  In
+    each block a float column spells, by ``repr``, just its keys that the
+    float column before it does not hold: the first all of its own."""
+    x, y, z = columns
+    table = {"x": x, "passed": x == y, "y": y, "z": z}
+    spelled = []
+
+    def counting_repr(value):
+        spelled.append(value)
+        return repr(value)
+
+    with (
+        mock.patch.multiple(suites, RENDER_BLOCK=block, RENDER_SLICE=slice_),
+        mock.patch.object(suites, "repr", counting_repr, create=True),
+    ):
         text = rendered(suites.render, {"nu": 1.0}, table, "json")
     rows = [dict(zip(table, values)) for values in zip(*(column.tolist() for column in table.values()))]
     assert text == json.dumps({"nu": 1.0, "rows": rows}, indent=2) + "\n"
+    new = 0
+    for start in range(0, len(x), block):
+        before = set()
+        for column in columns:
+            keys = set(column[start : start + block].view(np.uint64).tolist())
+            new, before = new + len(keys - before), keys
+    assert len(spelled) == new
 
 
 # Seeds at the edges of the 64-bit words that ``Stream`` builds its key from.
