@@ -43,16 +43,18 @@ import numpy as np
 
 from .core import (
     AdSPoint,
+    ChartPoint,
     GroupElement,
     LieVector,
     _libm,
+    chart_to_group,
     embed_ads,
     group_exp,
     nilpotent_factor,
     rotation_factor,
 )
 from .metric import _require_nu
-from .surface import Domain, Immersion, SurfaceJet, _require
+from .surface import Domain, Immersion, SurfaceJet, _require, join_segments, split_segments
 
 UNIT_SPEED_TOL = 1e-6
 PROFILE_FLOOR = 1e-6  # domain trim: keep y >= PROFILE_FLOOR * max(y)
@@ -429,6 +431,21 @@ def chart_flow(kx: float, ktheta: float, t, g: GroupElement) -> GroupElement:
     point (x, y, theta) of g by t (kx, 0, ktheta).  The pitch-mu screw
     motions are kx = mu, ktheta = 1."""
     return nilpotent_factor(kx * t) @ g @ rotation_factor(ktheta * t)
+
+
+def symmetry_residual(segments: list, t: float) -> list[np.ndarray]:
+    """For each segment (s, u, v), at each of its points the largest
+    entrywise gap between the surface moved by t along its declared group,
+    g(u + t du, v + t dv), and the chart flow N(kx t) g(u, v) K(ktheta t):
+    one ``chart_to_group`` of every moved point, one of every base point and
+    one ``chart_flow``, with kx and ktheta given per point."""
+    parts, shapes = [], [np.shape(u) for _, u, _ in segments]
+    for s, u, v in segments:
+        du, dv, kx, ktheta = s.group
+        parts.append(np.broadcast_arrays(u, kx, ktheta, *s.chart(u + t * du, v + t * dv), *s.chart(u, v))[1:])
+    kx, ktheta, *charts = join_segments(parts, shapes)
+    moved, base = chart_to_group(ChartPoint(*charts[:3])), chart_to_group(ChartPoint(*charts[3:]))
+    return split_segments(np.abs(moved.matrix - chart_flow(kx, ktheta, t, base).matrix).max((-2, -1)), shapes)
 
 
 def lightcone_surface(profile: ProfileFunction) -> Immersion:

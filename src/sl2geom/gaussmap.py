@@ -28,7 +28,9 @@ landing on the unit sphere of the Euclidean scalar product.
 The grid functions and the closed-form helpers work on arrays as
 ``surface`` does: a normal or frame vector has shape (3,) or (N, 3), an
 angle or mean curvature is a scalar or (N,), and a scalar call is the
-one-point view of the same code.
+one-point view of the same code.  ``frame_curvature_components_at`` and
+``classify_gauss_map`` take a list of samples, as ``surface_shape`` returns
+them, and contract the curvature once over their joined points.
 
 Everything in this module assumes nu = 1.
 """
@@ -41,7 +43,8 @@ import numpy as np
 
 from .core import LieVector, left_translate_to_identity
 from .metric import curvature, frame_to_coordinate, g_frame
-from .surface import FundamentalForm, Immersion, SurfacePointData, _require, surface_shape, tangent_coordinates
+from .surface import FundamentalForm, Immersion, SurfacePointData, _require, join_segments, split_segments
+from .surface import surface_shape, tangent_coordinates
 
 NU = 1.0
 CLASSIFY_TOL = 1e-7
@@ -99,16 +102,18 @@ def principal_angle_from_shape(h):
     return 0.5 * np.arctan2(2.0, 2.0 * h)
 
 
-def frame_curvature_components_at(pt: SurfacePointData) -> FrameCurvatureComponents:
+def frame_curvature_components_at(pts: list[SurfacePointData]) -> list[FrameCurvatureComponents]:
     """R_1213, R_2123, R_3113, R_3223 in a principal frame at every point of
-    ``pt``, from one curvature contraction over the four stacked triples."""
-    e1c, e2c, _ = principal_frame(pt.first, pt.second)
-    j = pt.jet
-    E1 = e1c[..., :1] * j.phi_u + e1c[..., 1:] * j.phi_v
-    E2 = e2c[..., :1] * j.phi_u + e2c[..., 1:] * j.phi_v
-    n = pt.normal
+    each sample in ``pts``, from one principal frame and one curvature
+    contraction over the four stacked triples of their joined points."""
+    shapes = [np.shape(pt.shape.mean_curvature) for pt in pts]
+    parts = [(pt.first, pt.second, pt.jet.phi_u, pt.jet.phi_v, pt.normal) for pt in pts]
+    I, II, phi_u, phi_v, n = join_segments(parts, shapes)
+    e1c, e2c, _ = principal_frame(I, II)
+    E1 = e1c[..., :1] * phi_u + e1c[..., 1:] * phi_v
+    E2 = e2c[..., :1] * phi_u + e2c[..., 1:] * phi_v
     r = curvature(np.stack([E1, E2, n, n]), np.stack([E2, E1, E1, E2]), np.stack([E1, E2, E1, E2]), NU)
-    return FrameCurvatureComponents(*g_frame(r, n, NU))
+    return split_segments(FrameCurvatureComponents(*g_frame(r, n, NU)), shapes)
 
 
 def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,46 +132,52 @@ def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarr
     return np.repeat(us, n_v), np.tile(vs, n_u)
 
 
-def classify_gauss_map(pt: SurfacePointData) -> GaussClassification:
-    """Classify the tangential Gauss map over ``pt``, a surface's
-    ``surface_shape`` at its sample points at nu = 1; another nu is an
-    error.  The criteria presuppose constant mean curvature: the spread of H
-    is ``evidence["h_spread"]``, for the caller to judge, and the booleans
-    are read either way.  Harmonicity also requires minimality and R_3113 =
-    R_3223."""
-    if pt.jet.nu != NU:
-        raise ValueError(f"the Gauss map is classified at nu = 1, got a sample at nu = {pt.jet.nu!r}")
-    comps = frame_curvature_components_at(pt)
-    h_arr = pt.shape.mean_curvature
-    max_defect = float(pt.shape.umbilic_defect.max())
-    max_vertical = float(comps.vertical.max())
-    max_gap = float(comps.horizontal_gap.max())
-    h_mean = float(h_arr.mean())
-    h_spread = float(np.abs(h_arr - h_mean).max())
-    max_abs_h = float(np.abs(h_arr).max())
-    minimal = max_abs_h < CLASSIFY_TOL
-    conformal = (max_defect < CLASSIFY_TOL) or minimal
-    vertically_harmonic = max_vertical < CLASSIFY_TOL
-    harmonic = vertically_harmonic and minimal and (max_gap < CLASSIFY_TOL)
-    return GaussClassification(
-        conformal=conformal,
-        vertically_harmonic=vertically_harmonic,
-        harmonic=harmonic,
-        mean_curvature=h_mean,
-        evidence={
-            "h_spread": h_spread,
-            "max_abs_h": max_abs_h,
-            "max_umbilic_defect": max_defect,
-            "max_vertical": max_vertical,
-            "max_horizontal_gap": max_gap,
-        },
-    )
+def classify_gauss_map(pts: list[SurfacePointData]) -> list[GaussClassification]:
+    """Classify the tangential Gauss map over each sample in ``pts``, a
+    surface's ``surface_shape`` at its sample points at nu = 1; another nu
+    is an error.  One ``frame_curvature_components_at`` call serves every
+    sample, and each is reduced on its own points.  The criteria presuppose
+    constant mean curvature: the spread of H is ``evidence["h_spread"]``,
+    for the caller to judge, and the booleans are read either way.
+    Harmonicity also requires minimality and R_3113 = R_3223."""
+    for pt in pts:
+        if pt.jet.nu != NU:
+            raise ValueError(f"the Gauss map is classified at nu = 1, got a sample at nu = {pt.jet.nu!r}")
+    classes = []
+    for pt, comps in zip(pts, frame_curvature_components_at(pts)):
+        h_arr = pt.shape.mean_curvature
+        max_defect = float(pt.shape.umbilic_defect.max())
+        max_vertical = float(comps.vertical.max())
+        max_gap = float(comps.horizontal_gap.max())
+        h_mean = float(h_arr.mean())
+        h_spread = float(np.abs(h_arr - h_mean).max())
+        max_abs_h = float(np.abs(h_arr).max())
+        minimal = max_abs_h < CLASSIFY_TOL
+        conformal = (max_defect < CLASSIFY_TOL) or minimal
+        vertically_harmonic = max_vertical < CLASSIFY_TOL
+        harmonic = vertically_harmonic and minimal and (max_gap < CLASSIFY_TOL)
+        classes.append(
+            GaussClassification(
+                conformal=conformal,
+                vertically_harmonic=vertically_harmonic,
+                harmonic=harmonic,
+                mean_curvature=h_mean,
+                evidence={
+                    "h_spread": h_spread,
+                    "max_abs_h": max_abs_h,
+                    "max_umbilic_defect": max_defect,
+                    "max_vertical": max_vertical,
+                    "max_horizontal_gap": max_gap,
+                },
+            )
+        )
+    return classes
 
 
 def normal_gauss_map(s: Immersion, u: float, v: float) -> LieVector:
     """Left-translate the oriented unit normal at (u, v) to the Lie algebra;
     a unit vector for the Euclidean scalar product when nu = 1."""
-    pt = surface_shape(s, u, v, NU)
+    (pt,) = surface_shape([(s, u, v)], NU)
     coord = frame_to_coordinate(pt.jet.point, pt.normal)
     return left_translate_to_identity(pt.jet.point, coord)
 
@@ -238,3 +249,31 @@ def cylinder_second_form_components(pt: SurfacePointData) -> tuple[np.ndarray, n
     a2 = tangent_coordinates(pt.jet, u2)
     II = pt.second
     return II.apply(a1, a1), II.apply(a1, a2), II.apply(a2, a2)
+
+
+def closed_forms(pt: SurfacePointData) -> tuple[dict, np.ndarray]:
+    """The closed forms of the classification argument at every point of
+    ``pt``, both cases evaluated everywhere: a dict of (expected, computed)
+    pairs, each (N,) arrays or a constant, and the (N, 7) mask of the pairs
+    each point reports.  A point whose normal is oblique (c != 0) reports
+    the two vertical components of the oblique frame; one with c == 0
+    reports R_3113 and R_3223 in its principal frame and the cylinder-frame
+    second form (2H, 1, 0)."""
+    n, h = pt.normal, pt.shape.mean_curvature
+    v1, v2 = oblique_frame(n)
+    c1, c2 = oblique_vertical_closed_forms(n)
+    form_1, form_2 = g_frame(curvature(v1, v2, np.stack([v1, v2]), NU), n, NU)
+    (comps,) = frame_curvature_components_at([pt])
+    exp_3113, exp_3223 = cylinder_principal_components(principal_angle_from_shape(h))
+    s11, s12, s22 = cylinder_second_form_components(pt)
+    forms = {
+        "oblique_form_1": (c1, form_1),
+        "oblique_form_2": (c2, form_2),
+        "cylinder_r3113": (exp_3113, comps.r3113),
+        "cylinder_r3223": (exp_3223, comps.r3223),
+        "sff_11": (2.0 * h, s11),
+        "sff_12": (1.0, s12),
+        "sff_22": (0.0, s22),
+    }
+    oblique = np.abs(n[:, 2]) > 1e-9
+    return forms, np.column_stack([oblique] * 2 + [~oblique] * 5)

@@ -25,13 +25,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import families, gaussmap
-from .core import ChartPoint, chart_to_group
+from .core import ChartPoint
 from .families import (
     HyperbolicCurve,
-    chart_flow,
     lightcone_mean_curvature,
     minimal_complex_circle_exponential,
     riccati_residual,
+    symmetry_residual,
 )
 from .gaussmap import classify_gauss_map, frame_curvature_components_at, grid_samples
 from .metric import (
@@ -44,7 +44,8 @@ from .metric import (
     sasaki_residuals,
     sectional_curvature,
 )
-from .surface import Immersion, SurfacePointData, intrinsic_gauss_curvature, surface_shape
+from .surface import Immersion, SurfacePointData, intrinsic_gauss_curvature, join_segments, split_segments
+from .surface import surface_shape
 
 SUITES = ("connection", "curvature", "sasaki", "family", "gauss", "all")
 FORMATS = ("json", "csv")
@@ -417,10 +418,11 @@ class Family(NamedTuple):
     """What a family spec builds.  ``surface`` is None for the complex
     circles, which live in the quadric; its ``group``, when declared, is
     what ``run_family``'s symmetry rows check.  ``rows(u, v, nu, pt)`` reads
-    the sample arrays u, v and ``pt``, the family's ``evaluate`` there, and
-    returns its checks as columns (check_id, expected, computed), each value
-    one per point or a constant; ``gauss`` is the expected (conformal,
-    vertically harmonic, harmonic) classification, or None."""
+    the sample arrays u, v and ``pt``, the surface there as ``evaluate``
+    returns it from the one ``surface_shape`` call of its nu, and returns
+    its checks as columns (check_id, expected, computed), each value one per
+    point or a constant; ``gauss`` is the expected (conformal, vertically
+    harmonic, harmonic) classification, or None."""
 
     surface: Optional[Immersion]
     rows: Callable[[np.ndarray, np.ndarray, float, Optional[SurfacePointData]], list[tuple]]
@@ -590,76 +592,71 @@ def _grid_locations(u: np.ndarray, v: np.ndarray) -> list[str]:
     return out
 
 
-def evaluate(fam: Family, grid: tuple[int, int], nu: float):
-    """The family's row-major sample arrays u, v and its one ``surface_shape``
-    there; the complex circles sample the quadric (u around the circle, v
-    across [-1, 1]) and have no surface sample (None)."""
-    if fam.surface is None:
-        u = np.repeat(np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False), grid[1])
-        return u, np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0]), None
-    u, v = grid_samples(fam.surface, grid[0], grid[1])
-    return u, v, surface_shape(fam.surface, u, v, nu)
+def evaluate(built: list, grid: tuple[int, int]) -> list:
+    """Each (spec, family, nu, classify) entry's sample grids as (u, v, pt):
+    its row-major grid of ``grid``, then for ``classify`` the 4x4 grid of
+    the gauss closed forms.  ``pt`` is the grid's ``surface_shape``, from
+    one call per nu over every grid of that nu; the complex circles sample
+    the quadric (u around the circle, v across [-1, 1]) and have no surface
+    sample (None)."""
+    grids, segments = [], {}
+    for _, fam, nu, classify in built:
+        if fam.surface is None:
+            u = np.repeat(np.linspace(0.0, 2.0 * math.pi, grid[0], endpoint=False), grid[1])
+            grids.append([(u, np.tile(np.linspace(-1.0, 1.0, grid[1]), grid[0]))])
+        else:
+            grids.append([grid_samples(fam.surface, *g) for g in (grid, (4, 4))[: 1 + classify]])
+            segments.setdefault(nu, []).extend((fam.surface, u, v) for u, v in grids[-1])
+    pts = {nu: iter(surface_shape(segs, nu)) for nu, segs in segments.items()}
+    return [[(u, v, next(pts[nu]) if fam.surface else None) for u, v in g] for (_, fam, nu, _), g in zip(built, grids)]
 
 
-def symmetry_residual(s: Immersion, u, v, t: float) -> np.ndarray:
-    """At each of the points u, v, the largest entrywise gap between the
-    surface moved by t along its declared group, g(u + t du, v + t dv), and
-    the chart flow N(kx t) g(u, v) K(ktheta t)."""
-    du, dv, kx, ktheta = s.group
-    moved = chart_to_group(s.chart(u + t * du, v + t * dv))
-    return np.abs(moved.matrix - chart_flow(kx, ktheta, t, chart_to_group(s.chart(u, v))).matrix).max((-2, -1))
+def run_family(built: list, samples: list, rows: RowCollector):
+    """The family rows of each (spec, family, nu, classify) entry from its
+    grid sample (``evaluate``), each followed by its symmetry rows when its
+    surface declares its group; one ``symmetry_residual`` call serves every
+    such surface, at every (n_u n_v // 8)-th grid point."""
+    grids = [(fam, nu, *g[0]) for (_, fam, nu, _), g in zip(built, samples)]
+    checks = [fam.rows(u, v, nu, pt) for fam, nu, u, v, pt in grids]
+    moved = []
+    for fam, _, u, v, _ in grids:
+        if fam.surface and fam.surface.group:
+            step = max(1, u.size // 8)
+            moved.append((fam.surface, u[::step], v[::step]))
+    residuals = iter(symmetry_residual(moved, 0.37) if moved else ())
+    for (fam, _, u, v, _), family_checks in zip(grids, checks):
+        rows.add(_grid_locations(u, v), family_checks)
+        if fam.surface and fam.surface.group:
+            r = next(residuals)
+            rows.add([f"g{k:03d}" for k in range(r.size)], [("family.symmetry_invariance", 0.0, r)])
 
 
-def run_family(spec: FamilySpec, nu: float, grid: tuple[int, int], rows: RowCollector):
-    """The family rows of a spec, then the symmetry rows of a surface that
-    declares its group; returns the family and its surface sample."""
-    fam = build_family(spec)
-    u, v, pt = evaluate(fam, grid, nu)
-    rows.add(_grid_locations(u, v), fam.rows(u, v, nu, pt))
-    if fam.surface is not None and fam.surface.group is not None:
-        step = max(1, u.size // 8)
-        residuals = symmetry_residual(fam.surface, u[::step], v[::step], 0.37)
-        rows.add([f"g{k:03d}" for k in range(residuals.size)], [("family.symmetry_invariance", 0.0, residuals)])
-    return fam, pt
-
-
-def run_gauss(spec: FamilySpec, fam: Family, sample: SurfacePointData, rows: RowCollector):
-    expect_conf, expect_vh, expect_harm = fam.gauss
-    cls = classify_gauss_map(sample)
-    checks = [
-        ("gauss.h_constant", 0.0, cls.evidence["h_spread"]),
-        ("gauss.conformal", expect_conf, cls.conformal),
-        ("gauss.vertically_harmonic", expect_vh, cls.vertically_harmonic),
-        ("gauss.harmonic", expect_harm, cls.harmonic),
-    ]
-    if expect_vh:
-        checks.append(("gauss.vertical_residual", 0.0, cls.evidence["max_vertical"]))
-    if expect_harm:
-        checks.append(("gauss.horizontal_gap", 0.0, cls.evidence["max_horizontal_gap"]))
-    rows.add([spec.describe()], checks)
-
-    # Closed forms from the classification argument at a 4x4 grid, both
-    # cases evaluated over all points; each point reports the case its
-    # normal falls in (c != 0 oblique, c == 0 cylinder).
-    u, v, pt = evaluate(fam, (4, 4), 1.0)
-    n, h = pt.normal, pt.shape.mean_curvature
-    v1, v2 = gaussmap.oblique_frame(n)
-    c1, c2 = gaussmap.oblique_vertical_closed_forms(n)
-    form_1, form_2 = g_frame(curvature(v1, v2, np.stack([v1, v2]), 1.0), n, 1.0)
-    oblique = [("gauss.oblique_form_1", c1, form_1), ("gauss.oblique_form_2", c2, form_2)]
-    comps = frame_curvature_components_at(pt)
-    exp_3113, exp_3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
-    s11, s12, s22 = gaussmap.cylinder_second_form_components(pt)
-    cylinder = [
-        ("gauss.cylinder_r3113", exp_3113, comps.r3113),
-        ("gauss.cylinder_r3223", exp_3223, comps.r3223),
-        ("gauss.sff_11", 2.0 * h, s11),
-        ("gauss.sff_12", 1.0, s12),
-        ("gauss.sff_22", 0.0, s22),
-    ]
-    is_oblique = np.abs(n[:, 2]) > 1e-9
-    where = np.column_stack([is_oblique] * len(oblique) + [~is_oblique] * len(cylinder))
-    rows.add(_grid_locations(u, v), oblique + cylinder, where)
+def run_gauss(built: list, samples: list, rows: RowCollector):
+    """The gauss rows of each entry marked classify: its classification
+    from its grid sample, then the closed forms of the classification
+    argument on its 4x4 grid.  One ``classify_gauss_map`` call serves every
+    classified sample, and one ``gaussmap.closed_forms`` pass over the
+    joined 4x4 points computes the closed forms."""
+    picked = [(spec, fam, *g) for (spec, fam, _, classify), g in zip(built, samples) if classify]
+    classes = classify_gauss_map([sample for _, _, (_, _, sample), _ in picked])
+    small = [pt for *_, (_, _, pt) in picked]
+    shapes = [np.shape(pt.shape.mean_curvature) for pt in small]
+    forms, where = gaussmap.closed_forms(join_segments(small, shapes))
+    closed = tuple((f"gauss.{name}", *pair) for name, pair in forms.items())
+    for (spec, fam, _, (u, v, _)), cls, (checks, keep) in zip(picked, classes, split_segments((closed, where), shapes)):
+        expect_conf, expect_vh, expect_harm = fam.gauss
+        judged = [
+            ("gauss.h_constant", 0.0, cls.evidence["h_spread"]),
+            ("gauss.conformal", expect_conf, cls.conformal),
+            ("gauss.vertically_harmonic", expect_vh, cls.vertically_harmonic),
+            ("gauss.harmonic", expect_harm, cls.harmonic),
+        ]
+        if expect_vh:
+            judged.append(("gauss.vertical_residual", 0.0, cls.evidence["max_vertical"]))
+        if expect_harm:
+            judged.append(("gauss.horizontal_gap", 0.0, cls.evidence["max_horizontal_gap"]))
+        rows.add([spec.describe()], judged)
+        rows.add(_grid_locations(u, v), list(checks), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +664,8 @@ def run_gauss(spec: FamilySpec, fam: Family, sample: SurfacePointData, rows: Row
 # ---------------------------------------------------------------------------
 
 # The "all" run's (spec, nu, classify): the family rows of each at its nu,
-# then the gauss rows of each marked classify, read from the same sample.
+# then the gauss rows of each marked classify, read from the same sample;
+# every grid of one nu is evaluated in one ``surface_shape`` call.
 ALL_ROSTER = [
     ("hopf_cylinder(curve=geodesic)", 1.0, True),
     ("hopf_cylinder(curve=horocycle)", 1.0, True),
@@ -696,29 +694,28 @@ def run_suite(cfg: SuiteConfig) -> dict:
         run_curvature(cfg.nu, cfg.samples, rng, rows)
     elif cfg.suite == "sasaki":
         run_sasaki(cfg.nu, cfg.samples, rng, rows)
-    elif cfg.suite == "family":
-        run_family(parse_family_spec(cfg.family), cfg.nu, cfg.grid, rows)
-    elif cfg.suite == "gauss":
-        spec = parse_family_spec(cfg.family)
-        if cfg.nu != 1.0:
+    else:  # family, gauss and all: build every entry, then evaluate them in one batch per nu
+        if cfg.suite == "gauss" and cfg.nu != 1.0:
             raise ValueError("the gauss suite is defined for nu = 1")
-        fam = build_family(spec)
-        if fam.gauss is None:
-            raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
-        run_gauss(spec, fam, evaluate(fam, cfg.grid, 1.0)[2], rows)
-    elif cfg.suite == "all":
-        small = max(10, cfg.samples // 4)
-        for nu in (1.0, -1.0):
-            run_connection(nu, small, rng, rows)
-            run_curvature(nu, cfg.samples, rng, rows)
-            run_sasaki(nu, cfg.samples, rng, rows)
-        grid = (min(cfg.grid[0], 12), min(cfg.grid[1], 12))
-        built = [
-            (text, classify, run_family(parse_family_spec(text), nu, grid, rows)) for text, nu, classify in ALL_ROSTER
-        ]
-        for text, classify, (fam, pt) in built:
-            if classify:
-                run_gauss(parse_family_spec(text), fam, pt, rows)
+        built, grid = [], cfg.grid
+        for text, nu, classify in ALL_ROSTER if cfg.suite == "all" else [(cfg.family, cfg.nu, cfg.suite == "gauss")]:
+            spec = parse_family_spec(text)
+            fam = build_family(spec)
+            if classify and fam.gauss is None:
+                raise ValueError(f"gauss suite has no expectations for family {spec.name!r}")
+            built.append((spec, fam, nu, classify))
+        if cfg.suite == "all":
+            small = max(10, cfg.samples // 4)
+            for nu in (1.0, -1.0):
+                run_connection(nu, small, rng, rows)
+                run_curvature(nu, cfg.samples, rng, rows)
+                run_sasaki(nu, cfg.samples, rng, rows)
+            grid = (min(grid[0], 12), min(grid[1], 12))
+        samples = evaluate(built, grid)
+        if cfg.suite != "gauss":
+            run_family(built, samples, rows)
+        if cfg.suite != "family":
+            run_gauss(built, samples, rows)
     return rows.table
 
 
@@ -729,10 +726,11 @@ def surface_report(cfg: SuiteConfig) -> dict:
     principal-frame curvature components, which are lists of None unless
     nu = 1."""
     cfg.validate()
-    fam = build_family(parse_family_spec(cfg.family))
+    spec = parse_family_spec(cfg.family)
+    fam = build_family(spec)
     if fam.surface is None:
         raise ValueError("reports are defined for surface families")
-    u, v, pt = evaluate(fam, cfg.grid, cfg.nu)
+    [[(u, v, pt)]] = evaluate([(spec, fam, cfg.nu, False)], cfg.grid)
     sd = pt.shape
     columns = {
         "u": u,
@@ -748,7 +746,7 @@ def surface_report(cfg: SuiteConfig) -> dict:
     }
     names = ("r1213", "r2123", "r3113", "r3223")
     if cfg.nu == 1.0:
-        comps = frame_curvature_components_at(pt)
+        (comps,) = frame_curvature_components_at([pt])
         columns.update((name, getattr(comps, name)) for name in names)
     else:
         columns.update((name, [None] * u.size) for name in names)

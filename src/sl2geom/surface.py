@@ -6,13 +6,18 @@ Conventions.  Every function here works on arrays: the parameters u, v
 may be scalars or 1-D arrays of N sample points, frame vectors then have
 shape (N, 3), and scalars per point shape (N,); a call with scalar u, v
 is the one-point view of the same code.  An immersion is described by one
-callable, its chart 2-jet ``jet2(u, v)``; ``jet`` evaluates it once per
-call and converts the coordinate derivatives to frame components through
-the coframe (``metric.coordinate_to_frame``), and everything downstream
-but the curvature probe's stencil reads that ``SurfaceJet``.  Covariant
-derivatives of the tangents use the Leibniz rule over the constant
-connection table.  The second fundamental form is defined so that the
-decomposition
+callable, its chart 2-jet ``jet2(u, v)``.  ``jet`` and ``surface_shape``
+take a list of segments ``(immersion, u, v)``, one surface's sample
+points each, that share one nu: ``jet2`` is evaluated once per segment,
+with the checks of ``_first_order``, and every later step (the coframe
+conversion to frame components, ``metric.coordinate_to_frame``, the
+Leibniz second derivatives over the constant connection table, the normal,
+I, II and the shape invariants) runs once over the joined points.  Every
+step is elementwise, so a segment's values are those of a one-segment
+call bit for bit; ``join_segments`` and ``split_segments`` move per-point
+data between segments and the joined points.  Everything downstream but
+the curvature probe's stencil reads the resulting ``SurfaceJet``.  The
+second fundamental form is defined so that the decomposition
 
     D_{d/da} phi_b = (tangential part) + II_ab n
 
@@ -21,12 +26,14 @@ The mean curvature is H = tr(II . I^-1) / 2 uniformly, with no extra sign
 for Lorentzian induced metrics.  The default normal orientation prefers a
 positive e2 component, then a positive e1 component; immersions may carry
 an orientation hint that overrides this pointwise rule with a continuous
-choice.  A check that fails at any sample point raises ValueError naming
-the first such point.
+choice, segment by segment.  A check that fails at any sample point raises
+ValueError naming the first such point; with several segments, the error
+is the one their one-segment calls in order raise first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -56,6 +63,49 @@ def _require(ok, message: str, at: tuple = (), value=None) -> None:
         pick = lambda a: float(np.broadcast_to(a, ok.shape).ravel()[k])
         where = f" at ({', '.join(repr(pick(a)) for a in at)})" if at else ""
         raise ValueError(message + where + ("" if value is None else f": {pick(value)!r}"))
+
+
+def join_segments(parts: list, shapes: list):
+    """Per-point data of several segments as one: ``parts`` holds a tree of
+    tuples per segment, alike in structure, whose leaves are arrays of the
+    segment's shape in ``shapes`` (then any trailing axes) or scalars that
+    stand for one value per point.  A scalar that is the same object in
+    every part (a jet's nu, a shared constant) is kept once; the other
+    leaves become one flat point axis, the segments joined in order.  One
+    part is returned as it is."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, tuple):
+        fields = [join_segments(list(leaves), shapes) for leaves in zip(*parts)]
+        return first._make(fields) if hasattr(first, "_make") else tuple(fields)
+    if not isinstance(first, np.ndarray) and all(a is first for a in parts):
+        return first
+    flat = [
+        np.full(math.prod(s), a) if np.ndim(a) == 0 else a.reshape(-1, *a.shape[len(s) :])
+        for a, s in zip(parts, shapes)
+    ]
+    return np.concatenate(flat)
+
+
+def split_segments(data, shapes: list) -> list:
+    """The inverse of ``join_segments``: each segment's view of joined
+    data, every array leaf sliced from the point axis and shaped like its
+    segment (a numpy scalar for a scalar segment).  One segment gets
+    ``data`` as it is."""
+    if len(shapes) == 1:
+        return [data]
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return [_segment(data, end - math.prod(shape), end, shape) for end, shape in zip(ends, shapes)]
+
+
+def _segment(x, start: int, stop: int, shape: tuple):
+    if isinstance(x, tuple):
+        fields = [_segment(field, start, stop, shape) for field in x]
+        return x._make(fields) if hasattr(x, "_make") else tuple(fields)
+    if not isinstance(x, np.ndarray):
+        return x
+    return x[start:stop].reshape(shape + x.shape[1:])[()]
 
 
 class Domain(NamedTuple):
@@ -145,8 +195,12 @@ class FundamentalForm(NamedTuple):
         return self.E * self.G - self.F * self.F
 
     def apply(self, a, b) -> float:
-        """The form on (du, dv) coefficient pairs of shape (..., 2)."""
-        a, b = np.asarray(a, dtype=float)[..., None, :], np.asarray(b, dtype=float)[..., :, None]
+        """The form on (du, dv) coefficient pairs of shape (..., 2).  The
+        operands are made C-contiguous: numpy's matmul hands BLAS the ones
+        it can and takes its own loop for the others (a reversed axis, say),
+        and the two round differently in the last bit."""
+        a = np.ascontiguousarray(np.asarray(a, dtype=float)[..., None, :])
+        b = np.ascontiguousarray(np.asarray(b, dtype=float)[..., :, None])
         return (a @ self.matrix @ b)[..., 0, 0]
 
 
@@ -159,9 +213,11 @@ class ShapeData(NamedTuple):
     umbilic_defect: float
 
 
-def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
-    """Assemble the second-order jet at the points (u, v) from one ``jet2``
-    call.
+def jet(segments: list, nu: float) -> SurfaceJet:
+    """Assemble the second-order jet at the points of the segments
+    ``(immersion, u, v)``, one ``jet2`` call and its checks per segment, in
+    order; the rest runs once over their joined points (``join_segments``:
+    one segment keeps its parameters' shape).
 
     The coordinate derivatives go to frame components through the coframe;
     covariant second derivatives follow the Leibniz rule
@@ -172,7 +228,8 @@ def jet(s: Immersion, u, v, nu: float) -> SurfaceJet:
     underflows to zero.
     """
     nu = _require_nu(nu)
-    p, du, dv, fu, fv, (duu, duv, dvv) = _first_order(s, u, v)
+    parts = [_first_order(s, u, v) for s, u, v in segments]
+    p, du, dv, fu, fv, (duu, duv, dvv) = join_segments(parts, [part[0].x.shape for part in parts])
     return SurfaceJet(
         point=p,
         phi_u=fu,
@@ -202,7 +259,7 @@ def _first_order(s: Immersion, u, v):
 
     gram = _dot(fu, fu) * _dot(fv, fv) - _dot(fu, fv) ** 2
     _require(gram >= RANK_TOL, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
-    return p, du, dv, fu, fv, second
+    return p, du, dv, fu, fv, tuple(map(tuple, second))
 
 
 def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
@@ -235,14 +292,16 @@ def _default_orientation_sign(n: np.ndarray) -> np.ndarray:
     return sign
 
 
-def unit_normal(j: SurfaceJet, orient_hint=None) -> np.ndarray:
+def unit_normal(j: SurfaceJet, hints: list = (None,), shapes: Optional[list] = None) -> np.ndarray:
     """Unit normal in frame components: g(n, phi_u) = g(n, phi_v) = 0 and
-    |g(n, n)| = 1.
+    |g(n, n)| = 1, at the joined points of segments of ``shapes``
+    (``join_segments``; None for one segment of j's shape).
 
     Raises when the tangent plane is degenerate (g-Gram determinant below
-    TANGENT_PLANE_TOL; a null plane in the Lorentzian case).  The sign
-    convention prefers a positive e2 component, then e1, then e3, unless an
-    orientation hint vector is supplied, in which case g(n, hint) > 0.
+    TANGENT_PLANE_TOL; a null plane in the Lorentzian case).  Each segment
+    is oriented by its entry of ``hints``: the sign convention prefers a
+    positive e2 component, then e1, then e3, unless the entry is an
+    orientation hint vector, in which case g(n, hint) > 0.
     """
     nu = j.nu
     at = (j.point.x, j.point.y, j.point.theta)
@@ -253,11 +312,12 @@ def unit_normal(j: SurfaceJet, orient_hint=None) -> np.ndarray:
     q = g_frame(n, n, nu)
     _require(np.abs(q) >= TANGENT_PLANE_TOL, "normal direction is null (g(n,n))", at, q)
     n = n / np.sqrt(np.abs(q))[..., None]
-    if orient_hint is not None:
-        sign = np.where(g_frame(n, np.asarray(orient_hint, dtype=float), nu) >= 0.0, 1.0, -1.0)
-    else:
-        sign = _default_orientation_sign(n)
-    return sign[..., None] * n
+    shapes = shapes or [np.shape(q)]
+    signs = [
+        _default_orientation_sign(n_k) if hint is None else np.where(g_frame(n_k, hint, nu) >= 0.0, 1.0, -1.0)
+        for n_k, hint in zip(split_segments(n, shapes), hints)
+    ]
+    return join_segments(signs, shapes)[..., None] * n
 
 
 def second_form(j: SurfaceJet, n: np.ndarray) -> FundamentalForm:
@@ -299,20 +359,34 @@ class SurfacePointData(NamedTuple):
     shape: ShapeData
 
 
-def surface_shape(s: Immersion, u, v, nu: float) -> SurfacePointData:
-    """Jet -> oriented normal -> fundamental forms -> shape invariants.
+def surface_shape(segments: list, nu: float) -> list[SurfacePointData]:
+    """Jet -> oriented normal -> fundamental forms -> shape invariants, for
+    each segment ``(immersion, u, v)``: one ``jet`` call, each segment's
+    orientation rule on its own points, and every other step once over the
+    joined points.  Returns one ``SurfacePointData`` per segment, shaped
+    like its parameters.
 
     The families in scope all carry spacelike normals; a timelike normal is
-    rejected here so that downstream sign conventions stay meaningful.
+    rejected here so that downstream sign conventions stay meaningful.  On
+    an error with several segments, the segments are evaluated again one by
+    one, so that it names the point their one-segment calls stop at first.
     """
-    j = jet(s, u, v, nu)
-    hint = s.orient(j) if s.orient is not None else None
-    n = unit_normal(j, orient_hint=hint)
-    q = g_frame(n, n, j.nu)
-    _require(q >= 0.0, "surface has a timelike unit normal, out of scope,", (u, v), q)
-    I = first_form(j)
-    II = second_form(j, n)
-    return SurfacePointData(j, n, I, II, shape_data(I, II))
+    shapes = [np.broadcast_shapes(np.shape(u), np.shape(v)) for _, u, v in segments]
+    try:
+        j = jet(segments, nu)
+        views = split_segments(j, shapes)
+        n = unit_normal(j, [s.orient(view) if s.orient else None for (s, _, _), view in zip(segments, views)], shapes)
+        q = g_frame(n, n, j.nu)
+        uv = [tuple(np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))) for _, u, v in segments]
+        _require(q >= 0.0, "surface has a timelike unit normal, out of scope,", join_segments(uv, shapes), q)
+        I = first_form(j)
+        II = second_form(j, n)
+        return split_segments(SurfacePointData(j, n, I, II, shape_data(I, II)), shapes)
+    except ValueError:
+        if len(segments) > 1:
+            for segment in segments:
+                surface_shape([segment], nu)
+        raise
 
 
 def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:

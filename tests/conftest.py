@@ -60,7 +60,7 @@ def assert_one_point_views(fn, *args, reference=None):
 def sampled(s, n_u: int, n_v: int, nu: float = 1.0):
     """The immersion ``s`` evaluated by ``surface_shape`` on its n_u x n_v
     sample grid: the sample ``classify_gauss_map`` reads."""
-    return surface_shape(s, *grid_samples(s, n_u, n_v), nu)
+    return surface_shape([(s, *grid_samples(s, n_u, n_v))], nu)[0]
 
 
 def rendered(render, *args) -> str:

@@ -151,13 +151,13 @@ def test_criterion_05_cylinders_metric_flatness_mean_curvature():
         )
         for u in us:
             for v in vs:
-                I = first_form(jet(s, float(u), float(v), 1.0))
+                I = first_form(jet([(s, float(u), float(v))], 1.0))
                 (_, y), (xp, _), _ = curve.jet(float(v))
                 beta = xp / (2.0 * y)
                 display = np.array([[1.0, beta], [beta, beta * beta + 1.0]])
                 worst_metric = max(worst_metric, float(np.abs(I.matrix - display).max()))
                 worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), float(v), 1.0, I)))
-                h = surface_shape(s, float(u), float(v), 1.0).shape.mean_curvature
+                h = surface_shape([(s, float(u), float(v))], 1.0)[0].shape.mean_curvature
                 worst_h = max(worst_h, abs(h - kappa / 2.0))
     ok = worst_metric < 1e-8 and worst_k < 1e-4 and worst_h < 1e-6
     _report(
@@ -175,7 +175,7 @@ def test_criterion_06_minimal_conoids():
         vs = np.linspace(s.domain.v0, s.domain.v1, 40)
         for u in us:
             for v in vs:
-                h = surface_shape(s, float(u), float(v), 1.0).shape.mean_curvature
+                h = surface_shape([(s, float(u), float(v))], 1.0)[0].shape.mean_curvature
                 worst = max(worst, abs(h))
     _report(6, worst < 1e-6, f"max |H| {worst:.3e} < 1e-6 on 40x40 grids, pitch 0.3/1/2")
 
@@ -199,7 +199,7 @@ def test_criterion_07_lightcone_surfaces():
         s = lightcone_surface(profile)
         for nu in (1.0, -1.0):
             for u in np.linspace(-2.5, 2.5, 7):
-                got = surface_shape(s, float(u), 0.2, nu).shape.mean_curvature
+                got = surface_shape([(s, float(u), 0.2)], nu)[0].shape.mean_curvature
                 want = lightcone_mean_curvature(
                     profile.y(float(u)), profile.yp(float(u)), profile.ypp(float(u)), nu
                 )
@@ -208,7 +208,7 @@ def test_criterion_07_lightcone_surfaces():
     worst_h1 = worst_k = worst_d = 0.0
     s = lightcone_surface(_random_profiles(rng, 1)[0])
     for u in np.linspace(-2.5, 2.5, 9):
-        pt = surface_shape(s, float(u), 0.1, -1.0)
+        pt = surface_shape([(s, float(u), 0.1)], -1.0)[0]
         worst_h1 = max(worst_h1, abs(pt.shape.mean_curvature - 1.0))
         worst_d = max(worst_d, abs(pt.shape.discriminant))
         worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), 0.1, -1.0, pt.first)))
@@ -216,19 +216,19 @@ def test_criterion_07_lightcone_surfaces():
     worst_min = 0.0
     sm = lightcone_surface(minimal_profile(1.0, 0.0))
     for u in np.linspace(sm.domain.u0 + 0.02, sm.domain.u1 - 0.02, 25):
-        worst_min = max(worst_min, abs(surface_shape(sm, float(u), 0.2, 1.0).shape.mean_curvature))
+        worst_min = max(worst_min, abs(surface_shape([(sm, float(u), 0.2)], 1.0)[0].shape.mean_curvature))
 
     worst_defect = worst_riccati = 0.0
     su = lightcone_surface(umbilic_profile(1.0, 0.0))
     for u in np.linspace(su.domain.u0 + 0.05, su.domain.u1 - 0.05, 50):
-        pt = surface_shape(su, float(u), 0.0, -1.0)
+        pt = surface_shape([(su, float(u), 0.0)], -1.0)[0]
         worst_defect = max(worst_defect, pt.shape.umbilic_defect)
         worst_riccati = max(worst_riccati, abs(riccati_residual(umbilic_profile(1.0, 0.0), float(u))))
 
     control = trig_profile(0.6, [(0.0, 0.0), (0.5, 0.0)])  # cos^2(u) + 0.1
     sc = lightcone_surface(control)
     control_defect = max(
-        surface_shape(sc, float(u), 0.0, -1.0).shape.umbilic_defect
+        surface_shape([(sc, float(u), 0.0)], -1.0)[0].shape.umbilic_defect
         for u in np.linspace(-1.2, 1.2, 25)
     )
 
@@ -256,19 +256,19 @@ def test_criterion_08_gauss_map_classification():
     rng = _rng()
     details = []
 
-    cls0 = classify_gauss_map(sampled(hopf_cylinder(constant_curvature_curve(0.0)), 12, 12))
+    cls0 = classify_gauss_map([sampled(hopf_cylinder(constant_curvature_curve(0.0)), 12, 12)])[0]
     ok = cls0.vertically_harmonic and cls0.harmonic
     details.append("kappa=0 vh+harmonic")
 
     gaps = []
     for kappa in (2.0, 3.0):
-        cls = classify_gauss_map(sampled(hopf_cylinder(constant_curvature_curve(kappa)), 12, 12))
+        cls = classify_gauss_map([sampled(hopf_cylinder(constant_curvature_curve(kappa)), 12, 12)])[0]
         ok = ok and cls.vertically_harmonic and not cls.harmonic
         gaps.append(cls.evidence["max_horizontal_gap"])
     ok = ok and all(g > 1e-3 for g in gaps)  # R3113 != R3223 separates them
     details.append("kappa=2,3 vh only")
 
-    cls_conoid = classify_gauss_map(sampled(affine_conoid(1.0), 12, 12))
+    cls_conoid = classify_gauss_map([sampled(affine_conoid(1.0), 12, 12)])[0]
     ok = ok and not cls_conoid.vertically_harmonic
     details.append("conoid mu=1 not vh")
 
@@ -309,8 +309,8 @@ def test_criterion_08_gauss_map_classification():
     worst_sff = 0.0
     for kappa in (0.0, 2.0, 3.0):
         s = hopf_cylinder(constant_curvature_curve(kappa))
-        pt = surface_shape(s, 0.4, 0.2, 1.0)
-        comps = frame_curvature_components_at(pt)
+        pt = surface_shape([(s, 0.4, 0.2)], 1.0)[0]
+        comps = frame_curvature_components_at([pt])[0]
         mu = principal_angle_from_shape(pt.shape.mean_curvature)
         want_3113, want_3223 = cylinder_principal_components(mu)
         worst_principal = max(

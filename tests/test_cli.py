@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from sl2geom import cli, families, gaussmap, metric, suites
+from sl2geom import cli, core, families, gaussmap, metric, suites, surface
 from conftest import CLASSIFIED, rendered
 from sl2geom.cli import main, read_config_file
 from sl2geom.core import ChartPoint
@@ -128,12 +129,16 @@ MALFORMED = {
 }
 
 
+def entries(texts, nu, grid, classify=False):
+    """``run_family``'s and ``run_gauss``'s arguments but the collector: each
+    spec built as a (spec, family, nu, classify) entry, and their samples."""
+    built = [(spec, build_family(spec), nu, classify) for spec in map(parse_family_spec, texts)]
+    return built, evaluate(built, grid)
+
+
 def gauss_sample(text, grid):
-    """``run_gauss``'s arguments but the collector for a spec: the spec, its
-    family, and the family's surface sample at nu = 1 on ``grid``."""
-    spec = parse_family_spec(text)
-    fam = build_family(spec)
-    return spec, fam, evaluate(fam, grid, 1.0)[2]
+    """``run_gauss``'s arguments but the collector for one spec at nu = 1."""
+    return entries([text], 1.0, grid, classify=True)
 
 
 def assert_usage_error(res):
@@ -200,7 +205,7 @@ class TestFamilyRegistry:
         failed = 0
         for text, nu, _ in ALL_ROSTER:
             spec, rows = parse_family_spec(text), RowCollector()
-            run_family(spec, nu, (12, 12), rows)
+            run_family(*entries([text], nu, (12, 12)), rows)
             for check_id, passed in row_tuples(rows.table, "check_id", "passed"):
                 skewed_row = spec.name == name and check_id == "family.symmetry_invariance"
                 assert passed != skewed_row, (text, check_id)
@@ -218,7 +223,7 @@ class TestFamilyRegistry:
             return original(kappa)
 
         monkeypatch.setattr(families, "hyperbolic_circle", counting)
-        run_family(parse_family_spec("hopf_cylinder(curve=circle,kappa=3)"), 1.0, (3, 3), RowCollector())
+        run_family(*entries(["hopf_cylinder(curve=circle,kappa=3)"], 1.0, (3, 3)), RowCollector())
         assert calls == [3.0]
 
 
@@ -379,7 +384,7 @@ class TestRowCollector:
             for nu in (1.0, -1.0):
                 run_curvature(nu, 6, Stream(4), rows)
         else:
-            run_family(parse_family_spec("lightcone(profile=umbilic)"), -1.0, (5, 4), rows)
+            run_family(*entries(["lightcone(profile=umbilic)"], -1.0, (5, 4)), rows)
         assert row_tuples(rows.table) == rows_one_at_a_time(rows.calls, tol)
 
     def test_reading_the_table_between_adds_changes_no_row(self):
@@ -642,7 +647,7 @@ class TestGaussSuite:
         closed_rows = [row for row in row_tuples(rows.table) if row[1].startswith("(")]
         s, expected = build_family(parse_family_spec(spec)).surface, RowCollector()
         for u, v in zip(*(a.tolist() for a in gaussmap.grid_samples(s, 4, 4))):
-            pt = surface_shape(s, u, v, 1.0)
+            pt = surface_shape([(s, u, v)], 1.0)[0]
             n, h, loc = pt.normal, pt.shape.mean_curvature, f"({u:.3f},{v:.3f})"
             if abs(n[2]) > 1e-9:
                 v1, v2 = gaussmap.oblique_frame(n)
@@ -650,7 +655,7 @@ class TestGaussSuite:
                 add_row(expected, "gauss.oblique_form_1", loc, c1, g_frame(curvature(v1, v2, v1, 1.0), n, 1.0))
                 add_row(expected, "gauss.oblique_form_2", loc, c2, g_frame(curvature(v1, v2, v2, 1.0), n, 1.0))
             else:
-                comps = gaussmap.frame_curvature_components_at(pt)
+                comps = gaussmap.frame_curvature_components_at([pt])[0]
                 e3113, e3223 = gaussmap.cylinder_principal_components(gaussmap.principal_angle_from_shape(h))
                 add_row(expected, "gauss.cylinder_r3113", loc, e3113, comps.r3113)
                 add_row(expected, "gauss.cylinder_r3223", loc, e3223, comps.r3223)
@@ -660,31 +665,32 @@ class TestGaussSuite:
                 add_row(expected, "gauss.sff_22", loc, 0.0, s22)
         assert closed_rows == row_tuples(expected.table)
 
-    def test_closed_block_is_one_surface_shape_call_per_spec(self, monkeypatch):
+    def test_closed_blocks_share_the_one_surface_shape_call_per_nu(self, monkeypatch):
+        """``evaluate`` takes every classified grid and every 4x4 closed-form
+        block in one ``surface_shape`` call; ``run_gauss`` evaluates nothing."""
         calls = []
         original = suites.surface_shape
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(segments, nu):
+            calls.append([np.size(u) for _, u, _ in segments])
+            return original(segments, nu)
 
-        samples = [gauss_sample(spec, (4, 4)) for spec in CLASSIFIED]
         monkeypatch.setattr(suites, "surface_shape", counting)
-        for args in samples:
-            run_gauss(*args, RowCollector())
-        assert len(calls) == len(CLASSIFIED)
+        gauss_sample(CLASSIFIED[0], (5, 3))
+        run_gauss(*entries(CLASSIFIED, 1.0, (6, 6), classify=True), RowCollector())
+        assert calls == [[15, 16], [36, 16] * len(CLASSIFIED)]
 
     def test_the_all_run_evaluates_each_family_grid_and_nu_once(self, monkeypatch):
         """Each gauss family of the all run is one of its families at nu = 1,
         whose build and 12x12 sample the classification reads: 13 surface
-        evaluations, 9 on 12x12 grids and 4 closed-form blocks on 4x4, and
-        10 builds."""
-        points, builds = [], []
+        evaluations, 9 on 12x12 grids and 4 closed-form blocks on 4x4, in one
+        call per nu, and 10 builds."""
+        calls, builds = [], []
 
         def counting_shape(original):
-            def counting(s, u, v, nu):
-                points.append(np.size(u))
-                return original(s, u, v, nu)
+            def counting(segments, nu):
+                calls.append((nu, sorted(np.size(u) for _, u, _ in segments)))
+                return original(segments, nu)
 
             return counting
 
@@ -696,8 +702,31 @@ class TestGaussSuite:
             monkeypatch.setattr(module, "surface_shape", counting_shape(module.surface_shape))
         monkeypatch.setattr(suites, "build_family", counting_build)
         assert rows_passed(run_suite(SuiteConfig(suite="all", seed=42)))
-        assert sorted(points) == [16] * 4 + [144] * 9
+        assert calls == [(1.0, [16] * 4 + [144] * 7), (-1.0, [144] * 2)]
         assert len(builds) == len(ALL_ROSTER) == 10
+
+    def test_the_all_run_batches_each_step_in_two_calls(self, monkeypatch):
+        """The all run evaluates its roster in one batch per nu: ``jet`` and
+        ``surface_shape`` once per nu, ``frame_curvature_components_at`` once
+        for the classified grids and once for the 4x4 blocks, and
+        ``chart_to_group`` once for the moved and once for the base points of
+        every symmetry row.  Each function is counted under every name a
+        module of the package binds it to."""
+        calls = collections.Counter()
+        modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "sl2geom"]
+        for home, name in ((surface, "jet"), (surface, "surface_shape"), (gaussmap, "frame_curvature_components_at"), (core, "chart_to_group")):
+            original = getattr(home, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        assert rows_passed(run_suite(SuiteConfig(suite="all", seed=42)))
+        assert calls == {"jet": 2, "surface_shape": 2, "frame_curvature_components_at": 2, "chart_to_group": 2}
 
     @pytest.mark.parametrize(
         "nu, spec, message",
@@ -1447,14 +1476,23 @@ PINNED_DISPATCH = "x86_64, numpy 2.4.6, SIMD targets AVX512_SKX/AVX512_SPR"
 
 
 def host_dispatch() -> str:
-    """This host's machine, numpy version and the SIMD features its numpy
-    dispatches to."""
+    """This host's machine, numpy version, the SIMD features its numpy
+    dispatches to, and the BLAS numpy was built with: its name, version and
+    OpenBLAS configuration."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
     simd = " ".join(name for name, on in __cpu_features__.items() if on)
-    return f"{platform.machine()}, numpy {np.__version__}, SIMD features {simd or 'none'}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = {}
+    config = blas.get("openblas configuration", "no OpenBLAS configuration")
+    return (
+        f"{platform.machine()}, numpy {np.__version__}, SIMD features {simd or 'none'}, "
+        f"BLAS {blas.get('name', 'unknown')} {blas.get('version', '')} ({config})"
+    )
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
@@ -1465,8 +1503,10 @@ def test_stdout_is_pinned(argv, capsys):
 
     The pins were recorded under PINNED_DISPATCH.  They also depend on
     numpy's SIMD dispatch (np.arctan2, np.exp and array powers can differ
-    from libm in the last bit), so a pin can move on another host with
-    correct code; the failure message names this host's dispatch.  There,
+    from libm in the last bit) and on the BLAS numpy's matmul calls (the
+    2x2 products of ``FundamentalForm.apply``), so a pin can move on another
+    host with correct code; the failure message names this host's dispatch
+    and BLAS.  There,
     check the moved run against ALL_ROW_KEYS, the value records
     (test_report_values_match_the_record and
     test_check_row_values_match_the_record) and the worst residual of each

@@ -32,6 +32,7 @@ from sl2geom.families import (
     riccati_residual,
     riccati_substitution,
     rk4_integrate,
+    symmetry_residual,
     trig_profile,
     umbilic_ode_residual,
     umbilic_profile,
@@ -44,7 +45,6 @@ from sl2geom.suites import (
     parse_family_spec,
     rows_passed,
     run_suite,
-    symmetry_residual,
 )
 from sl2geom.surface import jet, surface_shape
 
@@ -158,13 +158,13 @@ class TestHopfCylinder:
         for kappa in (0.0, 1.0, 2.0, 3.0):
             s = hopf_cylinder(constant_curvature_curve(kappa))
             for (u, v) in ((0.3, 0.2), (2.0, 0.6)):
-                h = surface_shape(s, u, v, 1.0).shape.mean_curvature
+                h = surface_shape([(s, u, v)], 1.0)[0].shape.mean_curvature
                 assert abs(h - kappa / 2.0) < 1e-6
 
     def test_geodesic_cylinder_is_minimal(self):
         s = hopf_cylinder(geodesic())
         for (u, v) in ((0.0, 0.0), (1.0, 0.5), (4.2, -0.7)):
-            assert abs(surface_shape(s, u, v, 1.0).shape.mean_curvature) < 1e-12
+            assert abs(surface_shape([(s, u, v)], 1.0)[0].shape.mean_curvature) < 1e-12
 
     def test_requires_unit_speed(self):
         bad = HyperbolicCurve(
@@ -193,7 +193,7 @@ class TestConoid:
         for mu in (0.3, 1.0, 2.0):
             s = affine_conoid(mu, a=0.1)
             for (u, v) in ((-2.0, 0.5), (0.4, 1.1), (2.3, 3.0)):
-                assert abs(surface_shape(s, u, v, 1.0).shape.mean_curvature) < 1e-6
+                assert abs(surface_shape([(s, u, v)], 1.0)[0].shape.mean_curvature) < 1e-6
 
     def test_helicoidal_orbit_form(self):
         # x(u) = mu u + a makes the surface the screw-motion orbit of the
@@ -228,7 +228,7 @@ class TestConoid:
         s = conoid(lambda u: u, lambda u: 1.0, lambda u: 0.0)
         assert s.domain.v0 > 0.0
         with pytest.raises(ValueError, match="y must be positive"):
-            jet(s, 0.3, -0.5, 1.0)
+            jet([(s, 0.3, -0.5)], 1.0)
 
 
 # (kx, ktheta) of the chart flows: a screw motion, the right rotations
@@ -277,14 +277,14 @@ class TestLightconeSurface:
     def test_lorentzian_case_constants(self):
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.0), (0.0, 0.15)]))
         for (u, v) in ((-1.5, 0.2), (0.4, -0.5), (2.2, 0.8)):
-            sd = surface_shape(s, u, v, -1.0).shape
+            sd = surface_shape([(s, u, v)], -1.0)[0].shape
             assert abs(sd.mean_curvature - 1.0) < 1e-6
 
     def test_minimal_profiles_have_zero_mean_curvature(self):
         s = lightcone_surface(minimal_profile(1.0, 0.0))
         us = np.linspace(s.domain.u0 + 0.05, s.domain.u1 - 0.05, 9)
         for u in us:
-            assert abs(surface_shape(s, float(u), 0.3, 1.0).shape.mean_curvature) < 1e-6
+            assert abs(surface_shape([(s, float(u), 0.3)], 1.0)[0].shape.mean_curvature) < 1e-6
 
     def test_closed_form_mean_curvature_values(self):
         # Numerator 2*(-2)*1 + 4 = 0 at the crest of the critical profile.
@@ -303,7 +303,7 @@ class TestLightconeSurface:
         for profile in (minimal_profile(1.0, 0.0), umbilic_profile(1.0, 0.0), trig_profile(2.0, [(0.2, 0.1)])):
             s = lightcone_surface(profile)
             u, v = grid_samples(s, 9, 3)
-            h = surface_shape(s, u, v, nu).shape.mean_curvature
+            h = surface_shape([(s, u, v)], nu)[0].shape.mean_curvature
             closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
             assert np.abs(closed - h).max() < 1e-12
         for spec in ("lightcone(profile=minimal)", "lightcone(profile=umbilic)", "lightcone(profile=trig)"):
@@ -355,7 +355,7 @@ class TestProfiles:
         s = lightcone_surface(umbilic_profile(1.0, 0.0))
         us = np.linspace(s.domain.u0 + 0.1, s.domain.u1 - 0.1, 50)
         for u in us:
-            assert surface_shape(s, float(u), 0.2, -1.0).shape.umbilic_defect < 1e-6
+            assert surface_shape([(s, float(u), 0.2)], -1.0)[0].shape.umbilic_defect < 1e-6
 
     def test_perturbed_profile_has_umbilic_defect(self):
         # cos^2(u) + 0.1 = 0.6 + 0.5 cos(2u): off the solution family.
@@ -363,7 +363,7 @@ class TestProfiles:
         s = lightcone_surface(shifted)
         worst = 0.0
         for u in np.linspace(-1.2, 1.2, 25):
-            worst = max(worst, surface_shape(s, float(u), 0.0, -1.0).shape.umbilic_defect)
+            worst = max(worst, surface_shape([(s, float(u), 0.0)], -1.0)[0].shape.umbilic_defect)
         assert worst > 1e-2
 
 
@@ -448,7 +448,7 @@ def test_symmetry_residuals_of_an_array_call_are_its_one_point_calls(spec):
     # run_family passes its eight symmetry points as arrays, in one call.
     s = build_family(parse_family_spec(spec)).surface
     u, v = grid_samples(s, 12, 12)
-    assert_one_point_views(lambda u, v: symmetry_residual(s, u, v, 0.37), u[::18], v[::18])
+    assert_one_point_views(lambda u, v: symmetry_residual([(s, u, v)], 0.37)[0], u[::18], v[::18])
 
 
 @pytest.mark.parametrize(

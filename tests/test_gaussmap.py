@@ -44,11 +44,11 @@ class TestNormalComponents:
         for curve in (geodesic(), horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
             for (u, v) in ((0.3, 0.1), (2.0, 0.4)):
-                assert abs(surface_shape(s, u, v, 1.0).normal[2]) < 1e-12
+                assert abs(surface_shape([(s, u, v)], 1.0)[0].normal[2]) < 1e-12
 
     def test_flat_profile_normal(self):
         s = lightcone_surface(trig_profile(2.0, []))
-        assert np.allclose(surface_shape(s, 0.3, 0.0, 1.0).normal, [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose(surface_shape([(s, 0.3, 0.0)], 1.0)[0].normal, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_unit_norm(self, rng):
         for builder in (
@@ -60,7 +60,7 @@ class TestNormalComponents:
             for _ in range(170):
                 u = float(rng.uniform(s.domain.u0 + 0.1, s.domain.u1 - 0.1))
                 v = float(rng.uniform(s.domain.v0 + 0.1, s.domain.v1 - 0.1))
-                a, b, c = surface_shape(s, u, v, 1.0).normal
+                a, b, c = surface_shape([(s, u, v)], 1.0)[0].normal
                 assert abs(a**2 + b**2 + c**2 - 1.0) < 1e-8
 
 
@@ -103,7 +103,7 @@ class TestPrincipalFrame:
         # tan(2 mu) = 1/H; check against the eigen-decomposition route.
         for curve in (horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
-            pt = surface_shape(s, 0.4, 0.2, 1.0)
+            pt = surface_shape([(s, 0.4, 0.2)], 1.0)[0]
             h = pt.shape.mean_curvature
             s11, s12, s22 = cylinder_second_form_components(pt)
             m = np.array([[s11, s12], [s12, s22]])
@@ -119,21 +119,21 @@ class TestCurvatureComponents:
         for curve in (geodesic(), horocycle(), hyperbolic_circle(3.0)):
             s = hopf_cylinder(curve)
             for (u, v) in ((0.2, 0.1), (1.5, 0.5)):
-                comps = frame_curvature_components_at(surface_shape(s, u, v, 1.0))
+                comps = frame_curvature_components_at([surface_shape([(s, u, v)], 1.0)[0]])[0]
                 assert comps.vertical < 1e-9
 
     def test_cmc_cylinder_vertical_residual_on_dense_grid(self):
         from sl2geom.gaussmap import grid_samples
 
         s = hopf_cylinder(horocycle())
-        worst = frame_curvature_components_at(surface_shape(s, *grid_samples(s, 50, 50), 1.0)).vertical.max()
+        worst = frame_curvature_components_at([surface_shape([(s, *grid_samples(s, 50, 50))], 1.0)[0]])[0].vertical.max()
         assert worst < 1e-8
 
     def test_cylinder_principal_components_closed_form(self):
         for kappa in (2.0, 3.0):
             s = hopf_cylinder(constant_curvature_curve(kappa))
-            pt = surface_shape(s, 0.7, 0.3, 1.0)
-            comps = frame_curvature_components_at(pt)
+            pt = surface_shape([(s, 0.7, 0.3)], 1.0)[0]
+            comps = frame_curvature_components_at([pt])[0]
             mu = principal_angle_from_shape(pt.shape.mean_curvature)
             want_3113, want_3223 = cylinder_principal_components(mu)
             assert abs(comps.r3113 - want_3113) < 1e-8
@@ -141,7 +141,7 @@ class TestCurvatureComponents:
 
     def test_minimal_cylinder_components_agree(self):
         s = hopf_cylinder(geodesic())
-        comps = frame_curvature_components_at(surface_shape(s, 0.5, 0.2, 1.0))
+        comps = frame_curvature_components_at([surface_shape([(s, 0.5, 0.2)], 1.0)[0]])[0]
         # mu = pi/4: both components equal -3; equal but nonzero.
         assert abs(comps.r3113 + 3.0) < 1e-10
         assert abs(comps.r3223 + 3.0) < 1e-10
@@ -192,7 +192,7 @@ class TestCurvatureComponents:
         for kappa in (0.0, 1.0, 2.0, 3.0):
             s = hopf_cylinder(constant_curvature_curve(kappa))
             for (u, v) in ((0.3, 0.2), (1.9, 0.6)):
-                pt = surface_shape(s, u, v, 1.0)
+                pt = surface_shape([(s, u, v)], 1.0)[0]
                 s11, s12, s22 = cylinder_second_form_components(pt)
                 assert abs(s11 - 2.0 * pt.shape.mean_curvature) < 1e-6
                 assert abs(s12 - 1.0) < 1e-6
@@ -201,28 +201,26 @@ class TestCurvatureComponents:
 
 class TestClassification:
     def test_minimal_cylinder_is_harmonic(self):
-        cls = classify_gauss_map(sampled(hopf_cylinder(geodesic()), 10, 10))
+        cls = classify_gauss_map([sampled(hopf_cylinder(geodesic()), 10, 10)])[0]
         assert cls.conformal and cls.vertically_harmonic and cls.harmonic
 
     def test_cmc_cylinders_vertically_harmonic_not_harmonic(self):
         for kappa in (2.0, 3.0):
-            cls = classify_gauss_map(
-                sampled(hopf_cylinder(constant_curvature_curve(kappa)), 10, 10)
-            )
+            cls = classify_gauss_map([sampled(hopf_cylinder(constant_curvature_curve(kappa)), 10, 10)])[0]
             assert cls.vertically_harmonic
             assert not cls.harmonic
             assert not cls.conformal
             assert abs(cls.mean_curvature - kappa / 2.0) < 1e-8
 
     def test_minimal_conoid_not_vertically_harmonic(self):
-        cls = classify_gauss_map(sampled(affine_conoid(1.0), 10, 10))
+        cls = classify_gauss_map([sampled(affine_conoid(1.0), 10, 10)])[0]
         assert cls.conformal  # minimal
         assert not cls.vertically_harmonic
         assert not cls.harmonic
         assert cls.evidence["max_vertical"] > 1e-2
 
     def test_zero_pitch_conoid_behaves_like_geodesic_cylinder(self):
-        cls = classify_gauss_map(sampled(affine_conoid(0.0), 8, 8))
+        cls = classify_gauss_map([sampled(affine_conoid(0.0), 8, 8)])[0]
         assert cls.vertically_harmonic and cls.harmonic
 
     def test_harmonic_implies_vertically_harmonic(self):
@@ -232,14 +230,14 @@ class TestClassification:
             lambda: affine_conoid(1.0),
             lambda: affine_conoid(0.0),
         ):
-            cls = classify_gauss_map(sampled(builder(), 8, 8))
+            cls = classify_gauss_map([sampled(builder(), 8, 8)])[0]
             assert (not cls.harmonic) or cls.vertically_harmonic
 
     def test_non_constant_mean_curvature_is_reported_not_raised(self):
         # A generic profile at nu = 1 has varying H; the spread is evidence
         # for the caller's gauss.h_constant row, not an error.
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
-        cls = classify_gauss_map(sampled(s, 6, 6))
+        cls = classify_gauss_map([sampled(s, 6, 6)])[0]
         assert cls.evidence["h_spread"] > 1e-2
 
     def test_grid_resolution_validated(self):
@@ -251,7 +249,7 @@ class TestClassification:
         """The criteria hold for g[1] only, so a sample evaluated at another
         nu is an error that names its nu, not a classification."""
         with pytest.raises(ValueError, match=f"nu = {nu!r}"):
-            classify_gauss_map(sampled(hopf_cylinder(geodesic()), 4, 4, nu))
+            classify_gauss_map([sampled(hopf_cylinder(geodesic()), 4, 4, nu)])[0]
 
 
 class TestNormalGaussMap:

@@ -368,13 +368,13 @@ class TestContractionBits:
     def test_frame_curvature_components_equal_four_point_major_contractions(self, n):
         s = affine_conoid(1.3)
         u, v = grid_samples(s, 64, 64)
-        pt = surface_shape(s, *((u[7], v[7]) if n == 0 else (u[:: 4096 // n], v[:: 4096 // n])), 1.0)
+        pt = surface_shape([(s, *((u[7], v[7]) if n == 0 else (u[:: 4096 // n], v[:: 4096 // n])))], 1.0)[0]
         e1c, e2c, _ = principal_frame(pt.first, pt.second)
         j, n_ = pt.jet, pt.normal
         E1 = e1c[..., :1] * j.phi_u + e1c[..., 1:] * j.phi_v
         E2 = e2c[..., :1] * j.phi_u + e2c[..., 1:] * j.phi_v
         r = curvature_table(1.0)
-        comps = frame_curvature_components_at(pt)
+        comps = frame_curvature_components_at([pt])[0]
         for got, (x, y, z) in zip(comps, [(E1, E2, E1), (E2, E1, E2), (n_, E1, E1), (n_, E2, E2)]):
             assert same_bits(got, g_frame(np.einsum("...i,...j,...k,ijkl->...l", x, y, z, r), n_, 1.0))
 

@@ -23,7 +23,7 @@ from sl2geom.families import (
     umbilic_profile,
 )
 from sl2geom import gaussmap, surface
-from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution
+from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution, symmetry_residual
 from sl2geom.gaussmap import grid_samples
 from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame, sectional_curvature
 from conftest import CLASSIFIED
@@ -98,7 +98,7 @@ class TestJet:
         s = lightcone_surface(profile)
         for nu in (1.0, -1.0):
             for u in (-2.0, -0.3, 0.7, 2.4):
-                j = jet(s, u, 0.4, nu)
+                j = jet([(s, u, 0.4)], nu)
                 fu, fv, duu, duv, dvv, _, _ = lightcone_closed_forms(profile, u, nu)
                 assert np.allclose(j.phi_u, fu, atol=1e-12)
                 assert np.allclose(j.phi_v, fv, atol=1e-12)
@@ -123,7 +123,7 @@ class TestJet:
             jet2=lambda u, v: ((u, 1.0, u), (1.0, 0.0, 1.0), zero, zero, zero, zero),
         )
         with pytest.raises(ValueError):
-            jet(collapsed, 0.5, 0.5, 1.0)
+            jet([(collapsed, 0.5, 0.5)], 1.0)
 
     def test_chart_only_immersion_agrees_with_analytic_jet(self):
         # Oracle that sees only the chart: tangents by central differences
@@ -144,7 +144,7 @@ class TestJet:
             return coordinate_to_frame(p, cu), coordinate_to_frame(p, cv)
 
         for (u, v) in ((0.5, 0.2), (2.0, -0.3)):
-            ja = jet(s, u, v, 1.0)
+            ja = jet([(s, u, v)], 1.0)
             fu, fv = fd_tangents(u, v)
             assert np.abs(ja.phi_u - fu).max() < 1e-8
             assert np.abs(ja.phi_v - fv).max() < 1e-8
@@ -186,12 +186,12 @@ class TestJet:
         for u, v, size in (one_point, five_points):
             points.clear()
             calls.clear()
-            jet(s, u, v, 1.0)
+            jet([(s, u, v)], 1.0)
             assert points == {"jet2": size, "curve.jet": size}
             assert calls["jet2"] == 1
             points.clear()
             calls.clear()
-            pt = surface_shape(s, u, v, 1.0)
+            pt = surface_shape([(s, u, v)], 1.0)[0]
             assert points == {"jet2": size, "orient": size, "curve.jet": size}
             assert calls["jet2"] == 1
             points.clear()
@@ -263,10 +263,10 @@ class TestBatchPath:
     def test_batch_equals_one_point_calls_bitwise(self, spec, nu):
         s = build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 6, 6)
-        pt = surface_shape(s, us, vs, nu)
+        pt = surface_shape([(s, us, vs)], nu)[0]
         k_batch = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            one = surface_shape(s, u, v, nu)
+            one = surface_shape([(s, u, v)], nu)[0]
             assert one.shape.mean_curvature == pt.shape.mean_curvature[i]
             assert one.shape.det_shape == pt.shape.det_shape[i]
             assert np.array_equal(one.normal, pt.normal[i])
@@ -277,7 +277,7 @@ class TestBatchPath:
     def test_closed_form_helpers_batch_equals_one_point_bitwise(self, spec):
         s = build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 5, 5)
-        pt = surface_shape(s, us, vs, 1.0)
+        pt = surface_shape([(s, us, vs)], 1.0)[0]
         n, h = pt.normal, pt.shape.mean_curvature
         phi = np.arctan2(n[:, 1], n[:, 0])
         mu = gaussmap.principal_angle_from_shape(h)
@@ -296,7 +296,7 @@ class TestBatchPath:
         batched = helpers(pt, n, h, phi, mu)
         batched["normal"] = (pt.normal,)
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            point = surface_shape(s, u, v, 1.0)
+            point = surface_shape([(s, u, v)], 1.0)[0]
             single = helpers(point, n[i], h[i], phi[i], mu[i])
             single["normal"] = (point.normal,)
             for name, values in single.items():
@@ -327,14 +327,152 @@ class TestBatchPath:
         u = np.array([0.0, 0.3, 2.0, -0.4])
         v = np.array([0.1, 0.2, 0.5, 0.3])
         with pytest.raises(ValueError, match=r"profile must stay positive at \(2\.0, 0\.5\)"):
-            surface_shape(s, u, v, 1.0)
+            surface_shape([(s, u, v)], 1.0)[0]
 
     def test_point_inside_stencil_margin_mid_array_is_named(self):
         s = lightcone_surface(umbilic_profile(1.0, 0.0))
         u = np.array([0.0, s.domain.u0, 0.5])
         v = np.array([0.1, 0.25, 0.3])
         with pytest.raises(ValueError, match=rf"within 2h of the domain boundary at \({s.domain.u0!r}, 0\.25\)"):
-            intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet(s, u, v, -1.0)))
+            intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet([(s, u, v)], -1.0)))
+
+
+def array_leaves(tree, path=()):
+    """The array leaves of a tree of tuples, in order, each with its path
+    of field names."""
+    if isinstance(tree, tuple):
+        for name, field in zip(getattr(tree, "_fields", range(len(tree))), tree):
+            yield from array_leaves(field, path + (name,))
+    elif isinstance(tree, (np.ndarray, np.generic)):
+        yield path, tree
+
+
+def assert_same_bits(batched, one):
+    """Every array leaf of ``batched`` has the shape, dtype and bytes of the
+    same leaf of ``one``."""
+    pairs = list(zip(array_leaves(batched), array_leaves(one), strict=True))
+    assert pairs
+    for (path, a), (_, b) in pairs:
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), path
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), path
+
+
+def roster_segments(nu):
+    """The ``all`` run's surface segments at nu: each surface's 12x12 grid,
+    and the 4x4 closed-form grid of each classified one."""
+    segments = []
+    for text, at, classify in ALL_ROSTER:
+        s = build_family(parse_family_spec(text)).surface
+        if at == nu and s is not None:
+            segments += [(s, *grid_samples(s, *grid)) for grid in [(12, 12), (4, 4)][: 1 + classify]]
+    return segments
+
+
+class TestSegments:
+    """A batched call over several segments against its one-segment calls,
+    the reference: every array field bit for bit, and errors by message."""
+
+    @pytest.mark.parametrize("nu, count", [(1.0, 11), (-1.0, 2)])
+    def test_roster_group_equals_its_one_segment_calls(self, nu, count):
+        segments = roster_segments(nu)
+        assert len(segments) == count
+        batched = surface_shape(segments, nu)
+        assert len(batched) == count
+        for segment, pt in zip(segments, batched):
+            (one,) = surface_shape([segment], nu)
+            assert_same_bits(pt, one)
+            assert pt.jet.nu == one.jet.nu == nu
+
+    def test_segments_keep_their_shapes(self):
+        """Scalar and array segments in one call: each comes back shaped like
+        its parameters, with the bits of its own call."""
+        texts = ("conoid(mu=0.3)", "hopf_cylinder(curve=circle,kappa=3)")
+        conoid, hopf = (build_family(parse_family_spec(text)).surface for text in texts)
+        u, v = grid_samples(hopf, 3, 4)
+        segments = [(conoid, 0.4, 1.5), (hopf, u, v), (hopf, 0.3, v[5]), (conoid, u[:5] - 3.0, v[:5] + 0.5)]
+        batched = surface_shape(segments, 1.0)
+        assert [pt.shape.mean_curvature.shape for pt in batched] == [(), (12,), (), (5,)]
+        assert [pt.normal.shape for pt in batched] == [(3,), (12, 3), (3,), (5, 3)]
+        for segment, pt in zip(segments, batched):
+            assert_same_bits(pt, surface_shape([segment], 1.0)[0])
+
+    def test_frame_curvature_components_and_classification_equal_their_one_sample_calls(self):
+        segments = roster_segments(1.0)
+        pts = surface_shape(segments, 1.0)
+        sizes = [u.size for _, u, _ in segments]
+        classified = [pts[k] for k in range(len(pts) - 1) if sizes[k + 1] == 16]
+        small = [pt for pt, size in zip(pts, sizes) if size == 16]
+        assert len(classified) == len(small) == 4
+        for picked in (classified, small):
+            comps = gaussmap.frame_curvature_components_at(picked)
+            for pt, batched in zip(picked, comps, strict=True):
+                assert_same_bits(batched, gaussmap.frame_curvature_components_at([pt])[0])
+        assert gaussmap.classify_gauss_map(classified) == [gaussmap.classify_gauss_map([pt])[0] for pt in classified]
+
+    def test_symmetry_residuals_equal_their_one_surface_calls(self):
+        segments = []
+        for text, _, _ in ALL_ROSTER:
+            s = build_family(parse_family_spec(text)).surface
+            if s is not None and s.group is not None:
+                u, v = grid_samples(s, 12, 12)
+                segments.append((s, u[::18], v[::18]))
+        assert len(segments) == 9
+        batched = symmetry_residual(segments, 0.37)
+        for segment, residuals in zip(segments, batched, strict=True):
+            assert_same_bits((residuals,), (symmetry_residual([segment], 0.37)[0],))
+
+    @pytest.mark.parametrize(
+        "case, nu, failing, point",
+        [
+            ("height", 1.0, 1, "at (0.6, 0.7)"),  # y <= 0 at one point of the later segment
+            ("rank", 1.0, 1, "at (0.5, 0.7)"),  # rank-deficient tangents at one point of the later segment
+            ("timelike", -0.5, 1, " at ("),  # the joined normal check fails on the later segment
+            ("timelike-first", -0.5, 0, " at ("),  # the earlier one's joined check, the later one's height check
+        ],
+    )
+    def test_error_names_the_point_of_the_failing_segments_own_call(self, case, nu, failing, point):
+        conoid = build_family(parse_family_spec("conoid(mu=0.3)")).surface
+        timelike = build_family(parse_family_spec("lightcone(profile=minimal)")).surface
+        u = np.array([0.1, 0.3, 0.6, 0.2])
+        v = np.array([0.2, 0.4, 0.7, 0.9])
+        good = (conoid, *grid_samples(conoid, 3, 3))
+        segments = {
+            "height": [good, (sinking_chart(), u, v)],
+            "rank": [good, (bent_chart(), np.array([0.0, 0.2, 0.5, 0.1]), v)],
+            "timelike": [good, (timelike, *grid_samples(timelike, 2, 2))],
+            "timelike-first": [(timelike, *grid_samples(timelike, 2, 2)), (sinking_chart(), u, v)],
+        }[case]
+        with pytest.raises(ValueError) as one:
+            surface_shape([segments[failing]], nu)
+        with pytest.raises(ValueError) as batched:
+            surface_shape(segments, nu)
+        assert point in str(one.value)
+        assert str(batched.value) == str(one.value)
+
+
+class TestFundamentalFormLayout:
+    def test_strided_operands_give_the_contiguous_bits(self):
+        """``apply`` makes its operands contiguous, so numpy's matmul takes one
+        route whatever their layout: a reversed inner axis, Fortran order, a
+        row stride and a broadcast row give the bits of C-contiguous copies."""
+        rng = np.random.default_rng(7)
+        E, F, G = rng.uniform(-2.0, 2.0, (3, 4096))
+        a, b = rng.uniform(-2.0, 2.0, (2, 4096, 2))
+        form = FundamentalForm(E, F, G)
+        reference = form.apply(a, b)
+        rows = np.empty((8192, 2))
+        rows[::2] = a
+        layouts = {
+            "reversed": np.ascontiguousarray(a[:, ::-1])[:, ::-1],
+            "fortran": np.asfortranarray(a),
+            "row-strided": rows[::2],
+        }
+        for name, strided in layouts.items():
+            assert not strided.flags.c_contiguous
+            assert form.apply(strided, b).tobytes() == reference.tobytes(), name
+            assert form.apply(b, strided).tobytes() == form.apply(b, a).tobytes(), name
+        row = np.broadcast_to(a[0], a.shape)
+        assert form.apply(row, b).tobytes() == form.apply(np.ascontiguousarray(row), b).tobytes()
 
 
 class TestFirstForm:
@@ -344,7 +482,7 @@ class TestFirstForm:
             for curve in (geodesic(), horocycle(), hypercycle(1.0)):
                 s = hopf_cylinder(curve)
                 for (u, v) in interior_points(s, n=3):
-                    I = first_form(jet(s, u, v, nu))
+                    I = first_form(jet([(s, u, v)], nu))
                     (_, y), (xp, _), _ = curve.jet(v)
                     beta = xp / (2.0 * y)
                     assert abs(I.E - nu) < 1e-12
@@ -355,7 +493,7 @@ class TestFirstForm:
         profile = umbilic_profile(1.0, 0.0)
         s = lightcone_surface(profile)
         for u in (-0.8, 0.0, 0.9):
-            I = first_form(jet(s, u, 0.2, -1.0))
+            I = first_form(jet([(s, u, 0.2)], -1.0))
             y = profile.y(u)
             assert abs(I.det + 1.0 / (4.0 * y * y)) < 1e-12
 
@@ -364,7 +502,7 @@ class TestFirstForm:
         s = lightcone_surface(profile)
         for nu in (0.7, -0.3, 1.0, -1.0):
             for u in (-1.5, 0.2, 2.0):
-                I = first_form(jet(s, u, 0.0, nu))
+                I = first_form(jet([(s, u, 0.0)], nu))
                 y, yp = profile.y(u), profile.yp(u)
                 expected = ((1.0 + nu) * yp * yp + 4.0 * nu * y * y) / (16.0 * y**4)
                 assert abs(I.det - expected) < 1e-12
@@ -376,8 +514,8 @@ class TestUnitNormal:
         s = lightcone_surface(profile)
         for nu in (1.0, -1.0, 0.5, 2.0, 10.0, -2.0, -5.0):
             for u in (-1.0, 0.4, 1.7):
-                j = jet(s, u, 0.1, nu)
-                n = unit_normal(j, orient_hint=np.array([0.0, 1.0, 0.0]))
+                j = jet([(s, u, 0.1)], nu)
+                n = unit_normal(j, [np.array([0.0, 1.0, 0.0])])
                 closed = lightcone_closed_forms(profile, u, nu)[5]
                 assert np.allclose(n, closed, atol=1e-12)
 
@@ -386,7 +524,7 @@ class TestUnitNormal:
         profile = trig_profile(2.0, [])
         s = lightcone_surface(profile)
         for nu in (1.0, -1.0):
-            n = unit_normal(jet(s, 0.3, 0.0, nu))
+            n = unit_normal(jet([(s, 0.3, 0.0)], nu))
             assert np.allclose(n, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_orthogonality_and_normalization(self, rng):
@@ -396,7 +534,7 @@ class TestUnitNormal:
             for _ in range(75):
                 u = float(rng.uniform(s.domain.u0 + 0.05, s.domain.u1 - 0.05))
                 v = float(rng.uniform(s.domain.v0 + 0.05, s.domain.v1 - 0.05))
-                j = jet(s, u, v, nu)
+                j = jet([(s, u, v)], nu)
                 n = unit_normal(j)
                 assert abs(g_frame(n, j.phi_u, nu)) < 1e-8
                 assert abs(g_frame(n, j.phi_v, nu)) < 1e-8
@@ -404,7 +542,7 @@ class TestUnitNormal:
 
     def test_default_orientation_prefers_e2(self):
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
-        j = jet(s, 0.5, 0.0, 1.0)
+        j = jet([(s, 0.5, 0.0)], 1.0)
         n = unit_normal(j)
         assert n[1] > 0.0
 
@@ -432,8 +570,8 @@ class TestSecondForm:
         s = lightcone_surface(profile)
         for nu in (1.0, -1.0):
             for u in (-1.2, 0.0, 1.9):
-                j = jet(s, u, 0.3, nu)
-                n = unit_normal(j, orient_hint=np.array([0.0, 1.0, 0.0]))
+                j = jet([(s, u, 0.3)], nu)
+                n = unit_normal(j, [np.array([0.0, 1.0, 0.0])])
                 II = second_form(j, n)
                 closed = lightcone_closed_forms(profile, u, nu)[6]
                 assert abs(II.E - closed["uu"]) < 1e-12
@@ -444,8 +582,8 @@ class TestSecondForm:
         # The 1 + nu factor kills II(d/dv, d/dv) at nu = -1 for any profile.
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.2), (0.1, 0.0)]))
         for u in (-2.0, 0.1, 1.4):
-            j = jet(s, u, 0.5, -1.0)
-            n = unit_normal(j, orient_hint=np.array([0.0, 1.0, 0.0]))
+            j = jet([(s, u, 0.5)], -1.0)
+            n = unit_normal(j, [np.array([0.0, 1.0, 0.0])])
             assert abs(second_form(j, n).G) < 1e-14
 
 
@@ -461,7 +599,7 @@ class TestShapeData:
     def test_lightcone_lorentzian_invariants(self):
         s = lightcone_surface(trig_profile(2.0, [(0.2, 0.1)]))
         for (u, v) in interior_points(s, n=3):
-            pt = surface_shape(s, u, v, -1.0)
+            pt = surface_shape([(s, u, v)], -1.0)[0]
             sd = pt.shape
             assert abs(sd.mean_curvature - 1.0) < 1e-12
             assert abs(sd.discriminant) < 1e-10
@@ -473,7 +611,7 @@ class TestShapeData:
         # The Lorentzian cylinder over a geodesic is minimal with
         # det S = 1, so the discriminant is negative.
         s = hopf_cylinder(geodesic())
-        sd = surface_shape(s, 0.4, 0.1, -1.0).shape
+        sd = surface_shape([(s, 0.4, 0.1)], -1.0)[0].shape
         assert abs(sd.mean_curvature) < 1e-10
         assert sd.discriminant < -0.5  # no real principal curvatures
 
@@ -490,8 +628,8 @@ class TestShapeData:
             orient=base.orient,
         )
         for (u, v) in interior_points(base, n=3, margin=0.3):
-            h0 = surface_shape(base, u, v + shift, 1.0).shape.mean_curvature
-            h1 = surface_shape(shifted, u, v, 1.0).shape.mean_curvature
+            h0 = surface_shape([(base, u, v + shift)], 1.0)[0].shape.mean_curvature
+            h1 = surface_shape([(shifted, u, v)], 1.0)[0].shape.mean_curvature
             assert abs(h0 - h1) < 1e-8
 
     def test_mean_curvature_flips_with_normal(self):
@@ -502,8 +640,8 @@ class TestShapeData:
             orient=lambda j: -base.orient(j),
         )
         for (u, v) in interior_points(base, n=3):
-            h0 = surface_shape(base, u, v, 1.0).shape.mean_curvature
-            h1 = surface_shape(flipped, u, v, 1.0).shape.mean_curvature
+            h0 = surface_shape([(base, u, v)], 1.0)[0].shape.mean_curvature
+            h1 = surface_shape([(flipped, u, v)], 1.0)[0].shape.mean_curvature
             assert abs(h0 + h1) < 1e-12
 
 
@@ -513,12 +651,12 @@ class TestIntrinsicCurvature:
             s = hopf_cylinder(curve)
             for nu in (1.0, -1.0):
                 for (u, v) in interior_points(s, n=3):
-                    assert abs(intrinsic_gauss_curvature(s, u, v, nu, first_form(jet(s, u, v, nu)))) < 1e-4
+                    assert abs(intrinsic_gauss_curvature(s, u, v, nu, first_form(jet([(s, u, v)], nu)))) < 1e-4
 
     def test_lightcone_lorentzian_flat(self):
         s = lightcone_surface(trig_profile(2.0, [(0.3, 0.1)]))
         for (u, v) in interior_points(s, n=3):
-            assert abs(intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet(s, u, v, -1.0)))) < 1e-4
+            assert abs(intrinsic_gauss_curvature(s, u, v, -1.0, first_form(jet([(s, u, v)], -1.0)))) < 1e-4
 
     def test_gauss_equation_in_constant_curvature(self):
         # K = det S - 1 for every surface of the nu = -1 ambient.
@@ -530,14 +668,14 @@ class TestIntrinsicCurvature:
         ):
             s = builder()
             for (u, v) in interior_points(s, n=3):
-                pt = surface_shape(s, u, v, -1.0)
+                pt = surface_shape([(s, u, v)], -1.0)[0]
                 k = intrinsic_gauss_curvature(s, u, v, -1.0, pt.first)
                 assert abs(k - (pt.shape.det_shape - 1.0)) < 2e-4
 
     def test_boundary_margin_enforced(self):
         s = lightcone_surface(umbilic_profile(1.0, 0.0))
         with pytest.raises(ValueError):
-            intrinsic_gauss_curvature(s, s.domain.u0, 0.0, -1.0, first_form(jet(s, s.domain.u0, 0.0, -1.0)))
+            intrinsic_gauss_curvature(s, s.domain.u0, 0.0, -1.0, first_form(jet([(s, s.domain.u0, 0.0)], -1.0)))
 
     @pytest.mark.parametrize("mu", [0.3, 0.7, 2.0])
     def test_gauss_equation_at_nu_one(self, mu):
@@ -546,7 +684,7 @@ class TestIntrinsicCurvature:
         # differently, so a probe that mixes them up fails by far more.
         s = families.affine_conoid(mu=mu)
         us, vs = grid_samples(s, 16, 16)
-        pt = surface_shape(s, us, vs, 1.0)
+        pt = surface_shape([(s, us, vs)], 1.0)[0]
         k = intrinsic_gauss_curvature(s, us, vs, 1.0, pt.first)
         k_sec = sectional_curvature(pt.jet.phi_u, pt.jet.phi_v, 1.0)
         assert np.abs(k - (k_sec + pt.shape.det_shape)).max() < 1e-4
@@ -562,7 +700,7 @@ def per_shift_gauss_curvature(s, u, v, nu, first):
     hv = 1e-4 * s.domain.span_v
 
     def efg(i, k):
-        I = first_form(jet(s, u + i * hu, v + k * hv, nu))
+        I = first_form(jet([(s, u + i * hu, v + k * hv)], nu))
         return np.stack([I.E, I.F, I.G], axis=-1)
 
     f0 = np.stack([first.E, first.F, first.G], axis=-1)
@@ -658,11 +796,11 @@ class TestSlicedStencil:
             monkeypatch.setattr(surface, "STENCIL_BLOCK", block)
         s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, 6, 6)
-        pt = surface_shape(s, us, vs, nu)
+        pt = surface_shape([(s, us, vs)], nu)[0]
         k = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
         assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, pt.first).tobytes()
         for u, v in zip(us[::5].tolist(), vs[::5].tolist()):
-            one = surface_shape(s, u, v, nu)
+            one = surface_shape([(s, u, v)], nu)[0]
             k = intrinsic_gauss_curvature(s, u, v, nu, one.first)
             assert k.tobytes() == per_shift_gauss_curvature(s, u, v, nu, one.first).tobytes()
 
@@ -672,7 +810,7 @@ class TestSlicedStencil:
         u, v = point
         if batch:  # the bad point behind a good one
             u, v = np.array([0.3, u]), np.array([0.3, v])
-        first = first_form(jet(s, u, v, 1.0))
+        first = first_form(jet([(s, u, v)], 1.0))
         with pytest.raises(ValueError) as expected:
             per_shift_gauss_curvature(s, u, v, 1.0, first)
         assert message in str(expected.value)
@@ -689,7 +827,7 @@ class TestSlicedStencil:
         s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
         us, vs = grid_samples(s, *grid)
         assert us.size < surface.STENCIL_BLOCK < 8 * us.size
-        pt = surface_shape(s, us, vs, nu)
+        pt = surface_shape([(s, us, vs)], nu)[0]
         k = intrinsic_gauss_curvature(s, us, vs, nu, pt.first)
         assert k.tobytes() == per_shift_gauss_curvature(s, us, vs, nu, pt.first).tobytes()
 
@@ -702,7 +840,7 @@ class TestSlicedStencil:
         monkeypatch.setattr(surface, "STENCIL_BLOCK", 8)
         u = np.append(np.linspace(0.2, 0.3, good), point[0])
         v = np.append(np.linspace(0.3, 0.2, good), point[1])
-        first = first_form(jet(s, u, v, 1.0))
+        first = first_form(jet([(s, u, v)], 1.0))
         with pytest.raises(ValueError) as expected:
             per_shift_gauss_curvature(s, u, v, 1.0, first)
         assert message in str(expected.value)
