@@ -386,7 +386,7 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
 
     def orient(j: SurfaceJet) -> np.ndarray:
         # F phi_v: the lift of the rotated curve velocity.
-        w1, w2, _ = j.phi_v.T
+        w1, w2 = j.phi_v[..., 0], j.phi_v[..., 1]
         return np.stack([-w2, w1, np.zeros_like(w1)], axis=-1)
 
     return Immersion(

@@ -187,21 +187,16 @@ class FundamentalForm(NamedTuple):
     G: float
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.stack([np.stack([self.E, self.F], -1), np.stack([self.F, self.G], -1)], -2)
-
-    @property
     def det(self) -> float:
         return self.E * self.G - self.F * self.F
 
     def apply(self, a, b) -> float:
-        """The form on (du, dv) coefficient pairs of shape (..., 2).  The
-        operands are made C-contiguous: numpy's matmul hands BLAS the ones
-        it can and takes its own loop for the others (a reversed axis, say),
-        and the two round differently in the last bit."""
-        a = np.ascontiguousarray(np.asarray(a, dtype=float)[..., None, :])
-        b = np.ascontiguousarray(np.asarray(b, dtype=float)[..., :, None])
-        return (a @ self.matrix @ b)[..., 0, 0]
+        """The form on (du, dv) coefficient pairs of shape (..., 2), as the
+        elementwise (a0 E + a1 F) b0 + (a0 F + a1 G) b1: one rounding
+        whatever the operands' memory layout, and no BLAS call."""
+        a0, a1 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+        b0, b1 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+        return (a0 * self.E + a1 * self.F) * b0 + (a0 * self.F + a1 * self.G) * b1
 
 
 class ShapeData(NamedTuple):
@@ -269,9 +264,11 @@ def _frame_partial_grad(da, dab, yb, y) -> np.ndarray:
     xab, yab, tab = dab
     h = 1.0 / (2.0 * y)
     h2 = 1.0 / (2.0 * y * y)
-    g1 = xab * h - xa * yb * h2
-    g2 = yab * h - ya * yb * h2
-    return np.stack([g1, g2, tab + g1], axis=-1)
+    out = np.empty(np.shape(h) + (3,))
+    out[..., 0] = xab * h - xa * yb * h2
+    out[..., 1] = yab * h - ya * yb * h2
+    out[..., 2] = tab + out[..., 0]
+    return out
 
 
 def first_form(j: SurfaceJet) -> FundamentalForm:
@@ -307,17 +304,18 @@ def unit_normal(j: SurfaceJet, hints: list = (None,), shapes: Optional[list] = N
     at = (j.point.x, j.point.y, j.point.theta)
     det = first_form(j).det
     _require(np.abs(det) >= TANGENT_PLANE_TOL, "tangent plane is degenerate (gram)", at, det)
-    c = np.cross(j.phi_u, j.phi_v)
-    n = np.stack([c[..., 0], c[..., 1], c[..., 2] / nu], axis=-1)
+    n = np.cross(j.phi_u, j.phi_v)
+    n[..., 2] /= nu
     q = g_frame(n, n, nu)
     _require(np.abs(q) >= TANGENT_PLANE_TOL, "normal direction is null (g(n,n))", at, q)
-    n = n / np.sqrt(np.abs(q))[..., None]
+    n /= np.sqrt(np.abs(q))[..., None]
     shapes = shapes or [np.shape(q)]
     signs = [
         _default_orientation_sign(n_k) if hint is None else np.where(g_frame(n_k, hint, nu) >= 0.0, 1.0, -1.0)
         for n_k, hint in zip(split_segments(n, shapes), hints)
     ]
-    return join_segments(signs, shapes)[..., None] * n
+    n *= join_segments(signs, shapes)[..., None]
+    return n
 
 
 def second_form(j: SurfaceJet, n: np.ndarray) -> FundamentalForm:
@@ -412,16 +410,19 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
 
         M2 = (0      E_v/2   G_u/2)
              (E_v/2  E       F    )
-             (G_u/2  F       G    ).
+             (G_u/2  F       G    ),
 
-    Valid for any nondegenerate (also Lorentzian) induced 2-metric.  The
-    centre is ``first``, the first form at (u, v) from the caller's
-    evaluation there, so the probe never sees the second form.  The shifts
-    +u, -u, +v, -v, ++, +-, -+, -- are stacked and evaluated in slices of
-    at most ``STENCIL_BLOCK`` points, one first-order ``jet2`` call with the
-    checks of ``jet`` each; on an error they are evaluated again shift by
-    shift, so that it names the point a shift-by-shift pass stops at.
-    Every point must sit at least 2h inside every non-periodic domain edge.
+    whose determinants ``_brioschi`` expands along their first rows,
+    elementwise.  Valid for any nondegenerate (also Lorentzian) induced
+    2-metric.  The centre is ``first``, the first form at (u, v) from the
+    caller's evaluation there, so the probe never sees the second form.  The
+    shifts +u, -u, +v, -v, ++, +-, -+, -- are stacked and evaluated in
+    slices of at most ``STENCIL_BLOCK`` points, one first-order ``jet2``
+    call with the checks of ``jet`` each, their E, F, G written
+    component-major into one array; on an error they are evaluated again
+    shift by shift, so that it names the point a shift-by-shift pass stops
+    at.  Every point must sit at least 2h inside every non-periodic domain
+    edge.  u and v may have any one shape, which K then has.
     """
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -437,41 +438,39 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
     us = np.stack([u + i * hu for i, _ in shifts])
     vs = np.stack([v + k * hv for _, k in shifts])
-    efg = np.empty(us.shape + (3,))
+    efg = np.empty((3, us.size))
     try:
         for i in range(0, us.size, STENCIL_BLOCK):
             block = slice(i, i + STENCIL_BLOCK)
             fu, fv = _first_order(s, us.ravel()[block], vs.ravel()[block])[3:5]
-            efg.reshape(-1, 3)[block] = np.stack([g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)], -1)
+            efg[0, block], efg[1, block], efg[2, block] = g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)
     except ValueError:
         for shift in zip(us, vs):
             _first_order(s, *shift)
         raise
-    up, um, vp, vm, pp, pm, mp, mm = efg
-    f0 = np.stack([first.E, first.F, first.G], axis=-1)
-    d_u = (up - um) / (2.0 * hu)
-    d_v = (vp - vm) / (2.0 * hv)
-    d_uu = (up - 2.0 * f0 + um) / (hu * hu)
-    d_vv = (vp - 2.0 * f0 + vm) / (hv * hv)
-    d_uv = (pp - pm - mp + mm) / (4.0 * hu * hv)
-
-    E, F, G = f0.T
-    Eu, Fu, Gu = d_u.T
-    Ev, Fv, Gv = d_v.T
-    Evv = d_vv[..., 0]
-    Guu = d_uu[..., 2]
-    Fuv = d_uv[..., 1]
-    zero = np.zeros_like(E)
-
-    rows = lambda *r: np.stack([np.stack(row, axis=-1) for row in r], axis=-2)
-    m1 = rows(
-        (-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev),
-        (Fv - 0.5 * Gu, E, F),
-        (0.5 * Gv, F, G),
+    e, f, g = efg.reshape(3, *us.shape)  # each in the order of ``shifts``
+    E, F, G = first
+    d_u = lambda x: (x[0] - x[1]) / (2.0 * hu)
+    d_v = lambda x: (x[2] - x[3]) / (2.0 * hv)
+    return _brioschi(
+        E, F, G, d_u(e), d_v(e), (e[2] - 2.0 * E + e[3]) / (hv * hv),
+        d_u(f), d_v(f), (f[4] - f[5] - f[6] + f[7]) / (4.0 * hu * hv),
+        d_u(g), d_v(g), (g[0] - 2.0 * G + g[1]) / (hu * hu),
     )
-    m2 = rows((zero, 0.5 * Ev, 0.5 * Gu), (0.5 * Ev, E, F), (0.5 * Gu, F, G))
+
+
+def _brioschi(E, F, G, Eu, Ev, Evv, Fu, Fv, Fuv, Gu, Gv, Guu):
+    """K = (det M1 - det M2) / (E G - F^2)^2 of ``intrinsic_gauss_curvature``
+    from the first form and the partials it reads, elementwise: each
+    determinant is its first-row cofactor expansion, and the two share the
+    minor E G - F^2.  The added 0.0 turns an exact zero difference into
+    +0.0, as LAPACK's det gives it."""
     det_i = E * G - F * F
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
+    p, q = Fv - 0.5 * Gu, 0.5 * Gv  # M1's first column below its first row
+    det_m1 = (-0.5 * Evv + Fuv - 0.5 * Guu) * det_i - 0.5 * Eu * (p * G - F * q) + (Fu - 0.5 * Ev) * (p * F - E * q)
+    ev, gu = 0.5 * Ev, 0.5 * Gu
+    det_m2 = -ev * (ev * G - F * gu) + gu * (ev * F - E * gu)
+    return (det_m1 - det_m2 + 0.0) / (det_i * det_i)
 
 
 def check_analytic_partials(s: Immersion, u: float, v: float) -> float:

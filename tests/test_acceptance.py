@@ -154,8 +154,8 @@ def test_criterion_05_cylinders_metric_flatness_mean_curvature():
                 I = first_form(jet([(s, float(u), float(v))], 1.0))
                 (_, y), (xp, _), _ = curve.jet(float(v))
                 beta = xp / (2.0 * y)
-                display = np.array([[1.0, beta], [beta, beta * beta + 1.0]])
-                worst_metric = max(worst_metric, float(np.abs(I.matrix - display).max()))
+                display = (1.0, beta, beta * beta + 1.0)
+                worst_metric = max(worst_metric, float(np.abs(np.subtract(I, display)).max()))
                 worst_k = max(worst_k, abs(intrinsic_gauss_curvature(s, float(u), float(v), 1.0, I)))
                 h = surface_shape([(s, float(u), float(v))], 1.0)[0].shape.mean_curvature
                 worst_h = max(worst_h, abs(h - kappa / 2.0))

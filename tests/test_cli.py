@@ -1442,14 +1442,14 @@ class TestCommandLine:
 GOLDEN_STDOUT = {
     "--suite connection --nu -1 --samples 400 --seed 1": "97c51ded1219e8f00298affac1ab7fb2af08c583089890f7e2756a9c26f30993",
     "--suite all --seed 42": "7b6348555f9c750e19f6fda72568105a4738f332a9cf75a680058cfe64392a33",
-    "--report --suite family --family conoid(mu=0.7) --grid 64x64": "8147e1ecfa830b9694b121747f929799fb7d2d6b76e0b465364b4ec0846ec571",
+    "--report --suite family --family conoid(mu=0.7) --grid 64x64": "2e9f6e50421ecd6b3dfdbb2723ce1dee64965b7a734958b55211043740ed0cfc",
     # The nu outside {1, -1} branches, which --suite all never runs.
     "--suite curvature --nu 2.5 --seed 3": "957643a0da5e844ff64b217b0d7c5098e16674b4c2c207745e14011be9a3cac8",
     "--suite sasaki --nu -0.5 --seed 3": "3ad3c836695250c7e572120b7d30cebbaa0a0d058dd9ed703b19394978d9e271",
     # The CSV writers, for check rows and for the --report table.
     "--suite sasaki --nu -0.5 --seed 3 --format csv": "032805a67e52344502617ef933c0b1fe58accd8d7602e3f2b165d6dd0b360f69",
     "--report --suite family --family conoid(mu=0.7) --grid 16x16 --format csv": (
-        "2a83bdb15c3b96807dffd05178febd56ab91d54df8e056a686d3796b31c32bb8"
+        "9cee80e815cc8b6d7e879b5278a050685bcac2569c73e89958ad152ec65f3c1c"
     ),
     # At nu != 1 the r1213..r3223 report columns are None: `null` in JSON,
     # empty fields in CSV.
@@ -1504,9 +1504,9 @@ def test_stdout_is_pinned(argv, capsys):
     The pins were recorded under PINNED_DISPATCH.  They also depend on
     numpy's SIMD dispatch (np.arctan2, np.exp and array powers can differ
     from libm in the last bit) and on the BLAS numpy's matmul calls (the
-    2x2 products of ``FundamentalForm.apply``), so a pin can move on another
-    host with correct code; the failure message names this host's dispatch
-    and BLAS.  There,
+    2x2 group products of ``core`` and ``families.chart_flow``), so a pin
+    can move on another host with correct code; the failure message names
+    this host's dispatch and BLAS.  There,
     check the moved run against ALL_ROW_KEYS, the value records
     (test_report_values_match_the_record and
     test_check_row_values_match_the_record) and the worst residual of each
@@ -1581,6 +1581,27 @@ def test_check_row_values_match_the_record():
             want, got = float(record[name][k]), table[name][k]
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=floor), (check_id, name, want, got)
         assert table["residual"][k] == abs(table["computed"][k] - table["expected"][k])
+
+
+WORST_RESIDUAL_RECORD = os.path.join(os.path.dirname(__file__), "data", "all_seed42_worst_residuals.json")
+
+
+def test_worst_residuals_do_not_grow():
+    """The largest residual of each check id of ``--suite all --seed 42``
+    does not grow past its recorded value, so a speed-up cannot trade
+    accuracy for time unnoticed.  The slack, a relative 1e-6, is for
+    another host's last-bit differences (see test_stdout_is_pinned); a
+    residual recorded as exactly 0 must stay 0.  A deliberate change of a
+    check re-records the file, and CHANGES.md says why."""
+    table = run_suite(SuiteConfig(suite="all", seed=42))
+    worst = {}
+    for check_id, residual in zip(table["check_id"].tolist(), table["residual"].tolist()):
+        worst[check_id] = max(worst.get(check_id, 0.0), residual)
+    with open(WORST_RESIDUAL_RECORD) as f:
+        record = json.load(f)
+    assert sorted(worst) == sorted(record)
+    grown = {key: (record[key], worst[key]) for key in record if worst[key] > record[key] * (1.0 + 1e-6)}
+    assert not grown, f"worst residuals grew (recorded, now): {grown}; this host: {host_dispatch()}"
 
 
 def test_row_keys_are_pinned():

@@ -396,6 +396,27 @@ class TestSegments:
         for segment, pt in zip(segments, batched):
             assert_same_bits(pt, surface_shape([segment], 1.0)[0])
 
+    @pytest.mark.parametrize("nu", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "text", ["hopf_cylinder(curve=circle,kappa=3)", "hopf_cylinder(curve=horocycle)", "conoid(mu=0.7)"]
+    )
+    def test_a_2d_grid_gives_the_bits_of_the_flat_call(self, text, nu):
+        """Parameters of shape (3, 4): every array leaf, and the curvature
+        probe, has the bits of the flat call's, reshaped.  A cylinder's
+        orientation hint reads phi_v's components, not phi_v.T, which
+        reverses every axis of a 2-D grid."""
+        s = build_family(parse_family_spec(text)).surface
+        u, v = grid_samples(s, 3, 4)
+        (flat,) = surface_shape([(s, u, v)], nu)
+        (grid,) = surface_shape([(s, u.reshape(3, 4), v.reshape(3, 4))], nu)
+        pairs = list(zip(array_leaves(grid), array_leaves(flat), strict=True))
+        for (path, a), (_, b) in pairs:
+            assert a.shape == (3, 4) + b.shape[1:] or a.shape == b.shape == (), path
+            assert a.tobytes() == b.tobytes(), path
+        k = intrinsic_gauss_curvature(s, u.reshape(3, 4), v.reshape(3, 4), nu, grid.first)
+        assert k.shape == (3, 4)
+        assert k.tobytes() == intrinsic_gauss_curvature(s, u, v, nu, flat.first).tobytes()
+
     def test_frame_curvature_components_and_classification_equal_their_one_sample_calls(self):
         segments = roster_segments(1.0)
         pts = surface_shape(segments, 1.0)
@@ -452,9 +473,9 @@ class TestSegments:
 
 class TestFundamentalFormLayout:
     def test_strided_operands_give_the_contiguous_bits(self):
-        """``apply`` makes its operands contiguous, so numpy's matmul takes one
-        route whatever their layout: a reversed inner axis, Fortran order, a
-        row stride and a broadcast row give the bits of C-contiguous copies."""
+        """``apply`` is elementwise arithmetic, which takes one route whatever
+        the operands' layout: a reversed inner axis, Fortran order, a row
+        stride and a broadcast row give the bits of C-contiguous copies."""
         rng = np.random.default_rng(7)
         E, F, G = rng.uniform(-2.0, 2.0, (3, 4096))
         a, b = rng.uniform(-2.0, 2.0, (2, 4096, 2))
@@ -473,6 +494,63 @@ class TestFundamentalFormLayout:
             assert form.apply(b, strided).tobytes() == form.apply(b, a).tobytes(), name
         row = np.broadcast_to(a[0], a.shape)
         assert form.apply(row, b).tobytes() == form.apply(np.ascontiguousarray(row), b).tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+def random_stencil_values(rng, kind, n=4096):
+    """E, F, G and the nine partials K reads, in ``surface._brioschi``'s
+    order: a Riemannian, a Lorentzian or a nearly degenerate first form
+    (E G - F^2 down to about 1e-10 of E G) with partials of either sign."""
+    E, G = rng.uniform(0.2, 3.0, (2, n))
+    if kind == "riemannian":
+        F = rng.uniform(-0.9, 0.9, n) * np.sqrt(E * G)
+    elif kind == "lorentzian":
+        G, F = -G, rng.uniform(-2.0, 2.0, n)
+    else:
+        F = np.sqrt(E * G) * (1.0 - rng.uniform(1e-9, 1e-7, n)) * rng.choice([-1.0, 1.0], n)
+    return (E, F, G, *rng.uniform(-5.0, 5.0, (9, n)))
+
+
+class TestClosedForms:
+    """The elementwise closed forms against LAPACK's det and BLAS's matmul,
+    which stay the oracles: they agree to a bound scaled by the magnitudes
+    of the entries, not bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["riemannian", "lorentzian", "nearly-degenerate"])
+    def test_brioschi_determinants_agree_with_lapack(self, kind):
+        E, F, G, Eu, Ev, Evv, Fu, Fv, Fuv, Gu, Gv, Guu = values = random_stencil_values(np.random.default_rng(11), kind)
+        zero = np.zeros_like(E)
+        rows = lambda *r: np.stack([np.stack(row, axis=-1) for row in r], axis=-2)
+        m1 = rows((-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev), (Fv - 0.5 * Gu, E, F), (0.5 * Gv, F, G))
+        m2 = rows((zero, 0.5 * Ev, 0.5 * Gu), (0.5 * Ev, E, F), (0.5 * Gu, F, G))
+        det_i = E * G - F * F
+        lapack = (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
+        # Each determinant is at most 6 times the product of its row maxima.
+        scale = sum(np.abs(m).max(-1).prod(-1) for m in (m1, m2)) / (det_i * det_i)
+        assert (np.abs(surface._brioschi(*values) - lapack) <= 32.0 * EPS * scale).all()
+
+    @pytest.mark.parametrize("profile", ["minimal", "umbilic", "trig"])
+    def test_flat_lightcone_curvature_is_positive_zero(self, profile):
+        """At nu = -1 the lightcone surfaces are flat and K is an exact zero,
+        +0.0 as LAPACK's difference gives it: the closed form's sum alone
+        would end in -0.0 at some of these points."""
+        s = build_family(parse_family_spec(f"lightcone(profile={profile})")).surface
+        u, v = grid_samples(s, 4, 4)
+        pt = surface_shape([(s, u, v)], -1.0)[0]
+        k = intrinsic_gauss_curvature(s, u, v, -1.0, pt.first)
+        assert k.tobytes() == np.zeros(16).tobytes()
+
+    def test_apply_agrees_with_the_matmul(self):
+        rng = np.random.default_rng(5)
+        E, F, G = rng.uniform(-2.0, 2.0, (3, 4096))
+        a, b = rng.uniform(-2.0, 2.0, (2, 4096, 2))
+        matrix = np.stack([np.stack([E, F], -1), np.stack([F, G], -1)], -2)
+        matmul = (a[..., None, :] @ matrix @ b[..., :, None])[..., 0, 0]
+        (a0, a1), (b0, b1) = a.T, b.T
+        terms = np.abs(a0 * E * b0) + np.abs(a1 * F * b0) + np.abs(a0 * F * b1) + np.abs(a1 * G * b1)
+        assert (np.abs(FundamentalForm(E, F, G).apply(a, b) - matmul) <= 4.0 * EPS * terms).all()
 
 
 class TestFirstForm:
@@ -692,9 +770,10 @@ class TestIntrinsicCurvature:
 
 def per_shift_gauss_curvature(s, u, v, nu, first):
     """The Brioschi probe with the centre's first form ``first`` and one
-    ``jet`` call per stencil shift, +u, -u, +v, -v, ++, +-, -+, --: the
-    reference that the sliced stencil must match bit for bit and error
-    for error."""
+    ``jet`` call per stencil shift, +u, -u, +v, -v, ++, +-, -+, --, and
+    the probe's closed-form determinants (``TestClosedForms`` holds those to
+    LAPACK): the reference that the sliced stencil must match bit for bit
+    and error for error."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     hu = 1e-4 * s.domain.span_u
     hv = 1e-4 * s.domain.span_v
@@ -715,12 +794,7 @@ def per_shift_gauss_curvature(s, u, v, nu, first):
     Eu, Fu, Gu = d_u.T
     Ev, Fv, Gv = d_v.T
     Evv, Guu, Fuv = d_vv[..., 0], d_uu[..., 2], d_uv[..., 1]
-    zero = np.zeros_like(E)
-    rows = lambda *r: np.stack([np.stack(row, axis=-1) for row in r], axis=-2)
-    m1 = rows((-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev), (Fv - 0.5 * Gu, E, F), (0.5 * Gv, F, G))
-    m2 = rows((zero, 0.5 * Ev, 0.5 * Gu), (0.5 * Ev, E, F), (0.5 * Gu, F, G))
-    det_i = E * G - F * F
-    return (np.linalg.det(m1) - np.linalg.det(m2)) / (det_i * det_i)
+    return surface._brioschi(E, F, G, Eu, Ev, Evv, Fu, Fv, Fuv, Gu, Gv, Guu)
 
 
 def bent_chart(a=0.5, y_floor=None, hole=None):
