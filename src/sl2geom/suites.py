@@ -153,8 +153,8 @@ class SuiteConfig(NamedTuple):
             raise ValueError("grid resolution must be >= 2 per axis")
         if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
             raise ValueError(f"grid {self.grid[0]}x{self.grid[1]} has more than {MAX_GRID_POINTS} points")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; choose from {FORMATS}")
         if not 1 <= self.samples <= MAX_SAMPLES:

@@ -418,11 +418,12 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     caller's evaluation there, so the probe never sees the second form.  The
     shifts +u, -u, +v, -v, ++, +-, -+, -- are stacked and evaluated in
     slices of at most ``STENCIL_BLOCK`` points, one first-order ``jet2``
-    call with the checks of ``jet`` each, their E, F, G written
-    component-major into one array; on an error they are evaluated again
-    shift by shift, so that it names the point a shift-by-shift pass stops
-    at.  Every point must sit at least 2h inside every non-periodic domain
-    edge.  u and v may have any one shape, which K then has.
+    call with the checks of ``jet`` each, and F is formed at every shift, E
+    and G at the four axis shifts only, since K reads no more; on an error
+    the shifts are evaluated again shift by shift, so that it names the
+    point a shift-by-shift pass stops at.  Every point must sit at least 2h
+    inside every non-periodic domain edge.  u and v may have any one shape,
+    which K then has.
     """
     nu = _require_nu(nu)
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -438,17 +439,20 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
     shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
     us = np.stack([u + i * hu for i, _ in shifts])
     vs = np.stack([v + k * hv for _, k in shifts])
-    efg = np.empty((3, us.size))
+    axis = 4 * u.size  # the points of the axis shifts; K reads only F at the diagonal ones
+    e, f, g = np.empty(axis), np.empty(us.size), np.empty(axis)
     try:
         for i in range(0, us.size, STENCIL_BLOCK):
             block = slice(i, i + STENCIL_BLOCK)
             fu, fv = _first_order(s, us.ravel()[block], vs.ravel()[block])[3:5]
-            efg[0, block], efg[1, block], efg[2, block] = g_frame(fu, fu, nu), g_frame(fu, fv, nu), g_frame(fv, fv, nu)
+            f[block] = g_frame(fu, fv, nu)
+            k = min(max(axis - i, 0), len(fu))  # points of this slice on the axis shifts
+            e[i : i + k], g[i : i + k] = g_frame(fu[:k], fu[:k], nu), g_frame(fv[:k], fv[:k], nu)
     except ValueError:
         for shift in zip(us, vs):
             _first_order(s, *shift)
         raise
-    e, f, g = efg.reshape(3, *us.shape)  # each in the order of ``shifts``
+    e, f, g = e.reshape(4, *u.shape), f.reshape(us.shape), g.reshape(4, *u.shape)  # in the order of ``shifts``
     E, F, G = first
     d_u = lambda x: (x[0] - x[1]) / (2.0 * hu)
     d_v = lambda x: (x[2] - x[3]) / (2.0 * hv)

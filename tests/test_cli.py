@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import csv
@@ -1099,6 +1100,19 @@ class TestCommandLine:
         for value in ("nan", "inf"):
             assert_usage_error(run_cli(["--suite", "sasaki", "--samples", "2", "--nu", value]))
 
+    def test_non_finite_tol_is_a_usage_error(self, tmp_path, capsys):
+        # 1e400 parses to inf; an infinite --tol would read as no --tol at all.
+        base = ["--suite", "connection", "--samples", "2"]
+        for value in ("inf", "1e400", "nan"):
+            res = run_main([*base, "--tol", value], capsys)
+            assert_usage_error(res)
+            assert "tolerance" in res.stderr
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("tol = inf\n")
+        res = run_main([*base, "--config", str(cfg_path)], capsys)
+        assert_usage_error(res)
+        assert res.stderr == "verify: tolerance must be positive and finite, got inf\n"
+
     def test_unwritable_out_path_is_a_usage_error(self, tmp_path):
         # A newline in the path is quoted, so the message stays one line.
         for name in ("rows.json", "a\nb"):
@@ -1670,3 +1684,33 @@ def test_runs_do_not_import_numpy_random(argv):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "0 []\n"
+
+
+# The package's layers, lowest first; families and gaussmap share one.  The
+# package's own __init__ ranks below them all, so it may import none of them.
+LAYERS = {"__init__": -1, "core": 0, "metric": 1, "surface": 2, "families": 3, "gaussmap": 3, "suites": 4, "cli": 5}
+
+
+def test_modules_import_only_lower_layers():
+    src = os.path.dirname(cli.__file__)
+    names = sorted(name[:-3] for name in os.listdir(src) if name.endswith(".py"))
+    assert names == sorted(LAYERS)
+    imports = []
+    for name in names:
+        with open(os.path.join(src, name + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+                imports += [(name, target) for target in targets]
+    assert ("cli", "suites") in imports and ("suites", "families") in imports
+    assert [(name, target) for name, target in imports if not LAYERS[target] < LAYERS[name]] == []
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    """``import sl2geom`` is its docstring alone: no module of the package,
+    and so no numpy, until one is imported by name."""
+    code = "import sys, sl2geom; print([m for m in sys.modules if m.startswith(('sl2geom.', 'numpy'))])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -858,9 +858,11 @@ BAD_STENCILS = [
 
 
 class TestSlicedStencil:
-    # Blocks of 8, 24 and 40 points put slice edges inside the shifts of a
-    # 6x6 grid (36 points a shift); None keeps STENCIL_BLOCK, one slice.
-    @pytest.mark.parametrize("block", [None, 8, 24, 40])
+    # Blocks of 8, 24, 40 and 100 points put slice edges inside the shifts
+    # of a 6x6 grid (36 points a shift); None keeps STENCIL_BLOCK, one slice.
+    # The axis shifts, whose E and G the probe forms, end at point 144: 8
+    # and 24 end a slice there, and 40 and 100 put a slice across it.
+    @pytest.mark.parametrize("block", [None, 8, 24, 40, 100])
     @pytest.mark.parametrize(
         "spec,nu",
         ROSTER_SURFACES + [("conoid(mu=0.7)", 1.0), ("conoid(mu=0.7)", -1.0), ("generic", 1.0), ("generic", -1.0)],
