@@ -3,11 +3,12 @@
 Each surface family is an ``Immersion`` holding one chart 2-jet
 ``jet2(u, v)`` (the point and its first and second coordinate derivatives)
 and, where a continuous normal needs it, an ``orient`` that reads the
-evaluated ``SurfaceJet``.  Each base curve is a ``HyperbolicCurve`` holding
-one ``jet(v)`` (point, velocity, acceleration), so a surface point
-evaluates its family, and its base curve, exactly once.  Both take arrays
-of parameters (numpy functions throughout) and return components that
-broadcast against them, so a whole sample grid is one evaluation.
+evaluated ``SurfaceJet``.  Each curve it sweeps is one 2-jet too, value and
+two derivatives: a base curve's ``HyperbolicCurve.jet``, a null-orbit
+profile's ``ProfileFunction.jet``, a conoid's directrix ``x(u)``.  So a
+surface point evaluates its family, and its curve, exactly once.  All take
+arrays of parameters (numpy functions throughout) and return components
+that broadcast against them, so a whole sample grid is one evaluation.
 
 Families built here, with (u, v) the parameters and the chart written as
 N(x) A(y) K(theta):
@@ -231,12 +232,10 @@ def constant_curvature_curve(kappa: float) -> HyperbolicCurve:
 
 
 class ProfileFunction(NamedTuple):
-    """A positive profile u -> y(u) with derivative access on (u_lo, u_hi);
-    y, yp and ypp take scalars or arrays."""
+    """A positive profile u -> y(u) on (u_lo, u_hi), given by its 2-jet:
+    ``jet(u)`` returns (y, y', y'') for a scalar or an array u."""
 
-    y: Callable[[float], float]
-    yp: Callable[[float], float]
-    ypp: Callable[[float], float]
+    jet: Callable[[np.ndarray], tuple]
     u_lo: float
     u_hi: float
 
@@ -251,15 +250,13 @@ def minimal_profile(A: float, B: float) -> ProfileFunction:
     w = math.sqrt(2.0)
     delta = math.atan2(B, A)
     margin = math.asin(PROFILE_FLOOR)  # cos stays above the floor
-    u_lo = (delta - 0.5 * math.pi + margin) / w
-    u_hi = (delta + 0.5 * math.pi - margin) / w
-    return ProfileFunction(
-        y=lambda u: A * np.cos(w * u) + B * np.sin(w * u),
-        yp=lambda u: w * (-A * np.sin(w * u) + B * np.cos(w * u)),
-        ypp=lambda u: -2.0 * (A * np.cos(w * u) + B * np.sin(w * u)),
-        u_lo=u_lo,
-        u_hi=u_hi,
-    )
+
+    def jet(u):
+        c, s = np.cos(w * u), np.sin(w * u)
+        y = A * c + B * s
+        return y, w * (-A * s + B * c), -2.0 * y
+
+    return ProfileFunction(jet, (delta - 0.5 * math.pi + margin) / w, (delta + 0.5 * math.pi - margin) / w)
 
 
 def umbilic_profile(A: float, u0: float) -> ProfileFunction:
@@ -271,38 +268,27 @@ def umbilic_profile(A: float, u0: float) -> ProfileFunction:
     if not A > 0.0:
         raise ValueError(f"profile amplitude must be positive, got {A!r}")
     margin = math.asin(math.sqrt(PROFILE_FLOOR))
-    return ProfileFunction(
-        y=lambda u: A * np.cos(u + u0) ** 2,
-        yp=lambda u: -A * np.sin(2.0 * (u + u0)),
-        ypp=lambda u: -2.0 * A * np.cos(2.0 * (u + u0)),
-        u_lo=-u0 - 0.5 * math.pi + margin,
-        u_hi=-u0 + 0.5 * math.pi - margin,
-    )
+
+    def jet(u):
+        t = u + u0
+        return A * np.cos(t) ** 2, -A * np.sin(2.0 * t), -2.0 * A * np.cos(2.0 * t)
+
+    return ProfileFunction(jet, -u0 - 0.5 * math.pi + margin, -u0 + 0.5 * math.pi - margin)
 
 
 def trig_profile(c0: float, coeffs: list[tuple[float, float]]) -> ProfileFunction:
     """Trigonometric polynomial profile c0 + sum a_k cos(k u) + b_k sin(k u)
-    on [-pi, pi], with exact derivatives; the caller keeps it positive."""
+    on [-pi, pi], with exact derivatives; the caller keeps it positive.  The
+    harmonics are summed from 0 and c0 added last."""
 
-    def y(u):
-        return c0 + sum(
-            a * np.cos((k + 1) * u) + b * np.sin((k + 1) * u)
-            for k, (a, b) in enumerate(coeffs)
-        )
+    def jet(u):
+        y = yp = ypp = 0
+        for k, (a, b) in enumerate(coeffs, 1):
+            c, s = np.cos(k * u), np.sin(k * u)
+            y, yp, ypp = y + (a * c + b * s), yp + k * (-a * s + b * c), ypp + k**2 * (-a * c - b * s)
+        return c0 + y, yp, ypp
 
-    def yp(u):
-        return sum(
-            (k + 1) * (-a * np.sin((k + 1) * u) + b * np.cos((k + 1) * u))
-            for k, (a, b) in enumerate(coeffs)
-        )
-
-    def ypp(u):
-        return sum(
-            (k + 1) ** 2 * (-a * np.cos((k + 1) * u) - b * np.sin((k + 1) * u))
-            for k, (a, b) in enumerate(coeffs)
-        )
-
-    return ProfileFunction(y=y, yp=yp, ypp=ypp, u_lo=-math.pi, u_hi=math.pi)
+    return ProfileFunction(jet, -math.pi, math.pi)
 
 
 def umbilic_ode_residual(y: float, yp: float, ypp: float) -> float:
@@ -318,9 +304,9 @@ def riccati_substitution(profile: ProfileFunction, u):
     For umbilic profiles it equals -2 tan(u + u0) and satisfies
     T' + T^2/2 + 2 = 0.
     """
-    y = profile.y(u)
+    y, yp, _ = profile.jet(u)
     _require(y > 0.0, "profile must be positive", (u,), y)
-    return profile.yp(u) / y
+    return yp / y
 
 
 def riccati_residual(profile: ProfileFunction, u):
@@ -397,20 +383,17 @@ def hopf_cylinder(c: HyperbolicCurve) -> Immersion:
     )
 
 
-def conoid(
-    x: Callable[[float], float],
-    xp: Callable[[float], float],
-    xpp: Callable[[float], float],
-) -> Immersion:
-    """Conoid: chart (x(u), v, u) on [-pi, pi] x [0.25, 4], given x and its
-    first two derivatives."""
+def conoid(x: Callable[[np.ndarray], tuple]) -> Immersion:
+    """Conoid: chart (x(u), v, u) on [-pi, pi] x [0.25, 4], given the
+    directrix 2-jet ``x(u)`` -> (x, x', x'')."""
 
     def jet2(u, v):
+        xu, xp, xpp = x(u)
         return (
-            (x(u), v, u),
-            (xp(u), 0.0, 1.0),
+            (xu, v, u),
+            (xp, 0.0, 1.0),
             (0.0, 1.0, 0.0),
-            (xpp(u), 0.0, 0.0),
+            (xpp, 0.0, 0.0),
             (0.0, 0.0, 0.0),
             (0.0, 0.0, 0.0),
         )
@@ -422,7 +405,7 @@ def affine_conoid(mu: float, a: float = 0.0) -> Immersion:
     """Conoid with x(u) = mu u + a: the orbit surface of the pitch-mu
     helicoidal motions, group (1, 0, mu, 1), and the complete minimal
     conoid in g[1]."""
-    s = conoid(x=lambda u: mu * u + a, xp=lambda u: mu, xpp=lambda u: 0.0)
+    s = conoid(lambda u: (mu * u + a, mu, 0.0))
     return dataclasses.replace(s, group=(1.0, 0.0, mu, 1.0))
 
 
@@ -460,13 +443,13 @@ def lightcone_surface(profile: ProfileFunction) -> Immersion:
     """
 
     def jet2(u, v):
-        y = profile.y(u)
+        y, yp, ypp = profile.jet(u)
         _require(y > 0.0, "profile must stay positive", (u, v), y)
         return (
             (v, y, u),
-            (0.0, profile.yp(u), 1.0),
+            (0.0, yp, 1.0),
             (1.0, 0.0, 0.0),
-            (0.0, profile.ypp(u), 0.0),
+            (0.0, ypp, 0.0),
             (0.0, 0.0, 0.0),
             (0.0, 0.0, 0.0),
         )

@@ -70,6 +70,12 @@ MAX_NU = 1e4
 # to |t| = 5.87 and GroupElement's det check 2x to 5.74; near 6.3 that check
 # rejects correct products.
 MAX_CIRCLE_T = 5.5
+# Largest |u0| of an umbilic profile.  The Riccati row's stencil of step 1e-4
+# at u ~ -u0 rounds like ulp(u).  Swept over u0 = +-k, +-(k + 0.37), k < 256, on
+# grids of 2..256 u rows, its worst is 1.4e-8 while |u| < 256, 1.2e-8 at u0 = 0
+# and 7.4e-9 at the bound; past |u| = 256 it reads 1.8e-7 against 1e-7.  The
+# bound keeps |u| under 128, where ulp(u) doubles.
+MAX_UMBILIC_U0 = 100.0
 # Rows ``render`` spells at a time, so the whole table's JSON spellings are
 # never held at once, and rows per write: 256 rows of the widest table (the
 # 14-column report, about 465 characters a row) are about 119 KB of text and a
@@ -514,11 +520,13 @@ def lightcone(spec: FamilySpec) -> Family:
     and at nu = -1 constant H = 1, flatness and the umbilicity claims;
     invariant under the left nilpotent action."""
     p, profile = _variant(spec, "profile", _PROFILES, "minimal")
+    if abs(p.get("u0", 0.0)) > MAX_UMBILIC_U0:
+        raise ValueError(f"{spec.describe()!r}: |u0| must be at most {MAX_UMBILIC_U0:g}, got u0 = {p['u0']!r}")
     s = families.lightcone_surface(profile)
 
     def rows(u, v, nu, pt):
         h = pt.shape.mean_curvature
-        closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
+        closed = lightcone_mean_curvature(*profile.jet(u), nu)
         checks = [("family.lightcone_closed_vs_pipeline_H", closed, h)]
         if nu == -1.0:
             checks += [

@@ -200,9 +200,7 @@ def test_criterion_07_lightcone_surfaces():
         for nu in (1.0, -1.0):
             for u in np.linspace(-2.5, 2.5, 7):
                 got = surface_shape([(s, float(u), 0.2)], nu)[0].shape.mean_curvature
-                want = lightcone_mean_curvature(
-                    profile.y(float(u)), profile.yp(float(u)), profile.ypp(float(u)), nu
-                )
+                want = lightcone_mean_curvature(*profile.jet(float(u)), nu)
                 worst_pair = max(worst_pair, abs(got - want))
 
     worst_h1 = worst_k = worst_d = 0.0

@@ -249,6 +249,35 @@ class TestComplexCircleBound:
         assert f"got t = {t!r}" in res.stderr and "np.float64(" not in res.stderr
 
 
+class TestUmbilicShiftBound:
+    @staticmethod
+    def worst_riccati(u0, grids):
+        worst = 0.0
+        for grid in grids:
+            spec = f"lightcone(profile=umbilic,u0={u0!r})"
+            rows = row_tuples(run_suite(SuiteConfig(suite="family", family=spec, nu=-1.0, grid=grid)), "check_id", "residual", "passed")
+            assert all(passed for _, _, passed in rows), spec
+            worst = max([worst] + [residual for check_id, residual, _ in rows if check_id == "family.lightcone_riccati"])
+        return worst
+
+    # At |u0| = MAX_UMBILIC_U0 the Riccati row, the one whose finite
+    # difference rounds like ulp(u), keeps the headroom it has at u0 = 0.
+    @pytest.mark.parametrize("u0", [suites.MAX_UMBILIC_U0, -suites.MAX_UMBILIC_U0])
+    def test_the_bound_passes_with_the_headroom_of_u0_zero(self, u0, capsys):
+        res = run_main(["--suite", "family", "--family", f"lightcone(profile=umbilic,u0={u0!r})", "--nu", "-1", "--grid", "256x4"], capsys)
+        assert res.returncode == 0 and res.stderr == ""
+        grids = [(2, 2), (229, 2), (256, 4)]
+        assert self.worst_riccati(u0, grids) <= self.worst_riccati(0.0, grids)
+
+    @pytest.mark.parametrize(
+        "u0", [math.nextafter(suites.MAX_UMBILIC_U0, math.inf), math.nextafter(-suites.MAX_UMBILIC_U0, -math.inf), 256.0, -256.0]
+    )
+    def test_past_the_bound_is_a_usage_error_naming_u0(self, u0, capsys):
+        res = run_main(["--suite", "family", "--family", f"lightcone(profile=umbilic,u0={u0!r})", "--nu", "-1"], capsys)
+        assert_usage_error(res)
+        assert f"got u0 = {u0!r}" in res.stderr and "np.float64(" not in res.stderr
+
+
 class TestSuiteConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -751,7 +780,7 @@ class TestGaussSuite:
     def test_non_cmc_surface_fails_h_constant_and_exits_one(self, monkeypatch, capsys):
         # The conoid x(u) = sin u has non-constant H: the classification's
         # premise fails as a row, not as bad input.
-        sine = families.conoid(x=np.sin, xp=np.cos, xpp=lambda u: -np.sin(u))
+        sine = families.conoid(lambda u: (np.sin(u), np.cos(u), -np.sin(u)))
         family = Family(sine, lambda u, v, nu: [], gauss=(False, False, False))
         monkeypatch.setitem(suites.FAMILIES, "sine_conoid", lambda spec: family)
         table = run_suite(SuiteConfig(suite="gauss", family="sine_conoid"))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import assert_one_point_views
+from sl2geom import families, suites
 from sl2geom.core import (
     ChartPoint,
     GroupElement,
@@ -180,7 +182,7 @@ class TestHopfCylinder:
 class TestConoid:
     def test_definition_product_form(self):
         x = lambda u: 0.7 * u + 0.2
-        s = conoid(x, lambda u: 0.7, lambda u: 0.0)
+        s = conoid(lambda u: (x(u), 0.7, 0.0))
         for (u, v) in ((0.3, 0.9), (-1.2, 2.5)):
             expected = (
                 nilpotent_factor(x(u)).matrix
@@ -215,7 +217,7 @@ class TestConoid:
 
     def test_constant_x_matches_geodesic_cylinder_image(self):
         a = 0.5
-        s = conoid(lambda u: a, lambda u: 0.0, lambda u: 0.0)
+        s = conoid(lambda u: (a, 0.0, 0.0))
         cyl = hopf_cylinder(geodesic(x0=a))
         for (u, v) in ((0.4, 0.9), (2.0, 2.7)):
             g_conoid = chart_to_group(s.chart(u, v)).matrix
@@ -225,7 +227,7 @@ class TestConoid:
     def test_positive_v_required(self):
         # v is the chart height y: the conoid's domain stays in v > 0, and
         # the chart refuses a point below it.
-        s = conoid(lambda u: u, lambda u: 1.0, lambda u: 0.0)
+        s = conoid(lambda u: (u, 1.0, 0.0))
         assert s.domain.v0 > 0.0
         with pytest.raises(ValueError, match="y must be positive"):
             jet([(s, 0.3, -0.5)], 1.0)
@@ -304,7 +306,7 @@ class TestLightconeSurface:
             s = lightcone_surface(profile)
             u, v = grid_samples(s, 9, 3)
             h = surface_shape([(s, u, v)], nu)[0].shape.mean_curvature
-            closed = lightcone_mean_curvature(profile.y(u), profile.yp(u), profile.ypp(u), nu)
+            closed = lightcone_mean_curvature(*profile.jet(u), nu)
             assert np.abs(closed - h).max() < 1e-12
         for spec in ("lightcone(profile=minimal)", "lightcone(profile=umbilic)", "lightcone(profile=trig)"):
             assert rows_passed(run_suite(SuiteConfig(suite="family", family=spec, nu=nu, grid=(6, 6))))
@@ -313,11 +315,11 @@ class TestLightconeSurface:
 class TestProfiles:
     def test_minimal_profile_relation(self):
         p = minimal_profile(1.0, 0.0)
-        assert p.y(0.0) == 1.0
-        assert p.ypp(0.0) == -2.0
+        assert p.jet(0.0)[0] == 1.0
+        assert p.jet(0.0)[2] == -2.0
         for u in np.linspace(p.u_lo, p.u_hi, 7):
-            assert abs(p.ypp(float(u)) + 2.0 * p.y(float(u))) < 1e-12
-            assert p.y(float(u)) > 0.0
+            assert abs(p.jet(float(u))[2] + 2.0 * p.jet(float(u))[0]) < 1e-12
+            assert p.jet(float(u))[0] > 0.0
 
     def test_minimal_profile_rk4_oracle(self):
         A, B = 0.8, 0.5
@@ -326,8 +328,8 @@ class TestProfiles:
         f = lambda t, s: np.array([s[1], -2.0 * s[0]])
         u1 = p.u_hi - 0.01
         got = rk4_integrate(f, 0.0, [A, w * B], u1, step=1e-3)
-        assert abs(got[0] - p.y(u1)) < 1e-7
-        assert abs(got[1] - p.yp(u1)) < 1e-7
+        assert abs(got[0] - p.jet(u1)[0]) < 1e-7
+        assert abs(got[1] - p.jet(u1)[1]) < 1e-7
 
     def test_minimal_profile_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -335,17 +337,17 @@ class TestProfiles:
 
     def test_umbilic_profile_solves_its_ode(self):
         p = umbilic_profile(1.0, 0.0)
-        assert p.y(0.0) == 1.0 and p.yp(0.0) == 0.0 and p.ypp(0.0) == -2.0
-        assert umbilic_ode_residual(p.y(0.0), p.yp(0.0), p.ypp(0.0)) == 0.0
+        assert p.jet(0.0)[0] == 1.0 and p.jet(0.0)[1] == 0.0 and p.jet(0.0)[2] == -2.0
+        assert umbilic_ode_residual(*p.jet(0.0)) == 0.0
         for u in np.linspace(p.u_lo + 0.01, p.u_hi - 0.01, 9):
-            assert abs(umbilic_ode_residual(p.y(float(u)), p.yp(float(u)), p.ypp(float(u)))) < 1e-9
+            assert abs(umbilic_ode_residual(*p.jet(float(u)))) < 1e-9
 
     def test_umbilic_profile_rk4_oracle(self):
         p = umbilic_profile(1.4, 0.2)
         f = lambda t, s: np.array([s[1], s[1] ** 2 / (2.0 * s[0]) - 2.0 * s[0]])
         u0, u1 = 0.0, 1.2
-        got = rk4_integrate(f, u0, [p.y(u0), p.yp(u0)], u1, step=1e-3)
-        assert abs(got[0] - p.y(u1)) < 1e-7
+        got = rk4_integrate(f, u0, p.jet(u0)[:2], u1, step=1e-3)
+        assert abs(got[0] - p.jet(u1)[0]) < 1e-7
 
     def test_umbilic_profile_needs_positive_amplitude(self):
         with pytest.raises(ValueError):
@@ -365,6 +367,109 @@ class TestProfiles:
         for u in np.linspace(-1.2, 1.2, 25):
             worst = max(worst, surface_shape([(s, float(u), 0.0)], -1.0)[0].shape.umbilic_defect)
         assert worst > 1e-2
+
+
+# Reference bits for the profile and directrix jets: y, y' and y'' (x, x'
+# and x'') as three separate callables, the trig sums in Python's ``sum``
+# order, c0 + ((0 + t1) + t2), which the report bytes depend on.
+def minimal_reference(A, B):
+    w = math.sqrt(2.0)
+    return (
+        lambda u: A * np.cos(w * u) + B * np.sin(w * u),
+        lambda u: w * (-A * np.sin(w * u) + B * np.cos(w * u)),
+        lambda u: -2.0 * (A * np.cos(w * u) + B * np.sin(w * u)),
+    )
+
+
+def umbilic_reference(A, u0):
+    return (
+        lambda u: A * np.cos(u + u0) ** 2,
+        lambda u: -A * np.sin(2.0 * (u + u0)),
+        lambda u: -2.0 * A * np.cos(2.0 * (u + u0)),
+    )
+
+
+def trig_reference(c0, coeffs):
+    terms = list(enumerate(coeffs))
+    return (
+        lambda u: c0 + sum(a * np.cos((k + 1) * u) + b * np.sin((k + 1) * u) for k, (a, b) in terms),
+        lambda u: sum((k + 1) * (-a * np.sin((k + 1) * u) + b * np.cos((k + 1) * u)) for k, (a, b) in terms),
+        lambda u: sum((k + 1) ** 2 * (-a * np.cos((k + 1) * u) - b * np.sin((k + 1) * u)) for k, (a, b) in terms),
+    )
+
+
+def affine_directrix(mu, a):
+    """The directrix jet of ``affine_conoid(mu, a)``, read through its
+    ``jet2``: x, x_u and x_uu of the chart."""
+    jet2 = affine_conoid(mu, a=a).jet2
+
+    def directrix(u):
+        (x, _, _), (xp, _, _), _, (xpp, _, _), _, _ = jet2(u, 1.0)
+        return x, xp, xpp
+
+    return directrix
+
+
+TRIG_DEFAULT = suites._PROFILES["trig"][0]
+THREE_HARMONICS = (3.0, [(0.5, -0.3), (0.07, 0.4), (0.011, 0.125)])
+JET_REFERENCES = {
+    "minimal": (minimal_profile(0.8, 0.5).jet, minimal_reference(0.8, 0.5)),
+    "umbilic": (umbilic_profile(1.4, 0.2).jet, umbilic_reference(1.4, 0.2)),
+    "trig-default": (
+        suites._PROFILES["trig"][1](TRIG_DEFAULT).jet,
+        trig_reference(TRIG_DEFAULT["c0"], [(TRIG_DEFAULT["a1"], TRIG_DEFAULT["b1"]), (TRIG_DEFAULT["a2"], TRIG_DEFAULT["b2"])]),
+    ),
+    "trig-three-harmonics": (trig_profile(*THREE_HARMONICS).jet, trig_reference(*THREE_HARMONICS)),
+    "affine-directrix": (affine_directrix(1.3, 0.4), (lambda u: 1.3 * u + 0.4, lambda u: 1.3, lambda u: 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_REFERENCES))
+@pytest.mark.parametrize("u", [0.3, np.linspace(-1.0, 1.2, 37)], ids=["scalar", "array"])
+def test_curve_jet_has_the_bits_of_its_per_callable_formulas(name, u):
+    jet_of, reference = JET_REFERENCES[name]
+    got = jet_of(u)
+    assert len(got) == 3
+    for order, (component, formula) in enumerate(zip(got, reference)):
+        want = formula(u)
+        assert np.shape(component) == np.shape(want), (name, order)
+        assert np.asarray(component).tobytes() == np.asarray(want).tobytes(), (name, order)
+
+
+class TestOneCurveEvaluationPerJet2:
+    """Each curve a family sweeps is evaluated once per ``jet2`` call of its
+    surface, and once more for the family's closed-form row."""
+
+    @pytest.mark.parametrize(
+        "spec,factory,surface,nu",
+        [
+            ("lightcone(profile=trig)", "trig_profile", "lightcone_surface", -1.0),
+            ("lightcone(profile=minimal)", "minimal_profile", "lightcone_surface", 1.0),
+            ("hopf_cylinder(curve=circle,kappa=3)", "hyperbolic_circle", "hopf_cylinder", 1.0),
+        ],
+    )
+    def test_family_run(self, monkeypatch, spec, factory, surface, nu):
+        curve_calls, jet2_calls = [], []
+        make_curve, make_surface = getattr(families, factory), getattr(families, surface)
+
+        def counted_curve(*args):
+            curve = make_curve(*args)
+            return curve._replace(jet=lambda t: curve_calls.append(1) or curve.jet(t))
+
+        def counted_surface(curve):
+            s = make_surface(curve)
+            return dataclasses.replace(s, jet2=lambda u, v: jet2_calls.append(1) or s.jet2(u, v))
+
+        monkeypatch.setattr(families, factory, counted_curve)
+        monkeypatch.setattr(families, surface, counted_surface)
+        s = build_family(parse_family_spec(spec)).surface
+        u, v = grid_samples(s, 5, 4)
+        for calls in (1, 2):
+            s.jet2(u, v)
+            assert len(curve_calls) == len(jet2_calls) == calls
+        del curve_calls[:], jet2_calls[:]
+        assert rows_passed(run_suite(SuiteConfig(suite="family", family=spec, nu=nu, grid=(6, 6))))
+        assert len(jet2_calls) >= 1 and len(curve_calls) == len(jet2_calls) + 1
 
 
 class TestRiccati:

@@ -54,7 +54,7 @@ def lightcone_closed_forms(profile, u, nu):
     """The closed-form jet, normal, and second-form data of the null-orbit
     family, for comparison against the generic pipeline; the second-form
     displays hold at nu = +-1."""
-    y, yp, ypp = profile.y(u), profile.yp(u), profile.ypp(u)
+    y, yp, ypp = profile.jet(u)
     half = yp / (2.0 * y)
     alpha = math.sqrt(1.0 + (1.0 + 1.0 / nu) * half * half)
     phi_u = np.array([0.0, half, 1.0])
@@ -307,7 +307,7 @@ class TestBatchPath:
     def test_lightcone_closed_forms_batch_equals_one_point_bitwise(self, nu):
         for profile in (minimal_profile(1.0, 0.0), umbilic_profile(1.0, 0.3), trig_profile(2.0, [(0.2, 0.1)])):
             u = np.linspace(profile.u_lo + 0.1, profile.u_hi - 0.1, 13)
-            jets = (profile.y(u), profile.yp(u), profile.ypp(u))
+            jets = profile.jet(u)
             batched = {
                 "lightcone_mean_curvature": lightcone_mean_curvature(*jets, nu),
                 "riccati_substitution": riccati_substitution(profile, u),
@@ -572,7 +572,7 @@ class TestFirstForm:
         s = lightcone_surface(profile)
         for u in (-0.8, 0.0, 0.9):
             I = first_form(jet([(s, u, 0.2)], -1.0))
-            y = profile.y(u)
+            y = profile.jet(u)[0]
             assert abs(I.det + 1.0 / (4.0 * y * y)) < 1e-12
 
     def test_lightcone_generic_nu_determinant(self):
@@ -581,7 +581,7 @@ class TestFirstForm:
         for nu in (0.7, -0.3, 1.0, -1.0):
             for u in (-1.5, 0.2, 2.0):
                 I = first_form(jet([(s, u, 0.0)], nu))
-                y, yp = profile.y(u), profile.yp(u)
+                y, yp, _ = profile.jet(u)
                 expected = ((1.0 + nu) * yp * yp + 4.0 * nu * y * y) / (16.0 * y**4)
                 assert abs(I.det - expected) < 1e-12
 
