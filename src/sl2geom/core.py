@@ -39,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 # Double-precision matrix products lose a handful of ulps; these defaults
-# leave generous headroom above that.
+# leave generous headroom above that.  ad - bc rounds like |ad| + |bc|, so
+# DET_TOL bounds |ad - bc - 1| relative to that sum when it exceeds 1.
 DET_TOL = 1e-10
 ORBIT_TOL = 1e-9
 
@@ -73,9 +74,10 @@ class GroupElement(_GroupEntries):
     __slots__ = ()
 
     def __new__(cls, a, b, c, d):
-        det = a * d - b * c
+        ad, bc = a * d, b * c
+        det = ad - bc
         off = abs(det - 1.0)
-        if not np.all(off <= DET_TOL):
+        if not np.all(off <= DET_TOL * np.maximum(1.0, abs(ad) + abs(bc))):
             worst = float(np.ravel(det)[np.argmax(np.ravel(off))])  # the first NaN, if any
             raise ValueError(f"matrix is not unimodular: det = {worst!r}")
         return tuple.__new__(cls, (a, b, c, d))

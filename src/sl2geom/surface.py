@@ -46,7 +46,7 @@ RANK_TOL = 1e-10
 # Points per stencil slice: a (4096, 3) float64 temporary is 96 KiB, under glibc's
 # default 128 KiB mmap threshold, so the slices reuse heap memory, not new pages.
 STENCIL_BLOCK = 4096
-TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this: degenerate plane or null normal
+TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this times its terms' size: degenerate or null
 
 
 def _dot(a, b) -> np.ndarray:
@@ -190,6 +190,11 @@ class FundamentalForm(NamedTuple):
     def det(self) -> float:
         return self.E * self.G - self.F * self.F
 
+    @property
+    def scale(self) -> float:
+        """max(|E G|, F^2): the size of the terms ``det`` subtracts."""
+        return np.maximum(np.abs(self.E * self.G), self.F * self.F)
+
     def apply(self, a, b) -> float:
         """The form on (du, dv) coefficient pairs of shape (..., 2), as the
         elementwise (a0 E + a1 F) b0 + (a0 F + a1 G) b1: one rounding
@@ -218,7 +223,8 @@ def jet(segments: list, nu: float) -> SurfaceJet:
     covariant second derivatives follow the Leibniz rule
     D_a phi_b = (d_a f_b)^k e_k + f_a^j f_b^k D_{e_j} e_k over the constant
     connection table.  Raises on rank-deficient tangents (Euclidean Gram
-    determinant of the frame components below RANK_TOL), on a chart height
+    determinant of the frame components f_u, f_v not above RANK_TOL
+    |f_u|^2 |f_v|^2, so scale-invariant), on a chart height
     that is not positive, and on one so small that the chain rule's 2y^2
     underflows to zero.
     """
@@ -252,8 +258,9 @@ def _first_order(s: Immersion, u, v):
     fu = coordinate_to_frame(p, du)
     fv = coordinate_to_frame(p, dv)
 
-    gram = _dot(fu, fu) * _dot(fv, fv) - _dot(fu, fv) ** 2
-    _require(gram >= RANK_TOL, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
+    uu_vv = _dot(fu, fu) * _dot(fv, fv)
+    gram = uu_vv - _dot(fu, fv) ** 2
+    _require(gram > RANK_TOL * uu_vv, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
     return p, du, dv, fu, fv, tuple(map(tuple, second))
 
 
@@ -294,20 +301,21 @@ def unit_normal(j: SurfaceJet, hints: list = (None,), shapes: Optional[list] = N
     |g(n, n)| = 1, at the joined points of segments of ``shapes``
     (``join_segments``; None for one segment of j's shape).
 
-    Raises when the tangent plane is degenerate (g-Gram determinant below
-    TANGENT_PLANE_TOL; a null plane in the Lorentzian case).  Each segment
-    is oriented by its entry of ``hints``: the sign convention prefers a
-    positive e2 component, then e1, then e3, unless the entry is an
-    orientation hint vector, in which case g(n, hint) > 0.
+    Raises when the tangent plane is degenerate (g-Gram determinant not
+    above TANGENT_PLANE_TOL max(|EG|, F^2); a null plane in the Lorentzian
+    case).  Each segment is oriented by its entry of ``hints``: the sign
+    convention prefers a positive e2 component, then e1, then e3, unless
+    the entry is an orientation hint vector, in which case g(n, hint) > 0.
     """
     nu = j.nu
     at = (j.point.x, j.point.y, j.point.theta)
-    det = first_form(j).det
-    _require(np.abs(det) >= TANGENT_PLANE_TOL, "tangent plane is degenerate (gram)", at, det)
+    first = first_form(j)
+    det = first.det
+    _require(np.abs(det) > TANGENT_PLANE_TOL * first.scale, "tangent plane is degenerate (gram)", at, det)
     n = np.cross(j.phi_u, j.phi_v)
     n[..., 2] /= nu
     q = g_frame(n, n, nu)
-    _require(np.abs(q) >= TANGENT_PLANE_TOL, "normal direction is null (g(n,n))", at, q)
+    _require(np.abs(q) > TANGENT_PLANE_TOL * max(1.0, abs(nu)) * _dot(n, n), "normal direction is null (g(n,n))", at, q)
     n /= np.sqrt(np.abs(q))[..., None]
     shapes = shapes or [np.shape(q)]
     signs = [
@@ -337,7 +345,7 @@ def shape_data(I: FundamentalForm, II: FundamentalForm) -> ShapeData:
     negative).  The umbilic defect is the max-norm of II - H I.
     """
     det_i = I.det
-    _require(np.abs(det_i) >= 1e-12, "first fundamental form is degenerate", value=det_i)
+    _require(np.abs(det_i) > 1e-12 * I.scale, "first fundamental form is degenerate", value=det_i)
     h = (II.E * I.G - 2.0 * II.F * I.F + II.G * I.E) / (2.0 * det_i)
     det_s = II.det / det_i
     disc = h * h - det_s

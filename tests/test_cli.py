@@ -12,6 +12,8 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -276,6 +278,73 @@ class TestUmbilicShiftBound:
         res = run_main(["--suite", "family", "--family", f"lightcone(profile=umbilic,u0={u0!r})", "--nu", "-1"], capsys)
         assert_usage_error(res)
         assert f"got u0 = {u0!r}" in res.stderr and "np.float64(" not in res.stderr
+
+
+class TestLightconeAmplitudeScale:
+    # The profile's amplitude scales y, and with it the group entries and
+    # the frame tangents, by decades: the unimodularity and degeneracy
+    # checks are relative to their operands, so every row passes.
+    @pytest.mark.parametrize("grid", ["12x12", "64x64"])
+    @pytest.mark.parametrize("amplitude", ["1e-8", "1e-5", "1e5", "1e8"])
+    def test_every_row_passes(self, amplitude, grid, capsys):
+        res = run_main(["--suite", "family", "--family", f"lightcone(profile=minimal,A={amplitude})", "--grid", grid], capsys)
+        assert res.returncode == 0 and res.stderr == ""
+        rows = json.loads(res.stdout)["rows"]
+        assert rows and all(row["passed"] for row in rows)
+
+
+def degenerate_chart(kind, a):
+    """A chart on [0, 1]^2 that degenerates along the column u = a: its u
+    tangent vanishes ("zero"), its two tangents coincide ("parallel"), or
+    its u tangent is the null frame vector e1 + e3 of g[-1], so that the
+    tangent plane is degenerate and the normal null ("null")."""
+    zero = (0.0, 0.0, 0.0)
+
+    def jet2(u, v):
+        w = u - a
+        if kind == "zero":
+            return (0.5 * w * w, 1.0, v), (w, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), zero, zero
+        if kind == "parallel":
+            return (u + v, 1.0, 0.5 * w * w * v), (1.0, 0.0, w * v), (1.0, 0.0, 0.5 * w * w), (0.0, 0.0, v), (0.0, 0.0, w), zero
+        return (2.0 * u, 1.0 + 2.0 * v, 0.5 * w * w), (2.0, 0.0, w), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0), zero, zero
+
+    return surface.Immersion(surface.Domain(0.0, 1.0, 0.0, 1.0), jet2)
+
+
+class TestDegenerateSurfaces:
+    @pytest.mark.parametrize(
+        "kind, nu, message",
+        [
+            ("zero", "1", "immersion is rank-deficient (Gram determinant)"),
+            ("parallel", "1", "immersion is rank-deficient (Gram determinant)"),
+            ("null", "-1", "tangent plane is degenerate (gram)"),
+        ],
+    )
+    def test_exit_two_naming_the_first_degenerate_point(self, monkeypatch, capsys, kind, nu, message):
+        """The scaled checks still refuse an exactly degenerate tangent plane:
+        the run exits 2 naming the first grid point of the column u = a, in
+        (u, v) for the tangents and in chart coordinates for the plane."""
+        us, vs = gaussmap.grid_samples(degenerate_chart(kind, 0.0), 12, 12)
+        a, v0 = float(us[60]), float(vs[60])
+        assert us[48] < a == us[71] < us[72] and v0 == vs.min()
+        monkeypatch.setattr(families, "affine_conoid", lambda **params: degenerate_chart(kind, a))
+        res = run_main(["--suite", "family", "--family", "conoid(mu=0.3)", "--nu", nu, "--grid", "12x12"], capsys)
+        assert_usage_error(res)
+        point = (a, v0) if kind != "null" else (2.0 * a, 1.0 + 2.0 * v0, 0.0)
+        assert res.stderr.startswith(f"verify: {message} at ({', '.join(map(repr, point))}): ")
+
+    def test_nearly_parallel_long_tangents_are_rank_deficient(self):
+        """The Gram check is relative to |f_u|^2 |f_v|^2: tangents of frame
+        length about 140 at an angle of 5e-7 have a Gram determinant of
+        1e-4, far above the old absolute 1e-10, and are still refused."""
+        zero = (0.0, 0.0, 0.0)
+        s = surface.Immersion(
+            surface.Domain(0.0, 1.0, 0.0, 1.0),
+            lambda u, v: ((200.0 * (u + v), 1.0, 1e-4 * v), (200.0, 0.0, 0.0), (200.0, 0.0, 1e-4), zero, zero, zero),
+        )
+        with pytest.raises(ValueError, match=r"^immersion is rank-deficient \(Gram determinant\) at \(0\.5, 0\.5\): ") as err:
+            surface.jet([(s, 0.5, 0.5)], 1.0)
+        assert 0.5e-4 < float(str(err.value).rpartition(": ")[2]) < 2e-4
 
 
 class TestSuiteConfig:
@@ -1003,6 +1072,58 @@ class TestReportRendering:
         table = row_dicts(listed(columns))
         want = json.dumps({**META, "rows": table}, indent=2) + "\n" if fmt == "json" else csv_of_row_dicts(table)
         assert_same_text(rendered(suites.render, META, columns, fmt), want)
+
+    @pytest.mark.parametrize("block, slice_, n", [(None, None, 2 * 8192 + 1), (5, 2, 12), (7, 3, 20), (40, 7, 41)])
+    def test_each_label_is_encoded_once_per_block(self, monkeypatch, block, slice_, n):
+        """JSON encodes each column name once and, in each block, each
+        distinct label of a ``Labels`` column once, whatever the slices: a
+        label that every row of a block repeats is not encoded per row."""
+        patch_render_units(monkeypatch, block, slice_)
+        block = suites.RENDER_BLOCK
+        rows = np.arange(n)
+        columns = {
+            "check_id": Labels(["family.a", "family.b ν", 'say "hi"'], rows % 3),
+            "x": rows / 7.0,
+            "location": Labels([f"({k:.3f},0.5)" for k in range(n)], rows),
+        }
+        encoded = []
+
+        def counting(text):
+            encoded.append(text)
+            return encode_basestring_ascii(text)
+
+        monkeypatch.setattr(suites, "encode_basestring_ascii", counting)
+        text = rendered(suites.render, META, columns, "json")
+        assert text == json.dumps({**META, "rows": row_dicts(listed(columns))}, indent=2) + "\n"
+        want = list(columns)
+        for start in range(0, n, block):
+            for name in ("check_id", "location"):
+                want += sorted(set(columns[name][start : start + block].tolist()))
+        assert sorted(encoded) == sorted(want)
+
+    def test_json_peak_memory_holds_no_whole_block(self):
+        """``tracemalloc``'s peak while three blocks of a 16-column table are
+        written: 2.0 MiB measured on CPython 3.11 and numpy 2.4, bounded at
+        2.5 MiB (25% headroom).  Holding a block's 8,192 rows of pieces and
+        text at once reads 8.0 MiB, and slices of 1,024 rows 2.5 MiB."""
+
+        class Discarding(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        n = 2 * 8192 + 1
+        rows = np.arange(n)
+        values = np.random.default_rng(3).uniform(-2.0, 2.0, (14, 64))
+        columns = {f"c{j}": values[j][(rows * (j + 1)) % 64] for j in range(14)}
+        columns["check_id"] = Labels([f"family.check_{k}" for k in range(9)], rows % 9)
+        columns["location"] = Labels([f"({k % 97:.3f},{k // 97:.3f})" for k in range(n)], rows)
+        tracemalloc.start()
+        try:
+            suites.render(META, columns, "json", Discarding())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
     @pytest.mark.parametrize("block, slice_, n, writes", [(None, None, 2 * 8192 + 1, 65), (5, 2, 12, 7), (4, 4, 9, 3)])
     def test_each_json_slice_is_one_write(self, monkeypatch, block, slice_, n, writes):

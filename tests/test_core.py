@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sl2geom import core
 from sl2geom.core import (
     BASIS_I,
     BASIS_J,
@@ -335,3 +336,19 @@ class TestBatchedGroupLayer:
             GroupElement(a, zeros, zeros, ones)
         with pytest.raises(ValueError, match=r"^chart coordinate y must be positive, got -0\.5$"):
             ChartPoint(zeros, np.array([1.0, 2.0, -0.5, 3.0, 0.0]), zeros)
+
+    def test_unimodularity_bound_scales_with_the_products(self):
+        """ad - bc rounds like |ad| + |bc|: with O(1) entries the bound is
+        DET_TOL itself, and with entries of size 1e4 a determinant off by
+        its rounding passes where a fixed 1e-10 would refuse it, while one
+        off by 1e-9 of the products does not."""
+        with pytest.raises(ValueError, match=r"^matrix is not unimodular: det = 1\.000000001"):
+            GroupElement(1.0 + 1e-9, 0.0, 0.0, 1.0)
+        GroupElement(1.0 + 0.5e-10, 0.0, 0.0, 1.0)
+        a = np.linspace(1e4, 2e4, 101)
+        b, c = np.full_like(a, 1.3e4), 0.7 * a
+        d = (1.0 + b * c) / a
+        assert (np.abs(a * d - b * c - 1.0) > core.DET_TOL).any()
+        GroupElement(a, b, c, d)
+        with pytest.raises(ValueError, match="not unimodular"):
+            GroupElement(a, b, c, d * (1.0 + 1e-9))
