@@ -30,7 +30,7 @@ The grid functions and the closed-form helpers work on arrays as
 angle or mean curvature is a scalar or (N,), and a scalar call is the
 one-point view of the same code.  ``frame_curvature_components_at`` and
 ``classify_gauss_map`` take a list of samples, as ``surface_shape`` returns
-them, and contract the curvature once over their joined points.
+them, and contract the curvature over component rows of their joined points.
 
 Everything in this module assumes nu = 1.
 """
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import LieVector, left_translate_to_identity
-from .metric import curvature, frame_to_coordinate, g_frame
+from .metric import curvature, curvature_rows, frame_to_coordinate, g_frame, g_rows
 from .surface import FundamentalForm, Immersion, SurfacePointData, _require, join_segments, split_segments
 from .surface import surface_shape, tangent_coordinates
 
@@ -104,16 +104,16 @@ def principal_angle_from_shape(h):
 
 def frame_curvature_components_at(pts: list[SurfacePointData]) -> list[FrameCurvatureComponents]:
     """R_1213, R_2123, R_3113, R_3223 in a principal frame at every point of
-    each sample in ``pts``, from one principal frame and one curvature
-    contraction over the four stacked triples of their joined points."""
+    each sample in ``pts``, from one principal frame over their joined points
+    and one curvature contraction per component on component rows."""
     shapes = [np.shape(pt.shape.mean_curvature) for pt in pts]
     parts = [(pt.first, pt.second, pt.jet.phi_u, pt.jet.phi_v, pt.normal) for pt in pts]
     I, II, phi_u, phi_v, n = join_segments(parts, shapes)
     e1c, e2c, _ = principal_frame(I, II)
-    E1 = e1c[..., :1] * phi_u + e1c[..., 1:] * phi_v
-    E2 = e2c[..., :1] * phi_u + e2c[..., 1:] * phi_v
-    r = curvature(np.stack([E1, E2, n, n]), np.stack([E2, E1, E1, E2]), np.stack([E1, E2, E1, E2]), NU)
-    return split_segments(FrameCurvatureComponents(*g_frame(r, n, NU)), shapes)
+    phi_u, phi_v, n = (np.moveaxis(a, -1, 0) for a in (phi_u, phi_v, n))  # component rows
+    E1, E2 = ([c[..., 0] * a + c[..., 1] * b for a, b in zip(phi_u, phi_v)] for c in (e1c, e2c))
+    xyz = ((E1, E2, E1), (E2, E1, E2), (n, E1, E1), (n, E2, E2))
+    return split_segments(FrameCurvatureComponents(*(g_rows(curvature_rows(*w, NU), n, NU) for w in xyz)), shapes)
 
 
 def grid_samples(s: Immersion, n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -79,8 +79,13 @@ def _comps(v) -> np.ndarray:
 def g_frame(u, v, nu: float) -> float:
     """Inner product of two frame-component vectors, (3,), (N, 3) or any
     (..., 3) that broadcast together; elementwise over a batch."""
-    a, b = _comps(u), _comps(v)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + _require_nu(nu) * a[..., 2] * b[..., 2]
+    return g_rows(*((w[..., 0], w[..., 1], w[..., 2]) for w in (_comps(u), _comps(v))), nu)
+
+
+def g_rows(a, b, nu: float):
+    """``g_frame`` of two vectors given as their three frame-component rows,
+    scalars or arrays that broadcast; nu = 1.0 gives their Euclidean dot."""
+    return a[0] * b[0] + a[1] * b[1] + _require_nu(nu) * a[2] * b[2]
 
 
 def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
@@ -98,14 +103,16 @@ def metric_at(p: ChartPoint, nu: float) -> np.ndarray:
 
 def coordinate_to_frame(p: ChartPoint, coord) -> np.ndarray:
     """(dx, dy, dtheta) components -> frame components (= coframe values);
-    ``coord`` has shape (3,), or (N, 3) for a batch of N chart points, or is
-    a tuple of its three components, scalars or arrays that broadcast."""
-    c = coord if isinstance(coord, tuple) else _comps(coord).T
+    ``coord`` has shape (3,), or (N, 3) for a batch of N chart points."""
+    return np.stack(coframe_rows(p, _comps(coord).T), axis=-1)
+
+
+def coframe_rows(p: ChartPoint, c) -> tuple:
+    """``coordinate_to_frame`` of the components ``c = (dx, dy, dtheta)``,
+    scalars or arrays that broadcast against p.y, as three component rows."""
     h = 1.0 / (2.0 * p.y)
     ch = c[0] * h
-    out = np.empty(np.shape(ch) + (3,))  # written in place: no transposing copy
-    out[..., 0], out[..., 1], out[..., 2] = ch, c[1] * h, c[2] + ch
-    return out
+    return ch, c[1] * h, c[2] + ch
 
 
 def frame_to_coordinate(p: ChartPoint, frame) -> np.ndarray:
@@ -197,10 +204,16 @@ def curvature(x, y, z, nu: float) -> np.ndarray:
     result, though not NaN in every component as einsum's inf * 0 does.
     """
     X, Y, Z = (np.moveaxis(_as_frame_vector(w), -1, 0) for w in (x, y, z))
-    out = np.zeros((3,) + np.broadcast_shapes(X.shape[1:], Y.shape[1:], Z.shape[1:]))
+    return np.stack(curvature_rows(X, Y, Z, nu), axis=-1)
+
+
+def curvature_rows(X, Y, Z, nu: float) -> list:
+    """``curvature`` of vectors given as their three frame-component rows,
+    scalars or arrays that broadcast: R(X, Y) Z as one accumulator per row."""
+    out = [0.0, 0.0, 0.0]  # every component has entries at every nu != 0, so each becomes an array
     for i, j, k, l, r in _curvature_entries(_require_nu(nu)):
         out[l] += X[i] * Y[j] * Z[k] * r
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out
 
 
 def curvature_contact_form(x, y, z, nu: float) -> np.ndarray:

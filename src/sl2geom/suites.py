@@ -76,6 +76,15 @@ MAX_CIRCLE_T = 5.5
 # and 7.4e-9 at the bound; past |u| = 256 it reads 1.8e-7 against 1e-7.  The
 # bound keeps |u| under 128, where ulp(u) doubles.
 MAX_UMBILIC_U0 = 100.0
+# Largest chart shift: |x0| of a geodesic or horocycle, |a| of a conoid; and
+# a horocycle's height y0 within [1 / MAX_HOROCYCLE_Y0, MAX_HOROCYCLE_Y0].  The
+# symmetry row's entrywise gap grows like ulp(x) / sqrt(y) against a fixed
+# tolerance of 1e-9, so x0 = 3e6, a = 3e6 and y0 = 1e14 or 1e-14 fail a correct
+# surface.  Below y0 = 1 the horocycle's group entry x0 / sqrt(y0) sets its
+# shift bound, MAX_CHART_X0 sqrt(y0).  Swept over odd and random values to the
+# bounds and their corners on grids 2x2 to 256x256, the worst gap is 8.7e-11.
+MAX_CHART_X0 = 1e5
+MAX_HOROCYCLE_Y0 = 1e10
 # Rows ``render`` spells at a time, so the whole table's JSON spellings are
 # never held at once, and rows per write: 256 rows of the widest table (the
 # 14-column report, about 465 characters a row) are about 119 KB of text, and
@@ -487,10 +496,20 @@ def _hopf_metric_gap(I, c: HyperbolicCurve, v, nu: float):
     return np.maximum.reduce([np.abs(g) for g in gaps])
 
 
+def _require_shift(spec: FamilySpec, key: str, value: float, bound: float) -> None:
+    if abs(value) > bound:
+        raise ValueError(f"{spec.describe()!r}: |{key}| must be at most {bound:g}, got {key} = {value!r}")
+
+
 def hopf_cylinder(spec: FamilySpec) -> Family:
     """Cylinder over a base curve: induced metric, flatness, and mean
     curvature kappa / 2; invariant under right rotations."""
-    _, curve = _variant(spec, "curve", _CURVES, "geodesic")
+    p, curve = _variant(spec, "curve", _CURVES, "geodesic")
+    if p["curve"] == "horocycle" and not 1.0 / MAX_HOROCYCLE_Y0 <= p["y0"] <= MAX_HOROCYCLE_Y0:
+        bounds = f"[{1.0 / MAX_HOROCYCLE_Y0:g}, {MAX_HOROCYCLE_Y0:g}]"
+        raise ValueError(f"{spec.describe()!r}: y0 must lie in {bounds}, got y0 = {p['y0']!r}")
+    if "x0" in p:
+        _require_shift(spec, "x0", p["x0"], MAX_CHART_X0 * math.sqrt(min(1.0, p.get("y0", 1.0))))
     s = families.hopf_cylinder(curve)
 
     def rows(u, v, nu, pt):
@@ -508,6 +527,7 @@ def conoid(spec: FamilySpec) -> Family:
     """Affine conoid x(u) = mu u + a: minimal in g[1], invariant under the
     pitch-mu helicoidal motions."""
     p = _params(spec, {"mu": 1.0, "a": 0.0})
+    _require_shift(spec, "a", p["a"], MAX_CHART_X0)
     s = families.affine_conoid(mu=p["mu"], a=p["a"])
 
     def rows(u, v, nu, pt):
@@ -521,8 +541,7 @@ def lightcone(spec: FamilySpec) -> Family:
     and at nu = -1 constant H = 1, flatness and the umbilicity claims;
     invariant under the left nilpotent action."""
     p, profile = _variant(spec, "profile", _PROFILES, "minimal")
-    if abs(p.get("u0", 0.0)) > MAX_UMBILIC_U0:
-        raise ValueError(f"{spec.describe()!r}: |u0| must be at most {MAX_UMBILIC_U0:g}, got u0 = {p['u0']!r}")
+    _require_shift(spec, "u0", p.get("u0", 0.0), MAX_UMBILIC_U0)
     s = families.lightcone_surface(profile)
 
     def rows(u, v, nu, pt):

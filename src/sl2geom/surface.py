@@ -8,16 +8,17 @@ shape (N, 3), and scalars per point shape (N,); a call with scalar u, v
 is the one-point view of the same code.  An immersion is described by one
 callable, its chart 2-jet ``jet2(u, v)``.  ``jet`` and ``surface_shape``
 take a list of segments ``(immersion, u, v)``, one surface's sample
-points each, that share one nu: ``jet2`` is evaluated once per segment,
-with the checks of ``_first_order``, and every later step (the coframe
-conversion to frame components, ``metric.coordinate_to_frame``, the
-Leibniz second derivatives over the constant connection table, the normal,
-I, II and the shape invariants) runs once over the joined points.  Every
-step is elementwise, so a segment's values are those of a one-segment
-call bit for bit; ``join_segments`` and ``split_segments`` move per-point
-data between segments and the joined points.  Everything downstream but
-the curvature probe's stencil reads the resulting ``SurfaceJet``.  The
-second fundamental form is defined so that the decomposition
+points each, that share one nu: ``jet2`` is evaluated once per segment
+by ``_first_order``, whose checks read the tangents as three contiguous
+frame-component rows each (``metric.coframe_rows``), and every later step
+(the (N, 3) tangents, the Leibniz second derivatives over the constant
+connection table, the normal, I, II and the shape invariants) runs once
+over the joined points.  Every step is elementwise, so a segment's values
+are those of a one-segment call bit for bit; ``join_segments`` and
+``split_segments`` move per-point data between segments and the joined
+points.  All but the curvature probe's stencil, which reads the rows,
+reads the resulting ``SurfaceJet``.  The second fundamental form is
+defined so that the decomposition
 
     D_{d/da} phi_b = (tangential part) + II_ab n
 
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import ChartPoint
-from .metric import _require_nu, connect_constant, coordinate_to_frame, g_frame
+from .metric import _require_nu, coframe_rows, connect_constant, coordinate_to_frame, g_frame, g_rows
 
 RANK_TOL = 1e-10
 # Points per stencil slice: a (4096, 3) float64 temporary is 96 KiB, under glibc's
@@ -231,6 +232,7 @@ def jet(segments: list, nu: float) -> SurfaceJet:
     nu = _require_nu(nu)
     parts = [_first_order(s, u, v) for s, u, v in segments]
     p, du, dv, fu, fv, (duu, duv, dvv) = join_segments(parts, [part[0].x.shape for part in parts])
+    fu, fv = np.stack(fu, axis=-1), np.stack(fv, axis=-1)
     return SurfaceJet(
         point=p,
         phi_u=fu,
@@ -246,20 +248,19 @@ def _first_order(s: Immersion, u, v):
     """The first-order half of ``jet`` with all of its checks, from one
     ``jet2`` call: the chart point, the coordinate tangents du, dv as jet2
     gives them, a triple of components each a scalar or an array of the
-    points' shape, their frame components fu, fv as (N, 3) arrays, and
-    jet2's last three triples."""
+    points' shape, their frame components fu, fv as three component rows
+    of the points' shape each, and jet2's last three triples."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     pos, du, dv, *second = s.jet2(u, v)
-    du, dv = tuple(du), tuple(dv)  # component triples, as coordinate_to_frame reads a tuple
+    du, dv = tuple(du), tuple(dv)  # component triples, as join_segments walks tuples
     x, y, th = (np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in pos)
     _require(y > 0.0, "chart coordinate y must be positive", (u, v), y)
     _require(2.0 * y * y > 0.0, "chart height y is too small, 2y^2 underflows,", (u, v), y)
     p = ChartPoint(x, y, th)
-    fu = coordinate_to_frame(p, du)
-    fv = coordinate_to_frame(p, dv)
+    fu, fv = coframe_rows(p, du), coframe_rows(p, dv)
 
-    uu_vv = _dot(fu, fu) * _dot(fv, fv)
-    gram = uu_vv - _dot(fu, fv) ** 2
+    uu_vv = g_rows(fu, fu, 1.0) * g_rows(fv, fv, 1.0)
+    gram = uu_vv - g_rows(fu, fv, 1.0) ** 2
     _require(gram > RANK_TOL * uu_vv, "immersion is rank-deficient (Gram determinant)", (u, v), gram)
     return p, du, dv, fu, fv, tuple(map(tuple, second))
 
@@ -453,9 +454,9 @@ def intrinsic_gauss_curvature(s: Immersion, u, v, nu: float, first: FundamentalF
         for i in range(0, us.size, STENCIL_BLOCK):
             block = slice(i, i + STENCIL_BLOCK)
             fu, fv = _first_order(s, us.ravel()[block], vs.ravel()[block])[3:5]
-            f[block] = g_frame(fu, fv, nu)
-            k = min(max(axis - i, 0), len(fu))  # points of this slice on the axis shifts
-            e[i : i + k], g[i : i + k] = g_frame(fu[:k], fu[:k], nu), g_frame(fv[:k], fv[:k], nu)
+            f[block] = g_rows(fu, fv, nu)
+            k = min(max(axis - i, 0), len(fu[0]))  # points of this slice on the axis shifts
+            e[i : i + k], g[i : i + k] = (g_rows(w, w, nu) for w in ([c[:k] for c in fu], [c[:k] for c in fv]))
     except ValueError:
         for shift in zip(us, vs):
             _first_order(s, *shift)

@@ -280,6 +280,54 @@ class TestUmbilicShiftBound:
         assert f"got u0 = {u0!r}" in res.stderr and "np.float64(" not in res.stderr
 
 
+class TestChartShiftBounds:
+    # The symmetry row's gap grows with the chart's x and 1/sqrt(y) and
+    # sqrt(y); at the bounds every row passes, the symmetry rows with 10x
+    # headroom.  A horocycle below y0 = 1 has the shift bound
+    # MAX_CHART_X0 sqrt(y0).
+    X0, Y0 = suites.MAX_CHART_X0, suites.MAX_HOROCYCLE_Y0
+    AT = [
+        f"hopf_cylinder(curve=geodesic,x0={X0!r})",
+        f"hopf_cylinder(curve=geodesic,x0={-X0!r})",
+        f"hopf_cylinder(curve=horocycle,x0={X0!r})",
+        f"hopf_cylinder(curve=horocycle,y0={Y0!r},x0={-X0!r})",
+        f"hopf_cylinder(curve=horocycle,y0={1.0 / Y0!r},x0={X0 * math.sqrt(1.0 / Y0)!r})",
+        f"hopf_cylinder(curve=horocycle,y0=0.5,x0={-X0 * math.sqrt(0.5)!r})",
+        f"conoid(a={X0!r})",
+        f"conoid(mu=0,a={-X0!r})",
+    ]
+    PAST = [
+        ("hopf_cylinder(curve=geodesic,x0={!r})", "x0", math.nextafter(X0, math.inf)),
+        ("hopf_cylinder(curve=geodesic,x0={!r})", "x0", -3e6),
+        ("hopf_cylinder(curve=horocycle,x0={!r})", "x0", math.nextafter(-X0, -math.inf)),
+        ("hopf_cylinder(curve=horocycle,x0={!r})", "x0", 1e7),
+        ("hopf_cylinder(curve=horocycle,y0=1e-10,x0={!r})", "x0", math.nextafter(X0 * math.sqrt(1e-10), math.inf)),
+        ("hopf_cylinder(curve=horocycle,y0=0.5,x0={!r})", "x0", math.nextafter(-X0 * math.sqrt(0.5), -math.inf)),
+        ("hopf_cylinder(curve=horocycle,y0={!r})", "y0", math.nextafter(Y0, math.inf)),
+        ("hopf_cylinder(curve=horocycle,y0={!r})", "y0", math.nextafter(1.0 / Y0, 0.0)),
+        ("hopf_cylinder(curve=horocycle,y0={!r})", "y0", 1e14),
+        ("hopf_cylinder(curve=horocycle,y0={!r})", "y0", 1e-14),
+        ("conoid(a={!r})", "a", math.nextafter(X0, math.inf)),
+        ("conoid(mu=1,a={!r})", "a", 3e6),
+    ]
+
+    @pytest.mark.parametrize("spec", AT)
+    def test_the_bound_passes_with_headroom(self, spec):
+        symmetry = []
+        for grid in [(2, 2), (16, 16), (64, 64)]:
+            rows = row_tuples(run_suite(SuiteConfig(suite="family", family=spec, grid=grid)), "check_id", "residual", "passed")
+            assert all(passed for _, _, passed in rows), (spec, grid)
+            symmetry += [residual for check_id, residual, _ in rows if check_id == "family.symmetry_invariance"]
+        assert len(symmetry) == 4 + 8 + 8
+        assert 10.0 * max(symmetry) <= TOLERANCES["family.symmetry_invariance"]
+
+    @pytest.mark.parametrize("template, key, value", PAST)
+    def test_past_the_bound_is_a_usage_error_naming_the_parameter(self, template, key, value, capsys):
+        res = run_main(["--suite", "family", "--family", template.format(value), "--grid", "4x4"], capsys)
+        assert_usage_error(res)
+        assert f"got {key} = {value!r}" in res.stderr and "np.float64(" not in res.stderr
+
+
 class TestLightconeAmplitudeScale:
     # The profile's amplitude scales y, and with it the group entries and
     # the frame tangents, by decades: the unimodularity and degeneracy

@@ -25,7 +25,7 @@ from sl2geom.families import (
 from sl2geom import gaussmap, surface
 from sl2geom.families import lightcone_mean_curvature, riccati_residual, riccati_substitution, symmetry_residual
 from sl2geom.gaussmap import grid_samples
-from sl2geom.metric import connect_constant, coordinate_to_frame, g_frame, sectional_curvature
+from sl2geom.metric import connect_constant, coordinate_to_frame, curvature_table, g_frame, sectional_curvature
 from conftest import CLASSIFIED
 from sl2geom.suites import (
     ALL_ROSTER,
@@ -222,8 +222,8 @@ class TestJet:
         assert max(sizes[1:]) <= surface.STENCIL_BLOCK
 
     def test_report_peak_memory_at_256x256(self):
-        # The whole-grid stencil traced at 84.5 MiB on this report; slices
-        # of STENCIL_BLOCK points bring it to about 61 MiB.
+        # The whole-grid stencil traces at 72.0 MiB on this report; slices
+        # of STENCIL_BLOCK points bring it to 40.7 MiB.
         cfg = SuiteConfig(suite="family", family="conoid(mu=0.7)", grid=(256, 256), report=True)
         tracemalloc.start()
         try:
@@ -231,7 +231,7 @@ class TestJet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 72 * 2**20
+        assert peak < 48 * 2**20
 
 
 def report_jet2_sizes(monkeypatch, grid):
@@ -940,6 +940,136 @@ class TestSlicedStencil:
         with pytest.raises(ValueError) as raised:
             intrinsic_gauss_curvature(s, u, v, 1.0, first)
         assert str(raised.value) == str(expected.value)
+
+
+def n3_frame(y, c):
+    """Frame components of the coordinate triple c at height y as one
+    (..., 3) array, written column by column: the point-major coframe
+    formula that the component rows must reproduce."""
+    h = 1.0 / (2.0 * y)
+    ch = c[0] * h
+    out = np.empty(np.shape(ch) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = ch, c[1] * h, c[2] + ch
+    return out
+
+
+def n3_g(a, b, nu):
+    """g[nu] of (..., 3) frame arrays over their last axis."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + nu * a[..., 2] * b[..., 2]
+
+
+def n3_probe(s, u, v, nu, first):
+    """The Brioschi probe from (..., 3) tangents: per stencil shift one
+    jet2 call, the tangents by ``n3_frame`` and E, F, G by ``n3_g``, then
+    the probe's differences and ``surface._brioschi``."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    hu, hv = 1e-4 * s.domain.span_u, 1e-4 * s.domain.span_v
+    e, f, g = [], [], []
+    for i, k in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        (_, y, _), du, dv, *_ = s.jet2(u + i * hu, v + k * hv)
+        y = np.broadcast_to(np.asarray(y, dtype=float), u.shape)
+        fu, fv = n3_frame(y, du), n3_frame(y, dv)
+        e.append(n3_g(fu, fu, nu))
+        f.append(n3_g(fu, fv, nu))
+        g.append(n3_g(fv, fv, nu))
+    e, f, g = np.stack(e), np.stack(f), np.stack(g)
+    E, F, G = first
+    d_u = lambda x: (x[0] - x[1]) / (2.0 * hu)
+    d_v = lambda x: (x[2] - x[3]) / (2.0 * hv)
+    return surface._brioschi(
+        E, F, G, d_u(e), d_v(e), (e[2] - 2.0 * E + e[3]) / (hv * hv),
+        d_u(f), d_v(f), (f[4] - f[5] - f[6] + f[7]) / (4.0 * hu * hv),
+        d_u(g), d_v(g), (g[0] - 2.0 * G + g[1]) / (hu * hu),
+    )
+
+
+def n3_frame_curvature(pt):
+    """R_1213, R_2123, R_3113, R_3223 of one sample from (..., 3) arrays:
+    the principal frame vectors as (..., 3) arrays, the four (X, Y, Z)
+    triples stacked to (4, ..., 3), R(X, Y) Z over the curvature table's
+    nonzero entries in C order, and the pairing with n by ``n3_g``."""
+    e1c, e2c, _ = gaussmap.principal_frame(pt.first, pt.second)
+    phi_u, phi_v, n = pt.jet.phi_u, pt.jet.phi_v, pt.normal
+    E1 = e1c[..., :1] * phi_u + e1c[..., 1:] * phi_v
+    E2 = e2c[..., :1] * phi_u + e2c[..., 1:] * phi_v
+    X, Y, Z = (np.moveaxis(np.stack(w), -1, 0) for w in ([E1, E2, n, n], [E2, E1, E1, E2], [E1, E2, E1, E2]))
+    table = curvature_table(1.0)
+    r = np.zeros((3,) + X.shape[1:])
+    for i, j, k, l in np.argwhere(table != 0.0).tolist():
+        r[l] += X[i] * Y[j] * Z[k] * table[i, j, k, l]
+    return n3_g(np.moveaxis(r, 0, -1), n, 1.0)
+
+
+# Kernel families: the roster's kinds of surface and one with no symmetry.
+KERNEL_SPECS = [
+    "hopf_cylinder(curve=circle)",
+    "hopf_cylinder(curve=hypercycle)",
+    "conoid(mu=0.9)",
+    "lightcone(profile=trig)",
+    "lightcone(profile=umbilic)",
+    "generic",
+]
+# One point, then 8N stencil points below, at and above STENCIL_BLOCK, and
+# N itself below and above it.
+KERNEL_GRIDS = [None, (7, 73), (8, 64), (27, 19), (63, 65), (65, 64)]
+
+
+def kernel_sample(spec, grid):
+    s = generic_chart() if spec == "generic" else build_family(parse_family_spec(spec)).surface
+    u, v = grid_samples(s, *(grid or (3, 3)))
+    return (s, u, v) if grid else (s, float(u[4]), float(v[4]))
+
+
+class TestComponentRowKernels:
+    """The probe and the Gauss-map curvature work on component rows; they
+    keep the bits of the (..., 3) formulas above."""
+
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 2.5])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_probe_and_jet_tangents_match_the_n3_formulas_bitwise(self, spec, grid, nu):
+        s, u, v = kernel_sample(spec, grid)
+        j = jet([(s, u, v)], nu)
+        (_, y, _), du, dv, *_ = s.jet2(*np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float)))
+        y = np.broadcast_to(np.asarray(y, dtype=float), np.shape(u))
+        assert_same_bits((j.phi_u, j.phi_v), (n3_frame(y, du), n3_frame(y, dv)))
+        first = first_form(j)
+        k = intrinsic_gauss_curvature(s, u, v, nu, first)
+        assert type(k) is type(n3_probe(s, u, v, nu, first))
+        assert_same_bits((k,), (n3_probe(s, u, v, nu, first),))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_frame_curvature_matches_the_n3_contraction_bitwise(self, spec, grid):
+        (pt,) = surface_shape([kernel_sample(spec, grid)], 1.0)
+        (comps,) = gaussmap.frame_curvature_components_at([pt])
+        want = n3_frame_curvature(pt)
+        assert all(type(c) is type(w) for c, w in zip(comps, want))
+        assert_same_bits(tuple(comps), tuple(want))
+
+    def test_frame_curvature_of_several_samples_matches_each_bitwise(self):
+        # A one-point sample between grids of different families and sizes.
+        segments = [kernel_sample("generic", (7, 73)), kernel_sample("conoid(mu=0.9)", None)]
+        segments += [kernel_sample("lightcone(profile=trig)", (65, 64)), kernel_sample("hopf_cylinder(curve=circle)", (3, 5))]
+        pts = surface_shape(segments, 1.0)
+        for pt, comps in zip(pts, gaussmap.frame_curvature_components_at(pts), strict=True):
+            assert_same_bits(tuple(comps), tuple(n3_frame_curvature(pt)))
+
+    def test_frame_curvature_peak_memory_at_128x128(self):
+        # Measured 2.50 MiB: the principal frame, the frame vectors' six
+        # rows, one contraction's accumulators and the four result rows.
+        # The bound leaves 20% headroom; one (4, N, 3) stack more, 1.5 MiB
+        # at N = 16,384, exceeds it (the stacked contraction peaked at 8.9).
+        s = families.affine_conoid(mu=0.9)
+        (pt,) = surface_shape([(s, *grid_samples(s, 128, 128))], 1.0)
+        gaussmap.frame_curvature_components_at([pt])
+        tracemalloc.start()
+        try:
+            gaussmap.frame_curvature_components_at([pt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * 2**20
 
 
 def test_immersion_is_the_only_dataclass():
