@@ -41,7 +41,10 @@ table and is what makes g[-1] a metric of constant curvature -1.
 
 The table's oracle is ``koszul_connection``: because g(e_i, e_j) is
 constant, the Koszul formula needs only the frame brackets, which it takes
-by finite differences of the coordinate components at each sample point.
+by central differences of the frame's coordinate components at each sample
+point: the six (direction, field) pairs of the three brackets stacked as
+rows, one ``directional_derivative`` call per slice of ``STENCIL_BLOCK``
+rows.
 
 The contact structure is eta = -w3 with Reeb field xi = -e3 and the frame
 endomorphism F e1 = e2, F e2 = -e1, F e3 = 0; the usual compatibility
@@ -55,7 +58,7 @@ tables.  All functions are pure.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +66,10 @@ import numpy as np
 from .core import ChartPoint
 
 DEFAULT_FD_STEP = 1e-5
+# Rows per slice of both finite-difference oracles, the Brioschi stencil of ``surface.intrinsic_gauss_curvature``
+# and the bracket rows of ``koszul_connection``: a (4096, 3) float64 temporary is 96 KiB, under glibc's
+# default 128 KiB mmap threshold, so the slices reuse heap memory, not new pages.
+STENCIL_BLOCK = 4096
 SECTION_PLANE_TOL = 1e-8  # sectional curvature of a plane with |Gram det| below this is refused
 
 
@@ -282,25 +289,36 @@ def directional_derivative(f, p: ChartPoint, coord_dir, h):
     # Component-first (transposed) values, so one step per point broadcasts.
     w = _comps(coord_dir).T
     vertical = w[1] != 0.0
-    s = h / np.abs(w).max(axis=0)
+    s = h / reduce(np.maximum, np.abs(w))  # not .max(axis=0), which costs about 50 ns a point over 3 components
     s = np.where(vertical, np.minimum(s, 0.5 * p.y / np.abs(np.where(vertical, w[1], 1.0))), s)
     fp = np.asarray(f(_shift(p, w, s)), dtype=float).T
     fm = np.asarray(f(_shift(p, w, -s)), dtype=float).T
     return ((fp - fm) / (2.0 * s)).T
 
 
-def _frame_coord(p: ChartPoint, i: int) -> np.ndarray:
-    """Coordinate components of the frame vector e_(i+1) at p, (3,) or (N, 3)."""
-    return frame_to_coordinate(p, np.eye(3)[i])
+# The six (direction e_a, field e_b) rows of the bracket differences, 0-based:
+# rows 0-2 give D_{e_a} e_b for [e1,e2], [e1,e3], [e2,e3], rows 3-5 D_{e_b} e_a.
+_BRACKET_ROWS = np.eye(3)[[(0, 0, 1, 1, 2, 2), (1, 2, 2, 0, 0, 1)]]
 
 
-def _frame_bracket(i: int, j: int, p: ChartPoint, h) -> np.ndarray:
-    """[e_(i+1), e_(j+1)] at p in frame components, by central differences
-    of the frame's coordinate components."""
-    ei, ej = _frame_coord(p, i), _frame_coord(p, j)
-    di_ej = directional_derivative(lambda q: _frame_coord(q, j), p, ei, h)
-    dj_ei = directional_derivative(lambda q: _frame_coord(q, i), p, ej, h)
-    return coordinate_to_frame(p, di_ej - dj_ei)
+def _frame_brackets(p: ChartPoint) -> np.ndarray:
+    """[e1,e2], [e1,e3] and [e2,e3] at p, component-major: shape (3, 3) at
+    one point or (3, 3, N) at N points, out[m, k] = frame component k of
+    bracket m.  Central differences of the frame's coordinate components,
+    the six (direction, field) pairs stacked as rows, one
+    ``directional_derivative`` call per slice of ``STENCIL_BLOCK // 6`` points."""
+    x, y, theta, h = (np.ravel(c) for c in (*p, fd_step(p)))
+    out = np.empty((3, 3, y.size))
+    for i in range(0, y.size, STENCIL_BLOCK // 6):
+        at = slice(i, i + STENCIL_BLOCK // 6)
+        q = ChartPoint(*(np.tile(c[at], 6) for c in (x, y, theta)))
+        direction, field = (np.repeat(e, q.y.size // 6, axis=0) for e in _BRACKET_ROWS)
+        step = np.tile(h[at], 6)
+        d = directional_derivative(lambda r: frame_to_coordinate(r, field), q, frame_to_coordinate(q, direction), step)
+        c = d.T.reshape(3, 6, -1)  # c[k, row, point]: the differences are component-major already
+        bracket = coordinate_to_frame(ChartPoint(x[at], y[at], theta[at]), (c[:, :3] - c[:, 3:]).T)
+        out[:, :, at] = bracket.swapaxes(1, 2)
+    return out.reshape((3, 3) + np.shape(p.y))
 
 
 def koszul_connection(p: ChartPoint, nu: float) -> np.ndarray:
@@ -313,20 +331,22 @@ def koszul_connection(p: ChartPoint, nu: float) -> np.ndarray:
 
         2 g(D_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_i,e_k],e_j) - g([e_j,e_k],e_i).
 
-    [e1,e2], [e1,e3] and [e2,e3] are taken by finite differences, the other
-    brackets by antisymmetry, and the frame metric diag(1, 1, nu) is divided
-    out; nothing is read from the connection table.
+    [e1,e2], [e1,e3] and [e2,e3] are taken by finite differences
+    (``_frame_brackets``), the other brackets by antisymmetry, and the frame
+    metric diag(1, 1, nu) is divided out; nothing is read from the
+    connection table.  The sums run component-major, over (3, 3, 3, N)
+    arrays, so every inner loop runs over the points.
     """
-    gdiag = np.array([1.0, 1.0, _require_nu(nu)])
-    h = fd_step(p)
-    br = np.zeros(np.shape(p.y) + (3, 3, 3))
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        br[..., i, j, :] = _frame_bracket(i, j, p, h)
-        br[..., j, i, :] = -br[..., i, j, :]
-    low = br * gdiag  # low[..., i, j, k] = g([e_i, e_j], e_k)
-    # two_g[..., i, j, k] = low[i, j, k] - low[i, k, j] - low[j, k, i]
-    two_g = low - low.swapaxes(-2, -1) - np.moveaxis(low, -1, -3)
-    return 0.5 * two_g / gdiag
+    gdiag = np.reshape((1.0, 1.0, _require_nu(nu)), (3,) + (1,) * np.ndim(p.y))
+    low = np.zeros((3, 3, 3) + np.shape(p.y))
+    for (i, j), b in zip(((0, 1), (0, 2), (1, 2)), _frame_brackets(p)):
+        low[i, j], low[j, i] = b, -b
+    low *= gdiag  # low[i, j, k] = g([e_i, e_j], e_k)
+    two_g = low - low.swapaxes(1, 2)  # two_g[i, j, k] = low[i, j, k] - low[i, k, j] - low[j, k, i]
+    two_g -= np.moveaxis(low, 2, 0)
+    two_g *= 0.5
+    two_g /= gdiag
+    return np.moveaxis(two_g, (0, 1, 2), (-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------

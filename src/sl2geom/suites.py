@@ -322,12 +322,9 @@ def run_connection(nu: float, samples: int, rng: Stream, rows: RowCollector):
     finite-difference oracle at random chart points, one oracle call over
     all points."""
     p = ChartPoint(*rng.uniform((-2.0, 0.2, 0.0), (2.0, 5.0, 2.0 * math.pi), (samples, 3)).T)
-    oracle = koszul_connection(p, nu)
-    checks = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            residual = np.abs(connection_table(i, j, nu) - oracle[:, i - 1, j - 1]).max(1)
-            checks.append((f"connection.table_vs_koszul[{i}{j}]", 0.0, residual))
+    table = np.array([[connection_table(i, j, nu) for j in range(1, 4)] for i in range(1, 4)])
+    res = np.abs(table - koszul_connection(p, nu)).max(-1)  # res[k, i, j]: entry (i+1, j+1) at point k
+    checks = [(f"connection.table_vs_koszul[{i + 1}{j + 1}]", 0.0, res[:, i, j]) for i in range(3) for j in range(3)]
     rows.add([f"p{k:03d}" for k in range(samples)], checks)
 
 

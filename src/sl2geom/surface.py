@@ -41,18 +41,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import ChartPoint
-from .metric import _require_nu, coframe_rows, connect_constant, coordinate_to_frame, g_frame, g_rows
+from .metric import STENCIL_BLOCK, _require_nu, coframe_rows, connect_constant, coordinate_to_frame, g_frame, g_rows
 
 RANK_TOL = 1e-10
-# Points per stencil slice: a (4096, 3) float64 temporary is 96 KiB, under glibc's
-# default 128 KiB mmap threshold, so the slices reuse heap memory, not new pages.
-STENCIL_BLOCK = 4096
 TANGENT_PLANE_TOL = 1e-10  # |det I| or |g(n, n)| below this times its terms' size: degenerate or null
-
-
-def _dot(a, b) -> np.ndarray:
-    """Euclidean dot product over the last axis."""
-    return np.einsum("...i,...i->...", a, b)
 
 
 def _require(ok, message: str, at: tuple = (), value=None) -> None:
@@ -316,7 +308,8 @@ def unit_normal(j: SurfaceJet, hints: list = (None,), shapes: Optional[list] = N
     n = np.cross(j.phi_u, j.phi_v)
     n[..., 2] /= nu
     q = g_frame(n, n, nu)
-    _require(np.abs(q) > TANGENT_PLANE_TOL * max(1.0, abs(nu)) * _dot(n, n), "normal direction is null (g(n,n))", at, q)
+    not_null = np.abs(q) > TANGENT_PLANE_TOL * max(1.0, abs(nu)) * g_frame(n, n, 1.0)
+    _require(not_null, "normal direction is null (g(n,n))", at, q)
     n /= np.sqrt(np.abs(q))[..., None]
     shapes = shapes or [np.shape(q)]
     signs = [
@@ -401,7 +394,7 @@ def tangent_coordinates(j: SurfaceJet, w) -> np.ndarray:
     a tangent w given in frame components, (3,) or (N, 3) (least squares
     against the Euclidean Gram matrix, exact for true tangent vectors)."""
     a, b, w = j.phi_u, j.phi_v, np.asarray(w, dtype=float)
-    g11, g12, g22, ra, rb = (_dot(x, y) for x, y in ((a, a), (a, b), (b, b), (a, w), (b, w)))
+    g11, g12, g22, ra, rb = (g_frame(x, y, 1.0) for x, y in ((a, a), (a, b), (b, b), (a, w), (b, w)))
     det = g11 * g22 - g12 * g12
     return np.stack([(g22 * ra - g12 * rb) / det, (g11 * rb - g12 * ra) / det], axis=-1)
 

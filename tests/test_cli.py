@@ -686,8 +686,8 @@ class TestConnectionSuite:
         assert len(wrong) == 6 and not any(wrong)
         assert all(passed for row_id, passed in rows if row_id != check_id)
 
-    @pytest.mark.parametrize("samples", [1, 7, 400])
-    def test_one_oracle_call_of_six_differences_per_run(self, monkeypatch, samples):
+    @pytest.mark.parametrize("samples", [1, 7, 400, 700])
+    def test_one_oracle_call_of_one_difference_per_slice(self, monkeypatch, samples):
         oracle_calls, differences = [], []
         original_oracle, original_difference = suites.koszul_connection, metric.directional_derivative
 
@@ -702,7 +702,9 @@ class TestConnectionSuite:
         monkeypatch.setattr(suites, "koszul_connection", counting_oracle)
         monkeypatch.setattr(metric, "directional_derivative", counting_difference)
         run_connection(1.0, samples, np.random.default_rng(0), RowCollector())
-        assert len(oracle_calls) == 1 and len(differences) == 6
+        block = metric.STENCIL_BLOCK // 6  # points a slice; each point stacks six rows
+        assert len(oracle_calls) == 1 and len(differences) == math.ceil(samples / block)
+        assert [len(args[1].y) for args in differences] == [6 * min(block, samples - i) for i in range(0, samples, block)]
 
 
 def curvature_rows_per_point(nu, samples, rng):
